@@ -15,6 +15,7 @@ from .limit import (
     VelocityProfile,
     cdf_distance,
     compare_empirical,
+    compare_moments,
     group_velocities,
     limit_measure,
     limit_moments,
@@ -59,7 +60,6 @@ from .symbol import (
     DecayClass,
     SymbolMatrix,
     UnitarityReport,
-    WalkSpec,
     adjoint,
     char_poly,
     classify_decay,
@@ -67,7 +67,6 @@ from .symbol import (
     direct_sum,
     eval_symbol,
     symbol_power,
-    truncate_symbol,
     truncation_error_bound,
     verify_cayley_hamilton,
     verify_unitary_symbol,

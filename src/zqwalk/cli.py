@@ -29,7 +29,7 @@ from .errors import (
     UnitarityError,
     ZqwalkError,
 )
-from .limit import compare_empirical, limit_measure
+from .limit import limit_measure
 from .model import ModelWalkSpec, build_model_walk, ct_generator
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
@@ -312,13 +312,14 @@ def cmd_limit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .limit import cdf_distance
+    from .limit import cdf_distance, compare_moments
 
     walk = _load_walk(args.spec)
     xi = _load_vector(args.init)
     system = _tracked(walk, args)
-    times = _parse_times(args.t)
-    rows = compare_empirical(walk, xi, system, times, args.mmax, bins=args.bins)
+    measure = limit_measure(walk, xi, system, bins=args.bins)
+    states = [(t, evolve(walk, xi, t)) for t in _parse_times(args.t)]
+    rows = compare_moments(measure, states, args.mmax)
     run = Run(args, "compare")
     with open(run.path("moments.csv"), "w") as fh:
         zio.write_comparison_csv(rows, fh)
@@ -326,10 +327,9 @@ def cmd_compare(args) -> int:
     worst = max(row.deviation for row in rows)
     print(f"{_walk_id(args.spec)}: max |empirical - limit| = {worst:.3e}")
     # KS-style distance is diagnostic only (atoms block uniform convergence)
-    measure = limit_measure(walk, xi, system, bins=args.bins)
-    for t in times:
+    for t, state in states:
         if t > 0:
-            dist = position_distribution(evolve(walk, xi, t), time=t)
+            dist = position_distribution(state, time=t)
             print(f"  t={t}: CDF sup distance {cdf_distance(measure, dist, t):.4f}",
                   file=sys.stderr)
     return 0

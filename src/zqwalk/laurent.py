@@ -51,6 +51,20 @@ class LaurentPoly:
     def monomial(cls, shift: int, coeff: complex = 1.0) -> "LaurentPoly":
         return cls({shift: coeff})
 
+    @classmethod
+    def from_circle_samples(cls, samples) -> "LaurentPoly":
+        """Inverse of `circle_samples`: the coefficients by one FFT.
+
+        Exact up to roundoff when the support fits in |shift| < len(samples)/2;
+        shifts above half the grid are read as negative.
+        """
+        samples = np.asarray(samples, dtype=complex)
+        m = len(samples)
+        c = np.fft.fft(samples) / m
+        keep = np.flatnonzero(np.abs(c) >= PRUNE_TOL)
+        shifts = np.where(keep <= m // 2, keep, keep - m)
+        return cls(dict(zip(shifts.tolist(), c[keep].tolist())))
+
     # -- structure ---------------------------------------------------------
 
     @property

@@ -47,15 +47,8 @@ def lambda_coeffs_from_samples(
     samples: np.ndarray, threshold: float = COEFF_TRUNCATION
 ) -> LaurentPoly:
     """Fourier coefficients of circle samples, truncated below `threshold`."""
-    samples = np.asarray(samples, dtype=complex)
-    m = len(samples)
-    c = np.fft.fft(samples) / m
-    coeffs = {}
-    for f in range(m):
-        s = f if f <= m // 2 else f - m
-        if abs(c[f]) >= threshold:
-            coeffs[s] = complex(c[f])
-    return LaurentPoly(coeffs)
+    p = LaurentPoly.from_circle_samples(samples)
+    return LaurentPoly({s: c for s, c in p.coeffs.items() if abs(c) >= threshold})
 
 
 def build_model_walk(

@@ -4,7 +4,8 @@ Single applications are exact sparse convolutions on (site, channel)
 dictionaries.  Long evolutions run on a dense window sized to the final
 support (finite propagation makes that exact: support can grow by at most the
 propagation radius per step), so no circle truncation is ever involved.  A
-Fourier-side evolution is provided purely as a cross-check.
+Fourier-side evolution is provided purely as a cross-check.  The locality
+class of initial data is `classify_decay` with renamed kinds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .symbol import SymbolMatrix
+from .symbol import SymbolMatrix, classify_decay
 
 AMP_PRUNE = 1e-14
 
@@ -232,13 +233,6 @@ def rescaled_moment(xi: StateVector, t: int, m: int) -> float:
     return float(sum((s / t) ** m * p for s, p in dist.probs.items()))
 
 
-def total_variation(p: PositionDistribution, q: PositionDistribution) -> float:
-    sites = set(p.probs) | set(q.probs)
-    return 0.5 * float(
-        sum(abs(p.probs.get(s, 0.0) - q.probs.get(s, 0.0)) for s in sites)
-    )
-
-
 # ---------------------------------------------------------------------------
 # initial-vector locality classes
 # ---------------------------------------------------------------------------
@@ -256,42 +250,27 @@ class InitialClass:
         return self.kind in ("finite_support", "exponential", "rapid_decrease")
 
 
+# classify_decay kind -> initial-vector kind
+_INITIAL_KINDS = {"finite_propagation": "finite_support", "analytic": "exponential",
+                  "smooth": "rapid_decrease", "unbounded": "other"}
+
+
 def classify_initial(
     xi: StateVector | Mapping[int, float], cutoff: int | None = None
 ) -> InitialClass:
     """Locality class of an initial vector (or of a site-amplitude profile).
 
-    A StateVector is finitely supported by representation; a raw profile given
-    out to `cutoff` is fitted like an operator coefficient profile: exact
-    vanishing inside the window means finite support, an accepted exponential
-    fit gives the exponential type with its fitted rate, passing the
-    fixed-order polynomial test gives rapid decrease, anything else is 'other'.
+    `classify_decay` on the site-amplitude profile, with its kinds renamed.  A
+    StateVector without a cutoff is finitely supported by representation; a
+    raw profile without a cutoff is read out to its support.
     """
-    from .symbol import _fit_exponential, _passes_order_test
-
     if isinstance(xi, StateVector):
-        profile = xi.site_profile()
         if cutoff is None:
             return InitialClass("finite_support")
+        profile = xi.site_profile()
     else:
-        profile = {int(s): float(v) for s, v in xi.items()}
+        profile = {int(s): v for s, v in xi.items()}
         if cutoff is None:
             cutoff = max((abs(s) for s in profile), default=0)
-    if cutoff < 4:
-        raise DomainError("cutoff too small to classify (need at least 4 sites)")
-    shifts = np.arange(-cutoff, cutoff + 1)
-    mags = np.array([abs(profile.get(int(s), 0.0)) for s in shifts])
-    nonzero = mags > 0
-    if not nonzero.any():
-        return InitialClass("finite_support")
-    radius = int(np.max(np.abs(shifts[nonzero])))
-    if radius < cutoff:
-        return InitialClass("finite_support")
-    _c, r, rel = _fit_exponential(shifts[nonzero], mags[nonzero])
-    from .symbol import EXP_FIT_RESIDUAL
-
-    if r > 1.0 and rel < EXP_FIT_RESIDUAL:
-        return InitialClass("exponential", r=float(r))
-    if _passes_order_test(shifts[nonzero], mags[nonzero], cutoff):
-        return InitialClass("rapid_decrease")
-    return InitialClass("other")
+    decay = classify_decay(profile, cutoff)
+    return InitialClass(_INITIAL_KINDS[decay.kind], r=decay.r)

@@ -495,12 +495,3 @@ def band_projections(
                 weights[j][k, i] = share
     return weights
 
-
-def char_poly_from_bands(system: EigenSystem, k: int) -> np.ndarray:
-    """Coefficients (low degree first) of prod over bands of (lambda - value) at base k."""
-    poly = np.array([1.0 + 0.0j])
-    for band in system.bands:
-        for value in band.values_over(k):
-            for _ in range(band.multiplicity):
-                poly = np.convolve(poly, np.array([-value, 1.0]))
-    return poly

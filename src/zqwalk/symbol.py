@@ -3,9 +3,9 @@
 A walk is stored as an n x n matrix of Laurent polynomials; evaluating every
 entry at a point z of the unit circle gives the n x n matrix of the
 Fourier-transformed operator at that momentum.  The module provides exact
-ring arithmetic (compose/adjoint), the characteristic polynomial over the
-Laurent ring, unitarity and Cayley-Hamilton verification on circle grids, and
-a decay classifier for coefficient sequences.
+ring arithmetic (compose/adjoint), the characteristic polynomial interpolated
+from a circle grid (any dimension), unitarity and Cayley-Hamilton verification
+on circle grids, and a decay classifier for coefficient sequences.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import DomainError
 from .laurent import LaurentPoly
-
-# Exact determinant expansion is only attempted up to this dimension.
-MAX_EXACT_DIM = 8
 
 # Relative RMS residual (on log magnitudes) below which an exponential fit
 # of a coefficient profile is accepted.
@@ -109,20 +106,11 @@ class SymbolMatrix:
         return out
 
 
-WalkSpec = SymbolMatrix  # wire-format alias: a parsed walk spec is its symbol
-
-
 def eval_symbol(walk: SymbolMatrix, z: complex) -> np.ndarray:
     """Value of the symbol at one point; total on nonzero z, error at z = 0."""
     if z == 0:
         raise DomainError("symbol cannot be evaluated at z = 0")
-    out = np.zeros((walk.n, walk.n), dtype=complex)
-    for i in range(walk.n):
-        for j in range(walk.n):
-            p = walk.entries[i][j]
-            if not p.is_zero:
-                out[i, j] = p(complex(z))
-    return out
+    return np.array([[p(complex(z)) for p in row] for row in walk.entries], dtype=complex)
 
 
 class UnitarityReport(NamedTuple):
@@ -199,7 +187,7 @@ def symbol_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial over the Laurent ring
+# characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -225,94 +213,42 @@ class CharPoly:
         return complex(np.polyval(c[::-1], lam))
 
 
-# polynomials in lambda with Laurent coefficients, stored low degree first
-_LPoly = tuple[LaurentPoly, ...]
-
-
-def _lpoly_add(a: _LPoly, b: _LPoly) -> _LPoly:
-    m = max(len(a), len(b))
-    zero = LaurentPoly.zero()
-    return tuple(
-        (a[k] if k < len(a) else zero) + (b[k] if k < len(b) else zero)
-        for k in range(m)
-    )
-
-
-def _lpoly_mul(a: _LPoly, b: _LPoly) -> _LPoly:
-    out = [LaurentPoly.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b):
-            if bj.is_zero:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return tuple(out)
-
-
 def char_poly(walk: SymbolMatrix) -> CharPoly:
-    """det(lambda*I - U(z)) computed exactly over the Laurent ring.
+    """det(lambda*I - U(z)), interpolated from U on a circle grid.
 
-    Cofactor expansion along the leading remaining column, memoized on the
-    surviving row set, so the cost is O(2^n) ring products.
+    Each lambda-coefficient is a Laurent polynomial supported in |s| <= n*R
+    (R the propagation radius), so a grid of more than 2*n*R points holds it
+    exactly up to roundoff.  Faddeev-LeVerrier runs batched over the grid and
+    one FFT per coefficient returns to the Laurent ring; there is no
+    dimension cap.
     """
     n = walk.n
-    if n > MAX_EXACT_DIM:
-        raise DomainError(
-            f"dimension too large for exact expansion (n = {n} > {MAX_EXACT_DIM})"
-        )
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    # entry (i, j) of lambda*I - U as a polynomial in lambda
-    mat: list[list[_LPoly]] = [
-        [
-            (-walk.entries[i][j], one) if i == j else (-walk.entries[i][j],)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    memo: dict[tuple[int, ...], _LPoly] = {}
-
-    def minor_det(rows: tuple[int, ...]) -> _LPoly:
-        # determinant of the submatrix on `rows` and the last len(rows) columns
-        if not rows:
-            return (one,)
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = n - len(rows)
-        acc: _LPoly = (zero,)
-        for pos, i in enumerate(rows):
-            sub = minor_det(rows[:pos] + rows[pos + 1:])
-            term = _lpoly_mul(mat[i][col], sub)
-            acc = _lpoly_add(acc, term if pos % 2 == 0 else tuple(-p for p in term))
-        memo[rows] = acc
-        return acc
-
-    det = minor_det(tuple(range(n)))
-    coeffs = list(det) + [zero] * (n + 1 - len(det))
-    # snap the leading coefficient to exactly 1
-    coeffs[n] = one
-    return CharPoly(n, tuple(coeffs[: n + 1]))
+    grid = max(16, 1 << (2 * n * walk.propagation_radius).bit_length())
+    u = walk.grid_eval(grid)
+    eye = np.eye(n)
+    coeffs = np.zeros((n + 1, grid), dtype=complex)
+    coeffs[n] = 1.0
+    um = np.zeros_like(u)
+    for k in range(1, n + 1):
+        um = u @ (um + coeffs[n - k + 1][:, None, None] * eye)
+        coeffs[n - k] = -np.trace(um, axis1=1, axis2=2) / k
+    laurent = [LaurentPoly.from_circle_samples(c) for c in coeffs[:n]]
+    return CharPoly(n, tuple(laurent) + (LaurentPoly.one(),))
 
 
 def verify_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
-    """Max Frobenius norm of f(U(z); z) over a circle grid (f = char poly)."""
+    """Max Frobenius norm of f(U(z); z) over a circle grid (f = char poly).
+
+    The Laurent coefficients of f are evaluated on this grid, not taken from
+    the interpolation grid of char_poly, so the check covers that step too.
+    """
     f = char_poly(walk)
-    vals = walk.grid_eval(grid_size)
-    z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    coeff_vals = np.stack(
-        [c(z) if not c.is_zero else np.zeros_like(z) for c in f.coeffs], axis=1
-    )  # (M, n+1)
+    u = walk.grid_eval(grid_size)
     eye = np.eye(walk.n)
-    residual = 0.0
-    for k in range(grid_size):
-        u = vals[k]
-        acc = coeff_vals[k, walk.n] * eye
-        for j in range(walk.n - 1, -1, -1):  # Horner in the matrix argument
-            acc = acc @ u + coeff_vals[k, j] * eye
-        residual = max(residual, float(np.linalg.norm(acc)))
-    return residual
+    acc = np.zeros_like(u)
+    for c in reversed(f.coeffs):  # Horner in the matrix argument
+        acc = acc @ u + c.circle_samples(grid_size)[:, None, None] * eye
+    return float(np.max(np.linalg.norm(acc, axis=(1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +329,6 @@ def truncation_error_bound(c: float, r: float, radius: int) -> float:
     if r <= 1.0:
         raise DomainError("exponential rate must satisfy r > 1")
     return c * r ** (-radius) / (1.0 - 1.0 / r)
-
-
-def truncate_symbol(walk_coeffs: Mapping[int, object], radius: int) -> dict[int, object]:
-    """Drop coefficient matrices beyond |shift| > radius (finite-propagation form)."""
-    return {s: m for s, m in walk_coeffs.items() if abs(s) <= radius}
 
 
 def classify_decay(

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from zqwalk import LaurentPoly, ModelWalkSpec, StateVector, lambda_coeffs_from_samples
+from zqwalk import (
+    LaurentPoly,
+    ModelWalkSpec,
+    StateVector,
+    SymbolMatrix,
+    compose,
+    lambda_coeffs_from_samples,
+)
 
 SAMPLE_GRID = 4096
 
@@ -67,3 +74,25 @@ def random_constant_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_split_step_walk(
+    rng: np.random.Generator, n: int, radius: int = 1
+) -> SymbolMatrix:
+    """`radius` layers of a random coin followed by a diagonal shift.
+
+    Channel 1 moves right and channel n left in every layer; the other
+    channels move by a random step in {-1, 0, 1}.
+    """
+    zero = LaurentPoly.zero()
+    walk = SymbolMatrix.identity(n)
+    for _ in range(radius):
+        steps = rng.integers(-1, 2, size=n)
+        steps[0], steps[-1] = 1, -1
+        shift = SymbolMatrix(n, tuple(
+            tuple(LaurentPoly.monomial(int(steps[i])) if i == j else zero for j in range(n))
+            for i in range(n)
+        ))
+        coin = SymbolMatrix.from_constant(random_constant_unitary(rng, n))
+        walk = compose(shift, compose(coin, walk))
+    return walk

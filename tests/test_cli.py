@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from zqwalk import (
     StateVector,
     SymbolMatrix,
     coined_walk,
+    compare_empirical,
     grover_walk_3,
     modified_coined_walk,
     refine_system,
@@ -207,6 +209,45 @@ def test_cli_limit_and_compare(spec_dir, tmp_path):
         assert abs(float(row["empirical"]) - float(row["limit"])) == pytest.approx(
             float(row["deviation"]), abs=1e-15
         )
+
+
+def test_cli_compare_builds_measure_once(spec_dir, tmp_path, monkeypatch):
+    import zqwalk.cli
+    import zqwalk.limit
+
+    calls = {"limit_measure": 0, "evolve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (zqwalk.cli, zqwalk.limit):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    out = tmp_path / "run-compare"
+    assert run_cli(
+        "compare",
+        spec_dir / "hadamard.json",
+        "--init",
+        spec_dir / "delta0_ch1.json",
+        "--t",
+        "20,80,160",
+        "--mmax",
+        "2",
+        "--grid",
+        256,
+        "--out",
+        out,
+    ) == 0
+    assert calls == {"limit_measure": 1, "evolve": 3}
+    walk, xi = coined_walk(), StateVector.delta(0, 1, 2)
+    system = refine_system(track_bands(walk, 256))
+    want = io.StringIO()
+    zio.write_comparison_csv(compare_empirical(walk, xi, system, [20, 80, 160], 2), want)
+    assert (out / "moments.csv").read_text() == want.getvalue()
 
 
 def test_cli_conjugate(spec_dir, tmp_path, capsys):

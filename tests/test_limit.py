@@ -120,6 +120,16 @@ def test_grover_localization_atom(tracked_corpus):
     assert mass == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("grid", [4096, 16384])
+def test_grover_localization_atom_on_fine_grids(grid):
+    # the roundoff of the FFT velocity grows like grid^2 and passes
+    # ATOM_TOTAL_VARIATION at grid 4096; the flat band must still be an atom
+    walk = grover_walk_3()
+    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    mu = limit_measure(walk, xi, refined(walk, grid))
+    assert mu.atom_mass(0.0) == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-8)
+
+
 def test_measure_requires_refined_system():
     walk = coined_walk()
     system = refined(walk, 256)

@@ -4,6 +4,7 @@ import pytest
 from zqwalk import (
     Band,
     EigenSystem,
+    ResolutionError,
     StateVector,
     SymbolMatrix,
     UnitarityError,
@@ -12,8 +13,10 @@ from zqwalk import (
     build_model_walk,
     char_poly,
     coined_lambda,
+    coined_walk,
     compose,
     ct_realizable,
+    direct_sum,
     grover_lambda,
     is_decomposable,
     modified_lambda,
@@ -23,8 +26,13 @@ from zqwalk import (
     total_winding,
     track_bands,
     winding_numbers,
+    winding_of_samples,
 )
-from support import random_constant_unitary, random_unimodular_spec
+from support import (
+    random_constant_unitary,
+    random_split_step_walk,
+    random_unimodular_spec,
+)
 
 M = 1024
 
@@ -236,15 +244,43 @@ def test_total_winding_of_powers(corpus):
 
 
 def test_bands_reconstruct_char_poly(tracked_corpus, corpus):
-    from zqwalk.spectral import char_poly_from_bands
-
     for name, system in tracked_corpus.items():
         f = char_poly(corpus[name])
         for k in range(0, system.base_grid, 111):
             z = np.exp(2j * np.pi * k / system.base_grid)
             want = f.coefficients_at(z)
-            got = char_poly_from_bands(system, k)
+            roots = [
+                value
+                for band in system.bands
+                for value in band.values_over(k)
+                for _ in range(band.multiplicity)
+            ]
+            got = np.poly(roots)[::-1]
             assert np.max(np.abs(got - want)) < 1e-7, name
+
+
+def test_index_identity_on_generated_walks(rng):
+    # sum of mult * winding over the bands is the winding of det U(z), the
+    # GNVW index; n up to 10 runs past any dimension cap of char_poly
+    walks = [random_split_step_walk(rng, n, 1 + n % 3) for n in range(2, 11)]
+    walks += [
+        build_model_walk(random_unimodular_spec(rng, d, w))
+        for d in (2, 3, 4)
+        for w in (1, -1, 2, -2)
+    ]
+    walks.append(direct_sum(coined_walk(), coined_walk()))
+    refused = 0
+    for walk in walks:
+        try:
+            system = refine_system(track_bands(walk, 256))
+        except ResolutionError:
+            refused += 1
+            continue
+        det = (-1) ** walk.n * char_poly(walk).coeffs[0].circle_samples(4096)
+        index, residual = winding_of_samples(det)
+        assert residual < 1e-6
+        assert sum(b.multiplicity * b.winding for b in system.bands) == index
+    assert refused <= len(walks) // 4
 
 
 # -- projections ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from zqwalk import (
     verify_unitary_symbol,
 )
 from zqwalk.model import ModelWalkSpec
+from support import random_split_step_walk
 
 R = 2**-0.5
 
@@ -93,9 +96,18 @@ def test_char_poly_shift_1x1():
     assert f.coeffs[1].allclose(LaurentPoly.one())
 
 
-def test_char_poly_dimension_guard():
-    with pytest.raises(DomainError):
-        char_poly(SymbolMatrix.identity(9))
+def test_char_poly_beyond_dimension_eight(rng):
+    f = char_poly(SymbolMatrix.identity(9))
+    want = [(-1) ** (9 - k) * comb(9, k) for k in range(10)]  # (lambda - 1)^9
+    assert all(c.coeffs == {0: w} for c, w in zip(f.coeffs, want))
+    z = np.exp(2j * np.pi * (np.arange(7) + 0.37) / 7)  # off every FFT grid
+    for n in (10, 12):
+        walk = random_split_step_walk(rng, n, 1)
+        f = char_poly(walk)
+        assert verify_cayley_hamilton(walk, 256) < 1e-10
+        for point in z:
+            want = np.poly(eval_symbol(walk, point))[::-1]
+            assert np.max(np.abs(f.coefficients_at(point) - want)) < 1e-11
 
 
 def test_char_poly_constant_term_unimodular(corpus):
@@ -202,7 +214,7 @@ def test_classify_small_cutoff_errors():
 
 
 def test_truncation_error_bound():
-    from zqwalk import truncate_symbol, truncation_error_bound
+    from zqwalk import truncation_error_bound
 
     # profile c(s) = r^-|s| truncated at R: actual one-sided tail mass is
     # r^-(R+1) / (1 - 1/r), below the documented bound c r^-R / (1 - 1/r)
@@ -210,9 +222,6 @@ def test_truncation_error_bound():
     bound = truncation_error_bound(c, r, radius)
     tail = sum(r ** -s for s in range(radius + 1, 200))
     assert tail < bound
-    seqs = {s: r ** -abs(s) for s in range(-30, 31)}
-    kept = truncate_symbol(seqs, radius)
-    assert max(abs(s) for s in kept) == radius
     with pytest.raises(DomainError):
         truncation_error_bound(1.0, 1.0, 5)
 
