@@ -204,24 +204,20 @@ def cdf_distance(measure: LimitMeasure, dist, t: int) -> float:
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    points = sorted(
-        [(x, mass) for x, mass in measure.atoms]
-        + [(x, mass) for x, mass in measure.density_samples]
-    )
-    emp = sorted((s / t, p) for s, p in dist.probs.items())
-    grid = sorted({x for x, _ in points} | {x for x, _ in emp})
-    worst = 0.0
-    ci = cj = 0.0
-    i = j = 0
-    for x in grid:
-        while i < len(points) and points[i][0] <= x:
-            ci += points[i][1]
-            i += 1
-        while j < len(emp) and emp[j][0] <= x:
-            cj += emp[j][1]
-            j += 1
-        worst = max(worst, abs(ci - cj))
-    return worst
+    points = np.array(measure.atoms + measure.density_samples, dtype=float).reshape(-1, 2)
+    count = len(dist.probs)
+    sites = np.fromiter(dist.probs.keys(), dtype=float, count=count) / t
+    probs = np.fromiter(dist.probs.values(), dtype=float, count=count)
+    grid = np.union1d(points[:, 0], sites)
+    gap = _cdf_at(points[:, 0], points[:, 1], grid) - _cdf_at(sites, probs, grid)
+    return float(np.max(np.abs(gap), initial=0.0))
+
+
+def _cdf_at(locations: np.ndarray, masses: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Total mass at locations at or below each grid point."""
+    order = np.argsort(locations, kind="stable")
+    cumulative = np.concatenate(([0.0], np.cumsum(masses[order])))
+    return cumulative[np.searchsorted(locations[order], grid, side="right")]
 
 
 @dataclass(frozen=True)

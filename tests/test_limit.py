@@ -232,6 +232,45 @@ def test_cdf_distance_diagnostic(tracked_corpus):
     assert 0 < dists[400] < dists[50] < 0.5
 
 
+def test_cdf_distance_hand_example():
+    from zqwalk import LimitMeasure, PositionDistribution, cdf_distance
+
+    mu = LimitMeasure(((0.0, 0.5),), ((0.5, 0.25), (1.0, 0.25)), 1.0)
+    dist = PositionDistribution({-1: 0.25, 0: 0.25, 2: 0.5}, time=2)
+    # grid -0.5, 0, 0.5, 1: limit CDF 0, 0.5, 0.75, 1; empirical 0.25, 0.5, 0.5, 1
+    assert cdf_distance(mu, dist, 2) == pytest.approx(0.25, abs=1e-15)
+    assert cdf_distance(mu, PositionDistribution({}), 2) == pytest.approx(1.0)
+
+
+def _loop_cdf_distance(measure, dist, t):
+    """Reference: merge the two sorted (location, mass) lists by hand."""
+    points = sorted(list(measure.atoms) + list(measure.density_samples))
+    emp = sorted((s / t, p) for s, p in dist.probs.items())
+    worst = ci = cj = 0.0
+    i = j = 0
+    for x in sorted({x for x, _ in points} | {x for x, _ in emp}):
+        while i < len(points) and points[i][0] <= x:
+            ci += points[i][1]
+            i += 1
+        while j < len(emp) and emp[j][0] <= x:
+            cj += emp[j][1]
+            j += 1
+        worst = max(worst, abs(ci - cj))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["coined", "grover3"])
+def test_cdf_distance_matches_loop_reference(tracked_corpus, name):
+    from zqwalk import cdf_distance
+
+    walk = grover_walk_3() if name == "grover3" else coined_walk()
+    xi = StateVector.delta(0, 1, walk.n)
+    mu = limit_measure(walk, xi, tracked_corpus[name])
+    for t in (7, 400):
+        dist = position_distribution(evolve(walk, xi, t), time=t)
+        assert abs(cdf_distance(mu, dist, t) - _loop_cdf_distance(mu, dist, t)) <= 1e-14
+
+
 def test_group_velocity_rejects_kinked_argument():
     from zqwalk import Band, EigenSystem, ResolutionError
 

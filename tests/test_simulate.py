@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,8 @@ from zqwalk import (
     apply_walk,
     classify_initial,
     coined_walk,
+    compose,
+    direct_sum,
     evolve,
     fourier_position_distribution,
     grover_walk_3,
@@ -16,6 +21,7 @@ from zqwalk import (
     rescaled_moment,
     truncate_amplitudes,
 )
+from support import random_constant_unitary, random_local_state, random_split_step_walk
 
 R = 2**-0.5
 
@@ -85,6 +91,89 @@ def test_support_bound_exact():
     assert out.support_radius <= 3 + 17 * walk.propagation_radius
 
 
+# -- evolution through the symbol against the stepping oracle -----------------
+
+ORACLE_TIMES = (1, 2, 7, 33, 64)
+
+
+def _oracle_cases():
+    """(name, walk, initial vector, whether the walk reaches every cone site).
+
+    The split-step walks cover n = 2..8 and radius 1..3 (n = 2, radius 3 has
+    shifts {-3, -1, 1, 3}); the coined walk with a radius-3 vector has g = 2 and
+    both residues occupied; shift(+-2) + coin, started on even sites only, has
+    an arithmetic shift set {0, 2} or {-2, 0} but a block-diagonal symbol, so
+    its exact amplitudes vanish inside the cone; the layered walk has the
+    non-arithmetic shift set {0, 1, 3, 4}; the gapped grover3 vector has two
+    light cones (width 2 t + 1) that leave one empty site between them at
+    t = 33 and overlap from t = 34.
+    """
+    rng = np.random.default_rng(64)
+    cases = [
+        (f"split_n{n}_r{r}", random_split_step_walk(rng, n, r),
+         random_local_state(rng, n, 1), True)
+        for n, r in ((2, 3), (3, 3), (4, 2), (5, 1), (6, 2), (7, 1), (8, 1))
+    ]
+    cases.append(("coined_radius3", coined_walk(), random_local_state(rng, 2, 3), True))
+    coin = SymbolMatrix.from_constant(random_constant_unitary(rng, 2))
+    even = random_local_state(rng, 3, 2)
+    even = StateVector({key: a for key, a in even.amplitudes.items() if key[0] % 2 == 0}, 3)
+    for s in (2, -2):
+        cases.append((f"shift{s:+d}_plus_coin", direct_sum(SymbolMatrix.shift(s), coin),
+                      even, False))
+    layered = compose(
+        direct_sum(SymbolMatrix.shift(0), SymbolMatrix.shift(3)),
+        compose(coin, direct_sum(SymbolMatrix.shift(0), SymbolMatrix.shift(1))),
+    )
+    cases.append(("shifts_0_1_3_4", layered, random_local_state(rng, 2, 2), False))
+    gapped = StateVector({(0, 1): 0.6, (68, 2): 0.8j}, 3)
+    cases.append(("grover3_gapped_support", grover_walk_3(), gapped, False))
+    return cases
+
+
+def _cone_sites(walk, xi, t):
+    """Sites x + m0 t + g j with 0 <= g j <= (max shift - m0) t, x in supp xi."""
+    shifts = sorted(walk.coefficient_sequences())
+    m0 = shifts[0]
+    g = math.gcd(*(s - m0 for s in shifts)) or 1
+    reach = (shifts[-1] - m0) * t
+    return {x + m0 * t + j for (x, _k) in xi.amplitudes for j in range(0, reach + 1, g)}
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+def test_evolve_matches_stepping_oracle(case):
+    _name, walk, xi, fills_cone = case
+    stepped = xi
+    for t in range(1, max(ORACLE_TIMES) + 1):
+        stepped = apply_walk(walk, stepped)
+        if t not in ORACLE_TIMES:
+            continue
+        out = evolve(walk, xi, t)
+        assert out.distance(stepped) <= 1e-12, t
+        sites = {s for (s, _k) in out.amplitudes}
+        oracle = {s for (s, _k) in stepped.amplitudes}
+        assert sites <= _cone_sites(walk, xi, t), t
+        if fills_cone:
+            assert sites == oracle, t
+        else:
+            assert sites >= oracle, t
+
+
+@pytest.mark.parametrize("name", ["coined", "modified", "grover3"])
+def test_long_evolution_regression(corpus, name):
+    walk = corpus[name]
+    for xi in (StateVector.delta(0, 1, walk.n),
+               random_local_state(np.random.default_rng(6400), walk.n, 3)):
+        out = evolve(walk, xi, 6400)
+        assert abs(out.norm() - 1.0) <= 1e-9
+        assert out.support_radius <= xi.support_radius + walk.propagation_radius * 6400
+        lattice = position_distribution(evolve(walk, xi, 1600)).probs
+        fourier = fourier_position_distribution(walk, xi, 1600).probs
+        sites = set(lattice) | set(fourier)
+        tv = 0.5 * sum(abs(lattice.get(s, 0.0) - fourier.get(s, 0.0)) for s in sites)
+        assert tv <= 1e-9
+
+
 def test_fourier_consistency():
     walk = grover_walk_3()
     xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
@@ -112,6 +201,19 @@ def test_rescaled_moment_examples():
     probs = position_distribution(out).probs
     want = sum((s / 2) ** 2 * p for s, p in probs.items())
     assert rescaled_moment(out, 2, 2) == pytest.approx(want, abs=1e-15)
+
+
+def test_distribution_and_moments_match_loop_reference(rng):
+    xi = evolve(grover_walk_3(), random_local_state(rng, 3, 3), 400)
+    probs: dict[int, float] = {}
+    for (s, _k), a in xi.amplitudes.items():
+        probs[s] = probs.get(s, 0.0) + abs(a) ** 2
+    got = position_distribution(xi).probs
+    assert got.keys() == probs.keys()
+    assert max(abs(got[s] - p) for s, p in probs.items()) <= 1e-14
+    for m in range(5):
+        want = sum((s / 400) ** m * p for s, p in probs.items())
+        assert abs(rescaled_moment(xi, 400, m) - want) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,6 +249,11 @@ def test_classify_polynomial_amplitudes():
     cls = classify_initial(_profile_vector(profile), cutoff=cutoff)
     assert cls.kind == "rapid_decrease"
     assert cls.is_rapidly_decreasing
+
+
+def test_classify_raw_profile_without_cutoff_is_finite():
+    assert classify_initial({s: 1.0 for s in range(-5, 6)}).kind == "finite_support"
+    assert classify_initial({0: 1.0}).kind == "finite_support"
 
 
 def test_classify_small_cutoff():
