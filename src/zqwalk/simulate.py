@@ -5,10 +5,10 @@ dictionaries; `apply_walk` is the reference the long evolutions are tested
 against.  Long evolutions go through the symbol: a finite-propagation symbol
 splits exactly as U(z) = z^m0 V(z^g), the shift factor moves every site by
 m0 t, and V^t, a polynomial of degree D t, is applied on each residue class of
-the support mod g (split where light cones do not touch) by binary powering
-on a circle grid wider than the light cone, so no aliasing occurs.  Sites
-outside the light cones of the support (in particular off x + m0 t + gZ) are
-exactly zero; inside, the error is of order t times machine epsilon.  A
+the support mod g by binary powering on a circle grid wider than the class's
+light cone, so no aliasing occurs.  Sites outside those light cones (in
+particular off x + m0 t + gZ) are exactly zero; inside, the error is of order
+t times machine epsilon.  A
 Fourier-side evolution on a power-of-two grid is kept as a cross-check.  The
 locality class of initial data is `classify_decay` with renamed kinds.
 """
@@ -21,6 +21,7 @@ from itertools import repeat
 from typing import Mapping
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import DomainError
 from .symbol import SymbolMatrix, classify_decay
@@ -139,36 +140,20 @@ def _entries(xi: StateVector) -> tuple[np.ndarray, np.ndarray]:
     return keys, np.fromiter(xi.amplitudes.values(), dtype=complex, count=count)
 
 
-def _smooth_length(need: int) -> int:
-    """Smallest 2^a 3^b 5^c >= need: an FFT length pocketfft handles fast."""
-    best = 1 << max(need - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            size = p35
-            while size < need:
-                size *= 2
-            best = min(best, size)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     """t-fold application of the walk (t >= 0), through its symbol.
 
     The symbol splits exactly as U(z) = z^m0 V(z^g): m0 is the least shift with
     a nonzero coefficient, g the gcd of the shift differences, and V a
     polynomial of degree D.  The shift factor moves every site by m0 t.  Each
-    residue class of the support of xi mod g evolves under V on its own
-    sublattice, split into runs whose light cones touch; there V^t has finite
-    propagation D t, so one FFT on a grid wider than the widest run's light
-    cone applies it with no aliasing.  Sites outside the light cones
-    x + m0 t + g {0, ..., D t} of the support are exactly zero (in particular
-    every site off x + m0 t + gZ); entries inside carry an absolute error of
-    order t times machine epsilon (binary powering of V), including
-    roundoff-level values where the exact amplitude is zero.
+    residue class r of the support of xi mod g evolves under V on its own
+    sublattice; there V^t has finite propagation D t, so one FFT on a grid
+    wider than the widest class's light cone applies it with no aliasing.  The
+    cone of class r is r + m0 t + g {low, ..., high + D t}, from its least to
+    its largest sublattice site; sites outside the cones are exactly zero (in
+    particular every site off x + m0 t + gZ), and entries inside carry an
+    absolute error of order t times machine epsilon (binary powering of V),
+    including roundoff-level values where the exact amplitude is zero.
     """
     if t < 0:
         raise DomainError("time must be nonnegative")
@@ -185,22 +170,18 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     degree = (max(coeffs) - m0) // g
 
     keys, values = _entries(xi)
-    count = len(values)
     residues = keys[:, 0] % g
     y = (keys[:, 0] - residues) // g
-    # One column per run of sites of one residue class, on its sublattice
-    # y = (x - r) / g, whose light cones y .. y + D t touch: the cones of a run
-    # fill low .. high + D t, and a wider gap starts a new column.
-    order = np.lexsort((y, residues))
-    run_r, run_y = residues[order], y[order]
-    new_run = np.r_[True, (run_r[1:] != run_r[:-1]) | (np.diff(run_y) > degree * t + 1)]
-    starts = np.flatnonzero(new_run)
-    column = np.empty(count, dtype=np.int64)
-    column[order] = np.cumsum(new_run) - 1
-    lows = run_y[starts]
-    widths = run_y[np.r_[starts[1:], count] - 1] - lows + degree * t + 1
-    size = _smooth_length(int(widths.max()))
-    psi = np.zeros((n, len(starts), size), dtype=complex)
+    # One column per residue class r of the support mod g, on its sublattice
+    # y = (x - r) / g, where the light cone of the class fills low .. high + D t.
+    classes, column = np.unique(residues, return_inverse=True)
+    lows = np.full(len(classes), y.max())
+    np.minimum.at(lows, column, y)
+    highs = np.full(len(classes), y.min())
+    np.maximum.at(highs, column, y)
+    widths = highs - lows + degree * t + 1
+    size = next_fast_len(int(widths.max()))
+    psi = np.zeros((n, len(classes), size), dtype=complex)
     psi[keys[:, 1] - 1, column, y - lows[column]] = values
     vec = np.fft.ifft(psi, axis=-1)
 
@@ -221,8 +202,8 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     out = np.fft.fft(vec, axis=-1)
 
     amps: dict[tuple[int, int], complex] = {}
-    for c, first in enumerate(starts.tolist()):
-        sites = m0 * t + run_r[first] + g * (lows[c] + np.arange(widths[c]))
+    for c, r in enumerate(classes.tolist()):
+        sites = m0 * t + r + g * (lows[c] + np.arange(widths[c]))
         for k in range(n):
             row = out[k, c, : widths[c]]
             nz = np.flatnonzero(row)

@@ -106,7 +106,7 @@ def _oracle_cases():
     its exact amplitudes vanish inside the cone; the layered walk has the
     non-arithmetic shift set {0, 1, 3, 4}; the gapped grover3 vector has two
     light cones (width 2 t + 1) that leave one empty site between them at
-    t = 33 and overlap from t = 34.
+    t = 33 and overlap from t = 34, and evolves on the hull of both.
     """
     rng = np.random.default_rng(64)
     cases = [
@@ -132,12 +132,17 @@ def _oracle_cases():
 
 
 def _cone_sites(walk, xi, t):
-    """Sites x + m0 t + g j with 0 <= g j <= (max shift - m0) t, x in supp xi."""
+    """Sites r + m0 t + g j with lo <= g j <= hi + (max shift - m0) t, where lo
+    and hi are the least and largest sites of xi's residue class r mod g."""
     shifts = sorted(walk.coefficient_sequences())
     m0 = shifts[0]
     g = math.gcd(*(s - m0 for s in shifts)) or 1
     reach = (shifts[-1] - m0) * t
-    return {x + m0 * t + j for (x, _k) in xi.amplitudes for j in range(0, reach + 1, g)}
+    hulls: dict[int, tuple[int, int]] = {}
+    for (x, _k) in xi.amplitudes:
+        lo, hi = hulls.get(x % g, (x, x))
+        hulls[x % g] = (min(lo, x), max(hi, x))
+    return {s + m0 * t for lo, hi in hulls.values() for s in range(lo, hi + reach + 1, g)}
 
 
 @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
