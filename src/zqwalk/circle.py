@@ -33,23 +33,3 @@ def rotation_distance(a: np.ndarray, b: np.ndarray, block: int) -> float:
         best = min(best, float(np.max(np.abs(a - np.roll(b, shift)))))
     return best
 
-
-def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clusters of complex values at tolerance tol."""
-    m = len(values)
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) < tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(idx) for idx in groups.values()]

@@ -17,6 +17,12 @@ with different derivatives, e.g. a double eigenvalue at an isolated z), while
 the extrapolated prediction stays on the analytic branch.  Correctness is
 still certified the blunt way: the tracked structure must be reproduced when
 the grid is doubled, otherwise the grid keeps doubling until it is.
+
+Grid work is batched: track_bands and band_projections evaluate the symbol
+as one (M, n, n) stack and run one eigensolve over it, and the start-point
+search, eigenvalue clustering, slot matching and projection weights are array
+operations over all M points.  Only the branch matching walks the grid point
+by point, because each step extrapolates from the two before it.
 """
 
 from __future__ import annotations
@@ -24,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .circle import cluster_indices, rotation_distance, winding_of_samples
+from .circle import rotation_distance, winding_of_samples
 from .errors import DomainError, ResolutionError, UnitarityError
 from .symbol import SymbolMatrix, verify_unitary_symbol
 
@@ -119,12 +124,12 @@ class EigenSystem:
 # ---------------------------------------------------------------------------
 
 
-def _min_gap(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return np.inf
-    diff = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+def _best_separated_point(vals: np.ndarray) -> int:
+    """Index of the (M, n) eigenvalue row with the largest minimum pairwise gap."""
+    n = vals.shape[1]
+    gaps = np.abs(vals[:, :, None] - vals[:, None, :])
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    return int(np.argmax(gaps.min(axis=(1, 2))))
 
 
 def _track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -135,7 +140,7 @@ def _track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
     extrapolation would have been needed for.
     """
     grid, n = vals.shape
-    kstar = int(np.argmax([_min_gap(vals[k]) for k in range(grid)]))
+    kstar = _best_separated_point(vals)
     start = vals[kstar]
     order0 = np.lexsort((start.imag, start.real, np.angle(start)))
     path_vals = np.zeros((n, grid + 1), dtype=complex)
@@ -450,48 +455,55 @@ def band_projections(
     into a single degenerate cluster (an isolated self-collision), the cluster
     weight is split evenly among them, so the weights at each z always resolve
     the identity.  Clusters mixing distinct bands are an error.
+
+    All grid points are handled at once: one batched eig of the (M, n, n)
+    symbol stack gives eigenvalues and eigenvectors V, one batched solve gives
+    the coefficients a = V^-1 xi_hat, and the weight of an eigenvalue cluster c
+    (single linkage at cluster_tol) is |sum_{i in c} V_i a_i|^2.  That sum is
+    the spectral projector of c applied to xi_hat, so it stays exact where eig
+    returns a non-orthogonal basis of a degenerate eigenspace; |V^H xi_hat|^2
+    would not.  Each tracked covering value is matched to its nearest
+    eigenvalue, and through it to that eigenvalue's cluster.
     """
     m = system.base_grid
+    n = walk.n
     xi_hat = np.asarray(xi_hat, dtype=complex)
-    if xi_hat.shape != (m, walk.n):
-        raise DomainError(f"xi_hat must have shape ({m}, {walk.n})")
-    symbols = walk.grid_eval(m)
-    weights = [np.zeros((m, band.d)) for band in system.bands]
-    for k in range(m):
-        t_mat, z_mat = scipy.linalg.schur(symbols[k], output="complex")
-        evals = np.diag(t_mat)
-        clusters = cluster_indices(evals, cluster_tol)
-        label = np.empty(len(evals), dtype=int)
-        for cid, idx in enumerate(clusters):
-            label[idx] = cid
-        cluster_weight = np.empty(len(clusters))
-        for cid, idx in enumerate(clusters):
-            overlaps = np.conj(z_mat[:, idx]).T @ xi_hat[k]
-            cluster_weight[cid] = float(np.sum(np.abs(overlaps) ** 2))
-        # assign each tracked covering value to its cluster
-        slots: dict[int, list[tuple[int, int]]] = {}
-        for j, band in enumerate(system.bands):
-            for i in range(band.d):
-                value = band.samples[k + i * m]
-                nearest = int(np.argmin(np.abs(evals - value)))
-                if abs(evals[nearest] - value) > max(10 * cluster_tol, 1e-6):
-                    raise ResolutionError(
-                        "tracked band value does not match the spectrum; "
-                        "system and walk are out of sync"
-                    )
-                slots.setdefault(int(label[nearest]), []).append((j, i))
-        for cid in range(len(clusters)):
-            members = slots.get(cid, [])
-            if not members:
-                raise ResolutionError("eigenvalue cluster not covered by any band")
-            bands_here = {j for j, _i in members}
-            if len(bands_here) > 1:
-                raise ResolutionError(
-                    "eigenvalue cluster ambiguous: distinct bands collide at a "
-                    "grid point within the clustering tolerance"
-                )
-            share = cluster_weight[cid] / len(members)
-            for j, i in members:
-                weights[j][k, i] = share
-    return weights
+    if xi_hat.shape != (m, n):
+        raise DomainError(f"xi_hat must have shape ({m}, {n})")
+    evals, vecs = np.linalg.eig(walk.grid_eval(m))
+    coeffs = np.linalg.solve(vecs, xi_hat[:, :, None])[:, :, 0]
+    # linked[k, i, j]: eigenvalues i and j share a cluster; a boolean product
+    # doubles the chain length covered, and chains have at most n - 1 links
+    linked = np.abs(evals[:, :, None] - evals[:, None, :]) < cluster_tol
+    for _ in range((n - 1).bit_length()):
+        linked = linked @ linked
+    label = np.argmax(linked, axis=2)  # smallest index in each cluster
+    # column j of the product is the projection of xi_hat onto j's cluster
+    cluster_weight = np.sum(np.abs((vecs * coeffs[:, None, :]) @ linked) ** 2, axis=1)
 
+    degrees = [b.d for b in system.bands]
+    slot_values = np.concatenate(
+        [b.samples.reshape(b.d, m).T for b in system.bands], axis=1
+    )  # (M, slots): slot (j, i) holds band j's value at covering index k + i*M
+    slot_band = np.repeat(np.arange(len(degrees)), degrees)
+    dist = np.abs(slot_values[:, :, None] - evals[:, None, :])
+    nearest = np.argmin(dist, axis=2)
+    if np.any(np.min(dist, axis=2) > max(10 * cluster_tol, 1e-6)):
+        raise ResolutionError(
+            "tracked band value does not match the spectrum; "
+            "system and walk are out of sync"
+        )
+    slot_cluster = np.take_along_axis(label, nearest, axis=1)
+    count = np.sum(slot_cluster[:, :, None] == np.arange(n), axis=1)  # slots per cluster
+    if np.any(np.take_along_axis(count, label, axis=1) == 0):
+        raise ResolutionError("eigenvalue cluster not covered by any band")
+    same_cluster = slot_cluster[:, :, None] == slot_cluster[:, None, :]
+    if np.any(same_cluster & (slot_band[:, None] != slot_band[None, :])):
+        raise ResolutionError(
+            "eigenvalue cluster ambiguous: distinct bands collide at a "
+            "grid point within the clustering tolerance"
+        )
+    share = np.take_along_axis(cluster_weight, slot_cluster, axis=1) / np.take_along_axis(
+        count, slot_cluster, axis=1
+    )
+    return np.split(share, np.cumsum(degrees)[:-1], axis=1)

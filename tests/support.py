@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from zqwalk import (
+    DomainError,
+    EigenSystem,
     LaurentPoly,
     ModelWalkSpec,
+    ResolutionError,
     StateVector,
     SymbolMatrix,
     compose,
@@ -96,3 +100,87 @@ def random_split_step_walk(
         coin = SymbolMatrix.from_constant(random_constant_unitary(rng, n))
         walk = compose(shift, compose(coin, walk))
     return walk
+
+
+def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Single-linkage clusters of complex values at tolerance tol."""
+    m = len(values)
+    parent = list(range(m))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(values[i] - values[j]) < tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def schur_band_projections(
+    walk: SymbolMatrix,
+    system: EigenSystem,
+    xi_hat: np.ndarray,
+    cluster_tol: float = 1e-8,
+) -> list[np.ndarray]:
+    """Reference for `zqwalk.band_projections`: one complex Schur form per grid point.
+
+    Eigenspace weights of xi_hat, per band and covering point over each z.
+
+    Returns one (M, d_j) array per band: entry [k, i] is the squared norm of
+    the projection of xi_hat(z_k) onto the eigenspace of the tracked value at
+    covering index k + i*M.  Where several covering points of one band fall
+    into a single degenerate cluster (an isolated self-collision), the cluster
+    weight is split evenly among them, so the weights at each z always resolve
+    the identity.  Clusters mixing distinct bands are an error.
+    """
+    m = system.base_grid
+    xi_hat = np.asarray(xi_hat, dtype=complex)
+    if xi_hat.shape != (m, walk.n):
+        raise DomainError(f"xi_hat must have shape ({m}, {walk.n})")
+    symbols = walk.grid_eval(m)
+    weights = [np.zeros((m, band.d)) for band in system.bands]
+    for k in range(m):
+        t_mat, z_mat = scipy.linalg.schur(symbols[k], output="complex")
+        evals = np.diag(t_mat)
+        clusters = cluster_indices(evals, cluster_tol)
+        label = np.empty(len(evals), dtype=int)
+        for cid, idx in enumerate(clusters):
+            label[idx] = cid
+        cluster_weight = np.empty(len(clusters))
+        for cid, idx in enumerate(clusters):
+            overlaps = np.conj(z_mat[:, idx]).T @ xi_hat[k]
+            cluster_weight[cid] = float(np.sum(np.abs(overlaps) ** 2))
+        # assign each tracked covering value to its cluster
+        slots: dict[int, list[tuple[int, int]]] = {}
+        for j, band in enumerate(system.bands):
+            for i in range(band.d):
+                value = band.samples[k + i * m]
+                nearest = int(np.argmin(np.abs(evals - value)))
+                if abs(evals[nearest] - value) > max(10 * cluster_tol, 1e-6):
+                    raise ResolutionError(
+                        "tracked band value does not match the spectrum; "
+                        "system and walk are out of sync"
+                    )
+                slots.setdefault(int(label[nearest]), []).append((j, i))
+        for cid in range(len(clusters)):
+            members = slots.get(cid, [])
+            if not members:
+                raise ResolutionError("eigenvalue cluster not covered by any band")
+            bands_here = {j for j, _i in members}
+            if len(bands_here) > 1:
+                raise ResolutionError(
+                    "eigenvalue cluster ambiguous: distinct bands collide at a "
+                    "grid point within the clustering tolerance"
+                )
+            share = cluster_weight[cid] / len(members)
+            for j, i in members:
+                weights[j][k, i] = share
+    return weights
+

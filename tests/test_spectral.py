@@ -4,6 +4,7 @@ import pytest
 from zqwalk import (
     Band,
     EigenSystem,
+    LaurentPoly,
     ResolutionError,
     StateVector,
     SymbolMatrix,
@@ -18,7 +19,9 @@ from zqwalk import (
     ct_realizable,
     direct_sum,
     grover_lambda,
+    grover_walk_3,
     is_decomposable,
+    modified_coined_walk,
     modified_lambda,
     refine_system,
     rotation_distance,
@@ -30,9 +33,12 @@ from zqwalk import (
 )
 from support import (
     random_constant_unitary,
+    random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
+    schur_band_projections,
 )
+from zqwalk.spectral import _best_separated_point
 
 M = 1024
 
@@ -321,6 +327,64 @@ def test_projection_resolution_of_identity(tracked_corpus, corpus, rng):
     assert np.max(np.abs(per_point - norms)) < 1e-9
 
 
+def _reference_cases():
+    """(name, walk, base grid) for the projection and start-point references."""
+    cases = [
+        ("grover3_grid4096", grover_walk_3(), 4096),
+        ("direct_sum", direct_sum(coined_walk(), coined_walk()), 256),
+    ]
+    for n in range(2, 9):
+        walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
+        cases.append((f"split_n{n}", walk, 256))
+    for d in range(2, 5):
+        spec = random_unimodular_spec(np.random.default_rng(400 + d), d, winding=1)
+        cases.append((f"model_d{d}", build_model_walk(spec), 256))
+    return cases
+
+
+def test_band_projections_match_schur_reference(tracked_corpus, corpus):
+    systems = [(name, corpus[name], tracked_corpus[name]) for name in tracked_corpus]
+    systems += [
+        (name, walk, refine_system(track_bands(walk, grid)))
+        for name, walk, grid in _reference_cases()
+    ]
+    rng = np.random.default_rng(20240811)
+    for name, walk, system in systems:
+        m = system.base_grid
+        for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
+            xh = xi.fourier_samples(m)
+            weights = band_projections(walk, system, xh)
+            reference = schur_band_projections(walk, system, xh)
+            for w, ref in zip(weights, reference, strict=True):
+                assert w.shape == ref.shape
+                assert np.max(np.abs(w - ref)) < 1e-12, name
+            per_point = sum(w.sum(axis=1) for w in weights)
+            norms = np.sum(np.abs(xh) ** 2, axis=1)
+            assert np.max(np.abs(per_point - norms)) < 1e-12, name
+
+
+def _min_gap(values: np.ndarray) -> float:
+    if len(values) < 2:
+        return np.inf
+    diff = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return float(diff.min())
+
+
+def test_start_point_matches_per_point_loop(corpus):
+    stacks = {name: (walk, 1024) for name, walk in corpus.items()}
+    stacks.update((name, (walk, grid)) for name, walk, grid in _reference_cases())
+    stacks["shift"] = (SymbolMatrix.shift(1), 64)
+    for name, (walk, grid) in stacks.items():
+        for m in (grid, 2 * grid):
+            vals = np.linalg.eigvals(walk.grid_eval(m))
+            reference = int(np.argmax([_min_gap(vals[k]) for k in range(m)]))
+            assert _best_separated_point(vals) == reference, name
+            if name in ("shift", "direct_sum"):
+                # one channel, or every eigenvalue doubled: all gaps tie
+                assert reference == 0
+
+
 # -- specified failure contracts -------------------------------------------------
 
 
@@ -359,4 +423,26 @@ def test_projections_flag_cross_band_collision():
     # the two branches z and 1/z meet at z = +1 and z = -1, which sit on the
     # grid, so the projection weights cannot be attributed to either band
     with pytest.raises(ResolutionError, match="ambiguous"):
+        band_projections(walk, system, xi.fourier_samples(64))
+
+
+def test_projections_flag_foreign_system():
+    walk = modified_coined_walk()
+    system = track_bands(coined_walk(), 1024)
+    xi = StateVector.delta(0, 1, 2)
+    with pytest.raises(ResolutionError, match="does not match the spectrum"):
+        band_projections(walk, system, xi.fourier_samples(system.base_grid))
+
+
+def test_projections_flag_uncovered_cluster():
+    zero = LaurentPoly.zero()
+    walk = SymbolMatrix(2, (
+        (LaurentPoly.monomial(1), zero),
+        (zero, LaurentPoly.monomial(1, -1.0)),
+    ))
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    # claims the branch z twice, so the branch -z has no band
+    system = EigenSystem((Band(1, z, 1, 2),), 2, 64, True)
+    xi = StateVector.delta(0, 1, 2)
+    with pytest.raises(ResolutionError, match="not covered by any band"):
         band_projections(walk, system, xi.fourier_samples(64))
