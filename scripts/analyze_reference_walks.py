@@ -18,7 +18,6 @@ from zqwalk import (
     ct_realizable,
     is_decomposable,
     limit_measure,
-    refine_system,
     total_winding,
     track_bands,
     verify_cayley_hamilton,
@@ -40,7 +39,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name, walk in walk_corpus().items():
         unitary = verify_unitary_symbol(walk)
-        system = refine_system(track_bands(walk, 1024))
+        system = track_bands(walk, 1024)
         measure = limit_measure(walk, INITIAL[name], system)
         report = {
             "walk": name,

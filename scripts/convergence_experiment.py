@@ -13,7 +13,6 @@ from zqwalk import (
     StateVector,
     coined_walk,
     compare_empirical,
-    refine_system,
     track_bands,
 )
 from zqwalk import io as zio
@@ -28,7 +27,7 @@ def main() -> None:
 
     walk = coined_walk()
     xi = StateVector.delta(0, 1, 2)
-    system = refine_system(track_bands(walk, args.grid))
+    system = track_bands(walk, args.grid)
     times = [int(t) for t in args.times.split(",")]
     rows = compare_empirical(walk, xi, system, times, args.mmax)
 

@@ -36,7 +36,6 @@ from .spectral import (
     EigenSystem,
     ct_realizable,
     is_decomposable,
-    refine_system,
     total_winding,
     track_bands,
     winding_numbers,
@@ -148,10 +147,6 @@ def _grid_default() -> int:
     return int(value) if value else 1024
 
 
-def _tracked(walk: SymbolMatrix, args) -> EigenSystem:
-    return refine_system(track_bands(walk, args.grid, args.tol), args.tol)
-
-
 def _band_summary(system: EigenSystem) -> list[dict]:
     return [
         {"d": b.d, "winding": b.winding, "multiplicity": b.multiplicity}
@@ -208,7 +203,7 @@ def cmd_bands(args) -> int:
 
 def cmd_decompose(args) -> int:
     walk = _load_walk(args.spec)
-    system = _tracked(walk, args)
+    system = track_bands(walk, args.grid, args.tol)
     run = Run(args, "decompose")
     report = AnalysisReport(_walk_id(args.spec))
     report.bands = _band_summary(system)
@@ -229,7 +224,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_winding(args) -> int:
     walk = _load_walk(args.spec)
-    system = _tracked(walk, args)
+    system = track_bands(walk, args.grid, args.tol)
     windings = winding_numbers(system)
     run = Run(args, "winding")
     run.write_json(
@@ -247,7 +242,7 @@ def cmd_winding(args) -> int:
 
 def cmd_ct_check(args) -> int:
     walk = _load_walk(args.spec)
-    system = _tracked(walk, args)
+    system = track_bands(walk, args.grid, args.tol)
     realizable = ct_realizable(system)
     run = Run(args, "ct-check")
     payload = {"ct_realizable": realizable}
@@ -296,7 +291,7 @@ def cmd_simulate(args) -> int:
 def cmd_limit(args) -> int:
     walk = _load_walk(args.spec)
     xi = _load_vector(args.init)
-    system = _tracked(walk, args)
+    system = track_bands(walk, args.grid, args.tol)
     measure = limit_measure(walk, xi, system, bins=args.bins)
     run = Run(args, "limit")
     run.write_json("measure.json", zio.measure_to_json(measure))
@@ -316,7 +311,7 @@ def cmd_compare(args) -> int:
 
     walk = _load_walk(args.spec)
     xi = _load_vector(args.init)
-    system = _tracked(walk, args)
+    system = track_bands(walk, args.grid, args.tol)
     measure = limit_measure(walk, xi, system, bins=args.bins)
     states = [(t, evolve(walk, xi, t)) for t in _parse_times(args.t)]
     rows = compare_moments(measure, states, args.mmax)

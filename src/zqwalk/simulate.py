@@ -59,9 +59,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
 
-    def is_unit(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm() - 1.0) < tol
-
     def distance(self, other: "StateVector") -> float:
         keys = set(self.amplitudes) | set(other.amplitudes)
         return float(

@@ -5,9 +5,10 @@ analytic loops: following each eigenvalue continuously around the base circle
 permutes the eigenvalue labels, and each cycle of length d of that permutation
 is one branch living on a d-fold covering circle.  This module recovers those
 cycles numerically (track_bands), contracts rotation-symmetric branches to
-their minimal period (refine_system), and derives the invariants that hang off
-the branch structure: winding numbers, continuous-time realizability,
-conjugacy of two walks, and spectral-projection weights of an initial vector.
+their minimal period and merges coinciding ones (the refined, indecomposable
+system), and derives the invariants that hang off the branch structure:
+winding numbers, continuous-time realizability, conjugacy of two walks, and
+spectral-projection weights of an initial vector.
 
 Branch matching note: consecutive eigenvalue lists are matched by a
 minimal-total-distance assignment on linearly extrapolated values rather than
@@ -15,8 +16,11 @@ on raw values.  Raw value matching cannot follow a branch through a
 transversal collision (two branches meeting at the same point of the circle
 with different derivatives, e.g. a double eigenvalue at an isolated z), while
 the extrapolated prediction stays on the analytic branch.  Correctness is
-still certified the blunt way: the tracked structure must be reproduced when
-the grid is doubled, otherwise the grid keeps doubling until it is.
+still certified the blunt way: the refined system must be reproduced when
+the grid is doubled, otherwise the grid keeps doubling until it is.  The
+certificate compares refined systems, not raw cycles, because inside an
+exactly degenerate eigenspace (a direct sum) the raw cycle structure depends
+on how eig labels the eigenvectors, which changes from grid to grid.
 
 Grid work is batched: track_bands and band_projections evaluate the symbol
 as one (M, n, n) stack and run one eigensolve over it, and the start-point
@@ -206,58 +210,51 @@ def _merge_duplicates(
     return out
 
 
-def _build_system(
-    walk: SymbolMatrix, grid: int, degeneracy_tol: float, tol: float = DEFAULT_TOL
+def _finish_system(
+    raw: list[tuple[int, np.ndarray, int]], n: int, base_grid: int, tol: float
 ) -> EigenSystem:
+    """Build the refined system from (d, samples, multiplicity) branches.
+
+    Each branch is contracted to its minimal rotation period, coinciding
+    branches merge at DEGENERACY_TOL, and the bands are sorted.  One pass of
+    contraction suffices: a rotation symmetry of a contracted band would be a
+    smaller period of the original one.
+    """
+    contracted = []
+    for d, samples, mult in raw:
+        c = _minimal_rotation_period(Band(d, samples, 0, mult), base_grid, tol)
+        if c is None:
+            contracted.append((d, samples, mult))
+        else:
+            contracted.append((c, samples[: c * base_grid].copy(), mult * (d // c)))
+    bands = [
+        Band(d, samples, winding_of_samples(samples)[0], mult)
+        for d, samples, mult in _merge_duplicates(contracted, base_grid, DEGENERACY_TOL)
+    ]
+    bands.sort(key=lambda b: (b.d, -b.multiplicity, float(np.angle(b.samples[0]))))
+    return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
+
+
+def _build_system(walk: SymbolMatrix, grid: int, tol: float) -> EigenSystem:
     vals = np.linalg.eigvals(walk.grid_eval(grid))
     cycles = [(d, s, 1) for d, s in _track_cycles(vals)]
-    merged = _merge_duplicates(cycles, grid, degeneracy_tol)
-    bands = []
-    for d, samples, mult in merged:
-        w, _res = winding_of_samples(samples)
-        bands.append(Band(d, samples, w, mult))
-    bands.sort(key=lambda b: (b.d, -b.multiplicity, float(np.angle(b.samples[0]))))
-    flag = all(_minimal_rotation_period(b, grid, tol) is None for b in bands)
-    return EigenSystem(tuple(bands), walk.n, grid, indecomposable=flag)
-
-
-def _systems_agree(coarse: EigenSystem, fine: EigenSystem, tol: float) -> bool:
-    """Does the fine system reproduce the coarse one on the shared grid points?"""
-    if sorted((b.d, b.multiplicity) for b in coarse.bands) != sorted(
-        (b.d, b.multiplicity) for b in fine.bands
-    ):
-        return False
-    remaining = list(fine.bands)
-    for band in coarse.bands:
-        hit = None
-        for idx, other in enumerate(remaining):
-            if other.d != band.d or other.multiplicity != band.multiplicity:
-                continue
-            if (
-                rotation_distance(band.samples, other.samples[::2], coarse.base_grid)
-                < tol
-            ):
-                hit = idx
-                break
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
+    return _finish_system(cycles, walk.n, grid, tol)
 
 
 def track_bands(
     walk: SymbolMatrix,
     base_grid: int = DEFAULT_BASE_GRID,
     tol: float = DEFAULT_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> EigenSystem:
     """Track the eigenvalue branches of a unitary symbol around the circle.
 
     Eigenvalues are computed at `base_grid` uniform points, matched between
     adjacent points (see module docstring), and composed into a permutation
-    whose cycles give covering degrees.  Branches coinciding everywhere merge
-    into one band with a multiplicity.  The result must be reproduced at twice
-    the resolution before it is returned; the grid doubles until that holds or
+    whose cycles give covering degrees.  The result is refined: each cycle is
+    contracted to its minimal rotation period, and branches coinciding
+    everywhere merge into one band with a multiplicity, so refine_system
+    leaves it unchanged.  The refined system must be reproduced at twice the
+    resolution before it is returned; the grid doubles until that holds or
     MAX_GRID is exceeded.
 
     Parameters
@@ -268,9 +265,8 @@ def track_bands(
         Power of two, at least 64.  The returned system lives on the first
         grid at or above this size whose structure is stable under doubling.
     tol : float
-        Sample agreement tolerance for the doubling certificate.
-    degeneracy_tol : float
-        Branches closer than this at every point merge into one band.
+        Rotation-symmetry tolerance for contraction and sample agreement
+        tolerance for the doubling certificate.
     """
     if base_grid < 64 or base_grid & (base_grid - 1):
         raise DomainError("base_grid must be a power of two >= 64")
@@ -280,14 +276,15 @@ def track_bands(
             f"symbol not unitary: max deviation {report.max_deviation:.3e}"
         )
     grid = base_grid
-    system = _build_system(walk, grid, degeneracy_tol, tol)
+    system = _build_system(walk, grid, tol)
     while True:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
                 f"grid resolution exceeded ({MAX_GRID}) without stable tracking"
             )
-        finer = _build_system(walk, 2 * grid, degeneracy_tol, tol)
-        if _systems_agree(system, finer, tol):
+        finer = _build_system(walk, 2 * grid, tol)
+        shared = _subsample_system(finer, grid)
+        if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
             return system
         grid *= 2
         system = finer
@@ -333,34 +330,16 @@ def _minimal_rotation_period(band: Band, base_grid: int, tol: float) -> int | No
 
 
 def refine_system(system: EigenSystem, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Contract rotation-symmetric bands until the system is indecomposable.
+    """Contract rotation-symmetric bands so the system is indecomposable.
 
     A band of degree d whose function repeats under rotation of the covering
     argument by 2*pi*c/d (minimal such divisor c) is the (d/c)-fold repeat of
     a degree-c band; it is replaced by that band with multiplied multiplicity.
-    The operation is idempotent.
+    The operation is idempotent, and track_bands already returns its fixed
+    point; it is for hand-built and loaded systems.
     """
-    m = system.base_grid
-    bands = [(b.d, b.samples, b.multiplicity) for b in system.bands]
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for d, samples, mult in bands:
-            probe = Band(d, samples, 0, mult)
-            c = _minimal_rotation_period(probe, m, tol)
-            if c is None:
-                out.append((d, samples, mult))
-            else:
-                out.append((c, samples[: c * m].copy(), mult * (d // c)))
-                changed = True
-        bands = _merge_duplicates(out, m, DEGENERACY_TOL)
-    final = []
-    for d, samples, mult in bands:
-        w, _res = winding_of_samples(samples)
-        final.append(Band(d, samples, w, mult))
-    final.sort(key=lambda b: (b.d, -b.multiplicity, float(np.angle(b.samples[0]))))
-    return EigenSystem(tuple(final), system.n, m, indecomposable=True)
+    raw = [(b.d, b.samples, b.multiplicity) for b in system.bands]
+    return _finish_system(raw, system.n, system.base_grid, tol)
 
 
 def total_winding(system: EigenSystem) -> int:
@@ -417,8 +396,8 @@ def are_conjugate(
     """
     if w1.n != w2.n:
         return False
-    sys1 = refine_system(track_bands(w1, base_grid), tol)
-    sys2 = refine_system(track_bands(w2, base_grid), tol)
+    sys1 = track_bands(w1, base_grid, tol)
+    sys2 = track_bands(w2, base_grid, tol)
     if sys1.base_grid != sys2.base_grid:
         coarse = min(sys1.base_grid, sys2.base_grid)
         sys1 = _subsample_system(sys1, coarse)

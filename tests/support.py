@@ -13,7 +13,9 @@ from zqwalk import (
     ResolutionError,
     StateVector,
     SymbolMatrix,
+    coined_walk,
     compose,
+    direct_sum,
     lambda_coeffs_from_samples,
 )
 
@@ -78,6 +80,20 @@ def random_constant_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated_coined_sum(seed: int) -> SymbolMatrix:
+    """coined + coined conjugated by the seeded constant unitary V: V U(z) V^H.
+
+    The direct sum is exactly degenerate at every z, so any V leaves the
+    spectrum unchanged while mixing the vectors inside each double eigenspace.
+    """
+    v = random_constant_unitary(np.random.default_rng(seed), 4)
+    walk = direct_sum(coined_walk(), coined_walk())
+    return compose(
+        SymbolMatrix.from_constant(v),
+        compose(walk, SymbolMatrix.from_constant(v.conj().T)),
+    )
 
 
 def random_split_step_walk(

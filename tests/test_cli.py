@@ -18,6 +18,7 @@ from zqwalk import (
     refine_system,
     track_bands,
 )
+from support import conjugated_coined_sum
 from zqwalk import io as zio
 from zqwalk.cli import main
 
@@ -264,6 +265,21 @@ def test_cli_conjugate(spec_dir, tmp_path, capsys):
     assert code == 0
     assert "false" in capsys.readouterr().out
     assert json.loads((out / "conjugate.json").read_text()) == {"conjugate": False}
+
+
+def test_cli_bands_writes_refined_system(tmp_path, capsys):
+    # the raw cycles of this direct sum change with the grid; the refined
+    # system is certified at the first doubling
+    spec = tmp_path / "coined_sum_conj.json"
+    spec.write_text(json.dumps(zio.walk_to_json(conjugated_coined_sum(5))))
+    out = tmp_path / "run-bands"
+    assert run_cli("bands", spec, "--grid", 1024, "--out", out) == 0
+    payload = json.loads((out / "eigensystem.json").read_text())
+    assert payload["indecomposable"] is True
+    system = zio.eigensystem_from_json(payload)
+    assert system.base_grid == 1024
+    assert [(b.d, b.multiplicity) for b in system.bands] == [(1, 2), (1, 2)]
+    assert "[(1, 2), (1, 2)] on grid 1024" in capsys.readouterr().out
 
 
 def test_cli_check_reports_model_spec(spec_dir, tmp_path, capsys):

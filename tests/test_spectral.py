@@ -32,6 +32,7 @@ from zqwalk import (
     winding_of_samples,
 )
 from support import (
+    conjugated_coined_sum,
     random_constant_unitary,
     random_local_state,
     random_split_step_walk,
@@ -170,20 +171,45 @@ def test_refine_leaves_irreducible_band(tracked_corpus):
     ) == 0.0
 
 
-def test_refine_idempotent(tracked_corpus):
+def test_refine_idempotent(tracked_corpus, corpus):
     from zqwalk.spectral import _minimal_rotation_period
 
-    for system in tracked_corpus.values():
+    systems = list(tracked_corpus.values())
+    cases = [(name, walk, M) for name, walk in corpus.items()]
+    cases += [("shift2", SymbolMatrix.shift(2), 64), *_reference_cases()]
+    for name, walk, grid in cases:
+        # track_bands returns the refined system, a fixed point of refine_system
+        system = track_bands(walk, grid)
+        assert system.indecomposable, name
+        assert refine_system(system) == system, name
+        systems.append(system)
+    for system in systems:
+        m = system.base_grid
         once = refine_system(system)
         twice = refine_system(once)
         assert [(b.d, b.multiplicity) for b in once.bands] == [
             (b.d, b.multiplicity) for b in twice.bands
         ]
         for b1, b2 in zip(once.bands, twice.bands):
-            assert rotation_distance(b1.samples, b2.samples, M) < 1e-12
+            assert rotation_distance(b1.samples, b2.samples, m) < 1e-12
         # refined bands carry no leftover rotation symmetry
         for band in once.bands:
-            assert _minimal_rotation_period(band, M, 1e-6) is None
+            assert _minimal_rotation_period(band, m, 1e-6) is None
+
+
+def test_degenerate_walk_certifies_at_base_grid():
+    # inside the double eigenspaces of a conjugated direct sum the raw cycles
+    # depend on how eig labels the vectors, which changes from grid to grid;
+    # the refined system does not, so the doubling certificate holds at once
+    plain = direct_sum(coined_walk(), coined_walk())
+    for seed in range(12):
+        walk = conjugated_coined_sum(seed)
+        system = track_bands(walk, 1024)
+        assert system.base_grid == 1024, seed
+        assert [(b.d, b.multiplicity) for b in system.bands] == [(1, 2), (1, 2)], seed
+        assert winding_numbers(system) == [0, 0], seed
+        assert refine_system(system) == system, seed
+        assert are_conjugate(plain, walk, base_grid=1024), seed
 
 
 # -- conjugacy ---------------------------------------------------------------------
