@@ -12,11 +12,9 @@ from .laurent import LaurentPoly, laurent_from_terms
 from .limit import (
     LimitMeasure,
     MomentComparison,
-    VelocityProfile,
     cdf_distance,
     compare_empirical,
     compare_moments,
-    group_velocities,
     limit_measure,
     limit_moments,
 )

@@ -20,8 +20,8 @@ class UnitarityError(ZqwalkError):
 class ResolutionError(ZqwalkError):
     """A grid-based computation could not be resolved at the allowed sizes.
 
-    Raised for unstable branch tracking, non-integral winding sums,
-    spectral-tail overflow in differentiation, and ambiguous eigenvalue
+    Raised for unstable branch tracking, non-integral winding sums, tracked
+    values that miss the spectrum, and ambiguous or uncovered eigenvalue
     clusters.
     """
 

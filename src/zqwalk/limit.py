@@ -4,9 +4,10 @@ For a single branch the limit measure is the pushforward of the momentum-space
 probability |xi_hat(theta)|^2 dtheta/2pi through the group velocity
 h(theta) = d arg(lambda)/dtheta; for a d-fold covering branch the velocity
 carries an extra 1/d, and the spectral weight of the initial vector splits the
-mass between branches.  Branches with constant argument contribute exact point
-masses (localization atoms); everything else is accumulated into a fixed
-velocity histogram.
+mass between branches.  Weights and velocities come from the same eigensolve
+(spectral.band_projections).  Bands of constant velocity contribute exact
+point masses (localization atoms) at w/d, their winding over their covering
+degree; everything else is accumulated into a fixed velocity histogram.
 """
 
 from __future__ import annotations
@@ -16,68 +17,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
-from .simulate import (
-    StateVector,
-    classify_initial,
-    evolve,
-    rescaled_moment,
-)
-from .spectral import Band, EigenSystem, band_projections
+from .errors import DomainError
+from .simulate import StateVector, evolve, rescaled_moment
+from .spectral import EigenSystem, band_projections
 from .symbol import SymbolMatrix
 
 DEFAULT_BINS = 512
-ATOM_TOTAL_VARIATION = 1e-9
-SPECTRAL_TAIL = 1e-8
-
-
-@dataclass(frozen=True)
-class VelocityProfile:
-    """Group velocities per band on the covering grid, with the 1/d scales."""
-
-    h_per_band: tuple[np.ndarray, ...]
-    scales: tuple[float, ...]
-
-    def base_scale(self, j: int) -> np.ndarray:
-        """Velocities of band j in base-circle units (h_j / d_j)."""
-        return self.h_per_band[j] * self.scales[j]
-
-
-def _winding_free_argument(band: Band) -> np.ndarray:
-    """Unwrapped argument of a band minus its winding ramp; periodic on the cover."""
-    count = len(band.samples)
-    phi = 2.0 * np.pi * np.arange(count) / count
-    return np.unwrap(np.angle(band.samples)) - band.winding * phi
-
-
-def group_velocities(system: EigenSystem) -> VelocityProfile:
-    """Spectral derivative of the unwrapped argument of each band.
-
-    The winding term is removed before differentiating the periodic remainder
-    with the FFT and added back as the constant it contributes.  An error is
-    raised when the argument's spectral tail carries more than SPECTRAL_TAIL
-    of the energy, which signals under-resolved (non-smooth) samples.
-    """
-    hs = []
-    scales = []
-    for band in system.bands:
-        count = len(band.samples)
-        coeffs = np.fft.fft(_winding_free_argument(band))
-        energy = np.abs(coeffs / count) ** 2
-        tail = energy[count // 4 : 3 * count // 4 + 1].sum()
-        total = energy[1:].sum()
-        # a periodic part at noise level is already resolved (h = winding)
-        if total > 1e-20 and tail / total > SPECTRAL_TAIL:
-            raise ResolutionError(
-                "group velocity under-resolved: spectral tail of the argument "
-                f"holds {tail / total:.2e} of the energy"
-            )
-        freqs = np.fft.fftfreq(count, d=1.0 / count)
-        freqs[count // 2] = 0.0  # drop the unpaired Nyquist mode
-        deriv = np.fft.ifft(1j * freqs * coeffs).real
-        hs.append(deriv + band.winding)
-        scales.append(1.0 / band.d)
-    return VelocityProfile(tuple(hs), tuple(scales))
+ATOM_VELOCITY_SPREAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,13 +73,11 @@ def limit_measure(
 ) -> LimitMeasure:
     """Weak limit of the rescaled position distribution of walk^t applied to xi.
 
-    Requires a refined (indecomposable) eigen system on its base grid and a
-    rapidly decreasing initial vector.  Constant-argument bands become exact
-    atoms; the rest of the mass is a histogram on [-V, V] where V is the
+    Requires a refined (indecomposable) eigen system on its base grid.  Bands
+    whose velocity spread is below ATOM_VELOCITY_SPREAD become exact atoms at
+    winding/d; the rest of the mass is a histogram on [-V, V] where V is the
     largest group speed, so the support bound is built in.
     """
-    if not classify_initial(xi).is_rapidly_decreasing:
-        raise DomainError("initial vector not rapidly decreasing")
     if not system.indecomposable:
         raise DomainError("eigen system must be refined first")
     m = system.base_grid
@@ -145,26 +89,18 @@ def limit_measure(
             "(is xi a unit vector with support smaller than the grid?)"
         )
     xi_hat = xi_hat / np.sqrt(mean_norm)
-    weights = band_projections(walk, system, xi_hat)
-    velocity = group_velocities(system)
+    weights, velocities = band_projections(walk, system, xi_hat)
 
     atoms: list[tuple[float, float]] = []
     cont_x: list[np.ndarray] = []
     cont_mass: list[np.ndarray] = []
     vmax = 0.0
-    for j, band in enumerate(system.bands):
-        v = velocity.base_scale(j)  # (d*M,)
-        w = weights[j]  # (M, d)
+    for band, w, v in zip(system.bands, weights, velocities):
         mass_grid = w / m  # each base point carries measure 1/M
-        # judged on the argument, not on v: the roundoff of the FFT derivative
-        # grows like M^2 and would push flat bands over the threshold
-        variation = float(np.sum(np.abs(np.diff(_winding_free_argument(band)))))
-        if variation < ATOM_TOTAL_VARIATION:
-            atoms.append((float(np.mean(v)), float(mass_grid.sum())))
+        if np.ptp(v) < ATOM_VELOCITY_SPREAD:
+            atoms.append((band.winding / band.d, float(mass_grid.sum())))
             continue
-        # covering index of slot (k, i) is k + i*M
-        idx = np.arange(m)[:, None] + m * np.arange(band.d)[None, :]
-        cont_x.append(v[idx].ravel())
+        cont_x.append(v.ravel())
         cont_mass.append(mass_grid.ravel())
         vmax = max(vmax, float(np.max(np.abs(v))))
 

@@ -7,8 +7,8 @@ is one branch living on a d-fold covering circle.  This module recovers those
 cycles numerically (track_bands), contracts rotation-symmetric branches to
 their minimal period and merges coinciding ones (the refined, indecomposable
 system), and derives the invariants that hang off the branch structure:
-winding numbers, continuous-time realizability, conjugacy of two walks, and
-spectral-projection weights of an initial vector.
+winding numbers, continuous-time realizability, conjugacy of two walks,
+spectral-projection weights of an initial vector and the group velocities.
 
 Branch matching note: consecutive eigenvalue lists are matched by a
 minimal-total-distance assignment on linearly extrapolated values rather than
@@ -24,9 +24,12 @@ on how eig labels the eigenvectors, which changes from grid to grid.
 
 Grid work is batched: track_bands and band_projections evaluate the symbol
 as one (M, n, n) stack and run one eigensolve over it, and the start-point
-search, eigenvalue clustering, slot matching and projection weights are array
-operations over all M points.  Only the branch matching walks the grid point
-by point, because each step extrapolates from the two before it.
+search, eigenvalue clustering, slot matching, projection weights and
+Hellmann-Feynman group velocities are array operations over all M points.
+The limit measure takes both its weights and its velocities from that one
+band_projections eigensolve.  Only the branch matching walks the grid point
+by point, because each step extrapolates from the two before it; the
+velocities at the few self-collision points are solved one cluster at a time.
 """
 
 from __future__ import annotations
@@ -416,8 +419,18 @@ def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
 
 
 # ---------------------------------------------------------------------------
-# spectral-projection weights
+# spectral-projection weights and group velocities
 # ---------------------------------------------------------------------------
+
+
+def _grid_derivative(walk: SymbolMatrix, grid: int) -> np.ndarray:
+    """dU/dtheta at grid uniform circle points: sum over s of i*s*C_s*z^s, (M, n, n)."""
+    coeffs = walk.coefficient_sequences()
+    shifts = np.fromiter(coeffs, dtype=int, count=len(coeffs))
+    # z_k^s = exp(2*pi*i*(k*s mod M)/M), reduced exactly in integers first
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(grid), shifts) % grid) / grid)
+    stack = np.stack(list(coeffs.values())).reshape(len(shifts), -1)
+    return ((1j * shifts * phase) @ stack).reshape(grid, walk.n, walk.n)
 
 
 def band_projections(
@@ -425,24 +438,33 @@ def band_projections(
     system: EigenSystem,
     xi_hat: np.ndarray,
     cluster_tol: float = DEGENERACY_TOL,
-) -> list[np.ndarray]:
-    """Eigenspace weights of xi_hat, per band and covering point over each z.
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Eigenspace weights of xi_hat and group velocities, per band and covering point.
 
-    Returns one (M, d_j) array per band: entry [k, i] is the squared norm of
-    the projection of xi_hat(z_k) onto the eigenspace of the tracked value at
-    covering index k + i*M.  Where several covering points of one band fall
-    into a single degenerate cluster (an isolated self-collision), the cluster
-    weight is split evenly among them, so the weights at each z always resolve
-    the identity.  Clusters mixing distinct bands are an error.
+    Returns (weights, velocities), each one (M, d_j) array per band: entry
+    [k, i] belongs to the tracked value at covering index k + i*M over base
+    point z_k.  The weight is the squared norm of the projection of xi_hat(z_k)
+    onto that value's eigenspace; where several covering points of one band
+    fall into a single degenerate cluster (an isolated self-collision), the
+    cluster weight is split evenly among them, so the weights at each z always
+    resolve the identity.  Clusters mixing distinct bands are an error.  The
+    velocity is d arg(lambda)/dtheta in base-circle units, so a band of
+    winding w and degree d averages w/d and a flat band is constant.
 
     All grid points are handled at once: one batched eig of the (M, n, n)
-    symbol stack gives eigenvalues and eigenvectors V, one batched solve gives
-    the coefficients a = V^-1 xi_hat, and the weight of an eigenvalue cluster c
-    (single linkage at cluster_tol) is |sum_{i in c} V_i a_i|^2.  That sum is
-    the spectral projector of c applied to xi_hat, so it stays exact where eig
-    returns a non-orthogonal basis of a degenerate eigenspace; |V^H xi_hat|^2
-    would not.  Each tracked covering value is matched to its nearest
-    eigenvalue, and through it to that eigenvalue's cluster.
+    symbol stack gives eigenvalues and eigenvectors V, and one batched inverse
+    W = V^-1 (rows: left eigenvectors) gives the coefficients a = W xi_hat.
+    The weight of an eigenvalue cluster c (single linkage at cluster_tol) is
+    |sum_{i in c} V_i a_i|^2, the spectral projector of c applied to xi_hat,
+    so it stays exact where eig returns a non-orthogonal basis of a degenerate
+    eigenspace; |V^H xi_hat|^2 would not.  Velocities are Hellmann-Feynman
+    slopes Re((W U' V)_ii / (i lambda_i)), with U' exact from the symbol's
+    coefficients.  Where one cluster holds several covering points of a band,
+    the slopes are the eigenvalues of the cluster block of W U' V / (i lambda)
+    (degenerate perturbation theory), assigned to the covering points in the
+    order of their velocities at the neighbouring grid point.  Each tracked
+    covering value is matched to its nearest eigenvalue, and through it to
+    that eigenvalue's cluster.
     """
     m = system.base_grid
     n = walk.n
@@ -450,7 +472,8 @@ def band_projections(
     if xi_hat.shape != (m, n):
         raise DomainError(f"xi_hat must have shape ({m}, {n})")
     evals, vecs = np.linalg.eig(walk.grid_eval(m))
-    coeffs = np.linalg.solve(vecs, xi_hat[:, :, None])[:, :, 0]
+    left = np.linalg.inv(vecs)
+    coeffs = (left @ xi_hat[:, :, None])[:, :, 0]
     # linked[k, i, j]: eigenvalues i and j share a cluster; a boolean product
     # doubles the chain length covered, and chains have at most n - 1 links
     linked = np.abs(evals[:, :, None] - evals[:, None, :]) < cluster_tol
@@ -459,6 +482,8 @@ def band_projections(
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
     # column j of the product is the projection of xi_hat onto j's cluster
     cluster_weight = np.sum(np.abs((vecs * coeffs[:, None, :]) @ linked) ** 2, axis=1)
+    derivative = _grid_derivative(walk, m)
+    slope = np.einsum("kij,kji->ki", left, derivative @ vecs) / (1j * evals)
 
     degrees = [b.d for b in system.bands]
     slot_values = np.concatenate(
@@ -482,7 +507,20 @@ def band_projections(
             "eigenvalue cluster ambiguous: distinct bands collide at a "
             "grid point within the clustering tolerance"
         )
-    share = np.take_along_axis(cluster_weight, slot_cluster, axis=1) / np.take_along_axis(
-        count, slot_cluster, axis=1
-    )
-    return np.split(share, np.cumsum(degrees)[:-1], axis=1)
+    slot_count = np.take_along_axis(count, slot_cluster, axis=1)
+    share = np.take_along_axis(cluster_weight, slot_cluster, axis=1) / slot_count
+    velocity = np.take_along_axis(slope, nearest, axis=1).real
+    # self-collisions: a cluster holding several slots holds only one band's
+    collisions = {(k, slot_cluster[k, s]) for k, s in zip(*np.nonzero(slot_count > 1))}
+    for k, c in collisions:
+        members = np.flatnonzero(label[k] == c)
+        block = left[k, members] @ derivative[k] @ vecs[k][:, members]
+        cluster_slopes = np.sort(np.linalg.eigvals(block / (1j * evals[k, members, None])).real)
+        slots = np.flatnonzero(slot_cluster[k] == c)
+        mult = system.bands[slot_band[slots[0]]].multiplicity
+        # slot (M-1, i) continues as (0, i+1), so the seam looks back instead
+        beside = k + 1 if k < m - 1 else k - 1
+        order = np.argsort(velocity[beside, slots])
+        velocity[k, slots[order]] = cluster_slopes[::mult]
+    split = np.cumsum(degrees)[:-1]
+    return np.split(share, split, axis=1), np.split(velocity, split, axis=1)

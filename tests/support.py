@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from zqwalk import (
+    Band,
     DomainError,
     EigenSystem,
     LaurentPoly,
@@ -20,6 +21,7 @@ from zqwalk import (
 )
 
 SAMPLE_GRID = 4096
+SPECTRAL_TAIL = 1e-8
 
 
 def trig_phase_samples(
@@ -200,3 +202,41 @@ def schur_band_projections(
                 weights[j][k, i] = share
     return weights
 
+
+def _winding_free_argument(band: Band) -> np.ndarray:
+    """Unwrapped argument of a band minus its winding ramp; periodic on the cover."""
+    count = len(band.samples)
+    phi = 2.0 * np.pi * np.arange(count) / count
+    return np.unwrap(np.angle(band.samples)) - band.winding * phi
+
+
+def fft_band_velocities(system: EigenSystem) -> list[np.ndarray]:
+    """Reference for the velocities of `zqwalk.band_projections`: FFT derivative.
+
+    Spectral derivative of the unwrapped argument of each band.  The winding
+    term is removed before differentiating the periodic remainder with the FFT
+    and added back as the constant it contributes.  An error is raised when the
+    argument's spectral tail carries more than SPECTRAL_TAIL of the energy,
+    which signals under-resolved (non-smooth) samples.  Returns one (M, d_j)
+    array per band in base-circle units: entry [k, i] is h / d at covering
+    index k + i*M.  Its roundoff grows like the square of the covering grid.
+    """
+    out = []
+    for band in system.bands:
+        count = len(band.samples)
+        coeffs = np.fft.fft(_winding_free_argument(band))
+        energy = np.abs(coeffs / count) ** 2
+        tail = energy[count // 4 : 3 * count // 4 + 1].sum()
+        total = energy[1:].sum()
+        # a periodic part at noise level is already resolved (h = winding)
+        if total > 1e-20 and tail / total > SPECTRAL_TAIL:
+            raise ResolutionError(
+                "group velocity under-resolved: spectral tail of the argument "
+                f"holds {tail / total:.2e} of the energy"
+            )
+        freqs = np.fft.fftfreq(count, d=1.0 / count)
+        freqs[count // 2] = 0.0  # drop the unpaired Nyquist mode
+        deriv = np.fft.ifft(1j * freqs * coeffs).real
+        h = (deriv + band.winding) / band.d
+        out.append(h.reshape(band.d, system.base_grid).T)
+    return out

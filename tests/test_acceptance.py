@@ -241,14 +241,14 @@ def test_criterion_7_grover_localization():
         assert atom > 0
 
         # internal consistency: atom mass is the grid-averaged flat-band weight
-        weights = band_projections(walk, system, xi.fourier_samples(M))
+        weights = band_projections(walk, system, xi.fourier_samples(M))[0]
         flat = next(
             j
             for j, band in enumerate(system.bands)
             if float(np.max(np.abs(band.samples - 1.0))) < 1e-9
         )
         averaged = float(weights[flat].sum() / M)
-        assert abs(atom - averaged) < 1e-4
+        assert abs(atom - averaged) < 1e-12
 
         empirical = 1.0 - position_distribution(evolve(walk, xi, 2000)).mass_outside(
             0.01 * 2000

@@ -5,12 +5,12 @@ from zqwalk import (
     DomainError,
     StateVector,
     SymbolMatrix,
+    band_projections,
     build_model_walk,
     coined_walk,
     compare_empirical,
     compose,
     evolve,
-    group_velocities,
     grover_walk_3,
     interleave_channels,
     limit_measure,
@@ -31,29 +31,36 @@ def refined(walk, grid=1024):
 # -- group velocities ----------------------------------------------------------
 
 
+def velocities(walk, system):
+    xi_hat = StateVector.delta(0, 1, walk.n).fourier_samples(system.base_grid)
+    return band_projections(walk, system, xi_hat)[1]
+
+
+def covering_velocity(band, v):
+    """d arg/dphi on the covering circle, in covering-index order."""
+    return band.d * v.T.ravel()
+
+
 def test_velocity_of_pure_shift():
-    system = refined(SymbolMatrix.shift(1), 64)
-    profile = group_velocities(system)
-    assert np.max(np.abs(profile.base_scale(0) - 1.0)) < 1e-12
+    walk = SymbolMatrix.shift(1)
+    v = velocities(walk, refined(walk, 64))
+    assert np.max(np.abs(v[0] - 1.0)) < 1e-12
 
 
 def test_velocity_of_constant_band():
-    system = refined(SymbolMatrix.identity(2), 64)
-    profile = group_velocities(system)
-    assert np.max(np.abs(profile.base_scale(0))) < 1e-12
+    walk = SymbolMatrix.identity(2)
+    v = velocities(walk, refined(walk, 64))
+    assert np.max(np.abs(v[0])) < 1e-12
 
 
 def test_velocity_coined_closed_form(tracked_corpus):
     system = tracked_corpus["coined"]
     theta = 2.0 * np.pi * np.arange(system.base_grid) / system.base_grid
-    want = R * np.sin(theta) / np.sqrt(1.0 - R * R * np.cos(theta) ** 2)
-    profile = group_velocities(system)
+    want = (R * np.sin(theta) / np.sqrt(1.0 - R * R * np.cos(theta) ** 2))[:, None]
+    v = velocities(coined_walk(), system)
     errs = [
-        min(
-            float(np.max(np.abs(profile.base_scale(j) - want))),
-            float(np.max(np.abs(profile.base_scale(j) + want))),
-        )
-        for j in range(len(system.bands))
+        min(float(np.max(np.abs(vj - want))), float(np.max(np.abs(vj + want))))
+        for vj in v
     ]
     assert max(errs) < 1e-9
 
@@ -61,22 +68,22 @@ def test_velocity_coined_closed_form(tracked_corpus):
 def test_velocity_matches_central_differences_coined():
     # second-order stencil truncation scales as (2*pi/M)^2, so the 1e-6
     # cross-check tolerance needs the finer grid
-    system = refined(coined_walk(), 4096)
-    profile = group_velocities(system)
-    for j, band in enumerate(system.bands):
+    walk = coined_walk()
+    system = refined(walk, 4096)
+    for band, v in zip(system.bands, velocities(walk, system), strict=True):
         count = len(band.samples)
         step = 2.0 * np.pi / count
         arg = np.unwrap(np.angle(band.samples))
         periodic = arg - band.winding * 2.0 * np.pi * np.arange(count) / count
         central = (np.roll(periodic, -1) - np.roll(periodic, 1)) / (2.0 * step)
-        assert np.max(np.abs(profile.h_per_band[j] - central - band.winding)) < 1e-6
+        h = covering_velocity(band, v)
+        assert np.max(np.abs(h - central - band.winding)) < 1e-6
 
 
 def test_velocity_matches_finite_differences(tracked_corpus):
     # fourth-order stencil on the periodic part of the argument
     system = tracked_corpus["grover3"]
-    profile = group_velocities(system)
-    for j, band in enumerate(system.bands):
+    for band, v in zip(system.bands, velocities(grover_walk_3(), system), strict=True):
         count = len(band.samples)
         step = 2.0 * np.pi / count
         arg = np.unwrap(np.angle(band.samples))
@@ -87,7 +94,8 @@ def test_velocity_matches_finite_differences(tracked_corpus):
             - 8 * np.roll(periodic, 1)
             + np.roll(periodic, 2)
         ) / (12.0 * step)
-        assert np.max(np.abs(profile.h_per_band[j] - stencil - band.winding)) < 1e-8
+        h = covering_velocity(band, v)
+        assert np.max(np.abs(h - stencil - band.winding)) < 1e-8
 
 
 # -- limit measures --------------------------------------------------------------
@@ -115,15 +123,14 @@ def test_grover_localization_atom(tracked_corpus):
     mu = limit_measure(walk, xi, tracked_corpus["grover3"])
     assert len(mu.atoms) == 1
     location, mass = mu.atoms[0]
-    assert abs(location) < 1e-12
+    assert location == 0.0
     # closed form: average of (1+cos)/(5+cos) over the circle is 1 - 2/sqrt(6)
     assert mass == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("grid", [4096, 16384])
 def test_grover_localization_atom_on_fine_grids(grid):
-    # the roundoff of the FFT velocity grows like grid^2 and passes
-    # ATOM_TOTAL_VARIATION at grid 4096; the flat band must still be an atom
+    # the flat band must stay an atom as the grid grows
     walk = grover_walk_3()
     xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
     mu = limit_measure(walk, xi, refined(walk, grid))
@@ -269,17 +276,6 @@ def test_cdf_distance_matches_loop_reference(tracked_corpus, name):
     for t in (7, 400):
         dist = position_distribution(evolve(walk, xi, t), time=t)
         assert abs(cdf_distance(mu, dist, t) - _loop_cdf_distance(mu, dist, t)) <= 1e-14
-
-
-def test_group_velocity_rejects_kinked_argument():
-    from zqwalk import Band, EigenSystem, ResolutionError
-
-    count = 256
-    theta = 2.0 * np.pi * np.arange(count) / count
-    kinked = np.exp(1j * np.abs(theta - np.pi))
-    system = EigenSystem((Band(1, kinked, 0, 1),), 1, count, True)
-    with pytest.raises(ResolutionError, match="under-resolved"):
-        group_velocities(system)
 
 
 def test_coined_density_matches_arcsine_type_law(tracked_corpus):

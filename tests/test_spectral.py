@@ -33,13 +33,14 @@ from zqwalk import (
 )
 from support import (
     conjugated_coined_sum,
+    fft_band_velocities,
     random_constant_unitary,
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
     schur_band_projections,
 )
-from zqwalk.spectral import _best_separated_point
+from zqwalk.spectral import _best_separated_point, _subsample_system
 
 M = 1024
 
@@ -322,7 +323,7 @@ def test_projection_single_channel():
     walk = SymbolMatrix.shift(1)
     system = track_bands(walk, 64)
     xi = StateVector.delta(0, 1, 1)
-    weights = band_projections(walk, system, xi.fourier_samples(system.base_grid))
+    weights = band_projections(walk, system, xi.fourier_samples(system.base_grid))[0]
     assert np.allclose(weights[0], 1.0)
 
 
@@ -330,7 +331,7 @@ def test_projection_grover_channel_two(tracked_corpus, corpus):
     walk = corpus["grover3"]
     system = tracked_corpus["grover3"]
     xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
-    weights = band_projections(walk, system, xi.fourier_samples(system.base_grid))
+    weights = band_projections(walk, system, xi.fourier_samples(system.base_grid))[0]
     flat_index = next(j for j, b in enumerate(system.bands) if b.d == 1)
     # at z = 1 the flat band's eigenvector is (1,1,1)/sqrt(3), weight 1/3;
     # away from z = 1 it is (1, (1+z)/2, z) up to norm, so the weight profile
@@ -347,7 +348,7 @@ def test_projection_resolution_of_identity(tracked_corpus, corpus, rng):
     xi = StateVector.from_channel_vector(0, rng.normal(size=3) + 1j * rng.normal(size=3))
     xi = StateVector({k: v / xi.norm() for k, v in xi.amplitudes.items()}, 3)
     xh = xi.fourier_samples(system.base_grid)
-    weights = band_projections(walk, system, xh)
+    weights = band_projections(walk, system, xh)[0]
     per_point = sum(w.sum(axis=1) for w in weights)
     norms = np.sum(np.abs(xh) ** 2, axis=1)
     assert np.max(np.abs(per_point - norms)) < 1e-9
@@ -379,7 +380,7 @@ def test_band_projections_match_schur_reference(tracked_corpus, corpus):
         m = system.base_grid
         for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
             xh = xi.fourier_samples(m)
-            weights = band_projections(walk, system, xh)
+            weights = band_projections(walk, system, xh)[0]
             reference = schur_band_projections(walk, system, xh)
             for w, ref in zip(weights, reference, strict=True):
                 assert w.shape == ref.shape
@@ -387,6 +388,30 @@ def test_band_projections_match_schur_reference(tracked_corpus, corpus):
             per_point = sum(w.sum(axis=1) for w in weights)
             norms = np.sum(np.abs(xh) ** 2, axis=1)
             assert np.max(np.abs(per_point - norms)) < 1e-12, name
+
+
+def test_band_velocities_match_fft_reference(corpus):
+    # Hellmann-Feynman slopes, including the cluster slopes at grover3's
+    # self-collision at z = 1, against the FFT derivative of the argument.  The
+    # derivative is taken on a grid of at least 1024 points and subsampled: at
+    # grid 256 it is under-resolved for split_n5, n7 and n8 (errors up to 8e-4)
+    cases = [(name, walk, 1024) for name, walk in corpus.items()]
+    cases += _reference_cases() + [
+        ("grover3_grid16384", grover_walk_3(), 16384),
+        ("conjugated_sum", conjugated_coined_sum(5), 1024),
+        ("shift2", SymbolMatrix.shift(2), 64),
+    ]
+    for name, walk, grid in cases:
+        fine = refine_system(track_bands(walk, max(grid, 1024)))
+        system = _subsample_system(fine, grid)
+        xh = StateVector.delta(0, 1, walk.n).fourier_samples(grid)
+        velocities = band_projections(walk, system, xh)[1]
+        step = fine.base_grid // grid
+        for v, ref in zip(velocities, fft_band_velocities(fine), strict=True):
+            assert np.max(np.abs(v - ref[::step])) < 1e-10, name
+        if name == "grover3_grid16384":
+            flat = next(j for j, b in enumerate(system.bands) if b.d == 1)
+            assert np.ptp(velocities[flat]) <= 1e-13
 
 
 def _min_gap(values: np.ndarray) -> float:
