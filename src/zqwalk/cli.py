@@ -7,6 +7,8 @@ default analysis grid comes from ZQWALK_GRID when set.
 
 `check` reports unitarity as a verdict and always exits 0 on a well-formed
 spec; every other subcommand treats a non-unitary symbol as an input error.
+Each walk is checked once per command: by `track_bands` where the command
+tracks it, by the loader otherwise.
 Exit codes: 0 ok, 2 malformed spec, 3 unitarity failure, 4 resolution
 failure, 5 domain error.
 """
@@ -34,6 +36,7 @@ from .model import ModelWalkSpec, build_model_walk, ct_generator
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
     EigenSystem,
+    _systems_match,
     ct_realizable,
     is_decomposable,
     total_winding,
@@ -86,7 +89,7 @@ def _walk_id(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
 
 
-def _load_walk(path: str, require_unitary: bool = True) -> SymbolMatrix:
+def _load_walk(path: str, require_unitary: bool = False) -> SymbolMatrix:
     spec = zio.parse_spec(_read_source(path))
     if isinstance(spec, ModelWalkSpec):
         spec = build_model_walk(spec)
@@ -100,6 +103,15 @@ def _load_walk(path: str, require_unitary: bool = True) -> SymbolMatrix:
                 f"{report.max_deviation:.3e})"
             )
     return spec
+
+
+def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
+    """A walk spec and its bands; track_bands's unitarity check names the spec."""
+    walk = _load_walk(path)
+    try:
+        return walk, track_bands(walk, args.grid, args.tol)
+    except UnitarityError as exc:
+        raise UnitarityError(f"{path}: {exc}") from None
 
 
 def _load_vector(path: str) -> StateVector:
@@ -158,7 +170,7 @@ def _band_summary(system: EigenSystem) -> list[dict]:
 
 
 def cmd_check(args) -> int:
-    walk = _load_walk(args.spec, require_unitary=False)
+    walk = _load_walk(args.spec)
     run = Run(args, "check")
     report = AnalysisReport(_walk_id(args.spec))
     unitary = verify_unitary_symbol(walk, max(args.grid, 256), UNITARY_CHECK_TOL)
@@ -187,8 +199,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    walk = _load_walk(args.spec)
-    system = track_bands(walk, args.grid, args.tol)
+    _walk, system = _load_tracked(args.spec, args)
     run = Run(args, "bands")
     run.write_json("eigensystem.json", zio.eigensystem_to_json(system))
     with open(run.path("bands.csv"), "w") as fh:
@@ -202,8 +213,7 @@ def cmd_bands(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    walk = _load_walk(args.spec)
-    system = track_bands(walk, args.grid, args.tol)
+    _walk, system = _load_tracked(args.spec, args)
     run = Run(args, "decompose")
     report = AnalysisReport(_walk_id(args.spec))
     report.bands = _band_summary(system)
@@ -223,8 +233,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    walk = _load_walk(args.spec)
-    system = track_bands(walk, args.grid, args.tol)
+    _walk, system = _load_tracked(args.spec, args)
     windings = winding_numbers(system)
     run = Run(args, "winding")
     run.write_json(
@@ -241,8 +250,7 @@ def cmd_winding(args) -> int:
 
 
 def cmd_ct_check(args) -> int:
-    walk = _load_walk(args.spec)
-    system = track_bands(walk, args.grid, args.tol)
+    _walk, system = _load_tracked(args.spec, args)
     realizable = ct_realizable(system)
     run = Run(args, "ct-check")
     payload = {"ct_realizable": realizable}
@@ -275,7 +283,7 @@ def _parse_times(text: str) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
-    walk = _load_walk(args.spec)
+    walk = _load_walk(args.spec, require_unitary=True)
     xi = _load_vector(args.init)
     times = _parse_times(args.t)
     run = Run(args, "simulate")
@@ -289,9 +297,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    walk = _load_walk(args.spec)
+    walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
-    system = track_bands(walk, args.grid, args.tol)
     measure = limit_measure(walk, xi, system, bins=args.bins)
     run = Run(args, "limit")
     run.write_json("measure.json", zio.measure_to_json(measure))
@@ -309,9 +316,8 @@ def cmd_limit(args) -> int:
 def cmd_compare(args) -> int:
     from .limit import cdf_distance, compare_moments
 
-    walk = _load_walk(args.spec)
+    walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
-    system = track_bands(walk, args.grid, args.tol)
     measure = limit_measure(walk, xi, system, bins=args.bins)
     states = [(t, evolve(walk, xi, t)) for t in _parse_times(args.t)]
     rows = compare_moments(measure, states, args.mmax)
@@ -331,11 +337,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    from .spectral import are_conjugate
-
-    w1 = _load_walk(args.spec)
-    w2 = _load_walk(args.other)
-    verdict = are_conjugate(w1, w2, args.tol, args.grid)
+    # are_conjugate, with each walk tracked (and so checked) once, by name
+    _w1, sys1 = _load_tracked(args.spec, args)
+    _w2, sys2 = _load_tracked(args.other, args)
+    verdict = _systems_match(sys1, sys2, args.tol)
     run = Run(args, "conjugate")
     run.write_json("conjugate.json", {"conjugate": verdict})
     run.finish()

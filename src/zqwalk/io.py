@@ -80,9 +80,8 @@ def _poly_to_terms(poly: LaurentPoly) -> list[dict]:
 
 def walk_to_json(walk: SymbolMatrix) -> dict:
     entries = []
-    for i in range(walk.n):
-        for j in range(walk.n):
-            poly = walk.entries[i][j]
+    for i, row in enumerate(walk.entries):
+        for j, poly in enumerate(row):
             if not poly.is_zero:
                 entries.append(
                     {"row": i + 1, "col": j + 1, "terms": _poly_to_terms(poly)}

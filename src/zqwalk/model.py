@@ -62,19 +62,15 @@ def build_model_walk(
             f"exceeds {unimodular_tol:.1e}"
         )
     d = spec.d
-    c = spec.lambda_coeffs
-    rows = []
-    for k in range(1, d + 1):
-        row = []
-        for l in range(1, d + 1):
-            entry: dict[int, complex] = {}
-            for sigma, coeff in c.coeffs.items():
-                step = sigma - k + l
-                if step % d == 0:
-                    entry[step // d] = coeff
-            row.append(LaurentPoly(entry))
-        rows.append(tuple(row))
-    return SymbolMatrix(d, tuple(rows))
+    sigma = np.array(spec.lambda_coeffs.support)
+    values = np.array([spec.lambda_coeffs[s] for s in sigma], dtype=complex)
+    # sigma = d*s + k - l lands at shift s of entry (k, l): one (s, k, l) per sigma
+    step = sigma[:, None, None] - np.arange(d)[:, None] + np.arange(d)
+    term, k, l = np.nonzero(step % d == 0)
+    shift = step[term, k, l] // d
+    coeffs = np.zeros((shift.max() - shift.min() + 1, d, d), dtype=complex)
+    coeffs[shift - shift.min(), k, l] = values[term]
+    return SymbolMatrix.from_array(coeffs, int(shift.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from itertools import repeat
 from typing import Mapping
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import DomainError
 from .symbol import SymbolMatrix, classify_decay
@@ -152,6 +151,8 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     absolute error of order t times machine epsilon (binary powering of V),
     including roundoff-level values where the exact amplitude is zero.
     """
+    from scipy.fft import next_fast_len
+
     if t < 0:
         raise DomainError("time must be nonnegative")
     if walk.n != xi.n:
@@ -159,12 +160,12 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     if t == 0 or not xi.amplitudes:
         return xi
     n = walk.n
-    coeffs = walk.coefficient_sequences()
-    if not coeffs:
+    if not len(walk.coeffs):
         return StateVector({}, n)
-    m0 = min(coeffs)
-    g = math.gcd(*(s - m0 for s in coeffs)) or 1
-    degree = (max(coeffs) - m0) // g
+    m0 = walk.low
+    live = np.flatnonzero(np.any(walk.coeffs != 0, axis=(1, 2)))
+    g = math.gcd(*live.tolist()) or 1
+    degree = int(live[-1]) // g
 
     keys, values = _entries(xi)
     residues = keys[:, 0] % g
@@ -184,8 +185,7 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
 
     # V(w) = sum_j C_{m0 + g j} w^j at w_m = exp(2 pi i m / M), channel-major
     base = np.zeros((n, n, size), dtype=complex)
-    for shift, mat in coeffs.items():
-        base[:, :, (shift - m0) // g] = mat
+    base[:, :, : degree + 1] = walk.coeffs[::g].transpose(1, 2, 0)
     base = np.fft.ifft(base, axis=-1) * size
     # einsum's own loop forms each product with no (n, n, n, M) temporary
     remaining = t

@@ -37,11 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .circle import rotation_distance, winding_of_samples
 from .errors import DomainError, ResolutionError, UnitarityError
-from .symbol import SymbolMatrix, verify_unitary_symbol
+from .symbol import SymbolMatrix, _circle_values, verify_unitary_symbol
 
 DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
@@ -146,6 +145,8 @@ def _track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
     the single history-free first step never straddles a collision that
     extrapolation would have been needed for.
     """
+    from scipy.optimize import linear_sum_assignment
+
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
     start = vals[kstar]
@@ -397,10 +398,13 @@ def are_conjugate(
     multiplicity, with sample loops compared up to rotation of the covering
     argument by roots of unity.
     """
-    if w1.n != w2.n:
-        return False
-    sys1 = track_bands(w1, base_grid, tol)
-    sys2 = track_bands(w2, base_grid, tol)
+    return w1.n == w2.n and _systems_match(
+        track_bands(w1, base_grid, tol), track_bands(w2, base_grid, tol), tol
+    )
+
+
+def _systems_match(sys1: EigenSystem, sys2: EigenSystem, tol: float) -> bool:
+    """The band-by-band comparison of are_conjugate, on the coarser of the two grids."""
     if sys1.base_grid != sys2.base_grid:
         coarse = min(sys1.base_grid, sys2.base_grid)
         sys1 = _subsample_system(sys1, coarse)
@@ -421,16 +425,6 @@ def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
 # ---------------------------------------------------------------------------
 # spectral-projection weights and group velocities
 # ---------------------------------------------------------------------------
-
-
-def _grid_derivative(walk: SymbolMatrix, grid: int) -> np.ndarray:
-    """dU/dtheta at grid uniform circle points: sum over s of i*s*C_s*z^s, (M, n, n)."""
-    coeffs = walk.coefficient_sequences()
-    shifts = np.fromiter(coeffs, dtype=int, count=len(coeffs))
-    # z_k^s = exp(2*pi*i*(k*s mod M)/M), reduced exactly in integers first
-    phase = np.exp(2j * np.pi * (np.outer(np.arange(grid), shifts) % grid) / grid)
-    stack = np.stack(list(coeffs.values())).reshape(len(shifts), -1)
-    return ((1j * shifts * phase) @ stack).reshape(grid, walk.n, walk.n)
 
 
 def band_projections(
@@ -482,7 +476,8 @@ def band_projections(
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
     # column j of the product is the projection of xi_hat onto j's cluster
     cluster_weight = np.sum(np.abs((vecs * coeffs[:, None, :]) @ linked) ** 2, axis=1)
-    derivative = _grid_derivative(walk, m)
+    shifts = walk.shifts
+    derivative = _circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m)
     slope = np.einsum("kij,kji->ki", left, derivative @ vecs) / (1j * evals)
 
     degrees = [b.d for b in system.bands]

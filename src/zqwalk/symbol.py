@@ -1,11 +1,13 @@
 """Matrix symbols of finite-propagation homogeneous lattice operators.
 
-A walk is stored as an n x n matrix of Laurent polynomials; evaluating every
-entry at a point z of the unit circle gives the n x n matrix of the
-Fourier-transformed operator at that momentum.  The module provides exact
-ring arithmetic (compose/adjoint), the characteristic polynomial interpolated
-from a circle grid (any dimension), unitarity and Cayley-Hamilton verification
-on circle grids, and a decay classifier for coefficient sequences.
+A walk's symbol U(z) = sum_s C_s z^s is stored as one read-only complex array
+`coeffs` of shape (S, n, n) with C_{low + s} = coeffs[s], pruned below
+PRUNE_TOL as LaurentPoly prunes and trimmed so that its first and last slices
+are nonzero.  Circle grids are evaluated by one phase-matrix product, and a
+product of symbols is one convolution along the shift axis.  The module also
+provides the characteristic polynomial interpolated from a circle grid (any
+dimension), unitarity and Cayley-Hamilton verification on circle grids, and a
+decay classifier for coefficient sequences.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .laurent import LaurentPoly
+from .laurent import PRUNE_TOL, LaurentPoly
 
 # Relative RMS residual (on log magnitudes) below which an exponential fit
 # of a coefficient profile is accepted.
@@ -27,90 +29,122 @@ EXP_FIT_RESIDUAL = 0.1
 MAX_POLY_ORDER = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SymbolMatrix:
-    """n x n matrix of Laurent polynomials; the symbol of a homogeneous walk."""
+    """The symbol sum_s C_s z^s of a homogeneous walk: C_{low + s} = coeffs[s].
+
+    `SymbolMatrix(n, entries)` converts an n x n matrix of LaurentPoly entries,
+    which `entries` rebuilds on demand; `from_array` wraps a coefficient stack.
+    """
 
     n: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    coeffs: np.ndarray
+    low: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("dimension must be a positive integer")
-        rows = tuple(tuple(row) for row in self.entries)
-        if len(rows) != self.n or any(len(r) != self.n for r in rows):
-            raise DomainError(f"entries must form an {self.n} x {self.n} matrix")
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, n: int, entries) -> None:
+        rows = tuple(tuple(row) for row in entries)
+        if n < 1 or len(rows) != n or any(len(r) != n for r in rows):
+            raise DomainError(f"entries must form an n x n matrix, n >= 1 (n = {n})")
+        shifts = [s for row in rows for poly in row for s in poly.coeffs] or [0]
+        low = min(shifts)
+        coeffs = np.zeros((max(shifts) - low + 1, n, n), dtype=complex)
+        for i, row in enumerate(rows):
+            for j, poly in enumerate(row):
+                for s, c in poly.coeffs.items():
+                    coeffs[s - low, i, j] = c
+        self._settle(coeffs, low)
+
+    def _settle(self, coeffs: np.ndarray, low: int) -> None:
+        """Store coeffs pruned below PRUNE_TOL, zero end slices trimmed, read-only."""
+        coeffs = np.where(np.abs(coeffs) >= PRUNE_TOL, coeffs, 0)
+        live = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
+        if len(live):
+            coeffs, low = coeffs[live[0] : live[-1] + 1], low + int(live[0])
+        else:
+            coeffs, low = coeffs[:0], 0
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "n", coeffs.shape[1])
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "low", low)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def from_array(cls, coeffs, low: int) -> "SymbolMatrix":
+        """The symbol with C_{low + s} = coeffs[s], for an (S, n, n) stack."""
+        walk = cls.__new__(cls)
+        walk._settle(np.asarray(coeffs, dtype=complex), int(low))
+        return walk
+
+    @classmethod
     def identity(cls, n: int) -> "SymbolMatrix":
-        one, zero = LaurentPoly.one(), LaurentPoly.zero()
-        return cls(n, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
+        return cls.from_array(np.eye(n)[None], 0)
 
     @classmethod
     def shift(cls, s: int) -> "SymbolMatrix":
         """The 1-state shift operator S_s, symbol z^s."""
-        return cls(1, ((LaurentPoly.monomial(s),),))
+        return cls.from_array(np.ones((1, 1, 1)), s)
 
     @classmethod
     def from_constant(cls, matrix) -> "SymbolMatrix":
         """Wrap a constant numeric matrix as a shift-free symbol."""
-        m = np.asarray(matrix, dtype=complex)
-        n = m.shape[0]
-        return cls(n, tuple(
-            tuple(LaurentPoly.constant(m[i, j]) for j in range(n)) for i in range(n)
-        ))
+        return cls.from_array(np.asarray(matrix)[None], 0)
 
     # -- structure -----------------------------------------------------------
 
     @property
-    def propagation_radius(self) -> int:
-        return max(p.radius for row in self.entries for p in row)
+    def shifts(self) -> np.ndarray:
+        """The shift of each coefficient slice: low, ..., low + S - 1."""
+        return np.arange(self.low, self.low + len(self.coeffs))
 
-    def coefficient_matrix(self, shift: int) -> np.ndarray:
-        """The n x n matrix of coefficients sitting at a given shift."""
-        return np.array(
-            [[self.entries[i][j][shift] for j in range(self.n)] for i in range(self.n)],
-            dtype=complex,
+    @property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The n x n matrix of LaurentPoly entries, rebuilt on each access."""
+        seqs = self.coefficient_sequences().items()
+        return tuple(
+            tuple(LaurentPoly({s: c[i, j] for s, c in seqs}) for j in range(self.n))
+            for i in range(self.n)
         )
 
+    @property
+    def propagation_radius(self) -> int:
+        return int(np.max(np.abs(self.shifts), initial=0))
+
     def coefficient_sequences(self) -> dict[int, np.ndarray]:
-        """Map shift -> coefficient matrix, over the union of entry supports."""
-        shifts = sorted({s for row in self.entries for p in row for s in p.support})
-        return {s: self.coefficient_matrix(s) for s in shifts}
+        """Map shift -> coefficient matrix, over the shifts with a nonzero coefficient."""
+        live = np.any(self.coeffs != 0, axis=(1, 2))
+        return dict(zip(self.shifts[live].tolist(), self.coeffs[live]))
 
     def allclose(self, other: "SymbolMatrix", tol: float = 1e-12) -> bool:
         if self.n != other.n:
             return False
-        return all(
-            self.entries[i][j].allclose(other.entries[i][j], tol)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        low = min(self.low, other.low)
+        size = max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low
+        diff = np.zeros((size, self.n, self.n), dtype=complex)
+        diff[self.shifts - low] += self.coeffs
+        diff[other.shifts - low] -= other.coeffs
+        return bool(np.all(np.abs(diff) <= tol))
 
     def __call__(self, z: complex) -> np.ndarray:
         return eval_symbol(self, z)
 
     def grid_eval(self, grid_size: int) -> np.ndarray:
         """Stack of symbol values at grid_size uniform circle points, shape (M, n, n)."""
-        out = np.zeros((grid_size, self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                p = self.entries[i][j]
-                if not p.is_zero:
-                    out[:, i, j] = p.circle_samples(grid_size)
-        return out
+        return _circle_values(self.coeffs, self.shifts, grid_size)
+
+
+def _circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndarray:
+    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), shape (grid, n, n)."""
+    # z_k^s = exp(2 pi i (k s mod M) / M), reduced exactly in integers first
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(grid), shifts) % grid) / grid)
+    return (phase @ coeffs.reshape(len(coeffs), -1)).reshape((grid,) + coeffs.shape[1:])
 
 
 def eval_symbol(walk: SymbolMatrix, z: complex) -> np.ndarray:
     """Value of the symbol at one point; total on nonzero z, error at z = 0."""
     if z == 0:
         raise DomainError("symbol cannot be evaluated at z = 0")
-    return np.array([[p(complex(z)) for p in row] for row in walk.entries], dtype=complex)
+    return np.tensordot(complex(z) ** walk.shifts, walk.coeffs, axes=1)
 
 
 class UnitarityReport(NamedTuple):
@@ -131,45 +165,58 @@ def verify_unitary_symbol(
     return UnitarityReport(max_dev < tol, max_dev)
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient stack of a product of symbols: c[t] = sum_s a[s] @ b[t - s].
+
+    The inner index k is summed in order.  For each k the sum over shifts is
+    one real matrix product with a Toeplitz stack of b, and complex products
+    are formed as (ar br - ai bi, ar bi + ai br).  So where each k contributes
+    a single product, as when one factor is constant or a monomial matrix, the
+    result is bit for bit that of entrywise Laurent arithmetic.
+    """
+    sa, sb, n = len(a), len(b), a.shape[1]
+    if not sa or not sb:
+        return np.zeros((0, n, n), dtype=complex)
+    size = sa + sb - 1
+    pad = np.zeros((size + sa - 1, n, 2, n))  # b with real and imaginary parts apart
+    pad[sa - 1 : sa - 1 + sb] = np.stack([b.real, b.imag], axis=2)
+    toeplitz = np.arange(size) - np.arange(sa)[:, None] + sa - 1  # [s, t] -> t - s
+    out = np.zeros((n, size, n, 2))
+    for k in range(n):
+        x = np.concatenate([a[:, :, k].real.T, a[:, :, k].imag.T])  # (2n, sa)
+        p = (x @ pad[toeplitz, k].reshape(sa, -1)).reshape(2, n, size, 2, n)
+        out[..., 0] += p[0, :, :, 0] - p[1, :, :, 1]
+        out[..., 1] += p[0, :, :, 1] + p[1, :, :, 0]
+    return out.view(complex)[..., 0].transpose(1, 0, 2)
+
+
 def compose(w1: SymbolMatrix, w2: SymbolMatrix) -> SymbolMatrix:
-    """Matrix product with exact Laurent-coefficient arithmetic."""
+    """Matrix product: the convolution of the two coefficient stacks."""
     if w1.n != w2.n:
         raise DomainError(f"dimension mismatch: {w1.n} vs {w2.n}")
-    n = w1.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaurentPoly.zero()
-            for k in range(n):
-                acc = acc + w1.entries[i][k] * w2.entries[k][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return SymbolMatrix(n, tuple(rows))
+    return SymbolMatrix.from_array(_convolve(w1.coeffs, w2.coeffs), w1.low + w2.low)
 
 
 def adjoint(walk: SymbolMatrix) -> SymbolMatrix:
-    """Conjugate transpose; each entry's coefficients are conjugate-reflected."""
-    n = walk.n
-    return SymbolMatrix(n, tuple(
-        tuple(walk.entries[j][i].conj_reflect() for j in range(n)) for i in range(n)
-    ))
+    """Conjugate transpose: C*_s = conj(C_{-s})^T, shifts reflected."""
+    high = walk.low + len(walk.coeffs) - 1
+    return SymbolMatrix.from_array(np.conj(walk.coeffs[::-1]).transpose(0, 2, 1), -high)
 
 
 def direct_sum(*walks: SymbolMatrix) -> SymbolMatrix:
     """Block-diagonal sum of symbols."""
     if not walks:
         raise DomainError("need at least one summand")
+    low = min(w.low for w in walks)
+    high = max(w.low + len(w.coeffs) for w in walks)
     n = sum(w.n for w in walks)
-    zero = LaurentPoly.zero()
-    rows = [[zero] * n for _ in range(n)]
+    out = np.zeros((high - low, n, n), dtype=complex)
     offset = 0
     for w in walks:
-        for i in range(w.n):
-            for j in range(w.n):
-                rows[offset + i][offset + j] = w.entries[i][j]
+        block = slice(offset, offset + w.n)
+        out[w.shifts - low, block, block] = w.coeffs
         offset += w.n
-    return SymbolMatrix(n, tuple(tuple(r) for r in rows))
+    return SymbolMatrix.from_array(out, low)
 
 
 def symbol_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
@@ -284,11 +331,14 @@ def _magnitude_profile(
 ) -> np.ndarray:
     """Profile m[k] = max entry magnitude at shift s = k - cutoff, k = 0..2*cutoff."""
     if isinstance(coeff_seqs, SymbolMatrix):
-        coeff_seqs = coeff_seqs.coefficient_sequences()
+        shifts = coeff_seqs.shifts
+        mags = np.abs(coeff_seqs.coeffs).max(axis=(1, 2))
+    else:
+        shifts = np.fromiter(coeff_seqs, dtype=int, count=len(coeff_seqs))
+        mags = np.array([np.max(np.abs(np.asarray(v))) for v in coeff_seqs.values()])
+    inside = np.abs(shifts) <= cutoff
     prof = np.zeros(2 * cutoff + 1)
-    for s, value in coeff_seqs.items():
-        if abs(s) <= cutoff:
-            prof[s + cutoff] = float(np.max(np.abs(np.asarray(value))))
+    prof[shifts[inside] + cutoff] = mags[inside]
     return prof
 
 

@@ -48,17 +48,9 @@ def modified_coined_walk(r: float = 2**-0.5, b: complex | None = None) -> Symbol
 
 def grover_walk_3() -> SymbolMatrix:
     """3-state Grover walk: Grover coin with channels shifted by -1, 0, +1."""
-    third = 1.0 / 3.0
-    row = lambda s, c1, c2, c3: (
-        LaurentPoly.monomial(s, c1 * third),
-        LaurentPoly.monomial(s, c2 * third),
-        LaurentPoly.monomial(s, c3 * third),
-    )
-    return SymbolMatrix(3, (
-        row(-1, -1, 2, 2),
-        row(0, 2, -1, 2),
-        row(1, 2, 2, -1),
-    ))
+    coin = (2.0 - 3.0 * np.eye(3)) / 3.0
+    # channel k moves by k - 1, so coefficient slice k holds row k of the coin
+    return SymbolMatrix.from_array(np.eye(3)[:, :, None] * coin, -1)
 
 
 def walk_corpus() -> dict[str, SymbolMatrix]:

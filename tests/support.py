@@ -120,6 +120,77 @@ def random_split_step_walk(
     return walk
 
 
+def random_symbol(rng: np.random.Generator, n: int, radius: int = 3) -> SymbolMatrix:
+    """Generic n x n symbol: each entry a random subset of shifts in [-radius, radius].
+
+    About one entry in four is zero; coefficients are complex Gaussians.
+    """
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            shifts = rng.choice(np.arange(-radius, radius + 1), size=rng.integers(0, 4))
+            if rng.uniform() < 0.25:
+                shifts = shifts[:0]
+            row.append(LaurentPoly({
+                int(s): complex(rng.normal(), rng.normal()) for s in shifts
+            }))
+        rows.append(tuple(row))
+    return SymbolMatrix(n, tuple(rows))
+
+
+# -- entrywise Laurent algebra, the reference for the array operations ---------
+
+
+def entrywise_compose(w1: SymbolMatrix, w2: SymbolMatrix) -> SymbolMatrix:
+    """Matrix product with exact Laurent-coefficient arithmetic."""
+    if w1.n != w2.n:
+        raise DomainError(f"dimension mismatch: {w1.n} vs {w2.n}")
+    n = w1.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = LaurentPoly.zero()
+            for k in range(n):
+                acc = acc + w1.entries[i][k] * w2.entries[k][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return SymbolMatrix(n, tuple(rows))
+
+
+def entrywise_adjoint(walk: SymbolMatrix) -> SymbolMatrix:
+    """Conjugate transpose; each entry's coefficients are conjugate-reflected."""
+    n = walk.n
+    return SymbolMatrix(n, tuple(
+        tuple(walk.entries[j][i].conj_reflect() for j in range(n)) for i in range(n)
+    ))
+
+
+def entrywise_direct_sum(*walks: SymbolMatrix) -> SymbolMatrix:
+    """Block-diagonal sum of symbols."""
+    if not walks:
+        raise DomainError("need at least one summand")
+    n = sum(w.n for w in walks)
+    zero = LaurentPoly.zero()
+    rows = [[zero] * n for _ in range(n)]
+    offset = 0
+    for w in walks:
+        for i in range(w.n):
+            for j in range(w.n):
+                rows[offset + i][offset + j] = w.entries[i][j]
+        offset += w.n
+    return SymbolMatrix(n, tuple(tuple(r) for r in rows))
+
+
+def entrywise_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
+    """walk composed with itself t times, one entrywise product at a time."""
+    result = SymbolMatrix.identity(walk.n)
+    for _ in range(t):
+        result = entrywise_compose(result, walk)
+    return result
+
+
 def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Single-linkage clusters of complex values at tolerance tol."""
     m = len(values)

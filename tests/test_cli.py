@@ -1,6 +1,10 @@
 import csv
+import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +15,20 @@ from zqwalk import (
     SpecFormatError,
     StateVector,
     SymbolMatrix,
+    build_model_walk,
     coined_walk,
     compare_empirical,
+    direct_sum,
     grover_walk_3,
     modified_coined_walk,
     refine_system,
     track_bands,
 )
-from support import conjugated_coined_sum
+from support import (
+    conjugated_coined_sum,
+    random_split_step_walk,
+    random_unimodular_spec,
+)
 from zqwalk import io as zio
 from zqwalk.cli import main
 
@@ -79,10 +89,65 @@ def test_parse_schema_diagnostics():
 # -- round trips --------------------------------------------------------------------
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# sha256 of json.dumps(walk_to_json(walk)), recorded when every symbol was an
+# n x n matrix of LaurentPoly entries composed entry by entry; the wire format
+# and the composed coefficients must stay byte for byte the same
+WALK_JSON_SHA256 = {
+    "shift1_model": "9fcf7acd1826775d56260d1ea8635d598dacbffc39287b13a20e38379470ba40",
+    "split_step_n2": "08976c7b9502227d52a529fba4bcffbafaa023f4f14a790c595fbcd6a92e1b51",
+    "split_step_n3": "0e96c26002223f01e31f95708e655b9cc0181cdd72feb28ec8adb2078a53846b",
+    "split_step_n4": "86f55005d46d3a61c24dbbcc14612f5c06b3324d947a8a92d8ee4d9a73bb2e37",
+    "split_step_n5": "d769a134e3294a5ccfe5b3117a40bac7af76bb6ad7884be795ccb21b30557295",
+    "split_step_n6": "d34972c2cf0f925546971733712e110a6b3bf97a86c5b812654e61ac64766e45",
+    "split_step_n7": "3e26bec2851a1252690b066e1a8f30908a45ddc130bd4fbb00ae5dc598125e0d",
+    "split_step_n8": "c9ccbdd101dfb800e3d24ba24f6d486f544034733b076e773c5d1d1fba286e76",
+    "model_d1": "f63bfc414aa5c88a6160a58c185997348ed0a5929d593c7d993c0129f7657510",
+    "model_d2": "a196e5a0715c97f83167338958d3e05a8b0d062990c3ec674397895634e2b8e2",
+    "model_d3": "01151a34101b9e0b5c840e2d471db21ed84a278717fcd1c7c6f03dd014b25ba1",
+    "model_d4": "f1bd6f308071343ba676448080c47bf8d9870dc1426865bff9a7b7e6d1f74641",
+    "conjugated_coined_sum_5": "0e49c5dbb7c8c2e385aed9135c035c61af4932dea7cd0ae4483c783c64869524",
+    "coined_plus_modified": "24061337cbfa7d06993d16b9e916e5ae5a7f074519d34562d8cf127c7b432ced",
+}
+
+
+def _pinned_walks() -> dict:
+    """name -> (walk, expected JSON text or None); the fixture files are their own goldens."""
+    walks = {"modified_coined_walk": (modified_coined_walk(), "modified_hadamard")}
+    for name in ("hadamard", "modified_hadamard", "grover3"):
+        walks[name] = (zio.parse_spec((FIXTURES / f"{name}.json").read_text()), name)
+    spec = zio.parse_spec((FIXTURES / "shift1_model.json").read_text())
+    walks["shift1_model"] = (build_model_walk(spec), None)
+    for n in range(2, 9):
+        walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
+        walks[f"split_step_n{n}"] = (walk, None)
+    for d in range(1, 5):
+        spec = random_unimodular_spec(np.random.default_rng(400 + d), d, winding=d % 3 - 1)
+        walks[f"model_d{d}"] = (build_model_walk(spec), None)
+    walks["conjugated_coined_sum_5"] = (conjugated_coined_sum(5), None)
+    walks["coined_plus_modified"] = (
+        direct_sum(coined_walk(), modified_coined_walk()), None
+    )
+    return walks
+
+
 def test_walk_json_round_trip():
-    walk = modified_coined_walk()
-    again = zio.walk_from_json(json.loads(json.dumps(zio.walk_to_json(walk))))
-    assert again.allclose(walk, 0.0)
+    for name, (walk, fixture) in _pinned_walks().items():
+        payload = zio.walk_to_json(walk)
+        text = json.dumps(payload)
+        if fixture is None:
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == WALK_JSON_SHA256[name], name
+        else:
+            golden = json.loads((FIXTURES / f"{fixture}.json").read_text())
+            assert text == json.dumps(golden), name
+        again = zio.walk_from_json(json.loads(text))
+        assert again.allclose(walk, 0.0), name
+        for item in payload["entries"]:
+            poly = again.entries[item["row"] - 1][item["col"] - 1]
+            want = {t["shift"]: complex(t["re"], t["im"]) for t in item["terms"]}
+            assert poly.coeffs == want, name
 
 
 def test_state_json_round_trip():
@@ -311,7 +376,50 @@ def test_cli_non_unitary_exit_code(tmp_path, capsys):
         )
     )
     assert run_cli("bands", spec, "--out", tmp_path / "y") == 3
+    assert f"{spec}: symbol not unitary" in capsys.readouterr().err
+
+
+def test_cli_checks_unitarity_once_per_walk(spec_dir, tmp_path, capsys, monkeypatch):
+    import zqwalk.cli
+    import zqwalk.spectral
+
+    calls = []
+
+    def counting(walk, *args):
+        calls.append(walk.n)
+        return zqwalk.symbol.verify_unitary_symbol(walk, *args)
+
+    for module in (zqwalk.cli, zqwalk.spectral):
+        monkeypatch.setattr(module, "verify_unitary_symbol", counting)
+    hadamard, grover = spec_dir / "hadamard.json", spec_dir / "grover3.json"
+    assert run_cli("bands", grover, "--grid", 64, "--out", tmp_path / "b") == 0
+    assert calls == [3]
+    calls.clear()
+    assert run_cli("conjugate", hadamard, grover, "--grid", 64, "--out", tmp_path / "c") == 0
+    assert sorted(calls) == [2, 3]
     capsys.readouterr()
+    # a non-unitary walk still fails with its own path, in either position
+    bad = tmp_path / "nonunitary.json"
+    stretch = SymbolMatrix.from_constant([[1.0, 0.0], [0.0, 2.0]])
+    bad.write_text(json.dumps(zio.walk_to_json(stretch)))
+    for first, second in ((bad, hadamard), (hadamard, bad)):
+        assert run_cli("conjugate", first, second, "--out", tmp_path / "d") == 3
+        assert f"error: {bad}: symbol not unitary" in capsys.readouterr().err
+    assert run_cli("simulate", bad, "--init", spec_dir / "delta0_ch1.json", "--t", "1",
+                   "--out", tmp_path / "e") == 3
+    assert f"error: {bad}: symbol not unitary" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = Path(zio.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import zqwalk, zqwalk.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_vector_where_walk_expected(spec_dir, tmp_path, capsys):

@@ -13,6 +13,7 @@ from zqwalk import (
     classify_decay,
     coined_walk,
     compose,
+    direct_sum,
     eval_symbol,
     grover_walk_3,
     modified_coined_walk,
@@ -21,7 +22,14 @@ from zqwalk import (
     verify_unitary_symbol,
 )
 from zqwalk.model import ModelWalkSpec
-from support import random_split_step_walk
+from support import (
+    entrywise_adjoint,
+    entrywise_compose,
+    entrywise_direct_sum,
+    entrywise_power,
+    random_split_step_walk,
+    random_symbol,
+)
 
 R = 2**-0.5
 
@@ -178,6 +186,45 @@ def test_symbol_power_matches_repeated_compose():
     walk = coined_walk()
     assert symbol_power(walk, 3).allclose(compose(walk, compose(walk, walk)))
     assert symbol_power(walk, 0).allclose(SymbolMatrix.identity(2))
+
+
+def _assert_matches_entrywise(got, want, tol=1e-13):
+    assert got.n == want.n
+    for got_row, want_row in zip(got.entries, want.entries):
+        for g, w in zip(got_row, want_row):
+            assert g.support == w.support
+            assert g.max_coeff_distance(w) <= tol
+    # the array itself is pruned and trimmed: its nonzeros are the terms above
+    shifts = [s for row in want.entries for p in row for s in p.support]
+    assert np.count_nonzero(got.coeffs) == len(shifts)
+    assert (got.low, len(got.coeffs)) == (
+        (min(shifts), max(shifts) - min(shifts) + 1) if shifts else (0, 0)
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_array_algebra_matches_entrywise_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    a, b, c = random_symbol(rng, n), random_symbol(rng, n), random_symbol(rng, 2)
+    u = random_split_step_walk(rng, n, int(rng.integers(1, 4)))
+    u_star = entrywise_adjoint(u)
+    t = int(rng.integers(0, 17))
+    cases = [
+        (compose(a, b), entrywise_compose(a, b)),
+        (adjoint(a), entrywise_adjoint(a)),
+        (direct_sum(a, c, b), entrywise_direct_sum(a, c, b)),
+        # exact cancellations: U U* = I, also blockwise beside a generic block
+        (compose(u, adjoint(u)), entrywise_compose(u, u_star)),
+        (
+            compose(direct_sum(c, adjoint(u)), direct_sum(c, u)),
+            entrywise_compose(entrywise_direct_sum(c, u_star), entrywise_direct_sum(c, u)),
+        ),
+        (symbol_power(u, t), entrywise_power(u, t)),
+    ]
+    for got, want in cases:
+        _assert_matches_entrywise(got, want)
+    assert compose(u, adjoint(u)).allclose(SymbolMatrix.identity(n), 1e-13)
 
 
 # -- decay classification --------------------------------------------------------
