@@ -36,7 +36,7 @@ from .model import ModelWalkSpec, build_model_walk, ct_generator
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
     EigenSystem,
-    _systems_match,
+    _char_polys_match,
     ct_realizable,
     is_decomposable,
     total_winding,
@@ -337,10 +337,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    # are_conjugate, with each walk tracked (and so checked) once, by name
-    _w1, sys1 = _load_tracked(args.spec, args)
-    _w2, sys2 = _load_tracked(args.other, args)
-    verdict = _systems_match(sys1, sys2, args.tol)
+    # are_conjugate, with each walk checked once, by the loader and by name
+    w1 = _load_walk(args.spec, require_unitary=True)
+    w2 = _load_walk(args.other, require_unitary=True)
+    verdict = _char_polys_match(w1, w2, args.tol)
     run = Run(args, "conjugate")
     run.write_json("conjugate.json", {"conjugate": verdict})
     run.finish()
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=_grid_default(),
             help="base circle grid (power of two; default %(default)s or $ZQWALK_GRID)",
         )
-        p.add_argument("--tol", type=float, default=1e-6, help="tracking tolerance")
+        p.add_argument("--tol", type=float, default=1e-6, help="tracking or conjugacy tolerance")
         p.add_argument("--bins", type=int, default=512, help="velocity histogram bins")
         p.add_argument("--out", help="run directory (default runs/<spec>-<command>)")
         if init:

@@ -7,8 +7,11 @@ is one branch living on a d-fold covering circle.  This module recovers those
 cycles numerically (track_bands), contracts rotation-symmetric branches to
 their minimal period and merges coinciding ones (the refined, indecomposable
 system), and derives the invariants that hang off the branch structure:
-winding numbers, continuous-time realizability, conjugacy of two walks,
-spectral-projection weights of an initial vector and the group velocities.
+winding numbers, continuous-time realizability, spectral-projection weights
+of an initial vector and the group velocities.  Conjugacy of two walks needs
+no tracking: the bands are the analytic branches of the roots of
+det(lambda - U(z)), so two walks share a refined system exactly when their
+characteristic polynomials agree, and are_conjugate compares those.
 
 Branch matching note: consecutive eigenvalue lists are matched by a
 minimal-total-distance assignment on linearly extrapolated values rather than
@@ -40,8 +43,12 @@ import numpy as np
 
 from .circle import rotation_distance, winding_of_samples
 from .errors import DomainError, ResolutionError, UnitarityError
-from .symbol import SymbolMatrix, _circle_values, verify_unitary_symbol
+from .symbol import SymbolMatrix, _circle_values, char_poly, verify_unitary_symbol
 
+# Conjugate edge of the char-poly distance, relative to the coefficient scale:
+# char_poly prunes below PRUNE_TOL = 1e-14, conjugate pairs of generated walks
+# differ by about that much, and distinct band systems by order one.
+CHAR_POLY_TOL = 1e-12
 DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
@@ -239,10 +246,48 @@ def _finish_system(
     return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
-def _build_system(walk: SymbolMatrix, grid: int, tol: float) -> EigenSystem:
-    vals = np.linalg.eigvals(walk.grid_eval(grid))
+def _build_system(vals: np.ndarray, tol: float) -> EigenSystem:
+    """The refined system tracked through the (M, n) eigenvalues of a circle grid."""
+    grid, n = vals.shape
     cycles = [(d, s, 1) for d, s in _track_cycles(vals)]
-    return _finish_system(cycles, walk.n, grid, tol)
+    return _finish_system(cycles, n, grid, tol)
+
+
+def _require_unitary(walk: SymbolMatrix) -> None:
+    report = verify_unitary_symbol(walk, 256, 1e-8)
+    if not report.passed:
+        raise UnitarityError(
+            f"symbol not unitary: max deviation {report.max_deviation:.3e}"
+        )
+
+
+def _match_band_sets(
+    left: list[Band], right: list[Band], base_grid: int, tol: float
+) -> bool:
+    """Exact bipartite matching of bands by (d, multiplicity, rotation distance)."""
+    if len(left) != len(right):
+        return False
+    if not left:
+        return True
+    band = left[0]
+    for idx, other in enumerate(right):
+        if other.d != band.d or other.multiplicity != band.multiplicity:
+            continue
+        if rotation_distance(band.samples, other.samples, base_grid) >= tol:
+            continue
+        if _match_band_sets(left[1:], right[:idx] + right[idx + 1 :], base_grid, tol):
+            return True
+    return False
+
+
+def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
+    step = system.base_grid // coarse
+    if step == 1:
+        return system
+    bands = tuple(
+        Band(b.d, b.samples[::step], b.winding, b.multiplicity) for b in system.bands
+    )
+    return EigenSystem(bands, system.n, coarse, system.indecomposable)
 
 
 def track_bands(
@@ -259,7 +304,9 @@ def track_bands(
     everywhere merge into one band with a multiplicity, so refine_system
     leaves it unchanged.  The refined system must be reproduced at twice the
     resolution before it is returned; the grid doubles until that holds or
-    MAX_GRID is exceeded.
+    MAX_GRID is exceeded.  Every other point of the doubled grid is a point
+    of the current one (the grid phases are reduced exactly in integers), so
+    only the new midpoints are solved.
 
     Parameters
     ----------
@@ -274,24 +321,24 @@ def track_bands(
     """
     if base_grid < 64 or base_grid & (base_grid - 1):
         raise DomainError("base_grid must be a power of two >= 64")
-    report = verify_unitary_symbol(walk, 256, 1e-8)
-    if not report.passed:
-        raise UnitarityError(
-            f"symbol not unitary: max deviation {report.max_deviation:.3e}"
-        )
+    _require_unitary(walk)
     grid = base_grid
-    system = _build_system(walk, grid, tol)
+    vals = np.linalg.eigvals(walk.grid_eval(grid))
+    system = _build_system(vals, tol)
     while True:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
                 f"grid resolution exceeded ({MAX_GRID}) without stable tracking"
             )
-        finer = _build_system(walk, 2 * grid, tol)
+        finer_vals = np.empty((2 * grid, walk.n), dtype=complex)
+        finer_vals[::2] = vals
+        finer_vals[1::2] = np.linalg.eigvals(walk.grid_eval(2 * grid)[1::2])
+        finer = _build_system(finer_vals, tol)
         shared = _subsample_system(finer, grid)
         if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
             return system
         grid *= 2
-        system = finer
+        vals, system = finer_vals, finer
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +414,6 @@ def is_decomposable(system: EigenSystem) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _match_band_sets(
-    left: list[Band], right: list[Band], base_grid: int, tol: float
-) -> bool:
-    """Exact bipartite matching of bands by (d, multiplicity, rotation distance)."""
-    if len(left) != len(right):
-        return False
-    if not left:
-        return True
-    band = left[0]
-    for idx, other in enumerate(right):
-        if other.d != band.d or other.multiplicity != band.multiplicity:
-            continue
-        if rotation_distance(band.samples, other.samples, base_grid) >= tol:
-            continue
-        if _match_band_sets(left[1:], right[:idx] + right[idx + 1 :], base_grid, tol):
-            return True
-    return False
-
-
 def are_conjugate(
     w1: SymbolMatrix,
     w2: SymbolMatrix,
@@ -394,32 +422,37 @@ def are_conjugate(
 ) -> bool:
     """Whether two walks share an indecomposable eigenvalue-function system.
 
-    Systems are compared band by band, matching covering degree and
-    multiplicity, with sample loops compared up to rotation of the covering
-    argument by roots of unity.
+    The bands are the analytic branches of the roots of det(lambda - U(z)),
+    so two walks have the same refined system, multiplicities included,
+    exactly when their characteristic polynomials agree; no band is tracked.
+    Both walks must pass the unitarity check.  The distance is the largest
+    coefficient difference over all lambda-powers and shifts: at most
+    CHAR_POLY_TOL times the coefficient scale (at least 1) is conjugate, at
+    least `tol` is not, and a distance in between raises ResolutionError.
+    Walks of different dimension are not conjugate.  `base_grid` is accepted
+    for compatibility and unused.
     """
-    return w1.n == w2.n and _systems_match(
-        track_bands(w1, base_grid, tol), track_bands(w2, base_grid, tol), tol
+    _require_unitary(w1)
+    _require_unitary(w2)
+    return _char_polys_match(w1, w2, tol)
+
+
+def _char_polys_match(w1: SymbolMatrix, w2: SymbolMatrix, tol: float) -> bool:
+    """The char-poly verdict of are_conjugate, for walks already checked unitary."""
+    if w1.n != w2.n:
+        return False
+    pairs = list(zip(char_poly(w1).coeffs, char_poly(w2).coeffs))
+    distance = max(a.max_coeff_distance(b) for a, b in pairs)
+    scale = max(abs(c) for pair in pairs for poly in pair for c in poly.coeffs.values())
+    same = CHAR_POLY_TOL * scale  # at least CHAR_POLY_TOL: both are monic
+    if distance <= same:
+        return True
+    if distance >= tol:
+        return False
+    raise ResolutionError(
+        f"characteristic polynomials differ by {distance:.3e}: above the "
+        f"conjugate edge {same:.3e}, below the non-conjugate edge {tol:.3e}"
     )
-
-
-def _systems_match(sys1: EigenSystem, sys2: EigenSystem, tol: float) -> bool:
-    """The band-by-band comparison of are_conjugate, on the coarser of the two grids."""
-    if sys1.base_grid != sys2.base_grid:
-        coarse = min(sys1.base_grid, sys2.base_grid)
-        sys1 = _subsample_system(sys1, coarse)
-        sys2 = _subsample_system(sys2, coarse)
-    return _match_band_sets(list(sys1.bands), list(sys2.bands), sys1.base_grid, tol)
-
-
-def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
-    step = system.base_grid // coarse
-    if step == 1:
-        return system
-    bands = tuple(
-        Band(b.d, b.samples[::step], b.winding, b.multiplicity) for b in system.bands
-    )
-    return EigenSystem(bands, system.n, coarse, system.indecomposable)
 
 
 # ---------------------------------------------------------------------------

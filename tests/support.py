@@ -18,7 +18,9 @@ from zqwalk import (
     compose,
     direct_sum,
     lambda_coeffs_from_samples,
+    track_bands,
 )
+from zqwalk.spectral import _build_system, _match_band_sets, _subsample_system
 
 SAMPLE_GRID = 4096
 SPECTRAL_TAIL = 1e-8
@@ -189,6 +191,41 @@ def entrywise_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
     for _ in range(t):
         result = entrywise_compose(result, walk)
     return result
+
+
+# -- tracking references ------------------------------------------------------------
+
+
+def tracked_conjugacy(
+    w1: SymbolMatrix, w2: SymbolMatrix, tol: float = 1e-6, base_grid: int = 1024
+) -> bool:
+    """Oracle for `zqwalk.are_conjugate`: track both walks and match their bands.
+
+    Systems are compared band by band on the coarser of the two grids,
+    matching covering degree and multiplicity, with sample loops compared up
+    to rotation of the covering argument by roots of unity.
+    """
+    if w1.n != w2.n:
+        return False
+    sys1, sys2 = track_bands(w1, base_grid, tol), track_bands(w2, base_grid, tol)
+    coarse = min(sys1.base_grid, sys2.base_grid)
+    sys1, sys2 = _subsample_system(sys1, coarse), _subsample_system(sys2, coarse)
+    return _match_band_sets(list(sys1.bands), list(sys2.bands), coarse, tol)
+
+
+def full_grid_track_bands(
+    walk: SymbolMatrix, base_grid: int = 1024, tol: float = 1e-6
+) -> EigenSystem:
+    """Reference for `zqwalk.track_bands`: every doubled grid solved in full."""
+    grid = base_grid
+    system = _build_system(np.linalg.eigvals(walk.grid_eval(grid)), tol)
+    while True:
+        finer = _build_system(np.linalg.eigvals(walk.grid_eval(2 * grid)), tol)
+        shared = _subsample_system(finer, grid)
+        if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
+            return system
+        grid *= 2
+        system = finer
 
 
 def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:

@@ -410,16 +410,22 @@ def test_cli_checks_unitarity_once_per_walk(spec_dir, tmp_path, capsys, monkeypa
     assert f"error: {bad}: symbol not unitary" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
+    # neither the import nor a conjugacy verdict, which tracks nothing, loads scipy
     src = Path(zio.__file__).resolve().parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import zqwalk, zqwalk.cli; "
+        "sys.argv[2:] and zqwalk.cli.main(sys.argv[2:]); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    conjugate = ["conjugate", FIXTURES / "hadamard.json",
+                 FIXTURES / "modified_hadamard.json", "--out", tmp_path / "c"]
+    for argv, printed in (([], []), (conjugate, ["false"])):
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(src), *map(str, argv)],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines() == printed + ["[]"]
 
 
 def test_cli_vector_where_walk_expected(spec_dir, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -34,11 +37,13 @@ from zqwalk import (
 from support import (
     conjugated_coined_sum,
     fft_band_velocities,
+    full_grid_track_bands,
     random_constant_unitary,
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
     schur_band_projections,
+    tracked_conjugacy,
 )
 from zqwalk.spectral import _best_separated_point, _subsample_system
 
@@ -80,6 +85,20 @@ def test_track_grover_structure(tracked_corpus):
         else:
             want = grover_lambda(covering_angles(2))
             assert rotation_distance(band.samples, want, M) < 1e-7
+
+
+def test_certificate_reuses_coarse_eigenvalues(corpus):
+    # the even points of a doubled grid are the coarse grid bit for bit, so
+    # solving only the new midpoints leaves every tracked system unchanged;
+    # split-step n = 8 escalates from grid 64 and hands its grid on
+    cases = [(walk, grid) for walk in corpus.values() for grid in (64, 1024)]
+    for n in range(2, 9):
+        walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
+        cases += [(walk, 64), (walk, 1024)]
+    for walk, grid in cases:
+        assert np.array_equal(walk.grid_eval(2 * grid)[::2], walk.grid_eval(grid))
+        assert track_bands(walk, grid) == full_grid_track_bands(walk, grid)
+    assert track_bands(cases[-2][0], 64).base_grid == 128
 
 
 def test_track_requires_unitary():
@@ -234,6 +253,49 @@ def test_conjugate_by_constant_unitary(rng):
 
 def test_opposite_shifts_not_conjugate():
     assert not are_conjugate(SymbolMatrix.shift(1), SymbolMatrix.shift(-1), base_grid=64)
+
+
+def _conjugate_by(walk, v):
+    return compose(
+        SymbolMatrix.from_constant(v), compose(walk, SymbolMatrix.from_constant(v.conj().T))
+    )
+
+
+def test_conjugacy_matches_tracked_oracle(corpus):
+    # conjugate and non-conjugate pairs, including the near-avoided crossing
+    # whose tracked windings are wrong but identical on both sides
+    rng = np.random.default_rng(7)
+    pairs = list(itertools.combinations_with_replacement(corpus.values(), 2))
+    pairs.append((direct_sum(coined_walk(), coined_walk()), conjugated_coined_sum(5)))
+    for n in (2, 3, 4, 6):
+        walk = random_split_step_walk(np.random.default_rng(500 + n), n, 1 + n % 3)
+        other = random_split_step_walk(np.random.default_rng(600 + n), n, 1 + n % 3)
+        pairs += [(walk, _conjugate_by(walk, random_constant_unitary(rng, n))), (walk, other)]
+    near = coined_walk(np.sqrt(1 - 1e-6), 1e-3)
+    pairs.append((near, _conjugate_by(near, random_constant_unitary(rng, 2))))
+    verdicts = [are_conjugate(w1, w2) for w1, w2 in pairs]
+    assert verdicts == [tracked_conjugacy(w1, w2) for w1, w2 in pairs]
+    assert sum(verdicts) == 3 + 1 + 4 + 1
+
+
+def test_conjugacy_refusal_band():
+    walk = coined_walk()
+    theta = np.pi / 4 + 1e-9
+    nudged = coined_walk(np.cos(theta), np.sin(theta))
+    distance = f"{abs(np.cos(theta) - 2**-0.5):.3e}"
+    with pytest.raises(ResolutionError, match=re.escape(distance)) as err:
+        are_conjugate(walk, nudged)
+    assert "1.000e-12" in str(err.value) and "1.000e-06" in str(err.value)
+    # at or above tol the verdict is a plain False
+    assert not are_conjugate(walk, nudged, tol=1e-10)
+    assert not are_conjugate(walk, coined_walk(np.cos(0.3), np.sin(0.3)))
+
+
+def test_conjugacy_requires_unitary():
+    bad = SymbolMatrix.from_constant(np.diag([1.0, 2.0]))
+    for w1, w2 in ((bad, coined_walk()), (coined_walk(), bad)):
+        with pytest.raises(UnitarityError):
+            are_conjugate(w1, w2)
 
 
 def test_track_conjugation_invariance(rng, corpus):
