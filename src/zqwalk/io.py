@@ -18,6 +18,7 @@ written with 17 significant digits, '.' decimal separator, no locale.
 from __future__ import annotations
 
 import json
+import sys
 from typing import IO, Iterable
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import SpecFormatError
 from .laurent import LaurentPoly
 from .limit import LimitMeasure, MomentComparison
 from .model import CtGenerator, ModelWalkSpec
-from .simulate import PositionDistribution, StateVector
+from .simulate import PositionDistribution, StateVector, _settle
 from .spectral import Band, EigenSystem
 from .symbol import SymbolMatrix
 
@@ -45,8 +46,10 @@ def _require(obj, key, kind, where):
         if not isinstance(value, int) or isinstance(value, bool):
             raise SpecFormatError(f"{where}.{key}: expected an integer")
     elif kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SpecFormatError(f"{where}.{key}: expected a number")
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # NaN, the infinities and integers beyond the float range fail the bound
+        if not (numeric and abs(value) <= sys.float_info.max):
+            raise SpecFormatError(f"{where}.{key}: expected a finite number")
         value = float(value)
     elif kind is list:
         if not isinstance(value, list):
@@ -126,24 +129,24 @@ def model_from_json(data: dict) -> ModelWalkSpec:
 def state_to_json(xi: StateVector) -> dict:
     amps = [
         {"site": s, "channel": k, "re": a.real, "im": a.imag}
-        for (s, k), a in sorted(xi.amplitudes.items())
+        for s, k, a in zip(xi.sites.tolist(), xi.channels.tolist(), xi.values.tolist())
     ]
     return {"n": xi.n, "amps": amps}
 
 
 def state_from_json(data: dict) -> StateVector:
     n = _require(data, "n", int, "vector")
-    amps: dict[tuple[int, int], complex] = {}
+    sites, chans, values = [], [], []
     for idx, item in enumerate(_require(data, "amps", list, "vector")):
         where = f"vector.amps[{idx}]"
-        site = _require(item, "site", int, where)
-        chan = _require(item, "channel", int, where)
-        if not 1 <= chan <= n:
+        sites.append(_require(item, "site", int, where))
+        chans.append(_require(item, "channel", int, where))
+        if not 1 <= chans[-1] <= n:
             raise SpecFormatError(f"{where}.channel: outside 1..{n}")
         re = _require(item, "re", float, where)
         im = _require(item, "im", float, where)
-        amps[(site, chan)] = amps.get((site, chan), 0.0) + complex(re, im)
-    return StateVector(amps, n)
+        values.append(complex(re, im))
+    return _settle(sites, chans, values, n)  # sums repeated entries in file order
 
 
 def parse_spec(source: str | IO) -> SymbolMatrix | ModelWalkSpec | StateVector:

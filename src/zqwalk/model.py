@@ -18,7 +18,7 @@ import numpy as np
 from .circle import winding_of_samples
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .simulate import StateVector, apply_walk
+from .simulate import StateVector, _settle, apply_walk
 from .symbol import SymbolMatrix
 
 UNIMODULAR_TOL = 1e-9
@@ -80,21 +80,15 @@ def build_model_walk(
 
 def interleave_channels(xi: StateVector) -> StateVector:
     """Map the d-channel vector onto one lattice: (site s, channel k) -> site k + d*s."""
-    d = xi.n
-    amps = {(k + d * s, 1): a for (s, k), a in xi.amplitudes.items()}
-    return StateVector(amps, 1)
+    return _settle(xi.channels + xi.n * xi.sites, np.ones_like(xi.channels), xi.values, 1)
 
 
 def deinterleave_channels(xi: StateVector, d: int) -> StateVector:
     """Inverse of interleave_channels for a 1-channel vector."""
     if xi.n != 1:
         raise DomainError("deinterleave expects a 1-channel vector")
-    amps = {}
-    for (sigma, _k), a in xi.amplitudes.items():
-        k = (sigma - 1) % d + 1
-        s = (sigma - k) // d
-        amps[(s, k)] = a
-    return StateVector(amps, d)
+    k = (xi.sites - 1) % d + 1
+    return _settle((xi.sites - k) // d, k, xi.values, d)
 
 
 def rearrangement_check(

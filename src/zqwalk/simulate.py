@@ -1,49 +1,57 @@
 """Time-domain evolution of finitely supported vectors under a walk.
 
-Single applications are exact sparse convolutions on (site, channel)
-dictionaries; `apply_walk` is the reference the long evolutions are tested
-against.  Long evolutions go through the symbol: a finite-propagation symbol
-splits exactly as U(z) = z^m0 V(z^g), the shift factor moves every site by
-m0 t, and V^t, a polynomial of degree D t, is applied on each residue class of
-the support mod g by binary powering on a circle grid wider than the class's
-light cone, so no aliasing occurs.  Sites outside those light cones (in
-particular off x + m0 t + gZ) are exactly zero; inside, the error is of order
-t times machine epsilon.  A
-Fourier-side evolution on a power-of-two grid is kept as a cross-check.  The
-locality class of initial data is `classify_decay` with renamed kinds.
+A state is three read-only arrays (sites, channels, values) sorted by (site,
+channel), each key once, no exact zeros; `_settle` builds that layout for
+every producer.  Single applications are exact sparse convolutions, the
+reference the long evolutions are tested against.  Long evolutions go through
+the symbol: a finite-propagation symbol splits exactly as U(z) = z^m0 V(z^g),
+the shift factor moves every site by m0 t, and V^t, a polynomial of degree
+D t, is applied on each residue class of the support mod g by binary powering
+on a circle grid wider than the class's light cone, so no aliasing occurs.
+Sites outside those light cones (in particular off x + m0 t + gZ) are exactly
+zero; inside, the error is of order t times machine epsilon.  A Fourier-side
+evolution on a power-of-two grid is kept as a cross-check.  The locality
+class of initial data is `classify_decay` with renamed kinds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError
-from .symbol import SymbolMatrix, classify_decay
+from .symbol import SymbolMatrix, _circle_values, classify_decay
 
 AMP_PRUNE = 1e-14
 
+# Largest |site| a state may hold: site / t stays exact in floating point and
+# int64 site arithmetic stays far from overflow.
+MAX_SITE = 2**53
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class StateVector:
-    """Finitely supported amplitudes on (site, channel), channels 1..n."""
+    """Finitely supported amplitudes on (site, channel), channels 1..n.
 
-    amplitudes: Mapping[tuple[int, int], complex]
+    Stored as read-only arrays `sites`, `channels` and `values`, sorted by
+    (site, channel), one entry per key and no exact zeros.
+    `StateVector(amplitudes, n)` converts a {(site, channel): amplitude}
+    mapping, which `amplitudes` rebuilds on each access as a read-only view.
+    """
+
     n: int
+    sites: np.ndarray
+    channels: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        amps = {}
-        for (s, k), a in self.amplitudes.items():
-            if not 1 <= k <= self.n:
-                raise DomainError(f"channel {k} outside 1..{self.n}")
-            a = complex(a)
-            if a != 0:
-                amps[(int(s), int(k))] = a
-        object.__setattr__(self, "amplitudes", amps)
+    def __init__(self, amplitudes: Mapping[tuple[int, int], complex], n: int) -> None:
+        keys = np.array(list(amplitudes)).reshape(len(amplitudes), 2)
+        settled = _settle(keys[:, 0], keys[:, 1], list(amplitudes.values()), n)
+        self.__dict__.update(vars(settled))
 
     @classmethod
     def delta(cls, site: int, channel: int, n: int) -> "StateVector":
@@ -52,43 +60,74 @@ class StateVector:
     @classmethod
     def from_channel_vector(cls, site: int, vec, n: int | None = None) -> "StateVector":
         vec = np.asarray(vec, dtype=complex)
-        n = n or len(vec)
-        return cls({(site, k + 1): vec[k] for k in range(len(vec))}, n)
+        return _settle([site] * len(vec), np.arange(1, len(vec) + 1), vec, n or len(vec))
+
+    @property
+    def amplitudes(self) -> Mapping[tuple[int, int], complex]:
+        """{(site, channel): amplitude}, rebuilt on each access."""
+        keys = zip(self.sites.tolist(), self.channels.tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        return float(np.linalg.norm(self.values))
 
     def distance(self, other: "StateVector") -> float:
-        keys = set(self.amplitudes) | set(other.amplitudes)
-        return float(
-            np.sqrt(
-                sum(
-                    abs(self.amplitudes.get(key, 0.0) - other.amplitudes.get(key, 0.0)) ** 2
-                    for key in keys
-                )
-            )
-        )
+        sites = np.concatenate([self.sites, other.sites])
+        channels = np.concatenate([self.channels, other.channels])
+        values = np.concatenate([self.values, -other.values])
+        return _settle(sites, channels, values, max(self.n, other.n)).norm()
 
     def site_profile(self) -> dict[int, float]:
         """l2 amplitude magnitude per site (square root of the site probability)."""
-        acc: dict[int, float] = {}
-        for (s, _k), a in self.amplitudes.items():
-            acc[s] = acc.get(s, 0.0) + abs(a) ** 2
-        return {s: float(np.sqrt(v)) for s, v in acc.items()}
+        probs = position_distribution(self).probs
+        return {s: float(np.sqrt(p)) for s, p in probs.items()}
 
     @property
     def support_radius(self) -> int:
-        if not self.amplitudes:
-            return 0
-        return max(abs(s) for (s, _k) in self.amplitudes)
+        return int(np.max(np.abs(self.sites), initial=0))
 
     def fourier_samples(self, grid_size: int) -> np.ndarray:
         """xi_hat on a uniform circle grid, shape (grid_size, n); exact Fourier sums."""
-        z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-        out = np.zeros((grid_size, self.n), dtype=complex)
-        for (s, k), a in self.amplitudes.items():
-            out[:, k - 1] += a * z**s
-        return out
+        occupied, row = np.unique(self.sites, return_inverse=True)
+        placed = np.zeros((len(occupied), self.n), dtype=complex)
+        placed[row, self.channels - 1] = self.values
+        return _circle_values(placed, occupied, grid_size)
+
+
+def _settle(sites, channels, values, n: int) -> StateVector:
+    """The state with amplitude values[i] at (sites[i], channels[i]).
+
+    Sorts stably by (site, channel), sums the values of a repeated key in input
+    order starting from zero, drops exact zeros and marks the arrays
+    read-only.  Raises DomainError for a channel outside 1..n, a site beyond
+    MAX_SITE or a non-finite value.
+    """
+    sites, channels = np.ravel(sites), np.ravel(channels)
+    values = np.ravel(np.asarray(values, dtype=complex))
+    far = (sites < -MAX_SITE) | (sites > MAX_SITE)
+    if far.any():
+        raise DomainError(f"site {sites[far][0]} outside -2**53..2**53")
+    stray = (channels < 1) | (channels > n)
+    if stray.any():
+        raise DomainError(f"channel {channels[stray][0]} outside 1..{n}")
+    if not np.isfinite(values).all():
+        raise DomainError("amplitudes must be finite")
+    sites, channels = sites.astype(np.int64), channels.astype(np.int64)
+    order = np.lexsort((channels, sites))
+    sites, channels, values = sites[order], channels[order], values[order]
+    first = np.concatenate([[True], (np.diff(sites) != 0) | (np.diff(channels) != 0)])
+    if not first.all():
+        summed = np.zeros(np.count_nonzero(first), dtype=complex)
+        np.add.at(summed, np.cumsum(first) - 1, values)
+        sites, channels, values = sites[first], channels[first], summed
+    live = values != 0
+    xi = object.__new__(StateVector)
+    object.__setattr__(xi, "n", n)
+    for name, array in (("sites", sites), ("channels", channels), ("values", values)):
+        array = array[live]
+        array.flags.writeable = False
+        object.__setattr__(xi, name, array)
+    return xi
 
 
 @dataclass(frozen=True)
@@ -114,26 +153,12 @@ def apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:
     """One exact convolution step; support grows by at most the propagation radius."""
     if walk.n != xi.n:
         raise DomainError(f"dimension mismatch: walk n={walk.n}, vector n={xi.n}")
-    coeffs = walk.coefficient_sequences()
-    out: dict[tuple[int, int], complex] = {}
-    for (t, l), a in xi.amplitudes.items():
-        for shift, mat in coeffs.items():
-            col = mat[:, l - 1]
-            for k in range(walk.n):
-                c = col[k]
-                if c != 0:
-                    key = (t + shift, k + 1)
-                    out[key] = out.get(key, 0.0) + c * a
-    return StateVector(out, walk.n)
-
-
-def _entries(xi: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """The (site, channel) keys of xi as an (N, 2) int array, and the amplitudes."""
-    count = len(xi.amplitudes)
-    keys = np.fromiter(
-        (v for key in xi.amplitudes for v in key), dtype=np.int64, count=2 * count
-    ).reshape(count, 2)
-    return keys, np.fromiter(xi.amplitudes.values(), dtype=complex, count=count)
+    live = np.any(walk.coeffs != 0, axis=(1, 2))
+    # [e, s, k] = C_s[k, l] a for the entry (x, l, a) of xi: it lands on (x + s, k)
+    terms = walk.coeffs[live].transpose(2, 0, 1)[xi.channels - 1] * xi.values[:, None, None]
+    sites = xi.sites[:, None, None] + walk.shifts[live][:, None]
+    channels = np.arange(1, walk.n + 1)
+    return _settle(*np.broadcast_arrays(sites, channels, terms), walk.n)
 
 
 def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
@@ -157,7 +182,7 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
         raise DomainError("time must be nonnegative")
     if walk.n != xi.n:
         raise DomainError(f"dimension mismatch: walk n={walk.n}, vector n={xi.n}")
-    if t == 0 or not xi.amplitudes:
+    if t == 0 or not len(xi.values):
         return xi
     n = walk.n
     if not len(walk.coeffs):
@@ -167,9 +192,8 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     g = math.gcd(*live.tolist()) or 1
     degree = int(live[-1]) // g
 
-    keys, values = _entries(xi)
-    residues = keys[:, 0] % g
-    y = (keys[:, 0] - residues) // g
+    residues = xi.sites % g
+    y = (xi.sites - residues) // g
     # One column per residue class r of the support mod g, on its sublattice
     # y = (x - r) / g, where the light cone of the class fills low .. high + D t.
     classes, column = np.unique(residues, return_inverse=True)
@@ -180,7 +204,7 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     widths = highs - lows + degree * t + 1
     size = next_fast_len(int(widths.max()))
     psi = np.zeros((n, len(classes), size), dtype=complex)
-    psi[keys[:, 1] - 1, column, y - lows[column]] = values
+    psi[xi.channels - 1, column, y - lows[column]] = xi.values
     vec = np.fft.ifft(psi, axis=-1)
 
     # V(w) = sum_j C_{m0 + g j} w^j at w_m = exp(2 pi i m / M), channel-major
@@ -197,15 +221,9 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
             base = np.einsum("ijm,jkm->ikm", base, base)
     del base
     out = np.fft.fft(vec, axis=-1)
-
-    amps: dict[tuple[int, int], complex] = {}
-    for c, r in enumerate(classes.tolist()):
-        sites = m0 * t + r + g * (lows[c] + np.arange(widths[c]))
-        for k in range(n):
-            row = out[k, c, : widths[c]]
-            nz = np.flatnonzero(row)
-            amps.update(zip(zip(sites[nz].tolist(), repeat(k + 1)), row[nz].tolist()))
-    return StateVector(amps, n)
+    # the nonzero values inside each class's cone, lows[c] .. lows[c] + widths[c] - 1
+    k, c, j = np.nonzero((out != 0) & (np.arange(size) < widths[:, None]))
+    return _settle(m0 * t + classes[c] + g * (lows[c] + j), k + 1, out[k, c, j], n)
 
 
 def fourier_position_distribution(
@@ -216,26 +234,13 @@ def fourier_position_distribution(
     need = 2 * (xi.support_radius + radius * t) + 1
     grid = 1 << int(np.ceil(np.log2(max(need, 2))))
     xh = xi.fourier_samples(grid)  # (grid, n)
-    symbols = walk.grid_eval(grid)
-    power = np.broadcast_to(np.eye(walk.n, dtype=complex), symbols.shape).copy()
-    base = symbols
-    tt = t
-    while tt:
-        if tt & 1:
-            power = power @ base
-        base = base @ base if tt > 1 else base
-        tt >>= 1
-    evolved = np.einsum("mij,mj->mi", power, xh)
+    evolved = np.einsum("mij,mj->mi", np.linalg.matrix_power(walk.grid_eval(grid), t), xh)
     # xi_hat(z_m) = sum_s xi(s) z_m^s is an inverse DFT up to ordering, so the
     # forward FFT with 1/grid recovers amplitudes by frequency.
     amps_freq = np.fft.fft(evolved, axis=0) / grid  # (grid, n), index = site mod grid
-    probs = {}
-    for f in range(grid):
-        s = f if f <= grid // 2 else f - grid
-        p = float(np.sum(np.abs(amps_freq[f]) ** 2))
-        if p > 0:
-            probs[s] = p
-    return PositionDistribution(probs, time=t)
+    probs = np.sum(np.abs(amps_freq) ** 2, axis=1)
+    sites = np.arange(grid) - grid * (np.arange(grid) > grid // 2)
+    return PositionDistribution(dict(zip(sites.tolist(), probs.tolist())), time=t)
 
 
 def truncate_amplitudes(
@@ -247,18 +252,15 @@ def truncate_amplitudes(
     representation: the discarded probability mass is reported so the
     truncation error stays auditable.
     """
-    kept = {key: a for key, a in xi.amplitudes.items() if abs(a) >= threshold}
-    discarded = sum(
-        abs(a) ** 2 for key, a in xi.amplitudes.items() if key not in kept
-    )
-    return StateVector(kept, xi.n), float(discarded)
+    kept = np.abs(xi.values) >= threshold
+    discarded = float(np.sum(np.abs(xi.values[~kept]) ** 2))
+    return _settle(xi.sites[kept], xi.channels[kept], xi.values[kept], xi.n), discarded
 
 
 def position_distribution(xi: StateVector, time: int = 0) -> PositionDistribution:
     """probs(s) = sum over channels of |xi(s, k)|^2."""
-    keys, values = _entries(xi)
-    occupied, index = np.unique(keys[:, 0], return_inverse=True)
-    probs = np.bincount(index, weights=np.abs(values) ** 2, minlength=len(occupied))
+    occupied, index = np.unique(xi.sites, return_inverse=True)
+    probs = np.bincount(index, weights=np.abs(xi.values) ** 2, minlength=len(occupied))
     return PositionDistribution(dict(zip(occupied.tolist(), probs.tolist())), time=time)
 
 
@@ -266,8 +268,7 @@ def rescaled_moment(xi: StateVector, t: int, m: int) -> float:
     """m-th moment of the site distribution pushed through s -> s/t."""
     if t <= 0:
         raise DomainError("t must be positive")
-    keys, values = _entries(xi)
-    return float(np.sum((keys[:, 0] / t) ** m * np.abs(values) ** 2))
+    return float(np.sum((xi.sites / t) ** m * np.abs(xi.values) ** 2))
 
 
 # ---------------------------------------------------------------------------

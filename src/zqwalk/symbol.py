@@ -134,10 +134,10 @@ class SymbolMatrix:
 
 
 def _circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndarray:
-    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), shape (grid, n, n)."""
-    # z_k^s = exp(2 pi i (k s mod M) / M), reduced exactly in integers first
-    phase = np.exp(2j * np.pi * (np.outer(np.arange(grid), shifts) % grid) / grid)
-    return (phase @ coeffs.reshape(len(coeffs), -1)).reshape((grid,) + coeffs.shape[1:])
+    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), shape (grid, ...)."""
+    # z_k^s = exp(2 pi i (k (s mod M) mod M) / M): exact integers, no overflow
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(grid), shifts % grid) % grid) / grid)
+    return np.tensordot(phase, coeffs, axes=1)
 
 
 def eval_symbol(walk: SymbolMatrix, z: complex) -> np.ndarray:

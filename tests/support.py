@@ -193,6 +193,26 @@ def entrywise_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
     return result
 
 
+# -- dictionary stepping, the reference for the array apply_walk ---------------------
+
+
+def dict_apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:
+    """One exact convolution step, accumulated in a (site, channel) dictionary."""
+    if walk.n != xi.n:
+        raise DomainError(f"dimension mismatch: walk n={walk.n}, vector n={xi.n}")
+    coeffs = walk.coefficient_sequences()
+    out: dict[tuple[int, int], complex] = {}
+    for (t, l), a in xi.amplitudes.items():
+        for shift, mat in coeffs.items():
+            col = mat[:, l - 1]
+            for k in range(walk.n):
+                c = col[k]
+                if c != 0:
+                    key = (t + shift, k + 1)
+                    out[key] = out.get(key, 0.0) + c * a
+    return StateVector(out, walk.n)
+
+
 # -- tracking references ------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from zqwalk import (
     coined_walk,
     compare_empirical,
     direct_sum,
+    evolve,
     grover_walk_3,
     modified_coined_walk,
     refine_system,
@@ -26,6 +27,7 @@ from zqwalk import (
 )
 from support import (
     conjugated_coined_sum,
+    random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
 )
@@ -150,10 +152,53 @@ def test_walk_json_round_trip():
             assert poly.coeffs == want, name
 
 
+# sha256 of json.dumps(state_to_json(xi)), recorded when every state was a
+# (site, channel) dictionary: the wire bytes and evolve's values must not move
+STATE_JSON_SHA256 = {
+    "delta0_ch1": "4143afb1c294a16478aad9bf762ce5849081b61f04ed7b7aa984d9514817a677",
+    "delta0_ch2_3state": "0c24f4742760a60af40d3e817f9ff18c456f7cc42333a67c77a935f4ca61e980",
+    "random_local_n2": "c7f39a17dd149dd3f332e4de98458df89e5bf23d5b6432c5ddcbdd218918f32f",
+    "random_local_n3": "bb87bf4dddb52eb2f9919abf9f80492e9bf083fe2b022c2a8e76392baca4d275",
+    "random_local_n4": "3ee8262e6bd6e90f9126afb52709b61184e247b9c8cfd7fd84754a622dba603c",
+    "evolve_coined_t400": "4e90efa61d456bf05ae5240a680fe7ac630b645b0045da95dcb69430189233ab",
+    "evolve_modified_t400": "4cc8889a572c94d50ff81e734149a390f96b7743cc85058c69bbb1f13e9017c1",
+    "evolve_grover3_t400": "cd034b7d1fc23df003b924f7fcedd187ba8769686acef3bba2388055e7c19435",
+}
+
+
+def _pinned_states() -> dict:
+    states = {
+        name: zio.parse_spec((FIXTURES / f"{name}.json").read_text())
+        for name in ("delta0_ch1", "delta0_ch2_3state")
+    }
+    for n in range(2, 5):
+        states[f"random_local_n{n}"] = random_local_state(np.random.default_rng(500 + n), n)
+    for name, fixture, xi in (("coined", "hadamard", states["delta0_ch1"]),
+                              ("modified", "modified_hadamard", states["delta0_ch1"]),
+                              ("grover3", "grover3", states["delta0_ch2_3state"])):
+        walk = zio.parse_spec((FIXTURES / f"{fixture}.json").read_text())
+        states[f"evolve_{name}_t400"] = evolve(walk, xi, 400)
+    return states
+
+
 def test_state_json_round_trip():
     xi = StateVector({(0, 1): 0.25 + 0.5j, (-3, 2): -1 / 3}, 2)
     again = zio.state_from_json(json.loads(json.dumps(zio.state_to_json(xi))))
     assert again.distance(xi) == 0.0
+    for name, xi in _pinned_states().items():
+        text = json.dumps(zio.state_to_json(xi))
+        assert hashlib.sha256(text.encode()).hexdigest() == STATE_JSON_SHA256[name], name
+        again = zio.state_from_json(json.loads(text))
+        assert again.amplitudes == xi.amplitudes, name
+
+
+def test_state_from_json_sums_repeated_entries():
+    amps = [{"site": 2, "channel": 1, "re": 0.25, "im": 0.0},
+            {"site": -1, "channel": 2, "re": 1.0, "im": 0.0},
+            {"site": 2, "channel": 1, "re": 0.5, "im": 1.0},
+            {"site": -1, "channel": 2, "re": -1.0, "im": 0.0}]
+    xi = zio.state_from_json({"n": 2, "amps": amps})
+    assert xi.amplitudes == {(2, 1): 0.75 + 1j}
 
 
 def test_eigensystem_json_round_trip():
@@ -361,6 +406,36 @@ def test_cli_bad_json_exit_code(tmp_path, capsys):
     bad.write_text("{broken")
     assert run_cli("check", bad, "--out", tmp_path / "x") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_parse_rejects_non_finite_numbers():
+    specs = (
+        '{"n": 2, "amps": [{"site": 0, "channel": 1, "re": NaN, "im": 0.0}]}',
+        '{"n": 2, "amps": [{"site": 0, "channel": 1, "re": 1.0, "im": -Infinity}]}',
+        '{"n": 1, "amps": [{"site": 0, "channel": 1, "re": 1%s, "im": 0}]}' % ("0" * 400),
+        '{"n": 1, "entries": [{"row": 1, "col": 1, "terms": '
+        '[{"shift": 0, "re": Infinity, "im": 0.0}]}]}',
+        '{"model": {"d": 1, "lambda_coeffs": [{"shift": 1, "re": NaN, "im": 0.0}]}}',
+    )
+    for text in specs:
+        with pytest.raises(SpecFormatError, match="finite"):
+            zio.parse_spec(text)
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+def test_cli_rejects_non_finite_and_far_vectors(spec_dir, tmp_path, capsys, command):
+    entry = {"site": 0, "channel": 1, "re": 1.0, "im": 0.0}
+    cases = (({**entry, "re": float("nan")}, 2), ({**entry, "im": float("inf")}, 2),
+             ({**entry, "site": 10**20}, 5), ({**entry, "site": -(2**53) - 1}, 5))
+    for idx, (item, code) in enumerate(cases):
+        init = tmp_path / f"init{idx}.json"
+        init.write_text(json.dumps({"n": 2, "amps": [item]}))
+        argv = [command, spec_dir / "hadamard.json", "--init", init,
+                "--grid", 256, "--out", tmp_path / f"out{idx}"]
+        if command != "limit":
+            argv += ["--t", 4]
+        assert run_cli(*argv) == code, item
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cli_non_unitary_exit_code(tmp_path, capsys):

@@ -151,6 +151,20 @@ def test_measure_rejects_non_unit_vector(tracked_corpus):
         limit_measure(coined_walk(), heavy, tracked_corpus["coined"])
 
 
+@pytest.mark.parametrize("name", ["coined", "modified", "grover3"])
+def test_measure_of_far_delta_matches_origin(corpus, tracked_corpus, name):
+    walk, system = corpus[name], tracked_corpus[name]
+    channel = 2 if walk.n == 3 else 1
+    origin = limit_measure(walk, StateVector.delta(0, channel, walk.n), system)
+    for site in (10**12, 2**53, -(2**53)):
+        far = limit_measure(walk, StateVector.delta(site, channel, walk.n), system)
+        assert len(far.atoms) == len(origin.atoms), site
+        for (x, mass), (x0, mass0) in zip(far.atoms, origin.atoms):
+            assert x == x0 and abs(mass - mass0) <= 1e-13, site
+        for m in range(1, 5):
+            assert abs(limit_moments(far, m) - limit_moments(origin, m)) <= 1e-13, (site, m)
+
+
 # -- moments -----------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from zqwalk import (
     StateVector,
     SymbolMatrix,
     apply_walk,
+    build_model_walk,
     classify_initial,
     coined_walk,
     compose,
@@ -21,7 +22,13 @@ from zqwalk import (
     rescaled_moment,
     truncate_amplitudes,
 )
-from support import random_constant_unitary, random_local_state, random_split_step_walk
+from support import (
+    dict_apply_walk,
+    random_constant_unitary,
+    random_local_state,
+    random_split_step_walk,
+    random_unimodular_spec,
+)
 
 R = 2**-0.5
 
@@ -150,7 +157,7 @@ def test_evolve_matches_stepping_oracle(case):
     _name, walk, xi, fills_cone = case
     stepped = xi
     for t in range(1, max(ORACLE_TIMES) + 1):
-        stepped = apply_walk(walk, stepped)
+        stepped = dict_apply_walk(walk, stepped)
         if t not in ORACLE_TIMES:
             continue
         out = evolve(walk, xi, t)
@@ -162,6 +169,27 @@ def test_evolve_matches_stepping_oracle(case):
             assert sites == oracle, t
         else:
             assert sites >= oracle, t
+
+
+def _model_cases():
+    for d in range(1, 5):
+        rng = np.random.default_rng(400 + d)
+        spec = random_unimodular_spec(rng, d, winding=d % 3 - 1)
+        yield f"model_d{d}", build_model_walk(spec), random_local_state(rng, d, 2), True
+
+
+@pytest.mark.parametrize(
+    "case", [*_oracle_cases(), *_model_cases()], ids=lambda case: case[0]
+)
+def test_apply_walk_matches_dict_oracle(case):
+    _name, walk, xi, _fills_cone = case
+    for step in range(8):
+        want = dict_apply_walk(walk, xi)
+        got = apply_walk(walk, xi)
+        assert got.amplitudes.keys() == want.amplitudes.keys(), step
+        assert np.all(np.diff(got.sites) >= 0), step
+        assert max(abs(got.amplitudes[key] - a) for key, a in want.amplitudes.items()) <= 1e-15
+        xi = want
 
 
 @pytest.mark.parametrize("name", ["coined", "modified", "grover3"])
@@ -271,3 +299,40 @@ def test_truncation_reports_discarded_mass():
     trimmed, lost = truncate_amplitudes(xi, 1e-14)
     assert (40, 1) not in trimmed.amplitudes
     assert lost == pytest.approx(1e-30, rel=1e-6)
+
+
+# -- the stored layout and its input checks -------------------------------------------
+
+
+def test_layout_sorted_unique_read_only():
+    xi = StateVector({(3, 1): 0.5, (-2, 2): 1j, (3, 2): 0.0, (-2, 1): -0.25}, 2)
+    assert xi.sites.tolist() == [-2, -2, 3]
+    assert xi.channels.tolist() == [1, 2, 1]
+    assert xi.values.tolist() == [-0.25, 1j, 0.5]
+    assert xi.amplitudes == {(-2, 1): -0.25, (-2, 2): 1j, (3, 1): 0.5}
+    with pytest.raises(TypeError):
+        xi.amplitudes[(0, 1)] = 1.0
+    for array in (xi.sites, xi.channels, xi.values):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("bad", [
+    {(0, 1): float("nan")},
+    {(0, 1): complex(0.0, float("inf"))},
+    {(10**20, 1): 1.0},
+    {(2**53 + 1, 1): 1.0},
+    {(-(2**63), 1): 1.0},
+    {(0, 3): 1.0},
+])
+def test_state_rejects_nonfinite_far_or_stray_entries(bad):
+    with pytest.raises(DomainError):
+        StateVector(bad, 2)
+
+
+def test_state_accepts_sites_up_to_two_to_the_53():
+    xi = StateVector({(2**53, 1): 0.6, (-(2**53), 2): 0.8}, 2)
+    assert xi.support_radius == 2**53
+    assert rescaled_moment(xi, 2**53, 1) == pytest.approx(-0.28, abs=1e-15)
+    with pytest.raises(DomainError):
+        apply_walk(SymbolMatrix.shift(1), StateVector.delta(2**53, 1, 1))
