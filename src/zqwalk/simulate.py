@@ -132,15 +132,10 @@ def _settle(sites, channels, values, n: int) -> StateVector:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Probability per site at a given time step."""
+    """Probability per site at a given time step, {site: probability}, kept as given."""
 
     probs: Mapping[int, float]
     time: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "probs", {int(s): float(p) for s, p in self.probs.items() if p != 0.0}
-        )
 
     def total(self) -> float:
         return float(sum(self.probs.values()))
@@ -176,8 +171,6 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     absolute error of order t times machine epsilon (binary powering of V),
     including roundoff-level values where the exact amplitude is zero.
     """
-    from scipy.fft import next_fast_len
-
     if t < 0:
         raise DomainError("time must be nonnegative")
     if walk.n != xi.n:
@@ -202,7 +195,7 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     highs = np.full(len(classes), y.min())
     np.maximum.at(highs, column, y)
     widths = highs - lows + degree * t + 1
-    size = next_fast_len(int(widths.max()))
+    size = _fast_fft_length(int(widths.max()))
     psi = np.zeros((n, len(classes), size), dtype=complex)
     psi[xi.channels - 1, column, y - lows[column]] = xi.values
     vec = np.fft.ifft(psi, axis=-1)
@@ -226,12 +219,45 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     return _settle(m0 * t + classes[c] + g * (lows[c] + j), k + 1, out[k, c, j], n)
 
 
+def _fast_fft_length(target: int) -> int:
+    """Smallest integer >= target (>= 1) with no prime factor above 11.
+
+    numpy's pocketfft transforms such lengths fastest; it is pocketfft's own
+    choice of a fast complex transform length.  Each odd part 3^a 5^b 7^c
+    11^d below the best length so far is lifted by the least power of two
+    reaching the target.
+    """
+    need = target - 1
+    best = 1 << need.bit_length()  # the power of two
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    lifted = p3 << (need // p3).bit_length()
+                    if lifted < best:
+                        best = lifted
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def fourier_position_distribution(
     walk: SymbolMatrix, xi: StateVector, t: int
 ) -> PositionDistribution:
-    """Cross-check: evolve in Fourier space on a fine grid and transform back."""
-    radius = walk.propagation_radius
-    need = 2 * (xi.support_radius + radius * t) + 1
+    """Cross-check: evolve in Fourier space on a fine grid and transform back.
+
+    The grid is the least power of two holding the light cone of the support,
+    its width plus 2 R t + 1 sites, and the site window is centred on it.
+    """
+    lo, hi = (int(xi.sites[0]), int(xi.sites[-1])) if len(xi.sites) else (0, 0)
+    reach = walk.propagation_radius * t
+    need = hi - lo + 2 * reach + 1
     grid = 1 << int(np.ceil(np.log2(max(need, 2))))
     xh = xi.fourier_samples(grid)  # (grid, n)
     evolved = np.einsum("mij,mj->mi", np.linalg.matrix_power(walk.grid_eval(grid), t), xh)
@@ -239,8 +265,9 @@ def fourier_position_distribution(
     # forward FFT with 1/grid recovers amplitudes by frequency.
     amps_freq = np.fft.fft(evolved, axis=0) / grid  # (grid, n), index = site mod grid
     probs = np.sum(np.abs(amps_freq) ** 2, axis=1)
-    sites = np.arange(grid) - grid * (np.arange(grid) > grid // 2)
-    return PositionDistribution(dict(zip(sites.tolist(), probs.tolist())), time=t)
+    first = lo - reach - (grid - need) // 2  # least site of the window
+    sites = first + (np.arange(grid) - first) % grid
+    return _distribution(sites, probs, t)
 
 
 def truncate_amplitudes(
@@ -261,7 +288,13 @@ def position_distribution(xi: StateVector, time: int = 0) -> PositionDistributio
     """probs(s) = sum over channels of |xi(s, k)|^2."""
     occupied, index = np.unique(xi.sites, return_inverse=True)
     probs = np.bincount(index, weights=np.abs(xi.values) ** 2, minlength=len(occupied))
-    return PositionDistribution(dict(zip(occupied.tolist(), probs.tolist())), time=time)
+    return _distribution(occupied, probs, time)
+
+
+def _distribution(sites: np.ndarray, probs: np.ndarray, time: int) -> PositionDistribution:
+    """The distribution of the nonzero probs, keyed by plain int sites."""
+    live = probs != 0.0
+    return PositionDistribution(dict(zip(sites[live].tolist(), probs[live].tolist())), time)
 
 
 def rescaled_moment(xi: StateVector, t: int, m: int) -> float:

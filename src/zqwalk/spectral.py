@@ -13,30 +13,41 @@ no tracking: the bands are the analytic branches of the roots of
 det(lambda - U(z)), so two walks share a refined system exactly when their
 characteristic polynomials agree, and are_conjugate compares those.
 
-Branch matching note: consecutive eigenvalue lists are matched by a
-minimal-total-distance assignment on linearly extrapolated values rather than
-on raw values.  Raw value matching cannot follow a branch through a
-transversal collision (two branches meeting at the same point of the circle
-with different derivatives, e.g. a double eigenvalue at an isolated z), while
-the extrapolated prediction stays on the analytic branch.  Correctness is
-still certified the blunt way: the refined system must be reproduced when
-the grid is doubled, otherwise the grid keeps doubling until it is.  The
-certificate compares refined systems, not raw cycles, because inside an
-exactly degenerate eigenspace (a direct sum) the raw cycle structure depends
-on how eig labels the eigenvectors, which changes from grid to grid.
+Branch matching note: each step between adjacent grid points is matched
+under a certificate.  U is normal on the circle and ||dU/dtheta||_F is at
+most L = sum_s |s| ||C_s||_F, so by Hoffman-Wielandt (1953) the spectra at
+two adjacent points of an M-point grid pair up, each eigenvalue with one of
+the other point, at distances at most delta = 2 pi L / M.  Cluster each
+point's eigenvalues at DEGENERACY_TOL; where the next point's clusters lie
+more than 2 delta apart, every eigenvalue's partner is in its nearest
+cluster, and the step matches each eigenvalue to that cluster (members of a
+cluster in index order), all such steps in one batched argmin.  The other
+steps (avoided or exact crossings the grid does not resolve) keep a
+minimum-total-distance assignment on linearly extrapolated values, taken in
+grid order, over each group of eigenvalues within 2 delta of each other; the
+extrapolated prediction stays on the analytic branch through a transversal
+collision, where raw values cannot.  The step permutations are then composed
+once.  Correctness of the whole is still certified the blunt way: the
+refined system must be reproduced when the grid is doubled, otherwise the
+grid keeps doubling until it is.  The certificate compares refined systems,
+not raw cycles, because inside an exactly degenerate eigenspace (a direct
+sum) the raw cycle structure depends on how eig labels the eigenvectors,
+which changes from grid to grid.
 
 Grid work is batched: track_bands and band_projections evaluate the symbol
 as one (M, n, n) stack and run one eigensolve over it, and the start-point
-search, eigenvalue clustering, slot matching, projection weights and
-Hellmann-Feynman group velocities are array operations over all M points.
-The limit measure takes both its weights and its velocities from that one
-band_projections eigensolve.  Only the branch matching walks the grid point
-by point, because each step extrapolates from the two before it; the
-velocities at the few self-collision points are solved one cluster at a time.
+search, eigenvalue clustering, certified matching, permutation composition,
+projection weights and Hellmann-Feynman group velocities are array
+operations over all M points.  The limit measure takes both its weights and
+its velocities from that one band_projections eigensolve.  Only the
+uncertified matching steps go point by point, because each extrapolates from
+the step before it; the velocities at the few self-collision points are
+solved one cluster at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,35 +156,131 @@ def _best_separated_point(vals: np.ndarray) -> int:
     return int(np.argmax(gaps.min(axis=(1, 2))))
 
 
-def _track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
+def _lipschitz(walk: SymbolMatrix) -> float:
+    """L = sum_s |s| ||C_s||_F, a bound on ||dU/dtheta||_F around the circle."""
+    return float(np.sum(np.abs(walk.shifts) * np.linalg.norm(walk.coeffs, axis=(1, 2))))
+
+
+def _linked(values: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage clusters of the last axis of a (..., n) value stack at tol.
+
+    [..., i, j] is True when values i and j are joined by a chain of steps
+    shorter than tol; a boolean product doubles the chain length covered, and
+    chains have at most n - 1 links.
+    """
+    linked = np.abs(values[..., :, None] - values[..., None, :]) < tol
+    for _ in range((values.shape[-1] - 1).bit_length()):
+        linked = linked @ linked
+    return linked
+
+
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-total-cost matching of a square cost matrix.
+
+    The Hungarian method by shortest augmenting paths with row and column
+    potentials, O(g^3) for g rows, on Python lists: the groups it solves are
+    small.  Index 0 of the padded lists is a virtual column.
+    """
+    g = len(cost)
+    cost = cost.tolist()
+    u, v = [0.0] * (g + 1), [0.0] * (g + 1)
+    row_of, way = [0] * (g + 1), [0] * (g + 1)  # row_of[j]: 1-based row on column j
+    for i in range(1, g + 1):
+        row_of[0], col = i, 0
+        slack, used = [math.inf] * (g + 1), [False] * (g + 1)
+        while row_of[col]:
+            used[col] = True
+            row, step, nxt = row_of[col], math.inf, 0
+            for j in range(1, g + 1):
+                if not used[j]:
+                    reduced = cost[row - 1][j - 1] - u[row] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, col
+                    if slack[j] < step:
+                        step, nxt = slack[j], j
+            for j in range(g + 1):
+                if used[j]:
+                    u[row_of[j]] += step
+                    v[j] -= step
+                else:
+                    slack[j] -= step
+            col = nxt
+        while col:
+            row_of[col] = row_of[way[col]]
+            col = way[col]
+    cols = np.empty(g, dtype=int)
+    cols[np.array(row_of[1:]) - 1] = np.arange(g)
+    return cols
+
+
+def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> np.ndarray:
+    """(M, n) step permutations: row k sends eigenvalue i at point k to row[i] at k + 1.
+
+    `delta` bounds how far any eigenvalue moves in one step, so each one's
+    Hoffman-Wielandt partner lies in the group (single linkage) of its
+    nearest eigenvalue at point k + 1 whenever the groups lie at least 2 delta
+    apart.  A step is certified where the DEGENERACY_TOL clusters of point
+    k + 1 lie more than 2 delta apart: each eigenvalue goes to its nearest
+    cluster, members in index order, all steps at once.  Elsewhere the groups
+    are taken at 2 delta, and each group of two or more is matched by minimum
+    total distance from predicted values, in grid order from kstar: a step
+    predicts by linear extrapolation through the step before it, except the
+    first, which has no history and predicts the current values.
+    """
+    grid, n = vals.shape
+    target = np.roll(vals, -1, axis=0)  # row k: the spectrum at point k + 1
+    linked = _linked(target, DEGENERACY_TOL)
+    dist = np.abs(target[:, :, None] - target[:, None, :])
+    uncertified = np.min(np.where(linked, np.inf, dist), axis=(1, 2)) <= 2 * delta
+    linked[uncertified] = _linked(target[uncertified], 2 * delta)
+    label = np.argmax(linked, axis=2)  # smallest index in each cluster or group
+    nearest = np.argmin(np.abs(vals[:, :, None] - target[:, None, :]), axis=2)
+    source = np.take_along_axis(label, nearest, axis=1)
+    if np.any(np.sort(source, axis=1) != np.sort(label, axis=1)):
+        raise ResolutionError(
+            "eigenvalues moved further than the step bound "
+            f"{delta:.3e} between adjacent grid points"
+        )
+    # sorted by (group, index), sources and targets line up group by group
+    steps = np.empty((grid, n), dtype=int)
+    np.put_along_axis(
+        steps, np.argsort(source, axis=1, kind="stable"),
+        np.argsort(label, axis=1, kind="stable"), axis=1,
+    )
+    for j in np.flatnonzero(np.roll(uncertified, -kstar)):
+        k = (kstar + j) % grid
+        predicted = 2.0 * vals[k] - vals[k - 1][np.argsort(steps[k - 1])] if j else vals[k]
+        for g in np.flatnonzero(np.bincount(label[k], minlength=n) > 1):
+            rows, cols = np.flatnonzero(source[k] == g), np.flatnonzero(label[k] == g)
+            cost = np.abs(predicted[rows, None] - target[k, cols])
+            steps[k, rows] = cols[_min_cost_assignment(cost)]
+    return steps
+
+
+def _track_cycles(vals: np.ndarray, lipschitz: float) -> list[tuple[int, np.ndarray]]:
     """Track branches through the (M, n) eigenvalue lists; return (d, samples) cycles.
 
-    The pass starts at the grid point where the spectrum is best separated, so
-    the single history-free first step never straddles a collision that
-    extrapolation would have been needed for.
+    `lipschitz` bounds ||dU/dtheta||_F (see _lipschitz).  The pass starts at
+    the grid point where the spectrum is best separated, so the single
+    history-free first step never straddles a collision that extrapolation
+    would have been needed for.
     """
-    from scipy.optimize import linear_sum_assignment
-
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
     start = vals[kstar]
     order0 = np.lexsort((start.imag, start.real, np.angle(start)))
-    path_vals = np.zeros((n, grid + 1), dtype=complex)
-    path_vals[:, 0] = start[order0]
-    cur = path_vals[:, 0].copy()
-    prev = None
-    col = order0.copy()
-    for j in range(1, grid + 1):
-        target = vals[(kstar + j) % grid]
-        predicted = cur if prev is None else 2.0 * cur - prev
-        cost = np.abs(predicted[:, None] - target[None, :])
-        _rows, col = linear_sum_assignment(cost)
-        prev = cur
-        cur = target[col]
-        path_vals[:, j] = cur
+    # chain[j] composes the pass's first j + 1 steps (inclusive scan by doubling)
+    steps = _step_permutations(vals, lipschitz * 2.0 * np.pi / grid, kstar)
+    chain = np.roll(steps, -kstar, axis=0)
+    offset = 1
+    while offset < grid:
+        chain[offset:] = np.take_along_axis(chain[offset:], chain[:-offset], axis=1)
+        offset *= 2
+    position = np.concatenate([order0[None], chain[:-1, order0]])  # (M, n) by pass step
+    path_vals = np.take_along_axis(np.roll(vals, -kstar, axis=0), position, axis=1).T
     inv = np.empty(n, dtype=int)
     inv[order0] = np.arange(n)
-    pi = inv[col]  # branch b continues as branch pi[b] after one loop
+    pi = inv[chain[-1, order0]]  # branch b continues as branch pi[b] after one loop
 
     cycles = []
     seen = np.zeros(n, dtype=bool)
@@ -246,10 +353,10 @@ def _finish_system(
     return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
-def _build_system(vals: np.ndarray, tol: float) -> EigenSystem:
+def _build_system(vals: np.ndarray, lipschitz: float, tol: float) -> EigenSystem:
     """The refined system tracked through the (M, n) eigenvalues of a circle grid."""
     grid, n = vals.shape
-    cycles = [(d, s, 1) for d, s in _track_cycles(vals)]
+    cycles = [(d, s, 1) for d, s in _track_cycles(vals, lipschitz)]
     return _finish_system(cycles, n, grid, tol)
 
 
@@ -297,9 +404,16 @@ def track_bands(
 ) -> EigenSystem:
     """Track the eigenvalue branches of a unitary symbol around the circle.
 
-    Eigenvalues are computed at `base_grid` uniform points, matched between
-    adjacent points (see module docstring), and composed into a permutation
-    whose cycles give covering degrees.  The result is refined: each cycle is
+    Eigenvalues are computed at `base_grid` uniform points and matched between
+    adjacent points under the per-step Hoffman-Wielandt certificate of the
+    module docstring: with L = sum_s |s| ||C_s||_F no eigenvalue moves
+    further than delta = 2 pi L / M in one step, so where the next point's
+    eigenvalue clusters lie more than 2 delta apart each eigenvalue goes to
+    its nearest cluster, all such steps in one batched argmin.  The remaining
+    steps, near crossings the grid does not resolve, match extrapolated
+    values by minimum total distance within each group of eigenvalues closer
+    than 2 delta.  The step permutations compose into one permutation whose
+    cycles give covering degrees.  The result is refined: each cycle is
     contracted to its minimal rotation period, and branches coinciding
     everywhere merge into one band with a multiplicity, so refine_system
     leaves it unchanged.  The refined system must be reproduced at twice the
@@ -323,8 +437,9 @@ def track_bands(
         raise DomainError("base_grid must be a power of two >= 64")
     _require_unitary(walk)
     grid = base_grid
+    lipschitz = _lipschitz(walk)
     vals = np.linalg.eigvals(walk.grid_eval(grid))
-    system = _build_system(vals, tol)
+    system = _build_system(vals, lipschitz, tol)
     while True:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
@@ -333,7 +448,7 @@ def track_bands(
         finer_vals = np.empty((2 * grid, walk.n), dtype=complex)
         finer_vals[::2] = vals
         finer_vals[1::2] = np.linalg.eigvals(walk.grid_eval(2 * grid)[1::2])
-        finer = _build_system(finer_vals, tol)
+        finer = _build_system(finer_vals, lipschitz, tol)
         shared = _subsample_system(finer, grid)
         if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
             return system
@@ -501,11 +616,7 @@ def band_projections(
     evals, vecs = np.linalg.eig(walk.grid_eval(m))
     left = np.linalg.inv(vecs)
     coeffs = (left @ xi_hat[:, :, None])[:, :, 0]
-    # linked[k, i, j]: eigenvalues i and j share a cluster; a boolean product
-    # doubles the chain length covered, and chains have at most n - 1 links
-    linked = np.abs(evals[:, :, None] - evals[:, None, :]) < cluster_tol
-    for _ in range((n - 1).bit_length()):
-        linked = linked @ linked
+    linked = _linked(evals, cluster_tol)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
     # column j of the product is the projection of xi_hat onto j's cluster
     cluster_weight = np.sum(np.abs((vecs * coeffs[:, None, :]) @ linked) ** 2, axis=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from zqwalk import (
     Band,
@@ -20,7 +21,15 @@ from zqwalk import (
     lambda_coeffs_from_samples,
     track_bands,
 )
-from zqwalk.spectral import _build_system, _match_band_sets, _subsample_system
+from zqwalk.spectral import (
+    _best_separated_point,
+    _build_system,
+    _canonical_rotation,
+    _finish_system,
+    _lipschitz,
+    _match_band_sets,
+    _subsample_system,
+)
 
 SAMPLE_GRID = 4096
 SPECTRAL_TAIL = 1e-8
@@ -233,14 +242,73 @@ def tracked_conjugacy(
     return _match_band_sets(list(sys1.bands), list(sys2.bands), coarse, tol)
 
 
+def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Reference for the branch matcher of `zqwalk.track_bands`: one assignment per point.
+
+    Walks the (M, n) eigenvalue lists from the best separated point and
+    matches each point to the next by a minimum-total-distance assignment on
+    linearly extrapolated values (raw values on the first step); returns the
+    (d, samples) cycles of the composed permutation.
+    """
+    grid, n = vals.shape
+    kstar = _best_separated_point(vals)
+    start = vals[kstar]
+    order0 = np.lexsort((start.imag, start.real, np.angle(start)))
+    path_vals = np.zeros((n, grid + 1), dtype=complex)
+    path_vals[:, 0] = start[order0]
+    cur = path_vals[:, 0].copy()
+    prev = None
+    col = order0.copy()
+    for j in range(1, grid + 1):
+        target = vals[(kstar + j) % grid]
+        predicted = cur if prev is None else 2.0 * cur - prev
+        cost = np.abs(predicted[:, None] - target[None, :])
+        _rows, col = linear_sum_assignment(cost)
+        prev = cur
+        cur = target[col]
+        path_vals[:, j] = cur
+    inv = np.empty(n, dtype=int)
+    inv[order0] = np.arange(n)
+    pi = inv[col]  # branch b continues as branch pi[b] after one loop
+
+    cycles = []
+    seen = np.zeros(n, dtype=bool)
+    for b0 in range(n):
+        if seen[b0]:
+            continue
+        cycle = [b0]
+        seen[b0] = True
+        b = int(pi[b0])
+        while b != b0:
+            cycle.append(b)
+            seen[b] = True
+            b = int(pi[b])
+        seq = np.concatenate([path_vals[b, :grid] for b in cycle])
+        samples = np.roll(seq, kstar)  # covering index 0 <-> base point z = 1
+        cycles.append((len(cycle), _canonical_rotation(samples, grid)))
+    return cycles
+
+
 def full_grid_track_bands(
-    walk: SymbolMatrix, base_grid: int = 1024, tol: float = 1e-6
+    walk: SymbolMatrix, base_grid: int = 1024, tol: float = 1e-6, assignment: bool = False
 ) -> EigenSystem:
-    """Reference for `zqwalk.track_bands`: every doubled grid solved in full."""
+    """Reference for `zqwalk.track_bands`: every doubled grid solved in full.
+
+    With `assignment`, branches are matched by `assignment_track_cycles`
+    instead of the certified matcher.
+    """
+    lipschitz = _lipschitz(walk)
+
+    def build(vals):
+        if not assignment:
+            return _build_system(vals, lipschitz, tol)
+        cycles = [(d, s, 1) for d, s in assignment_track_cycles(vals)]
+        return _finish_system(cycles, vals.shape[1], vals.shape[0], tol)
+
     grid = base_grid
-    system = _build_system(np.linalg.eigvals(walk.grid_eval(grid)), tol)
+    system = build(np.linalg.eigvals(walk.grid_eval(grid)))
     while True:
-        finer = _build_system(np.linalg.eigvals(walk.grid_eval(2 * grid)), tol)
+        finer = build(np.linalg.eigvals(walk.grid_eval(2 * grid)))
         shared = _subsample_system(finer, grid)
         if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
             return system

@@ -486,21 +486,40 @@ def test_cli_checks_unitarity_once_per_walk(spec_dir, tmp_path, capsys, monkeypa
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # neither the import nor a conjugacy verdict, which tracks nothing, loads scipy
+    # neither the import nor any subcommand loads scipy: the library runs on numpy
     src = Path(zio.__file__).resolve().parent.parent
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import zqwalk, zqwalk.cli; "
-        "sys.argv[2:] and zqwalk.cli.main(sys.argv[2:]); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import zqwalk, zqwalk.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print('scipy after import', loaded())\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    code = zqwalk.cli.main(argv)\n"
+        "    print('scipy after', argv[0], code, loaded())\n"
     )
-    conjugate = ["conjugate", FIXTURES / "hadamard.json",
-                 FIXTURES / "modified_hadamard.json", "--out", tmp_path / "c"]
-    for argv, printed in (([], []), (conjugate, ["false"])):
-        out = subprocess.run(
-            [sys.executable, "-c", code, str(src), *map(str, argv)],
-            capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.splitlines() == printed + ["[]"]
+    walks = {name: str(FIXTURES / f"{name}.json")
+             for name in ("hadamard", "modified_hadamard", "grover3")}
+    delta1, delta2 = str(FIXTURES / "delta0_ch1.json"), str(FIXTURES / "delta0_ch2_3state.json")
+    commands = [
+        ["check", walks["grover3"]],
+        ["bands", walks["grover3"]],
+        ["decompose", walks["grover3"]],
+        ["winding", walks["modified_hadamard"]],
+        ["ct-check", walks["hadamard"]],
+        ["simulate", walks["hadamard"], "--init", delta1, "--t", "100,400"],
+        ["limit", walks["grover3"], "--init", delta2],
+        ["compare", walks["hadamard"], "--init", delta1, "--t", "100,400"],
+        ["conjugate", walks["hadamard"], walks["modified_hadamard"]],
+    ]
+    for argv in commands:
+        argv += ["--out", str(tmp_path / argv[0])]
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src), json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    reports = [line for line in out.stdout.splitlines() if line.startswith("scipy after")]
+    assert reports == ["scipy after import []"] + [
+        f"scipy after {argv[0]} 0 []" for argv in commands
+    ]
 
 
 def test_cli_vector_where_walk_expected(spec_dir, tmp_path, capsys):

@@ -22,6 +22,7 @@ from zqwalk import (
     rescaled_moment,
     truncate_amplitudes,
 )
+from zqwalk.simulate import _fast_fft_length
 from support import (
     dict_apply_walk,
     random_constant_unitary,
@@ -218,8 +219,36 @@ def test_fourier_consistency():
     assert tv < 1e-6
 
 
+def test_fourier_grid_follows_the_support():
+    # the window is sized by the support's width, not by its distance to 0
+    walk, far = coined_walk(), 2**17
+    near = fourier_position_distribution(walk, StateVector.delta(0, 1, 2), 4).probs
+    moved = fourier_position_distribution(walk, StateVector.delta(far, 1, 2), 4).probs
+    assert len(near) == 16
+    assert sorted(moved) == [s + far for s in sorted(near)]
+    assert max(abs(moved[s + far] - p) for s, p in near.items()) <= 1e-12
+    # a support off the origin on one side keeps its whole light cone
+    xi = StateVector({(5, 1): R, (9, 2): R}, 2)
+    lattice = position_distribution(evolve(walk, xi, 7)).probs
+    fourier = fourier_position_distribution(walk, xi, 7).probs
+    assert all(abs(fourier[s] - p) <= 1e-14 for s, p in lattice.items())
+    assert sum(fourier.values()) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_fast_fft_length_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 2**17 + 1)
+    assert [_fast_fft_length(k) for k in targets] == [next_fast_len(k) for k in targets]
+
+
 def test_position_distribution_examples():
     assert position_distribution(StateVector.delta(0, 1, 2)).probs == {0: 1.0}
+    # plain ints and floats, as the CSV and JSON writers and cdf_distance expect
+    dist = position_distribution(evolve(grover_walk_3(), StateVector.delta(3, 2, 3), 5))
+    assert type(dist.probs) is dict
+    assert {type(s) for s in dist.probs} == {int}
+    assert {type(p) for p in dist.probs.values()} == {float}
     two = StateVector({(-1, 1): R, (1, 2): R}, 2)
     probs = position_distribution(two).probs
     assert probs[-1] == pytest.approx(0.5) and probs[1] == pytest.approx(0.5)

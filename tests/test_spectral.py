@@ -45,7 +45,14 @@ from support import (
     schur_band_projections,
     tracked_conjugacy,
 )
-from zqwalk.spectral import _best_separated_point, _subsample_system
+from zqwalk.spectral import (
+    DEGENERACY_TOL,
+    _best_separated_point,
+    _lipschitz,
+    _match_band_sets,
+    _min_cost_assignment,
+    _subsample_system,
+)
 
 M = 1024
 
@@ -99,6 +106,70 @@ def test_certificate_reuses_coarse_eigenvalues(corpus):
         assert np.array_equal(walk.grid_eval(2 * grid)[::2], walk.grid_eval(grid))
         assert track_bands(walk, grid) == full_grid_track_bands(walk, grid)
     assert track_bands(cases[-2][0], 64).base_grid == 128
+
+
+def _matcher_corpus():
+    """The walks the certified matcher is checked on against the assignment oracle."""
+    walks = {"near_crossing": coined_walk(np.sqrt(1 - 1e-6), 1e-3)}
+    for n in range(2, 9):
+        for radius in range(1, 4):
+            rng = np.random.default_rng(100 * n + radius)
+            walks[f"split_step_{n}_{radius}"] = random_split_step_walk(rng, n, radius)
+    walks.update((f"conjugated_sum_{seed}", conjugated_coined_sum(seed)) for seed in range(6))
+    return walks
+
+
+def test_certified_matcher_matches_assignment_oracle():
+    # the old per-point assignment gives the same bands; samples agree bit for
+    # bit unless a grid point holds a degenerate pair, whose labels may swap
+    for name, walk in _matcher_corpus().items():
+        system = track_bands(walk)
+        oracle = full_grid_track_bands(walk, assignment=True)
+        assert system.base_grid == oracle.base_grid, name
+        shape = [(b.d, b.multiplicity, b.winding) for b in system.bands]
+        assert shape == [(b.d, b.multiplicity, b.winding) for b in oracle.bands], name
+        vals = np.linalg.eigvals(walk.grid_eval(2 * system.base_grid))
+        if min(_min_gap(v) for v in vals) >= DEGENERACY_TOL:
+            assert system == oracle, name
+        else:
+            assert _match_band_sets(
+                list(system.bands), list(oracle.bands), system.base_grid, 1e-12
+            ), name
+
+
+def test_min_cost_assignment_is_optimal(rng):
+    # groups reach all n eigenvalues on coarse grids; every size must be exact
+    from scipy.optimize import linear_sum_assignment
+
+    for g in range(1, 9):
+        for _ in range(50):
+            cost = rng.uniform(size=(g, g))
+            cols = _min_cost_assignment(cost)
+            assert sorted(cols) == list(range(g))
+            rows, best = linear_sum_assignment(cost)
+            assert cost[np.arange(g), cols].sum() == pytest.approx(cost[rows, best].sum(), abs=1e-12)
+
+
+def test_direct_sums_certify_every_step(monkeypatch):
+    # exact degeneracy is one cluster, not an uncertified crossing: the
+    # certified argmin matches every step and no assignment is solved
+    import zqwalk.spectral as spectral
+
+    def refuse(cost):
+        raise AssertionError("uncertified step")
+
+    monkeypatch.setattr(spectral, "_min_cost_assignment", refuse)
+    for seed in range(6):
+        assert is_decomposable(track_bands(conjugated_coined_sum(seed)))
+
+
+def test_step_bound_holds_on_matcher_corpus():
+    # Hoffman-Wielandt needs ||U(z_k+1) - U(z_k)||_F <= delta = 2 pi L / M
+    for name, walk in _matcher_corpus().items():
+        for grid in (1024, 2048):
+            symbols = walk.grid_eval(grid)
+            steps = np.linalg.norm(np.roll(symbols, -1, axis=0) - symbols, axis=(1, 2))
+            assert steps.max() <= _lipschitz(walk) * 2 * np.pi / grid, name
 
 
 def test_track_requires_unitary():
