@@ -8,7 +8,7 @@ from .errors import (
     UnitarityError,
     ZqwalkError,
 )
-from .laurent import LaurentPoly, laurent_from_terms
+from .laurent import LaurentPoly
 from .limit import (
     LimitMeasure,
     MomentComparison,
@@ -27,19 +27,15 @@ from .model import (
     interleave_channels,
     lambda_coeffs_from_samples,
     rearrangement_check,
-    shift_factorization,
 )
 from .simulate import (
-    InitialClass,
     PositionDistribution,
     StateVector,
     apply_walk,
-    classify_initial,
     evolve,
     fourier_position_distribution,
     position_distribution,
     rescaled_moment,
-    truncate_amplitudes,
 )
 from .spectral import (
     Band,
@@ -65,7 +61,6 @@ from .symbol import (
     direct_sum,
     eval_symbol,
     symbol_power,
-    truncation_error_bound,
     verify_cayley_hamilton,
     verify_unitary_symbol,
 )

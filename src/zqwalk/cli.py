@@ -35,8 +35,10 @@ from .limit import limit_measure
 from .model import ModelWalkSpec, build_model_walk, ct_generator
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
+    UNITARY_TOL,
     EigenSystem,
     _char_polys_match,
+    _require_unitary,
     ct_realizable,
     is_decomposable,
     total_winding,
@@ -56,8 +58,6 @@ EXIT_CODES = {
     ResolutionError: 4,
     DomainError: 5,
 }
-
-UNITARY_CHECK_TOL = 1e-8
 
 
 @dataclass
@@ -96,22 +96,22 @@ def _load_walk(path: str, require_unitary: bool = False) -> SymbolMatrix:
     if isinstance(spec, StateVector):
         raise SpecFormatError(f"{path}: expected a walk spec, found an initial vector")
     if require_unitary:
-        report = verify_unitary_symbol(spec, 256, UNITARY_CHECK_TOL)
-        if not report.passed:
-            raise UnitarityError(
-                f"{path}: symbol not unitary (max deviation "
-                f"{report.max_deviation:.3e})"
-            )
+        _with_path(path, _require_unitary, spec)
     return spec
 
 
-def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
-    """A walk spec and its bands; track_bands's unitarity check names the spec."""
-    walk = _load_walk(path)
+def _with_path(path: str, func, *args):
+    """func(*args), with the spec path named in a UnitarityError it raises."""
     try:
-        return walk, track_bands(walk, args.grid, args.tol)
+        return func(*args)
     except UnitarityError as exc:
         raise UnitarityError(f"{path}: {exc}") from None
+
+
+def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
+    """A walk spec and its bands; track_bands makes the unitarity check."""
+    walk = _load_walk(path)
+    return walk, _with_path(path, track_bands, walk, args.grid, args.tol)
 
 
 def _load_vector(path: str) -> StateVector:
@@ -173,13 +173,11 @@ def cmd_check(args) -> int:
     walk = _load_walk(args.spec)
     run = Run(args, "check")
     report = AnalysisReport(_walk_id(args.spec))
-    unitary = verify_unitary_symbol(walk, max(args.grid, 256), UNITARY_CHECK_TOL)
+    unitary = verify_unitary_symbol(walk, max(args.grid, 256), UNITARY_TOL)
     report.unitarity_passed = bool(unitary.passed)
     report.unitarity_deviation = unitary.max_deviation
     decay = classify_decay(walk, max(4, walk.propagation_radius + 1))
-    report.decay = {
-        k: v for k, v in dataclasses.asdict(decay).items() if v is not None
-    }
+    report.decay = dataclasses.asdict(decay)
     if unitary.passed:
         report.cayley_hamilton_residual = verify_cayley_hamilton(walk)
     report.artifacts = ["check.json"]
@@ -235,17 +233,15 @@ def cmd_decompose(args) -> int:
 def cmd_winding(args) -> int:
     _walk, system = _load_tracked(args.spec, args)
     windings = winding_numbers(system)
+    multiplicities = [b.multiplicity for b in system.bands]
+    total = sum(abs(w) * m for w, m in zip(windings, multiplicities))
     run = Run(args, "winding")
     run.write_json(
         "winding.json",
-        {
-            "windings": windings,
-            "multiplicities": [b.multiplicity for b in system.bands],
-            "total_abs": total_winding(system),
-        },
+        {"windings": windings, "multiplicities": multiplicities, "total_abs": total},
     )
     run.finish()
-    print(f"{_walk_id(args.spec)}: windings {windings}, |w| = {total_winding(system)}")
+    print(f"{_walk_id(args.spec)}: windings {windings}, |w| = {total}")
     return 0
 
 

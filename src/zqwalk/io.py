@@ -108,12 +108,6 @@ def walk_from_json(data: dict) -> SymbolMatrix:
     return SymbolMatrix(n, tuple(tuple(row) for row in entries))
 
 
-def model_to_json(spec: ModelWalkSpec) -> dict:
-    return {
-        "model": {"d": spec.d, "lambda_coeffs": _poly_to_terms(spec.lambda_coeffs)}
-    }
-
-
 def model_from_json(data: dict) -> ModelWalkSpec:
     inner = data["model"]
     d = _require(inner, "d", int, "model")

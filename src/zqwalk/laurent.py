@@ -9,7 +9,7 @@ floating-point dust from blowing up supports under repeated products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -165,11 +165,3 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         terms = ", ".join(f"{s}: {c:.6g}" for s, c in sorted(self.coeffs.items()))
         return f"LaurentPoly({{{terms}}})"
-
-
-def laurent_from_terms(terms: Iterable[tuple[int, complex]]) -> LaurentPoly:
-    """Build a LaurentPoly from (shift, coefficient) pairs, summing repeats."""
-    out: dict[int, complex] = {}
-    for s, c in terms:
-        out[s] = out.get(s, 0.0) + c
-    return LaurentPoly(out)

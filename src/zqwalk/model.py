@@ -4,9 +4,9 @@ Given an analytic map lambda: T -> T with Fourier coefficients c(s), the
 d-channel walk places c(k - l + d*s) at shift s of entry (k, l).  Interleaving
 the d channels into a single lattice (the rearrangement unitary) turns it into
 plain convolution by c, which is what all the algebraic identities below come
-down to.  Winding-zero eigenvalue functions additionally admit a real phase
-generator h with exp(i*h) = lambda, giving a continuous-time interpolation of
-the walk in Fourier space.
+down to.  A winding-zero eigenvalue function, such as a band of a
+continuous-time realizable walk, also has a real phase h on the circle grid
+with exp(i*h) = lambda: its continuous-time generator.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ class ModelWalkSpec:
         if self.d < 1:
             raise DomainError("channel count d must be a positive integer")
 
-    def lambda_samples(self, grid_size: int = 256) -> np.ndarray:
-        return self.lambda_coeffs.circle_samples(grid_size)
-
-    def max_modulus_deviation(self, grid_size: int = 256) -> float:
-        return float(np.max(np.abs(np.abs(self.lambda_samples(grid_size)) - 1.0)))
-
 
 def lambda_coeffs_from_samples(
     samples: np.ndarray, threshold: float = COEFF_TRUNCATION
@@ -55,7 +49,7 @@ def build_model_walk(
     spec: ModelWalkSpec, unimodular_tol: float = UNIMODULAR_TOL
 ) -> SymbolMatrix:
     """Assemble the d x d symbol with coefficient c(k - l + d*s) at shift s."""
-    dev = spec.max_modulus_deviation()
+    dev = float(np.max(np.abs(np.abs(spec.lambda_coeffs.circle_samples(256)) - 1.0)))
     if dev > unimodular_tol:
         raise DomainError(
             f"lambda not unimodular: max modulus deviation {dev:.3e} "
@@ -108,26 +102,8 @@ def rearrangement_check(
 
 
 # ---------------------------------------------------------------------------
-# shift factorization and the continuous-time generator
+# the continuous-time generator
 # ---------------------------------------------------------------------------
-
-
-def shift_factorization(spec: ModelWalkSpec) -> tuple[int, ModelWalkSpec]:
-    """Split a 1-channel walk into a pure shift and a winding-zero remainder.
-
-    Returns (w, residual_spec) with residual eigenvalue function
-    z^(-w) * lambda(z); composing the shift S_w with the residual walk
-    reproduces the original coefficients exactly.
-    """
-    if spec.d != 1:
-        raise DomainError("shift factorization expects d = 1; interleave first")
-    grid = max(256, 8 * (spec.lambda_coeffs.radius + 1))
-    samples = spec.lambda_samples(grid)
-    w, residual = winding_of_samples(samples)
-    if residual >= 0.01:
-        raise DomainError(f"winding not integral (residual {residual:.3f} turns)")
-    shifted = LaurentPoly({s - w: c for s, c in spec.lambda_coeffs.coeffs.items()})
-    return w, ModelWalkSpec(1, shifted)
 
 
 @dataclass(frozen=True)
@@ -135,16 +111,11 @@ class CtGenerator:
     """Real phase h on a uniform circle grid with exp(i*h) = lambda."""
 
     h_samples: np.ndarray
-    mean_value: float
 
     @property
     def thetas(self) -> np.ndarray:
         m = len(self.h_samples)
         return 2.0 * np.pi * np.arange(m) / m
-
-    def symbol_samples(self, t: float) -> np.ndarray:
-        """The interpolated one-parameter family exp(i*t*h) at the grid points."""
-        return np.exp(1j * t * np.asarray(self.h_samples))
 
 
 def ct_generator(lambda_samples: np.ndarray) -> CtGenerator:
@@ -158,5 +129,4 @@ def ct_generator(lambda_samples: np.ndarray) -> CtGenerator:
     )
     if closure > 0.01 * 2.0 * np.pi:
         raise DomainError("unwrapped argument does not close; winding unresolved")
-    h = np.unwrap(np.angle(samples))
-    return CtGenerator(h, float(np.mean(h)))
+    return CtGenerator(np.unwrap(np.angle(samples)))

@@ -10,8 +10,7 @@ D t, is applied on each residue class of the support mod g by binary powering
 on a circle grid wider than the class's light cone, so no aliasing occurs.
 Sites outside those light cones (in particular off x + m0 t + gZ) are exactly
 zero; inside, the error is of order t times machine epsilon.  A Fourier-side
-evolution on a power-of-two grid is kept as a cross-check.  The locality
-class of initial data is `classify_decay` with renamed kinds.
+evolution on a power-of-two grid is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .symbol import SymbolMatrix, _circle_values, classify_decay
-
-AMP_PRUNE = 1e-14
+from .symbol import SymbolMatrix, _circle_values
 
 # Largest |site| a state may hold: site / t stays exact in floating point and
 # int64 site arithmetic stays far from overflow.
@@ -76,11 +73,6 @@ class StateVector:
         channels = np.concatenate([self.channels, other.channels])
         values = np.concatenate([self.values, -other.values])
         return _settle(sites, channels, values, max(self.n, other.n)).norm()
-
-    def site_profile(self) -> dict[int, float]:
-        """l2 amplitude magnitude per site (square root of the site probability)."""
-        probs = position_distribution(self).probs
-        return {s: float(np.sqrt(p)) for s, p in probs.items()}
 
     @property
     def support_radius(self) -> int:
@@ -270,20 +262,6 @@ def fourier_position_distribution(
     return _distribution(sites, probs, t)
 
 
-def truncate_amplitudes(
-    xi: StateVector, threshold: float = AMP_PRUNE
-) -> tuple[StateVector, float]:
-    """Drop amplitudes below `threshold`; returns (vector, discarded mass).
-
-    This is how rapidly decreasing initial data enters the finite
-    representation: the discarded probability mass is reported so the
-    truncation error stays auditable.
-    """
-    kept = np.abs(xi.values) >= threshold
-    discarded = float(np.sum(np.abs(xi.values[~kept]) ** 2))
-    return _settle(xi.sites[kept], xi.channels[kept], xi.values[kept], xi.n), discarded
-
-
 def position_distribution(xi: StateVector, time: int = 0) -> PositionDistribution:
     """probs(s) = sum over channels of |xi(s, k)|^2."""
     occupied, index = np.unique(xi.sites, return_inverse=True)
@@ -303,43 +281,3 @@ def rescaled_moment(xi: StateVector, t: int, m: int) -> float:
         raise DomainError("t must be positive")
     return float(np.sum((xi.sites / t) ** m * np.abs(xi.values) ** 2))
 
-
-# ---------------------------------------------------------------------------
-# initial-vector locality classes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InitialClass:
-    """kind in {'finite_support', 'exponential', 'rapid_decrease', 'other'}."""
-
-    kind: str
-    r: float | None = None
-
-    @property
-    def is_rapidly_decreasing(self) -> bool:
-        return self.kind in ("finite_support", "exponential", "rapid_decrease")
-
-
-# classify_decay kind -> initial-vector kind
-_INITIAL_KINDS = {"finite_propagation": "finite_support", "analytic": "exponential",
-                  "smooth": "rapid_decrease", "unbounded": "other"}
-
-
-def classify_initial(
-    xi: StateVector | Mapping[int, float], cutoff: int | None = None
-) -> InitialClass:
-    """Locality class of an initial vector (or of a site-amplitude profile).
-
-    `classify_decay` on the site-amplitude profile, with its kinds renamed.
-    Without a cutoff the input, a StateVector or a finite profile, is finitely
-    supported by representation.
-    """
-    if cutoff is None:
-        return InitialClass("finite_support")
-    if isinstance(xi, StateVector):
-        profile = xi.site_profile()
-    else:
-        profile = {int(s): v for s, v in xi.items()}
-    decay = classify_decay(profile, cutoff)
-    return InitialClass(_INITIAL_KINDS[decay.kind], r=decay.r)

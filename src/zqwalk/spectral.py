@@ -64,6 +64,7 @@ DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
 MAX_GRID = 1 << 16
+UNITARY_TOL = 1e-8  # bound on |U*U - I| in _require_unitary and the CLI `check` verdict
 WINDING_RESIDUAL = 0.01
 
 
@@ -90,11 +91,6 @@ class Band:
     @property
     def base_grid(self) -> int:
         return len(self.samples) // self.d
-
-    def values_over(self, k: int) -> np.ndarray:
-        """The d branch values sitting over base grid point k."""
-        m = self.base_grid
-        return self.samples[[k + i * m for i in range(self.d)]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Band):
@@ -361,7 +357,7 @@ def _build_system(vals: np.ndarray, lipschitz: float, tol: float) -> EigenSystem
 
 
 def _require_unitary(walk: SymbolMatrix) -> None:
-    report = verify_unitary_symbol(walk, 256, 1e-8)
+    report = verify_unitary_symbol(walk, 256, UNITARY_TOL)
     if not report.passed:
         raise UnitarityError(
             f"symbol not unitary: max deviation {report.max_deviation:.3e}"

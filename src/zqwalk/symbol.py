@@ -6,27 +6,19 @@ PRUNE_TOL as LaurentPoly prunes and trimmed so that its first and last slices
 are nonzero.  Circle grids are evaluated by one phase-matrix product, and a
 product of symbols is one convolution along the shift axis.  The module also
 provides the characteristic polynomial interpolated from a circle grid (any
-dimension), unitarity and Cayley-Hamilton verification on circle grids, and a
-decay classifier for coefficient sequences.
+dimension), unitarity and Cayley-Hamilton verification on circle grids, and
+the decay class that `check` reports: finite propagation with its radius.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .laurent import PRUNE_TOL, LaurentPoly
-
-# Relative RMS residual (on log magnitudes) below which an exponential fit
-# of a coefficient profile is accepted.
-EXP_FIT_RESIDUAL = 0.1
-
-# Highest polynomial order probed by the smooth-decay test.
-MAX_POLY_ORDER = 8
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -251,14 +243,6 @@ class CharPoly:
         if not self.coeffs[-1].allclose(LaurentPoly.one(), 1e-12):
             raise DomainError("characteristic polynomial must be monic")
 
-    def coefficients_at(self, z: complex) -> np.ndarray:
-        """Array of the n+1 coefficient values at one circle point."""
-        return np.array([c(z) if not c.is_zero else 0.0 for c in self.coeffs])
-
-    def __call__(self, lam: complex, z: complex) -> complex:
-        c = self.coefficients_at(z)
-        return complex(np.polyval(c[::-1], lam))
-
 
 def char_poly(walk: SymbolMatrix) -> CharPoly:
     """det(lambda*I - U(z)), interpolated from U on a circle grid.
@@ -305,106 +289,25 @@ def verify_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
 
 @dataclass(frozen=True)
 class DecayClass:
-    """Result of classifying a coefficient profile.
-
-    kind is one of 'finite_propagation', 'analytic', 'smooth', 'unbounded'.
-    radius is set for finite propagation; (c, r) for the exponential estimate
-    |coeff(s)| <= c * r**(-|s|).
-    """
+    """Spatial decay of a symbol: kind 'finite_propagation' with its radius."""
 
     kind: str
-    radius: int | None = None
-    c: float | None = None
-    r: float | None = None
+    radius: int
 
     @property
     def is_finite_propagation(self) -> bool:
         return self.kind == "finite_propagation"
 
-    @property
-    def is_analytic(self) -> bool:
-        return self.kind in ("finite_propagation", "analytic")
 
+def classify_decay(walk: SymbolMatrix, cutoff: int) -> DecayClass:
+    """Finite propagation of radius R when every coefficient lies in |s| <= R < cutoff.
 
-def _magnitude_profile(
-    coeff_seqs: Mapping[int, object] | SymbolMatrix, cutoff: int
-) -> np.ndarray:
-    """Profile m[k] = max entry magnitude at shift s = k - cutoff, k = 0..2*cutoff."""
-    if isinstance(coeff_seqs, SymbolMatrix):
-        shifts = coeff_seqs.shifts
-        mags = np.abs(coeff_seqs.coeffs).max(axis=(1, 2))
-    else:
-        shifts = np.fromiter(coeff_seqs, dtype=int, count=len(coeff_seqs))
-        mags = np.array([np.max(np.abs(np.asarray(v))) for v in coeff_seqs.values()])
-    inside = np.abs(shifts) <= cutoff
-    prof = np.zeros(2 * cutoff + 1)
-    prof[shifts[inside] + cutoff] = mags[inside]
-    return prof
-
-
-def _fit_exponential(shifts: np.ndarray, mags: np.ndarray):
-    """Least squares of log|m| against |s|; returns (c, r, relative rms residual)."""
-    x = np.abs(shifts).astype(float)
-    y = np.log(mags)
-    design = np.stack([np.ones_like(x), x], axis=1)
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, slope = sol
-    resid = y - design @ sol
-    spread = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
-    rel = float(np.sqrt(np.mean(resid**2))) / max(spread, 1e-300)
-    return math.exp(intercept), math.exp(-slope), rel
-
-
-def _passes_order_test(shifts: np.ndarray, mags: np.ndarray, cutoff: int) -> bool:
-    """True when (1+|s|)^N * m(s) shows no growth toward the cutoff, N = 1..8."""
-    x = np.abs(shifts).astype(float)
-    inner = x <= cutoff / 2
-    outer = ~inner
-    if not outer.any() or not inner.any():
-        return False
-    for order in range(1, MAX_POLY_ORDER + 1):
-        q = (1.0 + x) ** order * mags
-        if q[outer].max() > q[inner].max():
-            return False
-    return True
-
-
-def truncation_error_bound(c: float, r: float, radius: int) -> float:
-    """Tail bound for truncating an exponentially decaying profile at `radius`.
-
-    If |coeff(s)| <= c * r**(-|s|) with r > 1, discarding all |s| > radius
-    leaves per-entry l1 mass at most c * r**(-radius) / (1 - 1/r) on each
-    side, which bounds the operator-norm error of the truncated symbol.
-    """
-    if r <= 1.0:
-        raise DomainError("exponential rate must satisfy r > 1")
-    return c * r ** (-radius) / (1.0 - 1.0 / r)
-
-
-def classify_decay(
-    coeff_seqs: Mapping[int, object] | SymbolMatrix, cutoff: int
-) -> DecayClass:
-    """Classify the spatial decay of operator coefficients given on |s| <= cutoff.
-
-    Exact vanishing beyond some radius R < cutoff yields finite propagation;
-    otherwise an exponential profile is fitted on log magnitudes and accepted
-    when r > 1 with relative RMS residual below EXP_FIT_RESIDUAL; otherwise
-    polynomial decay of every order up to MAX_POLY_ORDER is probed; profiles
-    failing all three fall through to 'unbounded'.
+    Raises DomainError for cutoff < 4, and for R >= cutoff: the coefficients
+    then reach the cutoff, and their decay beyond it is not determined.
     """
     if cutoff < 4:
         raise DomainError("cutoff too small to classify (need at least 4)")
-    prof = _magnitude_profile(coeff_seqs, cutoff)
-    shifts = np.arange(-cutoff, cutoff + 1)
-    nonzero = prof > 0
-    if not nonzero.any():
-        return DecayClass("finite_propagation", radius=0)
-    radius = int(np.max(np.abs(shifts[nonzero])))
-    if radius < cutoff:
-        return DecayClass("finite_propagation", radius=radius)
-    c, r, rel = _fit_exponential(shifts[nonzero], prof[nonzero])
-    if r > 1.0 and rel < EXP_FIT_RESIDUAL:
-        return DecayClass("analytic", c=float(c), r=float(r))
-    if _passes_order_test(shifts[nonzero], prof[nonzero], cutoff):
-        return DecayClass("smooth")
-    return DecayClass("unbounded")
+    radius = walk.propagation_radius
+    if radius >= cutoff:
+        raise DomainError(f"propagation radius {radius} reaches the cutoff {cutoff}")
+    return DecayClass("finite_propagation", radius)

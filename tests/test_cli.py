@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -399,6 +400,33 @@ def test_cli_check_reports_model_spec(spec_dir, tmp_path, capsys):
     report = json.loads((out / "check.json").read_text())
     assert report["unitarity_passed"] is True
     assert report["decay"] == {"kind": "finite_propagation", "radius": 1}
+
+
+def test_cli_check_reports_decay_of_each_walk_fixture(tmp_path, capsys):
+    # every walk fixture is nearest-neighbour
+    for name in ("hadamard", "modified_hadamard", "grover3", "shift1_model"):
+        out = tmp_path / name
+        assert run_cli("check", FIXTURES / f"{name}.json", "--out", out) == 0
+        report = json.loads((out / "check.json").read_text())
+        assert report["decay"] == {"kind": "finite_propagation", "radius": 1}, name
+    assert "decay finite_propagation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze_reference_walks.py"], ["convergence_experiment.py", "--times", "100,200"]],
+    ids=["analyze_reference_walks", "convergence_experiment"],
+)
+def test_script_runs(argv, tmp_path):
+    # the scripts import library names directly and write under runs/ in the cwd
+    root = FIXTURES.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert any((tmp_path / "runs").rglob("*.csv"))
 
 
 def test_cli_bad_json_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqwalk import DomainError, LaurentPoly, laurent_from_terms
+from zqwalk import DomainError, LaurentPoly
 
 coeff = st.complex_numbers(
     min_magnitude=1e-3, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -62,8 +62,3 @@ def test_ring_laws(p, q, r):
 @given(polys)
 def test_conj_reflect_involution(p):
     assert p.conj_reflect().conj_reflect().allclose(p, 0.0)
-
-
-def test_from_terms_sums_repeats():
-    p = laurent_from_terms([(0, 1.0), (0, 2.0), (1, -1.0)])
-    assert p.coeffs == {0: 3.0, 1: -1.0}

@@ -11,7 +11,6 @@ from zqwalk import (
     SymbolMatrix,
     apply_walk,
     build_model_walk,
-    classify_initial,
     coined_walk,
     compose,
     direct_sum,
@@ -20,7 +19,6 @@ from zqwalk import (
     grover_walk_3,
     position_distribution,
     rescaled_moment,
-    truncate_amplitudes,
 )
 from zqwalk.simulate import _fast_fft_length
 from support import (
@@ -283,51 +281,6 @@ def test_distribution_and_moments_match_loop_reference(rng):
 def test_moment_zero_is_total_mass(t):
     out = evolve(coined_walk(), StateVector.delta(0, 1, 2), t)
     assert rescaled_moment(out, max(t, 1), 0) == pytest.approx(1.0, abs=1e-12)
-
-
-# -- locality classes ---------------------------------------------------------------
-
-
-def test_classify_delta_finite_support():
-    assert classify_initial(StateVector.delta(0, 1, 2)).kind == "finite_support"
-
-
-def _profile_vector(values):
-    amps = {(s, 1): v for s, v in values.items()}
-    return StateVector(amps, 1)
-
-
-def test_classify_exponential_amplitudes():
-    cutoff = 24
-    profile = {s: 2.0 ** (-abs(s)) for s in range(-cutoff, cutoff + 1)}
-    cls = classify_initial(_profile_vector(profile), cutoff=cutoff)
-    assert cls.kind == "exponential"
-    assert abs(cls.r - 2.0) / 2.0 < 0.05
-
-
-def test_classify_polynomial_amplitudes():
-    cutoff = 24
-    profile = {s: (1.0 + abs(s)) ** -10.0 for s in range(-cutoff, cutoff + 1)}
-    cls = classify_initial(_profile_vector(profile), cutoff=cutoff)
-    assert cls.kind == "rapid_decrease"
-    assert cls.is_rapidly_decreasing
-
-
-def test_classify_raw_profile_without_cutoff_is_finite():
-    assert classify_initial({s: 1.0 for s in range(-5, 6)}).kind == "finite_support"
-    assert classify_initial({0: 1.0}).kind == "finite_support"
-
-
-def test_classify_small_cutoff():
-    with pytest.raises(DomainError):
-        classify_initial({0: 1.0, 1: 0.5}, cutoff=2)
-
-
-def test_truncation_reports_discarded_mass():
-    xi = StateVector({(0, 1): 1.0, (40, 1): 1e-15}, 1)
-    trimmed, lost = truncate_amplitudes(xi, 1e-14)
-    assert (40, 1) not in trimmed.amplitudes
-    assert lost == pytest.approx(1e-30, rel=1e-6)
 
 
 # -- the stored layout and its input checks -------------------------------------------

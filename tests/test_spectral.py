@@ -195,7 +195,7 @@ def test_band_invariants(tracked_corpus, corpus):
         for k in range(0, system.base_grid, 97):
             tracked = np.concatenate(
                 [
-                    np.repeat(band.values_over(k), band.multiplicity)
+                    np.repeat(band.samples[k :: system.base_grid], band.multiplicity)
                     for band in system.bands
                 ]
             )
@@ -414,11 +414,11 @@ def test_bands_reconstruct_char_poly(tracked_corpus, corpus):
         f = char_poly(corpus[name])
         for k in range(0, system.base_grid, 111):
             z = np.exp(2j * np.pi * k / system.base_grid)
-            want = f.coefficients_at(z)
+            want = np.array([c(z) for c in f.coeffs])
             roots = [
                 value
                 for band in system.bands
-                for value in band.values_over(k)
+                for value in band.samples[k :: system.base_grid]
                 for _ in range(band.multiplicity)
             ]
             got = np.poly(roots)[::-1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zqwalk import (
+    DecayClass,
     DomainError,
     LaurentPoly,
     SymbolMatrix,
@@ -115,7 +116,8 @@ def test_char_poly_beyond_dimension_eight(rng):
         assert verify_cayley_hamilton(walk, 256) < 1e-10
         for point in z:
             want = np.poly(eval_symbol(walk, point))[::-1]
-            assert np.max(np.abs(f.coefficients_at(point) - want)) < 1e-11
+            got = np.array([c(point) for c in f.coeffs])
+            assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_char_poly_constant_term_unimodular(corpus):
@@ -235,42 +237,26 @@ def test_classify_shift_finite_propagation():
     assert cls.kind == "finite_propagation" and cls.radius == 1
 
 
-def test_classify_exponential_profile():
-    cutoff = 24
-    seqs = {s: 2.0 ** (-abs(s)) for s in range(-cutoff, cutoff + 1)}
-    cls = classify_decay(seqs, cutoff)
-    assert cls.kind == "analytic"
-    assert abs(cls.r - 2.0) / 2.0 < 0.05
-
-
-def test_classify_order_two_profile_is_unbounded():
-    cutoff = 24
-    seqs = {s: 1.0 / (1.0 + s * s) for s in range(-cutoff, cutoff + 1)}
-    assert classify_decay(seqs, cutoff).kind == "unbounded"
-
-
-def test_classify_polynomial_profile_is_smooth():
-    cutoff = 24
-    seqs = {s: (1.0 + abs(s)) ** -10.0 for s in range(-cutoff, cutoff + 1)}
-    assert classify_decay(seqs, cutoff).kind == "smooth"
+def test_classify_decay_contract(corpus):
+    # the fixture walks, nearest-neighbour, and seeded split-step walks n = 2..8
+    # of n - 1 layers, whose propagation radius is n - 1
+    cases = [(walk, 1) for walk in corpus.values()]
+    for n in range(2, 9):
+        cases.append((random_split_step_walk(np.random.default_rng(300 + n), n, n - 1), n - 1))
+    for walk, radius in cases:
+        assert max(abs(s) for s in walk.coefficient_sequences()) == radius
+        for cutoff in (radius + 1, radius + 4):
+            if cutoff >= 4:
+                assert classify_decay(walk, cutoff) == DecayClass("finite_propagation", radius)
+        # coefficients reaching the cutoff, or a cutoff below 4, are refused
+        for cutoff in set(range(radius + 1)) | set(range(4)):
+            with pytest.raises(DomainError):
+                classify_decay(walk, cutoff)
 
 
 def test_classify_small_cutoff_errors():
     with pytest.raises(DomainError):
-        classify_decay({0: 1.0}, cutoff=3)
-
-
-def test_truncation_error_bound():
-    from zqwalk import truncation_error_bound
-
-    # profile c(s) = r^-|s| truncated at R: actual one-sided tail mass is
-    # r^-(R+1) / (1 - 1/r), below the documented bound c r^-R / (1 - 1/r)
-    c, r, radius = 1.0, 2.0, 10
-    bound = truncation_error_bound(c, r, radius)
-    tail = sum(r ** -s for s in range(radius + 1, 200))
-    assert tail < bound
-    with pytest.raises(DomainError):
-        truncation_error_bound(1.0, 1.0, 5)
+        classify_decay(SymbolMatrix.identity(1), cutoff=3)
 
 
 def test_corpus_unitarity_tolerance(corpus):
