@@ -2,13 +2,16 @@
 
 Subcommands: check, bands, decompose, winding, ct-check, simulate, limit,
 compare, conjugate.  Every run writes its artifacts plus a manifest.json into
-one run directory (--out).  Specs are JSON files or '-' for stdin.  The
-default analysis grid comes from ZQWALK_GRID when set.
+one run directory (--out).  Specs are JSON files or '-' for stdin.  Each
+subcommand takes only the options it reads: --grid (the base circle grid of
+track_bands, default 1024) where it tracks bands, --tol (the non-conjugate
+edge) for conjugate alone.
 
 `check` reports unitarity as a verdict and always exits 0 on a well-formed
 spec; every other subcommand treats a non-unitary symbol as an input error.
-Each walk is checked once per command: by `track_bands` where the command
-tracks it, by the loader otherwise.
+Both apply the one test of _require_unitary, so a walk `check` passes is a
+walk the other subcommands accept.  Each walk is checked once per command: by
+`track_bands` where the command tracks it, by the loader otherwise.
 Exit codes: 0 ok, 2 malformed spec, 3 unitarity failure, 4 resolution
 failure, 5 domain error.
 """
@@ -20,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as zio
@@ -35,6 +37,8 @@ from .limit import limit_measure
 from .model import ModelWalkSpec, build_model_walk, ct_generator
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
+    DEFAULT_BASE_GRID,
+    DEFAULT_TOL,
     UNITARY_TOL,
     EigenSystem,
     _char_polys_match,
@@ -58,25 +62,6 @@ EXIT_CODES = {
     ResolutionError: 4,
     DomainError: 5,
 }
-
-
-@dataclass
-class AnalysisReport:
-    """Everything a subcommand learned about one walk, JSON-serializable."""
-
-    walk_id: str
-    unitarity_passed: bool | None = None
-    unitarity_deviation: float | None = None
-    decay: dict | None = None
-    cayley_hamilton_residual: float | None = None
-    bands: list | None = None
-    decomposable: bool | None = None
-    ct_realizable: bool | None = None
-    total_abs_winding: int | None = None
-    artifacts: list[str] = dataclasses.field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
 def _read_source(path: str) -> str:
@@ -111,7 +96,7 @@ def _with_path(path: str, func, *args):
 def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
     """A walk spec and its bands; track_bands makes the unitarity check."""
     walk = _load_walk(path)
-    return walk, _with_path(path, track_bands, walk, args.grid, args.tol)
+    return walk, _with_path(path, track_bands, walk, args.grid)
 
 
 def _load_vector(path: str) -> StateVector:
@@ -154,45 +139,31 @@ class Run:
             fh.write("\n")
 
 
-def _grid_default() -> int:
-    value = os.environ.get("ZQWALK_GRID")
-    return int(value) if value else 1024
-
-
-def _band_summary(system: EigenSystem) -> list[dict]:
-    return [
-        {"d": b.d, "winding": b.winding, "multiplicity": b.multiplicity}
-        for b in system.bands
-    ]
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
     walk = _load_walk(args.spec)
     run = Run(args, "check")
-    report = AnalysisReport(_walk_id(args.spec))
-    unitary = verify_unitary_symbol(walk, max(args.grid, 256), UNITARY_TOL)
-    report.unitarity_passed = bool(unitary.passed)
-    report.unitarity_deviation = unitary.max_deviation
+    unitary = verify_unitary_symbol(walk, 256, UNITARY_TOL)  # as _require_unitary
     decay = classify_decay(walk, max(4, walk.propagation_radius + 1))
-    report.decay = dataclasses.asdict(decay)
-    if unitary.passed:
-        report.cayley_hamilton_residual = verify_cayley_hamilton(walk)
-    report.artifacts = ["check.json"]
-    run.write_json("check.json", report.to_json())
-    run.finish()
-    status = "pass" if unitary.passed else "FAIL"
-    print(
-        f"{report.walk_id}: unitarity {status} "
+    report = {
+        "walk_id": _walk_id(args.spec),
+        "unitarity_passed": bool(unitary.passed),
+        "unitarity_deviation": unitary.max_deviation,
+        "decay": dataclasses.asdict(decay),
+    }
+    summary = (
+        f"{report['walk_id']}: unitarity {'pass' if unitary.passed else 'FAIL'} "
         f"(deviation {unitary.max_deviation:.3e}), decay {decay.kind}"
-        + (
-            f", cayley-hamilton residual {report.cayley_hamilton_residual:.3e}"
-            if report.cayley_hamilton_residual is not None
-            else ""
-        )
     )
+    if unitary.passed:
+        residual = report["cayley_hamilton_residual"] = verify_cayley_hamilton(walk)
+        summary += f", cayley-hamilton residual {residual:.3e}"
+    report["artifacts"] = ["check.json"]
+    run.write_json("check.json", report)
+    run.finish()
+    print(summary)
     return 0
 
 
@@ -213,19 +184,24 @@ def cmd_bands(args) -> int:
 def cmd_decompose(args) -> int:
     _walk, system = _load_tracked(args.spec, args)
     run = Run(args, "decompose")
-    report = AnalysisReport(_walk_id(args.spec))
-    report.bands = _band_summary(system)
-    report.decomposable = is_decomposable(system)
-    report.ct_realizable = ct_realizable(system)
-    report.total_abs_winding = total_winding(system)
     run.write_json("eigensystem.json", zio.eigensystem_to_json(system))
-    report.artifacts = run.outputs + ["decompose.json"]
-    run.write_json("decompose.json", report.to_json())
+    report = {
+        "walk_id": _walk_id(args.spec),
+        "bands": [
+            {"d": b.d, "winding": b.winding, "multiplicity": b.multiplicity}
+            for b in system.bands
+        ],
+        "decomposable": is_decomposable(system),
+        "ct_realizable": ct_realizable(system),
+        "total_abs_winding": total_winding(system),
+        "artifacts": run.outputs + ["decompose.json"],
+    }
+    run.write_json("decompose.json", report)
     run.finish()
-    verdict = "decomposable" if report.decomposable else "indecomposable"
+    verdict = "decomposable" if report["decomposable"] else "indecomposable"
     print(
-        f"{report.walk_id}: {verdict}, bands "
-        f"{[(b['d'], b['winding']) for b in report.bands]}"
+        f"{report['walk_id']}: {verdict}, bands "
+        f"{[(b.d, b.winding) for b in system.bands]}"
     )
     return 0
 
@@ -295,7 +271,7 @@ def cmd_simulate(args) -> int:
 def cmd_limit(args) -> int:
     walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
-    measure = limit_measure(walk, xi, system, bins=args.bins)
+    measure = limit_measure(walk, xi, system)
     run = Run(args, "limit")
     run.write_json("measure.json", zio.measure_to_json(measure))
     with open(run.path("measure.csv"), "w") as fh:
@@ -314,7 +290,7 @@ def cmd_compare(args) -> int:
 
     walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
-    measure = limit_measure(walk, xi, system, bins=args.bins)
+    measure = limit_measure(walk, xi, system)
     states = [(t, evolve(walk, xi, t)) for t in _parse_times(args.t)]
     rows = compare_moments(measure, states, args.mmax)
     run = Run(args, "compare")
@@ -355,62 +331,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, init=False, times=False):
+    # options are added in one order (spec, --grid, --tol, --out, --init, --t), which
+    # is the key order of the manifest arguments
+    def add(name, func, help, grid=False, tol=False, init=False, times=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="walk spec JSON path, or - for stdin")
-        p.add_argument(
-            "--grid",
-            type=int,
-            default=_grid_default(),
-            help="base circle grid (power of two; default %(default)s or $ZQWALK_GRID)",
-        )
-        p.add_argument("--tol", type=float, default=1e-6, help="tracking or conjugacy tolerance")
-        p.add_argument("--bins", type=int, default=512, help="velocity histogram bins")
+        if grid:
+            p.add_argument(
+                "--grid", type=int, default=DEFAULT_BASE_GRID,
+                help="base circle grid (power of two >= 64; default %(default)s)",
+            )
+        if tol:
+            p.add_argument(
+                "--tol", type=float, default=DEFAULT_TOL,
+                help="characteristic-polynomial distance at and above which two "
+                "walks are not conjugate (default %(default)s)",
+            )
         p.add_argument("--out", help="run directory (default runs/<spec>-<command>)")
         if init:
             p.add_argument("--init", required=True, help="initial vector JSON path")
         if times:
-            p.add_argument(
-                "--t", required=True, help="comma-separated list of times"
-            )
+            p.add_argument("--t", required=True, help="comma-separated list of times")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="unitarity, decay class, Cayley-Hamilton")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("bands", help="track eigenvalue branches")
-    common(p)
-    p.set_defaults(func=cmd_bands)
-
-    p = sub.add_parser("decompose", help="refined system and decomposability")
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("winding", help="winding numbers and their |.| total")
-    common(p)
-    p.set_defaults(func=cmd_winding)
-
-    p = sub.add_parser("ct-check", help="continuous-time realizability")
-    common(p)
-    p.set_defaults(func=cmd_ct_check)
-
-    p = sub.add_parser("simulate", help="evolve and write distributions")
-    common(p, init=True, times=True)
+    add("check", cmd_check, "unitarity, decay class, Cayley-Hamilton")
+    add("bands", cmd_bands, "track eigenvalue branches", grid=True)
+    add("decompose", cmd_decompose, "refined system and decomposability", grid=True)
+    add("winding", cmd_winding, "winding numbers and their |.| total", grid=True)
+    add("ct-check", cmd_ct_check, "continuous-time realizability", grid=True)
+    p = add("simulate", cmd_simulate, "evolve and write distributions",
+            init=True, times=True)
     p.add_argument("--rescaled", action="store_true", help="write x = site/t columns")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("limit", help="weak limit measure")
-    common(p, init=True)
-    p.set_defaults(func=cmd_limit)
-
-    p = sub.add_parser("compare", help="empirical vs limit moments")
-    common(p, init=True, times=True)
+    add("limit", cmd_limit, "weak limit measure", grid=True, init=True)
+    p = add("compare", cmd_compare, "empirical vs limit moments",
+            grid=True, init=True, times=True)
     p.add_argument("--mmax", type=int, default=4, help="highest moment order")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("conjugate", help="are two walks conjugate?")
-    common(p)
+    p = add("conjugate", cmd_conjugate, "are two walks conjugate?", tol=True)
     p.add_argument("other", help="second walk spec JSON path")
-    p.set_defaults(func=cmd_conjugate)
 
     return parser
 

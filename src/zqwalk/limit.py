@@ -69,14 +69,14 @@ def limit_measure(
     walk: SymbolMatrix,
     xi: StateVector,
     system: EigenSystem,
-    bins: int = DEFAULT_BINS,
 ) -> LimitMeasure:
     """Weak limit of the rescaled position distribution of walk^t applied to xi.
 
     Requires a refined (indecomposable) eigen system on its base grid.  Bands
     whose velocity spread is below ATOM_VELOCITY_SPREAD become exact atoms at
-    winding/d; the rest of the mass is a histogram on [-V, V] where V is the
-    largest group speed, so the support bound is built in.
+    winding/d; the rest of the mass is a DEFAULT_BINS-cell histogram on
+    [-V, V] where V is the largest group speed, so the support bound is
+    built in.
     """
     if not system.indecomposable:
         raise DomainError("eigen system must be refined first")
@@ -113,7 +113,7 @@ def limit_measure(
 
     density: list[tuple[float, float]] = []
     if cont_x:
-        centers = -vmax + (np.arange(bins) + 0.5) * (2.0 * vmax / bins)
+        centers = -vmax + (np.arange(DEFAULT_BINS) + 0.5) * (2.0 * vmax / DEFAULT_BINS)
         hist = _deposit_linear(
             centers, np.concatenate(cont_x), np.concatenate(cont_mass)
         )
@@ -186,13 +186,12 @@ def compare_empirical(
     system: EigenSystem,
     t_list: Sequence[int],
     m_max: int,
-    bins: int = DEFAULT_BINS,
 ) -> list[MomentComparison]:
     """Rescaled moments of evolved states against the limit moments.
 
     Returns one row per (t, m); deviations should trend to zero in t up to
     O(1/t) noise.
     """
-    measure = limit_measure(walk, xi, system, bins=bins)
+    measure = limit_measure(walk, xi, system)
     states = ((t, evolve(walk, xi, t)) for t in t_list)
     return compare_moments(measure, states, m_max)

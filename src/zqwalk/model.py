@@ -19,7 +19,7 @@ from .circle import winding_of_samples
 from .errors import DomainError
 from .laurent import LaurentPoly
 from .simulate import StateVector, _settle, apply_walk
-from .symbol import SymbolMatrix
+from .symbol import SymbolMatrix, _alias_free_grid
 
 UNIMODULAR_TOL = 1e-9
 COEFF_TRUNCATION = 1e-12
@@ -37,19 +37,22 @@ class ModelWalkSpec:
             raise DomainError("channel count d must be a positive integer")
 
 
-def lambda_coeffs_from_samples(
-    samples: np.ndarray, threshold: float = COEFF_TRUNCATION
-) -> LaurentPoly:
-    """Fourier coefficients of circle samples, truncated below `threshold`."""
+def lambda_coeffs_from_samples(samples: np.ndarray) -> LaurentPoly:
+    """Fourier coefficients of circle samples, truncated below COEFF_TRUNCATION."""
     p = LaurentPoly.from_circle_samples(samples)
-    return LaurentPoly({s: c for s, c in p.coeffs.items() if abs(c) >= threshold})
+    return LaurentPoly({s: c for s, c in p.coeffs.items() if abs(c) >= COEFF_TRUNCATION})
 
 
 def build_model_walk(
     spec: ModelWalkSpec, unimodular_tol: float = UNIMODULAR_TOL
 ) -> SymbolMatrix:
-    """Assemble the d x d symbol with coefficient c(k - l + d*s) at shift s."""
-    dev = float(np.max(np.abs(np.abs(spec.lambda_coeffs.circle_samples(256)) - 1.0)))
+    """Assemble the d x d symbol with coefficient c(k - l + d*s) at shift s.
+
+    |lambda| is checked on max(256, least power of two > 4 radius(lambda))
+    circle points, the grid on which |lambda|^2 - 1 cannot alias away.
+    """
+    grid = _alias_free_grid(256, 4 * spec.lambda_coeffs.radius)
+    dev = float(np.max(np.abs(np.abs(spec.lambda_coeffs.circle_samples(grid)) - 1.0)))
     if dev > unimodular_tol:
         raise DomainError(
             f"lambda not unimodular: max modulus deviation {dev:.3e} "

@@ -310,13 +310,13 @@ def _canonical_rotation(samples: np.ndarray, base_grid: int) -> np.ndarray:
 
 
 def _merge_duplicates(
-    raw: list[tuple[int, np.ndarray, int]], base_grid: int, tol: float
+    raw: list[tuple[int, np.ndarray, int]], base_grid: int
 ) -> list[tuple[int, np.ndarray, int]]:
-    """Merge branches that coincide (up to rotation) into multiplicity counts."""
+    """Merge branches coinciding up to rotation (at DEGENERACY_TOL) into multiplicities."""
     out: list[tuple[int, np.ndarray, int]] = []
     for d, samples, mult in raw:
         for idx, (d0, s0, m0) in enumerate(out):
-            if d0 == d and rotation_distance(s0, samples, base_grid) < tol:
+            if d0 == d and rotation_distance(s0, samples, base_grid) < DEGENERACY_TOL:
                 out[idx] = (d0, s0, m0 + mult)
                 break
         else:
@@ -325,35 +325,36 @@ def _merge_duplicates(
 
 
 def _finish_system(
-    raw: list[tuple[int, np.ndarray, int]], n: int, base_grid: int, tol: float
+    raw: list[tuple[int, np.ndarray, int]], n: int, base_grid: int
 ) -> EigenSystem:
     """Build the refined system from (d, samples, multiplicity) branches.
 
     Each branch is contracted to its minimal rotation period, coinciding
-    branches merge at DEGENERACY_TOL, and the bands are sorted.  One pass of
+    branches merge at DEGENERACY_TOL, each band's winding is computed and
+    validated (_validated_winding), and the bands are sorted.  One pass of
     contraction suffices: a rotation symmetry of a contracted band would be a
     smaller period of the original one.
     """
     contracted = []
     for d, samples, mult in raw:
-        c = _minimal_rotation_period(Band(d, samples, 0, mult), base_grid, tol)
+        c = _minimal_rotation_period(Band(d, samples, 0, mult), base_grid, DEFAULT_TOL)
         if c is None:
             contracted.append((d, samples, mult))
         else:
             contracted.append((c, samples[: c * base_grid].copy(), mult * (d // c)))
     bands = [
-        Band(d, samples, winding_of_samples(samples)[0], mult)
-        for d, samples, mult in _merge_duplicates(contracted, base_grid, DEGENERACY_TOL)
+        Band(d, samples, _validated_winding(samples), mult)
+        for d, samples, mult in _merge_duplicates(contracted, base_grid)
     ]
     bands.sort(key=lambda b: (b.d, -b.multiplicity, float(np.angle(b.samples[0]))))
     return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
-def _build_system(vals: np.ndarray, lipschitz: float, tol: float) -> EigenSystem:
+def _build_system(vals: np.ndarray, lipschitz: float) -> EigenSystem:
     """The refined system tracked through the (M, n) eigenvalues of a circle grid."""
     grid, n = vals.shape
     cycles = [(d, s, 1) for d, s in _track_cycles(vals, lipschitz)]
-    return _finish_system(cycles, n, grid, tol)
+    return _finish_system(cycles, n, grid)
 
 
 def _require_unitary(walk: SymbolMatrix) -> None:
@@ -393,11 +394,7 @@ def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
     return EigenSystem(bands, system.n, coarse, system.indecomposable)
 
 
-def track_bands(
-    walk: SymbolMatrix,
-    base_grid: int = DEFAULT_BASE_GRID,
-    tol: float = DEFAULT_TOL,
-) -> EigenSystem:
+def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> EigenSystem:
     """Track the eigenvalue branches of a unitary symbol around the circle.
 
     Eigenvalues are computed at `base_grid` uniform points and matched between
@@ -410,13 +407,16 @@ def track_bands(
     values by minimum total distance within each group of eigenvalues closer
     than 2 delta.  The step permutations compose into one permutation whose
     cycles give covering degrees.  The result is refined: each cycle is
-    contracted to its minimal rotation period, and branches coinciding
-    everywhere merge into one band with a multiplicity, so refine_system
-    leaves it unchanged.  The refined system must be reproduced at twice the
-    resolution before it is returned; the grid doubles until that holds or
-    MAX_GRID is exceeded.  Every other point of the doubled grid is a point
-    of the current one (the grid phases are reduced exactly in integers), so
-    only the new midpoints are solved.
+    contracted to its minimal rotation period (samples repeating to within
+    DEFAULT_TOL), and branches coinciding everywhere merge into one band with
+    a multiplicity, so refine_system leaves it unchanged.  Each band carries
+    its winding, validated once here: an under-resolved winding raises
+    ResolutionError.  The refined system must be reproduced at twice the
+    resolution, band samples agreeing to within DEFAULT_TOL, before it is
+    returned; the grid doubles until that holds or MAX_GRID is exceeded.
+    Every other point of the doubled grid is a point of the current one (the
+    grid phases are reduced exactly in integers), so only the new midpoints
+    are solved.
 
     Parameters
     ----------
@@ -425,9 +425,6 @@ def track_bands(
     base_grid : int
         Power of two, at least 64.  The returned system lives on the first
         grid at or above this size whose structure is stable under doubling.
-    tol : float
-        Rotation-symmetry tolerance for contraction and sample agreement
-        tolerance for the doubling certificate.
     """
     if base_grid < 64 or base_grid & (base_grid - 1):
         raise DomainError("base_grid must be a power of two >= 64")
@@ -435,7 +432,7 @@ def track_bands(
     grid = base_grid
     lipschitz = _lipschitz(walk)
     vals = np.linalg.eigvals(walk.grid_eval(grid))
-    system = _build_system(vals, lipschitz, tol)
+    system = _build_system(vals, lipschitz)
     while True:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
@@ -444,9 +441,9 @@ def track_bands(
         finer_vals = np.empty((2 * grid, walk.n), dtype=complex)
         finer_vals[::2] = vals
         finer_vals[1::2] = np.linalg.eigvals(walk.grid_eval(2 * grid)[1::2])
-        finer = _build_system(finer_vals, lipschitz, tol)
+        finer = _build_system(finer_vals, lipschitz)
         shared = _subsample_system(finer, grid)
-        if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
+        if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
             return system
         grid *= 2
         vals, system = finer_vals, finer
@@ -457,26 +454,28 @@ def track_bands(
 # ---------------------------------------------------------------------------
 
 
-def winding_numbers(system: EigenSystem) -> list[int]:
-    """Winding of each band, recomputed from samples and validated.
+def _validated_winding(samples: np.ndarray) -> int:
+    """Winding of a band's sample loop; ResolutionError where it is under-resolved.
 
     A closed sample loop always sums its principal argument increments to an
     exact multiple of 2*pi, so the rounding residual alone only sees
     floating-point noise; a loop stepping by close to a half turn is the real
     aliasing signal, and both trip the same error.
     """
-    out = []
-    for band in system.bands:
-        w, residual = winding_of_samples(band.samples)
-        steps = np.abs(np.angle(np.roll(band.samples, -1) / band.samples))
-        if residual >= WINDING_RESIDUAL or float(steps.max()) > np.pi / 2:
-            raise ResolutionError(
-                "winding not integral: argument increments are under-resolved "
-                f"(residual {residual:.3f} turns, max step "
-                f"{float(steps.max()) / (2 * np.pi):.3f} turns)"
-            )
-        out.append(w)
-    return out
+    w, residual = winding_of_samples(samples)
+    steps = np.abs(np.angle(np.roll(samples, -1) / samples))
+    if residual >= WINDING_RESIDUAL or float(steps.max()) > np.pi / 2:
+        raise ResolutionError(
+            "winding not integral: argument increments are under-resolved "
+            f"(residual {residual:.3f} turns, max step "
+            f"{float(steps.max()) / (2 * np.pi):.3f} turns)"
+        )
+    return w
+
+
+def winding_numbers(system: EigenSystem) -> list[int]:
+    """Winding of each band, as validated when the system was built."""
+    return [band.winding for band in system.bands]
 
 
 def _minimal_rotation_period(band: Band, base_grid: int, tol: float) -> int | None:
@@ -491,27 +490,28 @@ def _minimal_rotation_period(band: Band, base_grid: int, tol: float) -> int | No
     return None
 
 
-def refine_system(system: EigenSystem, tol: float = DEFAULT_TOL) -> EigenSystem:
+def refine_system(system: EigenSystem) -> EigenSystem:
     """Contract rotation-symmetric bands so the system is indecomposable.
 
     A band of degree d whose function repeats under rotation of the covering
     argument by 2*pi*c/d (minimal such divisor c) is the (d/c)-fold repeat of
     a degree-c band; it is replaced by that band with multiplied multiplicity.
     The operation is idempotent, and track_bands already returns its fixed
-    point; it is for hand-built and loaded systems.
+    point; it is for hand-built and loaded systems, whose windings it
+    recomputes and validates.
     """
     raw = [(b.d, b.samples, b.multiplicity) for b in system.bands]
-    return _finish_system(raw, system.n, system.base_grid, tol)
+    return _finish_system(raw, system.n, system.base_grid)
 
 
 def total_winding(system: EigenSystem) -> int:
     """Sum of |winding| over bands, counted with multiplicity."""
-    return sum(abs(w) * b.multiplicity for w, b in zip(winding_numbers(system), system.bands))
+    return sum(abs(b.winding) * b.multiplicity for b in system.bands)
 
 
 def ct_realizable(system: EigenSystem) -> bool:
     """True iff every band winding vanishes."""
-    return all(w == 0 for w in winding_numbers(system))
+    return all(b.winding == 0 for b in system.bands)
 
 
 def is_decomposable(system: EigenSystem) -> bool:
@@ -575,7 +575,6 @@ def band_projections(
     walk: SymbolMatrix,
     system: EigenSystem,
     xi_hat: np.ndarray,
-    cluster_tol: float = DEGENERACY_TOL,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Eigenspace weights of xi_hat and group velocities, per band and covering point.
 
@@ -592,7 +591,7 @@ def band_projections(
     All grid points are handled at once: one batched eig of the (M, n, n)
     symbol stack gives eigenvalues and eigenvectors V, and one batched inverse
     W = V^-1 (rows: left eigenvectors) gives the coefficients a = W xi_hat.
-    The weight of an eigenvalue cluster c (single linkage at cluster_tol) is
+    The weight of an eigenvalue cluster c (single linkage at DEGENERACY_TOL) is
     |sum_{i in c} V_i a_i|^2, the spectral projector of c applied to xi_hat,
     so it stays exact where eig returns a non-orthogonal basis of a degenerate
     eigenspace; |V^H xi_hat|^2 would not.  Velocities are Hellmann-Feynman
@@ -612,7 +611,7 @@ def band_projections(
     evals, vecs = np.linalg.eig(walk.grid_eval(m))
     left = np.linalg.inv(vecs)
     coeffs = (left @ xi_hat[:, :, None])[:, :, 0]
-    linked = _linked(evals, cluster_tol)  # [k, i, j]: i and j share a cluster
+    linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
     # column j of the product is the projection of xi_hat onto j's cluster
     cluster_weight = np.sum(np.abs((vecs * coeffs[:, None, :]) @ linked) ** 2, axis=1)
@@ -627,7 +626,7 @@ def band_projections(
     slot_band = np.repeat(np.arange(len(degrees)), degrees)
     dist = np.abs(slot_values[:, :, None] - evals[:, None, :])
     nearest = np.argmin(dist, axis=2)
-    if np.any(np.min(dist, axis=2) > max(10 * cluster_tol, 1e-6)):
+    if np.any(np.min(dist, axis=2) > max(10 * DEGENERACY_TOL, 1e-6)):
         raise ResolutionError(
             "tracked band value does not match the spectrum; "
             "system and walk are out of sync"

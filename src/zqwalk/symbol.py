@@ -132,6 +132,16 @@ def _circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndar
     return np.tensordot(phase, coeffs, axes=1)
 
 
+def _alias_free_grid(floor: int, span: int) -> int:
+    """The least power of two above `span`, or `floor` if larger.
+
+    On such a grid no two shifts s, s' with |s - s'| <= span alias, so a
+    Laurent polynomial with shifts in |s| <= span / 2 is zero on the grid only
+    when it is zero.
+    """
+    return max(floor, 1 << span.bit_length())
+
+
 def eval_symbol(walk: SymbolMatrix, z: complex) -> np.ndarray:
     """Value of the symbol at one point; total on nonzero z, error at z = 0."""
     if z == 0:
@@ -147,10 +157,15 @@ class UnitarityReport(NamedTuple):
 def verify_unitary_symbol(
     walk: SymbolMatrix, grid_size: int = 256, tol: float = 1e-10
 ) -> UnitarityReport:
-    """Max Frobenius deviation of U(z)*U(z) from the identity over a circle grid."""
+    """Max Frobenius deviation of U(z)*U(z) from the identity over a circle grid.
+
+    U*U - I has shifts |s| <= 2R (R the propagation radius), so the grid has
+    max(grid_size, least power of two > 4R) points: a deviation of the symbol
+    cannot alias away.
+    """
     if grid_size < 16:
         raise DomainError("grid_size must be at least 16")
-    vals = walk.grid_eval(grid_size)
+    vals = walk.grid_eval(_alias_free_grid(grid_size, 4 * walk.propagation_radius))
     eye = np.eye(walk.n)
     dev = np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye
     max_dev = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
@@ -254,7 +269,7 @@ def char_poly(walk: SymbolMatrix) -> CharPoly:
     dimension cap.
     """
     n = walk.n
-    grid = max(16, 1 << (2 * n * walk.propagation_radius).bit_length())
+    grid = _alias_free_grid(16, 2 * n * walk.propagation_radius)
     u = walk.grid_eval(grid)
     eye = np.eye(n)
     coeffs = np.zeros((n + 1, grid), dtype=complex)
@@ -270,10 +285,13 @@ def char_poly(walk: SymbolMatrix) -> CharPoly:
 def verify_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
     """Max Frobenius norm of f(U(z); z) over a circle grid (f = char poly).
 
-    The Laurent coefficients of f are evaluated on this grid, not taken from
-    the interpolation grid of char_poly, so the check covers that step too.
+    f(U(z); z) has shifts |s| <= nR, so the grid has max(grid_size, least
+    power of two > 2nR) points.  The Laurent coefficients of f are evaluated
+    on this grid, not taken from the interpolation grid of char_poly, so the
+    check covers that step too.
     """
     f = char_poly(walk)
+    grid_size = _alias_free_grid(grid_size, 2 * walk.n * walk.propagation_radius)
     u = walk.grid_eval(grid_size)
     eye = np.eye(walk.n)
     acc = np.zeros_like(u)

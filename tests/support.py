@@ -22,6 +22,7 @@ from zqwalk import (
     track_bands,
 )
 from zqwalk.spectral import (
+    DEFAULT_TOL,
     _best_separated_point,
     _build_system,
     _canonical_rotation,
@@ -225,9 +226,7 @@ def dict_apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:
 # -- tracking references ------------------------------------------------------------
 
 
-def tracked_conjugacy(
-    w1: SymbolMatrix, w2: SymbolMatrix, tol: float = 1e-6, base_grid: int = 1024
-) -> bool:
+def tracked_conjugacy(w1: SymbolMatrix, w2: SymbolMatrix, base_grid: int = 1024) -> bool:
     """Oracle for `zqwalk.are_conjugate`: track both walks and match their bands.
 
     Systems are compared band by band on the coarser of the two grids,
@@ -236,10 +235,10 @@ def tracked_conjugacy(
     """
     if w1.n != w2.n:
         return False
-    sys1, sys2 = track_bands(w1, base_grid, tol), track_bands(w2, base_grid, tol)
+    sys1, sys2 = track_bands(w1, base_grid), track_bands(w2, base_grid)
     coarse = min(sys1.base_grid, sys2.base_grid)
     sys1, sys2 = _subsample_system(sys1, coarse), _subsample_system(sys2, coarse)
-    return _match_band_sets(list(sys1.bands), list(sys2.bands), coarse, tol)
+    return _match_band_sets(list(sys1.bands), list(sys2.bands), coarse, DEFAULT_TOL)
 
 
 def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -290,7 +289,7 @@ def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
 
 
 def full_grid_track_bands(
-    walk: SymbolMatrix, base_grid: int = 1024, tol: float = 1e-6, assignment: bool = False
+    walk: SymbolMatrix, base_grid: int = 1024, assignment: bool = False
 ) -> EigenSystem:
     """Reference for `zqwalk.track_bands`: every doubled grid solved in full.
 
@@ -301,16 +300,16 @@ def full_grid_track_bands(
 
     def build(vals):
         if not assignment:
-            return _build_system(vals, lipschitz, tol)
+            return _build_system(vals, lipschitz)
         cycles = [(d, s, 1) for d, s in assignment_track_cycles(vals)]
-        return _finish_system(cycles, vals.shape[1], vals.shape[0], tol)
+        return _finish_system(cycles, vals.shape[1], vals.shape[0])
 
     grid = base_grid
     system = build(np.linalg.eigvals(walk.grid_eval(grid)))
     while True:
         finer = build(np.linalg.eigvals(walk.grid_eval(2 * grid)))
         shared = _subsample_system(finer, grid)
-        if _match_band_sets(list(system.bands), list(shared.bands), grid, tol):
+        if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
             return system
         grid *= 2
         system = finer

@@ -16,6 +16,7 @@ from zqwalk import (
     SpecFormatError,
     StateVector,
     SymbolMatrix,
+    UnitarityError,
     build_model_walk,
     coined_walk,
     compare_empirical,
@@ -368,8 +369,6 @@ def test_cli_conjugate(spec_dir, tmp_path, capsys):
         "conjugate",
         spec_dir / "hadamard.json",
         spec_dir / "modified_hadamard.json",
-        "--grid",
-        256,
         "--out",
         out,
     )
@@ -429,6 +428,74 @@ def test_script_runs(argv, tmp_path):
     assert any((tmp_path / "runs").rglob("*.csv"))
 
 
+def test_cli_options_are_the_ones_each_command_reads(monkeypatch):
+    import argparse
+
+    from zqwalk.cli import build_parser
+
+    want = {
+        "check": {"--out"},
+        "bands": {"--grid", "--out"},
+        "decompose": {"--grid", "--out"},
+        "winding": {"--grid", "--out"},
+        "ct-check": {"--grid", "--out"},
+        "simulate": {"--init", "--t", "--rescaled", "--out"},
+        "limit": {"--grid", "--init", "--out"},
+        "compare": {"--grid", "--init", "--t", "--mmax", "--out"},
+        "conjugate": {"--tol", "--out"},
+    }
+    # no environment variable sets a default
+    monkeypatch.setenv("ZQWALK_GRID", "64")
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {o for a in p._actions for o in a.option_strings if o != "-h" and o != "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == want
+    assert parser.parse_args(["bands", "walk.json"]).grid == 1024
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "modified_hadamard.json", "--tol", "3"],
+        ["compare", "hadamard.json", "--init", "delta0_ch1.json", "--t", "1600",
+         "--mmax", "2", "--bins", "1"],
+        ["simulate", "hadamard.json", "--init", "delta0_ch1.json", "--t", "1",
+         "--grid", "256"],
+    ],
+    ids=["decompose_tol", "compare_bins", "simulate_grid"],
+)
+def test_cli_refuses_options_no_command_reads(argv, tmp_path, capsys):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(*argv, "--out", tmp_path / "run")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_unitarity_check_does_not_alias(tmp_path, capsys):
+    # u(z) = (z^-64 + i z^64) / sqrt(2) has |u|^2 - 1 = -sin(128 theta), which
+    # vanishes at every point of a 256-point grid and reaches 1 between them
+    coeff = 1 / np.sqrt(2)
+    walk = SymbolMatrix.from_array(
+        np.array([coeff] + [0.0] * 127 + [1j * coeff])[:, None, None], -64
+    )
+    spec, init = tmp_path / "radius64.json", tmp_path / "delta.json"
+    spec.write_text(json.dumps(zio.walk_to_json(walk)))
+    init.write_text(json.dumps(zio.state_to_json(StateVector.delta(0, 1, 1))))
+    assert run_cli("check", spec, "--out", tmp_path / "c") == 0
+    assert "unitarity FAIL (deviation 1.000e+00)" in capsys.readouterr().out
+    assert run_cli("bands", spec, "--out", tmp_path / "b") == 3
+    assert f"{spec}: symbol not unitary" in capsys.readouterr().err
+    assert run_cli("simulate", spec, "--init", init, "--t", "1", "--out", tmp_path / "s") == 3
+    assert f"{spec}: symbol not unitary" in capsys.readouterr().err
+    with pytest.raises(UnitarityError):
+        track_bands(walk)
+
+
 def test_cli_bad_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -459,7 +526,9 @@ def test_cli_rejects_non_finite_and_far_vectors(spec_dir, tmp_path, capsys, comm
         init = tmp_path / f"init{idx}.json"
         init.write_text(json.dumps({"n": 2, "amps": [item]}))
         argv = [command, spec_dir / "hadamard.json", "--init", init,
-                "--grid", 256, "--out", tmp_path / f"out{idx}"]
+                "--out", tmp_path / f"out{idx}"]
+        if command != "simulate":
+            argv += ["--grid", 256]
         if command != "limit":
             argv += ["--t", 4]
         assert run_cli(*argv) == code, item
@@ -498,7 +567,7 @@ def test_cli_checks_unitarity_once_per_walk(spec_dir, tmp_path, capsys, monkeypa
     assert run_cli("bands", grover, "--grid", 64, "--out", tmp_path / "b") == 0
     assert calls == [3]
     calls.clear()
-    assert run_cli("conjugate", hadamard, grover, "--grid", 64, "--out", tmp_path / "c") == 0
+    assert run_cli("conjugate", hadamard, grover, "--out", tmp_path / "c") == 0
     assert sorted(calls) == [2, 3]
     capsys.readouterr()
     # a non-unitary walk still fails with its own path, in either position

@@ -49,6 +49,13 @@ def test_build_rejects_non_unimodular():
         build_model_walk(ModelWalkSpec(1, LaurentPoly({0: 0.5, 1: 0.5})))
 
 
+def test_build_rejects_lambda_unimodular_only_on_a_256_grid():
+    # |lambda|^2 - 1 = -sin(128 theta) vanishes at every point of a 256-point grid
+    coeff = 1 / np.sqrt(2)
+    with pytest.raises(DomainError, match="not unimodular"):
+        build_model_walk(ModelWalkSpec(1, LaurentPoly({-64: coeff, 64: 1j * coeff})))
+
+
 def test_built_walks_are_unitary(rng):
     for d in (1, 2, 3):
         spec = random_unimodular_spec(rng, d, winding=rng.integers(-2, 3))

@@ -217,6 +217,25 @@ def test_winding_monomial_band():
     assert winding_numbers(system) == [1]
 
 
+def test_windings_are_computed_once_when_tracking(monkeypatch):
+    import zqwalk.spectral
+
+    calls = []
+
+    def counting(samples):
+        calls.append(len(samples))
+        return winding_of_samples(samples)
+
+    monkeypatch.setattr(zqwalk.spectral, "winding_of_samples", counting)
+    system = track_bands(modified_coined_walk(), 256)
+    assert calls
+    calls.clear()
+    assert winding_numbers(system) == [1]
+    assert total_winding(system) == 1
+    assert not ct_realizable(system)
+    assert calls == []
+
+
 def test_total_winding(tracked_corpus):
     assert total_winding(tracked_corpus["coined"]) == 0
     assert total_winding(tracked_corpus["modified"]) == 1
@@ -593,8 +612,9 @@ def test_winding_rejects_open_loop():
     theta = 2.0 * np.pi * np.arange(128) / 128
     half_loop = np.exp(0.5j * theta)  # does not close: half a turn
     system = EigenSystem((Band(1, half_loop, 0, 1),), 1, 128, True)
+    # windings are validated where a system is built, so refining refuses it
     with pytest.raises(ResolutionError, match="winding not integral"):
-        winding_numbers(system)
+        refine_system(system)
 
 
 def test_projections_flag_cross_band_collision():
