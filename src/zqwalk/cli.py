@@ -12,8 +12,8 @@ spec; every other subcommand treats a non-unitary symbol as an input error.
 Both apply the one test of _require_unitary, so a walk `check` passes is a
 walk the other subcommands accept.  Each walk is checked once per command: by
 `track_bands` where the command tracks it, by the loader otherwise.
-Exit codes: 0 ok, 2 malformed spec, 3 unitarity failure, 4 resolution
-failure, 5 domain error.
+Exit codes: 0 ok, 2 malformed spec or option value (checked before any
+work), 3 unitarity failure, 4 resolution failure, 5 domain error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -210,7 +211,7 @@ def cmd_winding(args) -> int:
     _walk, system = _load_tracked(args.spec, args)
     windings = winding_numbers(system)
     multiplicities = [b.multiplicity for b in system.bands]
-    total = sum(abs(w) * m for w, m in zip(windings, multiplicities))
+    total = total_winding(system)
     run = Run(args, "winding")
     run.write_json(
         "winding.json",
@@ -288,10 +289,15 @@ def cmd_limit(args) -> int:
 def cmd_compare(args) -> int:
     from .limit import cdf_distance, compare_moments
 
+    times = _parse_times(args.t)
+    if 0 in times:
+        raise SpecFormatError("compare times must be positive")
+    if args.mmax < 1:
+        raise SpecFormatError(f"--mmax must be at least 1, got {args.mmax}")
     walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
     measure = limit_measure(walk, xi, system)
-    states = [(t, evolve(walk, xi, t)) for t in _parse_times(args.t)]
+    states = [(t, evolve(walk, xi, t)) for t in times]
     rows = compare_moments(measure, states, args.mmax)
     run = Run(args, "compare")
     with open(run.path("moments.csv"), "w") as fh:
@@ -301,15 +307,16 @@ def cmd_compare(args) -> int:
     print(f"{_walk_id(args.spec)}: max |empirical - limit| = {worst:.3e}")
     # KS-style distance is diagnostic only (atoms block uniform convergence)
     for t, state in states:
-        if t > 0:
-            dist = position_distribution(state, time=t)
-            print(f"  t={t}: CDF sup distance {cdf_distance(measure, dist, t):.4f}",
-                  file=sys.stderr)
+        dist = position_distribution(state, time=t)
+        print(f"  t={t}: CDF sup distance {cdf_distance(measure, dist, t):.4f}",
+              file=sys.stderr)
     return 0
 
 
 def cmd_conjugate(args) -> int:
     # are_conjugate, with each walk checked once, by the loader and by name
+    if not 0 < args.tol < math.inf:
+        raise SpecFormatError(f"--tol must be finite and positive, got {args.tol}")
     w1 = _load_walk(args.spec, require_unitary=True)
     w2 = _load_walk(args.other, require_unitary=True)
     verdict = _char_polys_match(w1, w2, args.tol)

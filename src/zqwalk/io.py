@@ -11,6 +11,9 @@ eigen system     {"bands": [{"d", "winding", "multiplicity",
                   "base_grid": int}
 limit measure    {"atoms": [{"x", "mass"}], "bins": [{"x", "mass"}]}
 
+Walks, models and initial vectors are read and written.  Eigen systems and
+limit measures are written only; the measure's "bins" are its
+LimitMeasure.histogram() view, from which the samples cannot be rebuilt.
 Rows and columns are 1-based; unspecified entries are zero.  CSV floats are
 written with 17 significant digits, '.' decimal separator, no locale.
 """
@@ -28,7 +31,7 @@ from .laurent import LaurentPoly
 from .limit import LimitMeasure, MomentComparison
 from .model import CtGenerator, ModelWalkSpec
 from .simulate import PositionDistribution, StateVector, _settle
-from .spectral import Band, EigenSystem
+from .spectral import EigenSystem
 from .symbol import SymbolMatrix
 
 
@@ -54,9 +57,6 @@ def _require(obj, key, kind, where):
     elif kind is list:
         if not isinstance(value, list):
             raise SpecFormatError(f"{where}.{key}: expected an array")
-    elif kind is bool:
-        if not isinstance(value, bool):
-            raise SpecFormatError(f"{where}.{key}: expected a boolean")
     return value
 
 
@@ -181,52 +181,17 @@ def eigensystem_to_json(system: EigenSystem) -> dict:
     }
 
 
-def eigensystem_from_json(data: dict) -> EigenSystem:
-    bands = []
-    for idx, item in enumerate(_require(data, "bands", list, "eigensystem")):
-        where = f"eigensystem.bands[{idx}]"
-        d = _require(item, "d", int, where)
-        winding = _require(item, "winding", int, where)
-        mult = _require(item, "multiplicity", int, where)
-        samples = np.array(
-            [
-                complex(_require(s, "re", float, where), _require(s, "im", float, where))
-                for s in _require(item, "samples", list, where)
-            ]
-        )
-        bands.append(Band(d, samples, winding, mult))
-    n = sum(b.d * b.multiplicity for b in bands)
-    return EigenSystem(
-        tuple(bands),
-        n,
-        _require(data, "base_grid", int, "eigensystem"),
-        _require(data, "indecomposable", bool, "eigensystem"),
-    )
-
-
 # -- limit measures ----------------------------------------------------------
 
 
 def measure_to_json(measure: LimitMeasure) -> dict:
+    centers, cells = measure.histogram()
     return {
         "atoms": [{"x": x, "mass": mass} for x, mass in measure.atoms],
-        "bins": [{"x": x, "mass": mass} for x, mass in measure.density_samples],
+        "bins": [
+            {"x": x, "mass": mass} for x, mass in zip(centers.tolist(), cells.tolist())
+        ],
     }
-
-
-def measure_from_json(data: dict) -> LimitMeasure:
-    atoms = tuple(
-        (float(_require(a, "x", float, "measure.atoms")),
-         float(_require(a, "mass", float, "measure.atoms")))
-        for a in _require(data, "atoms", list, "measure")
-    )
-    bins = tuple(
-        (float(_require(b, "x", float, "measure.bins")),
-         float(_require(b, "mass", float, "measure.bins")))
-        for b in _require(data, "bins", list, "measure")
-    )
-    total = sum(m for _x, m in atoms) + sum(m for _x, m in bins)
-    return LimitMeasure(atoms, bins, float(total))
 
 
 # -- CSV emitters ------------------------------------------------------------
@@ -262,11 +227,11 @@ def write_distribution_csv(
 
 
 def write_measure_csv(measure: LimitMeasure, stream: IO) -> None:
-    """Columns: kind, x, mass (atoms first, then histogram cells)."""
+    """Columns: kind, x, mass (atoms first, then the histogram view's cells)."""
     stream.write("kind,x,mass\n")
     for x, mass in measure.atoms:
         stream.write(f"atom,{_fmt(x)},{_fmt(mass)}\n")
-    for x, mass in measure.density_samples:
+    for x, mass in zip(*measure.histogram()):
         stream.write(f"bin,{_fmt(x)},{_fmt(mass)}\n")
 
 

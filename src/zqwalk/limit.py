@@ -7,7 +7,10 @@ carries an extra 1/d, and the spectral weight of the initial vector splits the
 mass between branches.  Weights and velocities come from the same eigensolve
 (spectral.band_projections).  Bands of constant velocity contribute exact
 point masses (localization atoms) at w/d, their winding over their covering
-degree; everything else is accumulated into a fixed velocity histogram.
+degree; everything else is kept as its (velocity, mass) samples, one per
+covering point, the pushforward of the base grid's trapezoid rule.  Moments,
+CDF distances and the support read those samples; the fixed velocity
+histogram is only a view for the written outputs.
 """
 
 from __future__ import annotations
@@ -26,43 +29,56 @@ DEFAULT_BINS = 512
 ATOM_VELOCITY_SPREAD = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitMeasure:
-    """Atoms plus a velocity histogram; masses sum to the initial norm."""
+    """Atoms plus (velocity, mass) samples; all masses sum to the initial norm.
+
+    `velocities` and `masses` are read-only float arrays of equal length:
+    sample k puts mass masses[k] at velocity velocities[k].
+    """
 
     atoms: tuple[tuple[float, float], ...]
-    density_samples: tuple[tuple[float, float], ...]
-    total_mass: float
+    velocities: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("velocities", "masses"):
+            array = np.array(getattr(self, name), dtype=float).ravel()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def total_mass(self) -> float:
+        return float(sum(mass for _x, mass in self.atoms) + self.masses.sum())
 
     def atom_mass(self, location: float = 0.0, tol: float = 1e-9) -> float:
         return float(
             sum(mass for x, mass in self.atoms if abs(x - location) <= tol)
         )
 
-    def mass_outside(self, bound: float) -> float:
-        out = sum(mass for x, mass in self.atoms if abs(x) > bound)
-        out += sum(mass for x, mass in self.density_samples if abs(x) > bound)
-        return float(out)
-
     def max_support(self) -> float:
-        locs = [abs(x) for x, m in self.atoms if m > 0]
-        locs += [abs(x) for x, m in self.density_samples if m > 0]
-        return max(locs, default=0.0)
+        atom_speed = max((abs(x) for x, m in self.atoms if m > 0), default=0.0)
+        speeds = np.abs(self.velocities[self.masses > 0])
+        return float(np.max(speeds, initial=atom_speed))
 
+    def histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """(centers, masses) of DEFAULT_BINS cells on [-V, V], V the largest speed.
 
-def _deposit_linear(centers: np.ndarray, masses_x: np.ndarray, masses: np.ndarray):
-    """Cloud-in-cell deposit: each mass splits between its two nearest centers."""
-    out = np.zeros(len(centers))
-    if len(centers) == 1:
-        out[0] = masses.sum()
-        return out
-    width = centers[1] - centers[0]
-    u = (masses_x - centers[0]) / width
-    i0 = np.clip(np.floor(u).astype(int), 0, len(centers) - 2)
-    frac = np.clip(u - i0, 0.0, 1.0)
-    np.add.at(out, i0, masses * (1.0 - frac))
-    np.add.at(out, i0 + 1, masses * frac)
-    return out
+        Cloud-in-cell: each sample's mass splits between its two nearest
+        centers.  A view for the written outputs; both arrays are empty when
+        there are no samples.
+        """
+        if not len(self.velocities):
+            return np.zeros(0), np.zeros(0)
+        vmax = float(np.max(np.abs(self.velocities)))
+        centers = -vmax + (np.arange(DEFAULT_BINS) + 0.5) * (2.0 * vmax / DEFAULT_BINS)
+        u = (self.velocities - centers[0]) / (centers[1] - centers[0])
+        i0 = np.clip(np.floor(u).astype(int), 0, DEFAULT_BINS - 2)
+        frac = np.clip(u - i0, 0.0, 1.0)
+        cells = np.zeros(DEFAULT_BINS)
+        np.add.at(cells, i0, self.masses * (1.0 - frac))
+        np.add.at(cells, i0 + 1, self.masses * frac)
+        return centers, cells
 
 
 def limit_measure(
@@ -74,9 +90,9 @@ def limit_measure(
 
     Requires a refined (indecomposable) eigen system on its base grid.  Bands
     whose velocity spread is below ATOM_VELOCITY_SPREAD become exact atoms at
-    winding/d; the rest of the mass is a DEFAULT_BINS-cell histogram on
-    [-V, V] where V is the largest group speed, so the support bound is
-    built in.
+    winding/d; every other band gives one (velocity, mass) sample per covering
+    point, the mass being its weight over the base grid size, so the support
+    bound and the spectral accuracy of the grid sums are built in.
     """
     if not system.indecomposable:
         raise DomainError("eigen system must be refined first")
@@ -94,7 +110,6 @@ def limit_measure(
     atoms: list[tuple[float, float]] = []
     cont_x: list[np.ndarray] = []
     cont_mass: list[np.ndarray] = []
-    vmax = 0.0
     for band, w, v in zip(system.bands, weights, velocities):
         mass_grid = w / m  # each base point carries measure 1/M
         if np.ptp(v) < ATOM_VELOCITY_SPREAD:
@@ -102,7 +117,6 @@ def limit_measure(
             continue
         cont_x.append(v.ravel())
         cont_mass.append(mass_grid.ravel())
-        vmax = max(vmax, float(np.max(np.abs(v))))
 
     merged_atoms: list[tuple[float, float]] = []
     for x, mass in sorted(atoms):
@@ -111,25 +125,19 @@ def limit_measure(
         else:
             merged_atoms.append((x, mass))
 
-    density: list[tuple[float, float]] = []
-    if cont_x:
-        centers = -vmax + (np.arange(DEFAULT_BINS) + 0.5) * (2.0 * vmax / DEFAULT_BINS)
-        hist = _deposit_linear(
-            centers, np.concatenate(cont_x), np.concatenate(cont_mass)
-        )
-        density = [(float(x), float(mass)) for x, mass in zip(centers, hist)]
-
-    total = sum(mass for _x, mass in merged_atoms) + sum(m_ for _x, m_ in density)
-    return LimitMeasure(tuple(merged_atoms), tuple(density), float(total))
+    return LimitMeasure(
+        tuple(merged_atoms),
+        np.concatenate(cont_x or [[]]),
+        np.concatenate(cont_mass or [[]]),
+    )
 
 
 def limit_moments(measure: LimitMeasure, m: int) -> float:
-    """m-th moment: atoms plus histogram cells, location^m times mass."""
+    """m-th moment: atoms plus samples, location^m times mass."""
     if m < 0:
         raise DomainError("moment order must be nonnegative")
     acc = sum(mass * x**m for x, mass in measure.atoms)
-    acc += sum(mass * x**m for x, mass in measure.density_samples)
-    return float(acc)
+    return float(acc + np.dot(measure.masses, measure.velocities**m))
 
 
 def cdf_distance(measure: LimitMeasure, dist, t: int) -> float:
@@ -140,12 +148,14 @@ def cdf_distance(measure: LimitMeasure, dist, t: int) -> float:
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    points = np.array(measure.atoms + measure.density_samples, dtype=float).reshape(-1, 2)
+    atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
+    locations = np.concatenate([atoms[:, 0], measure.velocities])
+    masses = np.concatenate([atoms[:, 1], measure.masses])
     count = len(dist.probs)
     sites = np.fromiter(dist.probs.keys(), dtype=float, count=count) / t
     probs = np.fromiter(dist.probs.values(), dtype=float, count=count)
-    grid = np.union1d(points[:, 0], sites)
-    gap = _cdf_at(points[:, 0], points[:, 1], grid) - _cdf_at(sites, probs, grid)
+    grid = np.union1d(locations, sites)
+    gap = _cdf_at(locations, masses, grid) - _cdf_at(sites, probs, grid)
     return float(np.max(np.abs(gap), initial=0.0))
 
 

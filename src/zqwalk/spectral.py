@@ -540,9 +540,12 @@ def are_conjugate(
     coefficient difference over all lambda-powers and shifts: at most
     CHAR_POLY_TOL times the coefficient scale (at least 1) is conjugate, at
     least `tol` is not, and a distance in between raises ResolutionError.
-    Walks of different dimension are not conjugate.  `base_grid` is accepted
-    for compatibility and unused.
+    A `tol` that is not finite and positive raises DomainError.  Walks of
+    different dimension are not conjugate.  `base_grid` is accepted for
+    compatibility and unused.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     _require_unitary(w1)
     _require_unitary(w2)
     return _char_polys_match(w1, w2, tol)

@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 
 from zqwalk import (
-    LimitMeasure,
+    DomainError,
     ModelWalkSpec,
     SpecFormatError,
     StateVector,
     SymbolMatrix,
     UnitarityError,
+    are_conjugate,
     build_model_walk,
     coined_walk,
     compare_empirical,
     direct_sum,
     evolve,
     grover_walk_3,
+    limit_measure,
     modified_coined_walk,
     refine_system,
     track_bands,
@@ -35,6 +37,7 @@ from support import (
 )
 from zqwalk import io as zio
 from zqwalk.cli import main
+from zqwalk.limit import DEFAULT_BINS
 
 
 @pytest.fixture
@@ -203,16 +206,30 @@ def test_state_from_json_sums_repeated_entries():
     assert xi.amplitudes == {(2, 1): 0.75 + 1j}
 
 
-def test_eigensystem_json_round_trip():
+def test_eigensystem_json_payload():
     system = refine_system(track_bands(grover_walk_3(), 64))
     payload = json.loads(json.dumps(zio.eigensystem_to_json(system)))
-    assert zio.eigensystem_from_json(payload) == system
+    assert payload["base_grid"] == system.base_grid == 64
+    assert payload["indecomposable"] is True
+    assert len(payload["bands"]) == len(system.bands)
+    for item, band in zip(payload["bands"], system.bands):
+        assert (item["d"], item["winding"], item["multiplicity"]) == (
+            band.d, band.winding, band.multiplicity
+        )
+        samples = [complex(v["re"], v["im"]) for v in item["samples"]]
+        assert samples == band.samples.tolist()
 
 
-def test_measure_json_round_trip():
-    mu = LimitMeasure(((0.0, 0.25),), ((0.5, 0.5), (-0.5, 0.25)), 1.0)
-    again = zio.measure_from_json(json.loads(json.dumps(zio.measure_to_json(mu))))
-    assert again == mu
+def test_measure_json_payload():
+    walk = grover_walk_3()
+    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    mu = limit_measure(walk, xi, refine_system(track_bands(walk, 256)))
+    payload = json.loads(json.dumps(zio.measure_to_json(mu)))
+    assert [(a["x"], a["mass"]) for a in payload["atoms"]] == list(mu.atoms)
+    assert len(payload["bins"]) == DEFAULT_BINS
+    assert max(abs(b["x"]) for b in payload["bins"]) <= mu.max_support()
+    total = sum(item["mass"] for item in payload["atoms"] + payload["bins"])
+    assert abs(total - mu.total_mass) <= 1e-12
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -234,10 +251,7 @@ def test_cli_decompose_grover(spec_dir, tmp_path, capsys):
     assert report["decomposable"] is True
     assert report["ct_realizable"] is True
     assert sorted((b["d"], b["winding"]) for b in report["bands"]) == [(1, 0), (2, 0)]
-    system = zio.eigensystem_from_json(
-        json.loads((out / "eigensystem.json").read_text())
-    )
-    assert system.base_grid == 256
+    assert json.loads((out / "eigensystem.json").read_text())["base_grid"] == 256
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"eigensystem.json", "decompose.json"}
 
@@ -296,8 +310,9 @@ def test_cli_limit_and_compare(spec_dir, tmp_path):
         "--out",
         out,
     ) == 0
-    measure = zio.measure_from_json(json.loads((out / "measure.json").read_text()))
-    assert measure.atom_mass(0.0) == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-4)
+    atoms = json.loads((out / "measure.json").read_text())["atoms"]
+    atom_mass = sum(a["mass"] for a in atoms if abs(a["x"]) <= 1e-9)
+    assert atom_mass == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-4)
 
     out2 = tmp_path / "run-compare"
     assert run_cli(
@@ -377,6 +392,40 @@ def test_cli_conjugate(spec_dir, tmp_path, capsys):
     assert json.loads((out / "conjugate.json").read_text()) == {"conjugate": False}
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--mmax", "0"), ("--mmax", "-1"), ("--t", "0"), ("--t", "20,0")],
+    ids=["mmax_0", "mmax_negative", "t_0", "t_list_with_0"],
+)
+def test_cli_compare_refuses_no_moments_and_time_zero(
+    spec_dir, tmp_path, capsys, option, value
+):
+    options = {"--t": "20", "--mmax": "2", option: value}
+    out = tmp_path / "run"
+    code = run_cli(
+        "compare", spec_dir / "hadamard.json", "--init", spec_dir / "delta0_ch1.json",
+        "--grid", 256, *[part for pair in options.items() for part in pair],
+        "--out", out,
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_conjugate_refuses_tol_not_finite_and_positive(spec_dir, tmp_path, capsys, tol):
+    out = tmp_path / "run"
+    code = run_cli(
+        "conjugate", spec_dir / "hadamard.json", spec_dir / "modified_hadamard.json",
+        "--tol", tol, "--out", out,
+    )
+    assert code == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(DomainError, match="finite and positive"):
+        are_conjugate(coined_walk(), modified_coined_walk(), float(tol))
+
+
 def test_cli_bands_writes_refined_system(tmp_path, capsys):
     # the raw cycles of this direct sum change with the grid; the refined
     # system is certified at the first doubling
@@ -386,9 +435,8 @@ def test_cli_bands_writes_refined_system(tmp_path, capsys):
     assert run_cli("bands", spec, "--grid", 1024, "--out", out) == 0
     payload = json.loads((out / "eigensystem.json").read_text())
     assert payload["indecomposable"] is True
-    system = zio.eigensystem_from_json(payload)
-    assert system.base_grid == 1024
-    assert [(b.d, b.multiplicity) for b in system.bands] == [(1, 2), (1, 2)]
+    assert payload["base_grid"] == 1024
+    assert [(b["d"], b["multiplicity"]) for b in payload["bands"]] == [(1, 2), (1, 2)]
     assert "[(1, 2), (1, 2)] on grid 1024" in capsys.readouterr().out
 
 

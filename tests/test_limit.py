@@ -114,7 +114,16 @@ def test_coined_measure_support_and_mass(tracked_corpus):
     assert mu.atoms == ()
     assert mu.total_mass == pytest.approx(1.0, abs=1e-6)
     assert mu.max_support() <= R + 1e-9
-    assert mu.mass_outside(R) < 1e-9
+
+
+def test_coined_moments_match_closed_form_to_roundoff(tracked_corpus):
+    # from delta_0 x e_1 the coined limit has m1 = -(1 - 1/sqrt2) and
+    # m2 = 1 - 1/sqrt2; the grid sums over the samples are spectrally accurate
+    xi = StateVector.delta(0, 1, 2)
+    mu = limit_measure(coined_walk(), xi, tracked_corpus["coined"])
+    assert abs(limit_moments(mu, 1) + (1.0 - R)) <= 1e-12
+    assert abs(limit_moments(mu, 2) - (1.0 - R)) <= 1e-12
+    assert abs(limit_moments(mu, 0) - mu.total_mass) <= 1e-15
 
 
 def test_grover_localization_atom(tracked_corpus):
@@ -171,7 +180,7 @@ def test_measure_of_far_delta_matches_origin(corpus, tracked_corpus, name):
 def test_atom_moments():
     from zqwalk.limit import LimitMeasure
 
-    mu = LimitMeasure(((1.0, 1.0),), (), 1.0)
+    mu = LimitMeasure(((1.0, 1.0),), (), ())
     assert limit_moments(mu, 3) == 1.0
     assert limit_moments(mu, 0) == 1.0
 
@@ -256,7 +265,7 @@ def test_cdf_distance_diagnostic(tracked_corpus):
 def test_cdf_distance_hand_example():
     from zqwalk import LimitMeasure, PositionDistribution, cdf_distance
 
-    mu = LimitMeasure(((0.0, 0.5),), ((0.5, 0.25), (1.0, 0.25)), 1.0)
+    mu = LimitMeasure(((0.0, 0.5),), (0.5, 1.0), (0.25, 0.25))
     dist = PositionDistribution({-1: 0.25, 0: 0.25, 2: 0.5}, time=2)
     # grid -0.5, 0, 0.5, 1: limit CDF 0, 0.5, 0.75, 1; empirical 0.25, 0.5, 0.5, 1
     assert cdf_distance(mu, dist, 2) == pytest.approx(0.25, abs=1e-15)
@@ -265,7 +274,7 @@ def test_cdf_distance_hand_example():
 
 def _loop_cdf_distance(measure, dist, t):
     """Reference: merge the two sorted (location, mass) lists by hand."""
-    points = sorted(list(measure.atoms) + list(measure.density_samples))
+    points = sorted(list(measure.atoms) + list(zip(measure.velocities, measure.masses)))
     emp = sorted((s / t, p) for s, p in dist.probs.items())
     worst = ci = cj = 0.0
     i = j = 0
@@ -298,8 +307,7 @@ def test_coined_density_matches_arcsine_type_law(tracked_corpus):
     from scipy.integrate import quad
 
     mu = limit_measure(coined_walk(), StateVector.delta(0, 1, 2), tracked_corpus["coined"])
-    xs = np.array([x for x, _ in mu.density_samples])
-    ms = np.array([m for _, m in mu.density_samples])
+    xs, ms = mu.histogram()
     width = xs[1] - xs[0]
 
     def density(x):
