@@ -1,0 +1,230 @@
+#!/usr/bin/env python3
+"""Time each library stage in-process and record accuracy beside the timings.
+
+Inputs: the three walk fixtures (hadamard, modified_hadamard, grover3) and a
+seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
+
+- grid_eval: the (M, n, n) symbol stack;
+- eigvals, eig: the batched eigensolve of that stack without and with
+  eigenvectors (track_bands solves one of them on its base grid);
+- track_bands: the certified, refined system;
+- band_projections_first: the first call on a freshly tracked system;
+- band_projections_repeat: a second vector on the same system;
+- limit_measure: the first measure on a freshly tracked system;
+- evolve_t400, evolve_t1600, evolve_t6400: dense evolution of the delta.
+
+Each stage reports the median and quartiles of --repeats timed runs (one
+untimed warm-up first).  The file also records the machine (nproc, BLAS
+thread cap, versions), the numbers of eig, eigvals and inv calls one
+track_bands -> refine_system -> 2 x limit_measure chain makes, the coined
+moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
+error against 1 - 2/sqrt 6, and the largest norm drift of the evolved states.
+
+Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
+"""
+
+from __future__ import annotations
+
+import os
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:  # one BLAS thread, before numpy loads
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from zqwalk import (  # noqa: E402
+    StateVector,
+    SymbolMatrix,
+    band_projections,
+    compose,
+    evolve,
+    limit_measure,
+    limit_moments,
+    refine_system,
+    track_bands,
+)
+from zqwalk import io as zio  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+GRID = 1024
+TIMES = (400, 1600, 6400)
+R = 2**-0.5
+
+
+def split_step_walk(seed: int, n: int, layers: int) -> SymbolMatrix:
+    """`layers` random coins each followed by a diagonal shift in {-1, 0, 1}.
+
+    Channel 1 moves right and channel n left in every layer.
+    """
+    rng = np.random.default_rng(seed)
+    walk = SymbolMatrix.identity(n)
+    for _ in range(layers):
+        steps = rng.integers(-1, 2, size=n)
+        steps[0], steps[-1] = 1, -1
+        shift = np.zeros((3, n, n), dtype=complex)
+        shift[steps + 1, np.arange(n), np.arange(n)] = 1.0
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(z)
+        coin = SymbolMatrix.from_constant(q * (np.diag(r) / np.abs(np.diag(r))))
+        walk = compose(SymbolMatrix.from_array(shift, -1), compose(coin, walk))
+    return walk
+
+
+def inputs() -> dict[str, tuple[SymbolMatrix, StateVector, StateVector]]:
+    """name -> (walk, delta vector, a second unit vector)."""
+    walks = {
+        name: zio.parse_spec((ROOT / "fixtures" / f"{name}.json").read_text())
+        for name in ("hadamard", "modified_hadamard", "grover3")
+    }
+    walks["split_n6"] = split_step_walk(306, 6, 1)
+    out = {}
+    for name, walk in walks.items():
+        n = walk.n
+        delta = StateVector.delta(0, 2 if name == "grover3" else 1, n)
+        other = StateVector({(0, k): n**-0.5 for k in range(1, n + 1)}, n)
+        out[name] = (walk, delta, other)
+    return out
+
+
+def timed(fn, repeats: int, setup=None) -> dict:
+    """Median and quartiles of `repeats` timed calls of fn(setup())."""
+    samples = []
+    for i in range(repeats + 1):
+        arg = setup() if setup else None
+        start = time.perf_counter()
+        fn(arg)
+        if i:  # the first call is a warm-up
+            samples.append(time.perf_counter() - start)
+    q25, median, q75 = (
+        statistics.quantiles(samples, n=4, method="inclusive") if repeats > 1 else samples * 3
+    )
+    return {"median_s": median, "q25_s": q25, "q75_s": q75, "runs": repeats}
+
+
+def stage_timings(walk, delta, other, repeats: int) -> dict:
+    xh, xh2 = delta.fourier_samples(GRID), other.fourier_samples(GRID)
+    stack = walk.grid_eval(GRID)
+
+    def tracked(_=None):
+        return refine_system(track_bands(walk, GRID))
+
+    def projected_once():
+        system = tracked()
+        band_projections(walk, system, xh)
+        return system
+
+    stages = {
+        "grid_eval": timed(lambda _: walk.grid_eval(GRID), repeats),
+        "eigvals": timed(lambda _: np.linalg.eigvals(stack), repeats),
+        "eig": timed(lambda _: np.linalg.eig(stack), repeats),
+        "track_bands": timed(lambda _: track_bands(walk, GRID), repeats),
+        "band_projections_first": timed(
+            lambda s: band_projections(walk, s, xh), repeats, tracked
+        ),
+        "band_projections_repeat": timed(
+            lambda s: band_projections(walk, s, xh2), repeats, projected_once
+        ),
+        "limit_measure": timed(lambda s: limit_measure(walk, delta, s), repeats, tracked),
+    }
+    for t in TIMES:
+        stages[f"evolve_t{t}"] = timed(lambda _, t=t: evolve(walk, delta, t), repeats)
+    return stages
+
+
+def solve_counts(walk, vectors) -> dict:
+    """np.linalg eig/eigvals/inv calls of track_bands -> refine_system -> limit_measure(s)."""
+    counts = {"eig": 0, "eigvals": 0, "inv": 0}
+    originals = {name: getattr(np.linalg, name) for name in counts}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        setattr(np.linalg, name, counting(name))
+    try:
+        system = refine_system(track_bands(walk, GRID))
+        for xi in vectors:
+            limit_measure(walk, xi, system)
+    finally:
+        for name, fn in originals.items():
+            setattr(np.linalg, name, fn)
+    return counts
+
+
+def accuracy(cases) -> dict:
+    walk, delta, _other = cases["hadamard"]
+    mu = limit_measure(walk, delta, refine_system(track_bands(walk, GRID)))
+    g_walk, g_delta, _other = cases["grover3"]
+    nu = limit_measure(g_walk, g_delta, refine_system(track_bands(g_walk, GRID)))
+    drift = max(
+        abs(evolve(w, xi, t).norm() ** 2 - 1.0)
+        for w, xi, _other in cases.values()
+        for t in TIMES
+    )
+    return {
+        "coined_m1_err": abs(limit_moments(mu, 1) + (1.0 - R)),
+        "coined_m2_err": abs(limit_moments(mu, 2) - (1.0 - R)),
+        "grover3_atom_err": abs(nu.atom_mass(0.0) - (1.0 - 2.0 / 6.0**0.5)),
+        "norm_drift_max": drift,
+    }
+
+
+def commit() -> str | None:
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    return done.stdout.strip() or None
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH.json")
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    cases = inputs()
+    report = {
+        "environment": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
+            "commit": commit(),
+        },
+        "grid": GRID,
+        "stages": {},
+        "solve_counts": {},
+        "accuracy": accuracy(cases),
+    }
+    for name, (walk, delta, other) in cases.items():
+        report["solve_counts"][name] = solve_counts(walk, [delta, other])
+        report["stages"][name] = stage_timings(walk, delta, other, args.repeats)
+        medians = ", ".join(
+            f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
+        )
+        print(f"{name} (median ms): {medians}")
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    print(f"accuracy: {report['accuracy']}")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

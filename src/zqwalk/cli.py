@@ -246,13 +246,14 @@ def cmd_ct_check(args) -> int:
 
 
 def _parse_times(text: str) -> list[int]:
+    """The comma-separated times, repeats dropped, in order of first occurrence."""
     try:
         times = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise SpecFormatError(f"bad time list '{text}'") from exc
     if not times or any(t < 0 for t in times):
         raise SpecFormatError("times must be nonnegative integers")
-    return times
+    return list(dict.fromkeys(times))
 
 
 def cmd_simulate(args) -> int:

@@ -4,10 +4,12 @@ For a single branch the limit measure is the pushforward of the momentum-space
 probability |xi_hat(theta)|^2 dtheta/2pi through the group velocity
 h(theta) = d arg(lambda)/dtheta; for a d-fold covering branch the velocity
 carries an extra 1/d, and the spectral weight of the initial vector splits the
-mass between branches.  Weights and velocities come from the same eigensolve
-(spectral.band_projections).  Bands of constant velocity contribute exact
-point masses (localization atoms) at w/d, their winding over their covering
-degree; everything else is kept as its (velocity, mass) samples, one per
+mass between branches.  Weights and velocities come from the eigensolve
+track_bands already did on the base grid (spectral.band_projections); only
+the weights depend on the initial vector, so the measures of several vectors
+against one system share one decomposition.  Bands of constant velocity
+contribute exact point masses (localization atoms) at w/d, their winding
+over their covering degree; everything else is kept as its (velocity, mass) samples, one per
 covering point, the pushforward of the base grid's trapezoid rule.  Moments,
 CDF distances and the support read those samples; the fixed velocity
 histogram is only a view for the written outputs.

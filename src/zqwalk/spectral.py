@@ -34,21 +34,25 @@ not raw cycles, because inside an exactly degenerate eigenspace (a direct
 sum) the raw cycle structure depends on how eig labels the eigenvectors,
 which changes from grid to grid.
 
-Grid work is batched: track_bands and band_projections evaluate the symbol
-as one (M, n, n) stack and run one eigensolve over it, and the start-point
-search, eigenvalue clustering, certified matching, permutation composition,
-projection weights and Hellmann-Feynman group velocities are array
-operations over all M points.  The limit measure takes both its weights and
-its velocities from that one band_projections eigensolve.  Only the
-uncertified matching steps go point by point, because each extrapolates from
-the step before it; the velocities at the few self-collision points are
-solved one cluster at a time.
+Grid work is batched: track_bands evaluates the symbol as one (M, n, n)
+stack and solves one eigendecomposition (values and vectors) over it, and
+the start-point search, eigenvalue clustering, certified matching,
+permutation composition, projection weights and Hellmann-Feynman group
+velocities are array operations over all M points.  That decomposition is
+the only one per walk and grid: the system keeps it, refine_system passes it
+on, and band_projections builds its vector-free half from it (inverse
+eigenvectors, clusters, band matching, checks and velocities) once per
+system and walk, so each further initial vector costs one batched
+matrix-vector product.  The limit measure takes both its weights and its
+velocities from there.  Only the uncertified matching steps go point by
+point, because each extrapolates from the step before it; the velocities at
+the few self-collision points are solved one cluster at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,12 +109,20 @@ class Band:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """A complete set of tracked bands for one walk symbol."""
+    """A complete set of tracked bands for one walk symbol.
+
+    Two private caches ride along and __eq__ ignores them: `_solved` is the
+    (walk, evals, vecs) eigendecomposition on base_grid that track_bands
+    tracked through, and `_frame` the vector-free half of band_projections
+    (_Frame), built on first use.
+    """
 
     bands: tuple[Band, ...]
     n: int
     base_grid: int
     indecomposable: bool
+    _solved: tuple | None = field(default=None, init=False, repr=False)
+    _frame: _Frame | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         total = sum(b.d * b.multiplicity for b in self.bands)
@@ -416,7 +428,9 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     returned; the grid doubles until that holds or MAX_GRID is exceeded.
     Every other point of the doubled grid is a point of the current one (the
     grid phases are reduced exactly in integers), so only the new midpoints
-    are solved.
+    are solved, for eigenvalues only.  The base grid is solved with
+    eigenvectors, and a system returned on it keeps that decomposition for
+    band_projections, tied to this walk.
 
     Parameters
     ----------
@@ -431,8 +445,9 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     _require_unitary(walk)
     grid = base_grid
     lipschitz = _lipschitz(walk)
-    vals = np.linalg.eigvals(walk.grid_eval(grid))
+    vals, vecs = np.linalg.eig(walk.grid_eval(grid))
     system = _build_system(vals, lipschitz)
+    object.__setattr__(system, "_solved", (walk, vals, vecs))
     while True:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
@@ -501,7 +516,13 @@ def refine_system(system: EigenSystem) -> EigenSystem:
     recomputes and validates.
     """
     raw = [(b.d, b.samples, b.multiplicity) for b in system.bands]
-    return _finish_system(raw, system.n, system.base_grid)
+    refined = _finish_system(raw, system.n, system.base_grid)
+    # the eigendecomposition depends only on the walk and the grid, the frame
+    # also on the bands
+    object.__setattr__(refined, "_solved", system._solved)
+    if refined.bands == system.bands:
+        object.__setattr__(refined, "_frame", system._frame)
+    return refined
 
 
 def total_winding(system: EigenSystem) -> int:
@@ -574,6 +595,27 @@ def _char_polys_match(w1: SymbolMatrix, w2: SymbolMatrix, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The vector-free half of band_projections for one walk and band set:
+    eigenvectors V and W = V^-1, eigenvalue clusters, each slot's cluster and
+    how many slots share it, the read-only velocities and the band boundaries.
+    """
+
+    walk: SymbolMatrix
+    vecs: np.ndarray
+    left: np.ndarray
+    linked: np.ndarray
+    slot_cluster: np.ndarray
+    slot_count: np.ndarray
+    velocity: np.ndarray
+    split: np.ndarray
+
+
+def _same_walk(a: SymbolMatrix, b: SymbolMatrix) -> bool:
+    return a is b or (a.low == b.low and np.array_equal(a.coeffs, b.coeffs))
+
+
 def band_projections(
     walk: SymbolMatrix,
     system: EigenSystem,
@@ -589,35 +631,63 @@ def band_projections(
     cluster weight is split evenly among them, so the weights at each z always
     resolve the identity.  Clusters mixing distinct bands are an error.  The
     velocity is d arg(lambda)/dtheta in base-circle units, so a band of
-    winding w and degree d averages w/d and a flat band is constant.
+    winding w and degree d averages w/d and a flat band is constant; the
+    velocity arrays are read-only.
 
-    All grid points are handled at once: one batched eig of the (M, n, n)
-    symbol stack gives eigenvalues and eigenvectors V, and one batched inverse
-    W = V^-1 (rows: left eigenvectors) gives the coefficients a = W xi_hat.
-    The weight of an eigenvalue cluster c (single linkage at DEGENERACY_TOL) is
-    |sum_{i in c} V_i a_i|^2, the spectral projector of c applied to xi_hat,
-    so it stays exact where eig returns a non-orthogonal basis of a degenerate
-    eigenspace; |V^H xi_hat|^2 would not.  Velocities are Hellmann-Feynman
-    slopes Re((W U' V)_ii / (i lambda_i)), with U' exact from the symbol's
-    coefficients.  Where one cluster holds several covering points of a band,
-    the slopes are the eigenvalues of the cluster block of W U' V / (i lambda)
-    (degenerate perturbation theory), assigned to the covering points in the
-    order of their velocities at the neighbouring grid point.  Each tracked
-    covering value is matched to its nearest eigenvalue, and through it to
-    that eigenvalue's cluster.
+    All grid points are handled at once.  The half that does not depend on
+    xi_hat (the decomposition U = V diag(lambda) W with W = V^-1 batched,
+    clusters, slot matching, checks and velocities) is built once per system
+    and walk and cached on the system (_projection_frame).  Per vector,
+    a = W xi_hat, and the weight of an eigenvalue cluster c (single linkage
+    at DEGENERACY_TOL) is |sum_{i in c} V_i a_i|^2, the spectral projector of
+    c applied to xi_hat, so it stays exact where eig returns a non-orthogonal
+    basis of a degenerate eigenspace; |V^H xi_hat|^2 would not.
     """
     m = system.base_grid
-    n = walk.n
     xi_hat = np.asarray(xi_hat, dtype=complex)
-    if xi_hat.shape != (m, n):
-        raise DomainError(f"xi_hat must have shape ({m}, {n})")
-    evals, vecs = np.linalg.eig(walk.grid_eval(m))
+    if xi_hat.shape != (m, walk.n):
+        raise DomainError(f"xi_hat must have shape ({m}, {walk.n})")
+    frame = _projection_frame(walk, system)
+    coeffs = (frame.left @ xi_hat[:, :, None])[:, :, 0]
+    # column j of the product is the projection of xi_hat onto j's cluster
+    cluster_weight = np.sum(
+        np.abs((frame.vecs * coeffs[:, None, :]) @ frame.linked) ** 2, axis=1
+    )
+    share = np.take_along_axis(cluster_weight, frame.slot_cluster, axis=1) / frame.slot_count
+    return (
+        np.split(share, frame.split, axis=1),
+        np.split(frame.velocity, frame.split, axis=1),
+    )
+
+
+def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
+    """The system's cached frame for `walk`, built (and cached) if there is none.
+
+    The eigendecomposition is the one track_bands solved when the system
+    carries it for this walk (the same object, or equal coefficients and
+    least shift), else it is solved here; a foreign walk never reuses another
+    walk's frame, so its spectrum is checked against the bands afresh.
+
+    Velocities are Hellmann-Feynman slopes Re((W U' V)_ii / (i lambda_i)),
+    with U' exact from the symbol's coefficients.  Where one cluster holds
+    several covering points of a band, the slopes are the eigenvalues of the
+    cluster block of W U' V / (i lambda) (degenerate perturbation theory),
+    assigned to the covering points in the order of their velocities at the
+    neighbouring grid point.  Each tracked covering value is matched to its
+    nearest eigenvalue, and through it to that eigenvalue's cluster.
+    """
+    frame = system._frame
+    if frame is not None and _same_walk(frame.walk, walk):
+        return frame
+    m = system.base_grid
+    n = walk.n
+    if system._solved is not None and _same_walk(system._solved[0], walk):
+        evals, vecs = system._solved[1:]
+    else:
+        evals, vecs = np.linalg.eig(walk.grid_eval(m))
     left = np.linalg.inv(vecs)
-    coeffs = (left @ xi_hat[:, :, None])[:, :, 0]
     linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
-    # column j of the product is the projection of xi_hat onto j's cluster
-    cluster_weight = np.sum(np.abs((vecs * coeffs[:, None, :]) @ linked) ** 2, axis=1)
     shifts = walk.shifts
     derivative = _circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m)
     slope = np.einsum("kij,kji->ki", left, derivative @ vecs) / (1j * evals)
@@ -645,8 +715,7 @@ def band_projections(
             "grid point within the clustering tolerance"
         )
     slot_count = np.take_along_axis(count, slot_cluster, axis=1)
-    share = np.take_along_axis(cluster_weight, slot_cluster, axis=1) / slot_count
-    velocity = np.take_along_axis(slope, nearest, axis=1).real
+    velocity = np.take_along_axis(slope.real, nearest, axis=1)
     # self-collisions: a cluster holding several slots holds only one band's
     collisions = {(k, slot_cluster[k, s]) for k, s in zip(*np.nonzero(slot_count > 1))}
     for k, c in collisions:
@@ -659,5 +728,9 @@ def band_projections(
         beside = k + 1 if k < m - 1 else k - 1
         order = np.argsort(velocity[beside, slots])
         velocity[k, slots[order]] = cluster_slopes[::mult]
-    split = np.cumsum(degrees)[:-1]
-    return np.split(share, split, axis=1), np.split(velocity, split, axis=1)
+    velocity.flags.writeable = False
+    frame = _Frame(
+        walk, vecs, left, linked, slot_cluster, slot_count, velocity, np.cumsum(degrees)[:-1]
+    )
+    object.__setattr__(system, "_frame", frame)
+    return frame

@@ -392,6 +392,26 @@ def test_cli_conjugate(spec_dir, tmp_path, capsys):
     assert json.loads((out / "conjugate.json").read_text()) == {"conjugate": False}
 
 
+def test_cli_repeated_times_run_once(spec_dir, tmp_path, capsys):
+    walk, init = spec_dir / "hadamard.json", spec_dir / "delta0_ch1.json"
+    out = tmp_path / "run-sim"
+    assert run_cli("simulate", walk, "--init", init, "--t", "20,5,20,5", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["dist_t20.csv", "dist_t5.csv"]
+    assert "t = [20, 5]" in capsys.readouterr().out
+
+    out2 = tmp_path / "run-compare"
+    assert run_cli(
+        "compare", walk, "--init", init, "--t", "20,20,10", "--mmax", "2",
+        "--grid", 256, "--out", out2,
+    ) == 0
+    rows = list(csv.DictReader(open(out2 / "moments.csv")))
+    assert [(r["t"], r["m"]) for r in rows] == [
+        ("20", "1"), ("20", "2"), ("10", "1"), ("10", "2")
+    ]
+    assert capsys.readouterr().err.count("t=20:") == 1
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--mmax", "0"), ("--mmax", "-1"), ("--t", "0"), ("--t", "20,0")],
@@ -474,6 +494,34 @@ def test_script_runs(argv, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert any((tmp_path / "runs").rglob("*.csv"))
+
+
+def test_bench_script_writes_report(tmp_path):
+    root = FIXTURES.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bench.py"), "--repeats", "1", "--out", out],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert set(report["stages"]) == {"hadamard", "modified_hadamard", "grover3", "split_n6"}
+    for name, stages in report["stages"].items():
+        assert set(stages) == {
+            "grid_eval", "eigvals", "eig", "track_bands", "band_projections_first",
+            "band_projections_repeat", "limit_measure",
+            "evolve_t400", "evolve_t1600", "evolve_t6400",
+        }
+        assert all(0 < s["q25_s"] <= s["median_s"] <= s["q75_s"] for s in stages.values())
+        # one eigendecomposition and one inverse serve tracking and both vectors
+        counts = report["solve_counts"][name]
+        assert (counts["eig"], counts["inv"]) == (1, 1), name
+    accuracy = report["accuracy"]
+    assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
+    assert accuracy["grover3_atom_err"] < 1e-12
+    assert accuracy["norm_drift_max"] < 1e-9
+    assert report["environment"]["nproc"] >= 1
 
 
 def test_cli_options_are_the_ones_each_command_reads(monkeypatch):

@@ -24,6 +24,8 @@ from zqwalk import (
     grover_lambda,
     grover_walk_3,
     is_decomposable,
+    limit_measure,
+    limit_moments,
     modified_coined_walk,
     modified_lambda,
     refine_system,
@@ -564,6 +566,83 @@ def test_band_velocities_match_fft_reference(corpus):
         if name == "grover3_grid16384":
             flat = next(j for j, b in enumerate(system.bands) if b.d == 1)
             assert np.ptp(velocities[flat]) <= 1e-13
+
+
+# -- one eigendecomposition per walk and grid ------------------------------------------
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named np.linalg functions from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def _seeded_split_steps():
+    return [
+        (f"split_n{n}", random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3))
+        for n in range(2, 9)
+    ]
+
+
+@pytest.mark.parametrize("name", ["coined", "grover3", "split_n6"])
+def test_one_eigensolve_per_walk_and_grid(name, corpus, monkeypatch):
+    walk = dict(corpus, **dict(_seeded_split_steps()))[name]
+    counts = _count_calls(monkeypatch, "eig", "inv")
+    system = refine_system(track_bands(walk, M))
+    assert system.base_grid == M
+    rng = np.random.default_rng(20240811)
+    for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
+        assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
+    # tracking's eigendecomposition serves both vectors, and so does one inverse
+    assert counts == {"eig": 1, "inv": 1}
+
+
+def test_projection_cache_is_kept_to_its_walk(monkeypatch):
+    walk = coined_walk()
+    system = refine_system(track_bands(walk, M))
+    xh = StateVector.delta(0, 1, 2).fourier_samples(M)
+    weights, velocities = band_projections(walk, system, xh)
+    with pytest.raises(ResolutionError, match="does not match the spectrum"):
+        band_projections(modified_coined_walk(), system, xh)
+    # the same bands, other eigenvectors: a fresh solve, not the cached frame
+    v = random_constant_unitary(np.random.default_rng(11), 2)
+    conjugate = compose(
+        SymbolMatrix.from_constant(v), compose(walk, SymbolMatrix.from_constant(v.conj().T))
+    )
+    fresh = EigenSystem(system.bands, system.n, M, True)
+    got, want = band_projections(conjugate, system, xh), band_projections(conjugate, fresh, xh)
+    for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
+        assert np.array_equal(a, b)
+    # a walk rebuilt with equal coefficients reuses the decomposition
+    counts = _count_calls(monkeypatch, "eig")
+    again = band_projections(coined_walk(), system, xh)
+    assert counts == {"eig": 0}
+    for a, b in zip(again[0] + again[1], weights + velocities, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_cached_projections_equal_fresh_solve(corpus):
+    rng = np.random.default_rng(20240811)
+    for name, walk in list(corpus.items()) + _seeded_split_steps():
+        cached = refine_system(track_bands(walk, M))
+        assert cached._solved is not None, name
+        fresh = EigenSystem(cached.bands, cached.n, cached.base_grid, cached.indecomposable)
+        for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
+            xh = xi.fourier_samples(M)
+            got, want = band_projections(walk, cached, xh), band_projections(walk, fresh, xh)
+            for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
+                assert np.array_equal(a, b), name
+            mu, nu = limit_measure(walk, xi, cached), limit_measure(walk, xi, fresh)
+            moments = [limit_moments(mu, k) for k in range(5)]
+            assert moments == [limit_moments(nu, k) for k in range(5)], name
 
 
 def _min_gap(values: np.ndarray) -> float:
