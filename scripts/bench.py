@@ -11,14 +11,22 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
 - limit_measure: the first measure on a freshly tracked system;
-- evolve_t400, evolve_t1600, evolve_t6400: dense evolution of the delta.
+- evolve_t400, evolve_t1600, evolve_t6400: dense evolution of the delta;
+- verify_unitary_symbol, char_poly, verify_cayley_hamilton: the circle-grid
+  checks of `zqwalk check` (unitarity on 256 points, Cayley-Hamilton);
+- build_model_walk: the model walk of the first tracked band's Fourier
+  coefficients, its |lambda| = 1 check included.
 
 Each stage reports the median and quartiles of --repeats timed runs (one
 untimed warm-up first).  The file also records the machine (nproc, BLAS
 thread cap, versions), the numbers of eig, eigvals and inv calls one
 track_bands -> refine_system -> 2 x limit_measure chain makes, the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
-error against 1 - 2/sqrt 6, and the largest norm drift of the evolved states.
+error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
+Cayley-Hamilton residual of the 1 x 1 walk z^100000 (exact phases give
+roundoff), and the windings track_bands certifies at grid 1024 for the
+near-avoided crossing coined_walk(sqrt(1 - 1e-6), 1e-3), whose truth is
+[0, 0].
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
 """
@@ -42,17 +50,26 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from zqwalk import (  # noqa: E402
+    ModelWalkSpec,
     StateVector,
     SymbolMatrix,
     band_projections,
+    build_model_walk,
+    char_poly,
+    coined_walk,
     compose,
     evolve,
+    lambda_coeffs_from_samples,
     limit_measure,
     limit_moments,
     refine_system,
     track_bands,
+    verify_cayley_hamilton,
+    verify_unitary_symbol,
+    winding_numbers,
 )
 from zqwalk import io as zio  # noqa: E402
+from zqwalk.spectral import UNITARY_TOL  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = 1024
@@ -137,6 +154,16 @@ def stage_timings(walk, delta, other, repeats: int) -> dict:
     }
     for t in TIMES:
         stages[f"evolve_t{t}"] = timed(lambda _, t=t: evolve(walk, delta, t), repeats)
+    band = track_bands(walk, GRID).bands[0]
+    model = ModelWalkSpec(band.d, lambda_coeffs_from_samples(band.samples))
+    stages.update(
+        verify_unitary_symbol=timed(
+            lambda _: verify_unitary_symbol(walk, 256, UNITARY_TOL), repeats
+        ),
+        char_poly=timed(lambda _: char_poly(walk), repeats),
+        verify_cayley_hamilton=timed(lambda _: verify_cayley_hamilton(walk, 256), repeats),
+        build_model_walk=timed(lambda _: build_model_walk(model), repeats),
+    )
     return stages
 
 
@@ -174,11 +201,14 @@ def accuracy(cases) -> dict:
         for w, xi, _other in cases.values()
         for t in TIMES
     )
+    near_crossing = coined_walk(np.sqrt(1 - 1e-6), 1e-3)
     return {
         "coined_m1_err": abs(limit_moments(mu, 1) + (1.0 - R)),
         "coined_m2_err": abs(limit_moments(mu, 2) - (1.0 - R)),
         "grover3_atom_err": abs(nu.atom_mass(0.0) - (1.0 - 2.0 / 6.0**0.5)),
         "norm_drift_max": drift,
+        "z100000_cayley_hamilton": verify_cayley_hamilton(SymbolMatrix.shift(100000)),
+        "near_crossing_windings": winding_numbers(track_bands(near_crossing, GRID)),
     }
 
 

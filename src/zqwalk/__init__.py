@@ -19,10 +19,8 @@ from .limit import (
     limit_moments,
 )
 from .model import (
-    CtGenerator,
     ModelWalkSpec,
     build_model_walk,
-    ct_generator,
     deinterleave_channels,
     interleave_channels,
     lambda_coeffs_from_samples,

@@ -1,21 +1,67 @@
-"""Small utilities for closed loops of samples on the unit circle."""
+"""The one place that samples the unit circle and follows a loop's argument.
+
+Sums sum_s c_s z^s are sampled on grids z_k = exp(2 pi i k / M) with phases
+reduced exactly in integers, through their nonzero coefficients only (so
+z^100000 costs O(M)); one FFT goes back to coefficients; one pass over a
+loop's argument increments gives its winding, residual and largest step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def winding_of_samples(samples: np.ndarray) -> tuple[int, float]:
-    """Winding number of a closed loop of nonzero complex samples.
+def alias_free_grid(floor: int, span: int) -> int:
+    """The least power of two above `span`, or `floor` if larger.
 
-    Sums principal argument increments around the loop (including the wrap
-    step) and rounds to the nearest integer.  Returns (winding, residual)
-    where the residual is the distance from the integer in turns.
+    On such a grid no two shifts s, s' with |s - s'| <= span alias, so a
+    Laurent polynomial with shifts in |s| <= span / 2 is zero on the grid only
+    when it is zero.
+    """
+    return max(floor, 1 << span.bit_length())
+
+
+def circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndarray:
+    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), over nonzero rows."""
+    live = np.any(coeffs != 0, axis=tuple(range(1, coeffs.ndim)))
+    coeffs, shifts = coeffs[live], shifts[live]
+    # z_k^s = roots[k (s mod M) mod M]: exact integer exponents, no overflow
+    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
+    phase = roots[np.outer(np.arange(grid), shifts % grid) % grid]
+    return np.tensordot(phase, coeffs, axes=1)
+
+
+def circle_coefficients(samples: np.ndarray, tol: float) -> list[dict[int, complex]]:
+    """{shift: coefficient} of each row of circle samples (last axis), by one FFT.
+
+    Coefficients below `tol` in magnitude are dropped.  Exact up to roundoff
+    when the support fits in |shift| < M/2 (M the row length); shifts above
+    half the grid are read as negative.
     """
     samples = np.asarray(samples, dtype=complex)
-    turns = float(np.sum(np.angle(np.roll(samples, -1) / samples)) / (2.0 * np.pi))
+    m = samples.shape[-1]
+    coeffs = (np.fft.fft(samples, axis=-1) / m).reshape(-1, m)
+    index = np.arange(m)
+    signed = np.where(index <= m // 2, index, index - m)
+    return [
+        dict(zip(signed[keep].tolist(), row[keep].tolist()))
+        for row, keep in zip(coeffs, np.abs(coeffs) >= tol)
+    ]
+
+
+def winding_of_samples(samples: np.ndarray) -> tuple[int, float, float]:
+    """Winding number of a closed loop of nonzero complex samples, in one pass.
+
+    Sums principal argument increments around the loop (including the wrap
+    step) and rounds to the nearest integer.  Returns (winding, residual,
+    max_step): the residual is the distance from the integer in turns, and
+    max_step the largest |increment| in radians.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    steps = np.angle(np.roll(samples, -1) / samples)
+    turns = float(np.sum(steps) / (2.0 * np.pi))
     w = int(np.rint(turns))
-    return w, abs(turns - w)
+    return w, abs(turns - w), float(np.max(np.abs(steps)))
 
 
 def rotation_distance(a: np.ndarray, b: np.ndarray, block: int) -> float:
@@ -32,4 +78,3 @@ def rotation_distance(a: np.ndarray, b: np.ndarray, block: int) -> float:
     for shift in range(0, len(a), block):
         best = min(best, float(np.max(np.abs(a - np.roll(b, shift)))))
     return best
-

@@ -4,8 +4,8 @@ Subcommands: check, bands, decompose, winding, ct-check, simulate, limit,
 compare, conjugate.  Every run writes its artifacts plus a manifest.json into
 one run directory (--out).  Specs are JSON files or '-' for stdin.  Each
 subcommand takes only the options it reads: --grid (the base circle grid of
-track_bands, default 1024) where it tracks bands, --tol (the non-conjugate
-edge) for conjugate alone.
+track_bands, a power of two in 64..MAX_GRID/2 = 32768, default 1024) where it
+tracks bands, --tol (the non-conjugate edge) for conjugate alone.
 
 `check` reports unitarity as a verdict and always exits 0 on a well-formed
 spec; every other subcommand treats a non-unitary symbol as an input error.
@@ -35,11 +35,12 @@ from .errors import (
     ZqwalkError,
 )
 from .limit import limit_measure
-from .model import ModelWalkSpec, build_model_walk, ct_generator
+from .model import ModelWalkSpec, build_model_walk
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
     DEFAULT_BASE_GRID,
     DEFAULT_TOL,
+    MAX_GRID,
     UNITARY_TOL,
     EigenSystem,
     _char_polys_match,
@@ -96,6 +97,10 @@ def _with_path(path: str, func, *args):
 
 def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
     """A walk spec and its bands; track_bands makes the unitarity check."""
+    if args.grid < 64 or args.grid & (args.grid - 1) or 2 * args.grid > MAX_GRID:
+        raise SpecFormatError(
+            f"--grid must be a power of two in 64..{MAX_GRID // 2}, got {args.grid}"
+        )
     walk = _load_walk(path)
     return walk, _with_path(path, track_bands, walk, args.grid)
 
@@ -229,9 +234,8 @@ def cmd_ct_check(args) -> int:
     payload = {"ct_realizable": realizable}
     if realizable:
         for j, band in enumerate(system.bands):
-            gen = ct_generator(band.samples)
             with open(run.path(f"generator_band{j}.csv"), "w") as fh:
-                zio.write_generator_csv(gen, fh)
+                zio.write_generator_csv(band, fh)
     else:
         payload["reason"] = (
             f"winding {[b.winding for b in system.bands if b.winding != 0]}"
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument(
                 "--grid", type=int, default=DEFAULT_BASE_GRID,
-                help="base circle grid (power of two >= 64; default %(default)s)",
+                help=f"base grid (power of two in 64..{MAX_GRID // 2}; default %(default)s)",
             )
         if tol:
             p.add_argument(

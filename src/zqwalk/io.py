@@ -29,9 +29,9 @@ import numpy as np
 from .errors import SpecFormatError
 from .laurent import LaurentPoly
 from .limit import LimitMeasure, MomentComparison
-from .model import CtGenerator, ModelWalkSpec
+from .model import ModelWalkSpec
 from .simulate import PositionDistribution, StateVector, _settle
-from .spectral import EigenSystem
+from .spectral import Band, EigenSystem
 from .symbol import SymbolMatrix
 
 
@@ -245,8 +245,14 @@ def write_comparison_csv(rows: Iterable[MomentComparison], stream: IO) -> None:
         )
 
 
-def write_generator_csv(gen: CtGenerator, stream: IO) -> None:
-    """Columns: theta, h."""
+def write_generator_csv(band: Band, stream: IO) -> None:
+    """Columns: theta, h: the band's unwrapped phase at each covering point.
+
+    exp(i h) = lambda, and at winding zero h is single-valued: the band's
+    continuous-time generator.
+    """
+    count = len(band.samples)
+    thetas = 2.0 * np.pi * np.arange(count) / count
     stream.write("theta,h\n")
-    for theta, h in zip(gen.thetas, gen.h_samples):
+    for theta, h in zip(thetas, np.unwrap(np.angle(band.samples))):
         stream.write(f"{_fmt(theta)},{_fmt(h)}\n")

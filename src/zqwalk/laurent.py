@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .circle import circle_values
 from .errors import DomainError
 
 # Coefficients with magnitude below this are dropped from the canonical form.
@@ -50,20 +51,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, shift: int, coeff: complex = 1.0) -> "LaurentPoly":
         return cls({shift: coeff})
-
-    @classmethod
-    def from_circle_samples(cls, samples) -> "LaurentPoly":
-        """Inverse of `circle_samples`: the coefficients by one FFT.
-
-        Exact up to roundoff when the support fits in |shift| < len(samples)/2;
-        shifts above half the grid are read as negative.
-        """
-        samples = np.asarray(samples, dtype=complex)
-        m = len(samples)
-        c = np.fft.fft(samples) / m
-        keep = np.flatnonzero(np.abs(c) >= PRUNE_TOL)
-        shifts = np.where(keep <= m // 2, keep, keep - m)
-        return cls(dict(zip(shifts.tolist(), c[keep].tolist())))
 
     # -- structure ---------------------------------------------------------
 
@@ -144,9 +131,9 @@ class LaurentPoly:
         return complex(out) if scalar else out
 
     def circle_samples(self, grid_size: int) -> np.ndarray:
-        """Values at `grid_size` uniform points exp(2*pi*i*k/grid_size)."""
-        z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-        return self(z)
+        """Values at `grid_size` uniform points exp(2*pi*i*k/grid_size), phases exact."""
+        coeffs = np.array(list(self.coeffs.values()), dtype=complex)
+        return circle_values(coeffs, np.array(list(self.coeffs), dtype=np.int64), grid_size)
 
     # -- comparison ----------------------------------------------------------
 

@@ -4,9 +4,7 @@ Given an analytic map lambda: T -> T with Fourier coefficients c(s), the
 d-channel walk places c(k - l + d*s) at shift s of entry (k, l).  Interleaving
 the d channels into a single lattice (the rearrangement unitary) turns it into
 plain convolution by c, which is what all the algebraic identities below come
-down to.  A winding-zero eigenvalue function, such as a band of a
-continuous-time realizable walk, also has a real phase h on the circle grid
-with exp(i*h) = lambda: its continuous-time generator.
+down to.
 """
 
 from __future__ import annotations
@@ -15,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import winding_of_samples
+from .circle import alias_free_grid, circle_coefficients
 from .errors import DomainError
 from .laurent import LaurentPoly
 from .simulate import StateVector, _settle, apply_walk
-from .symbol import SymbolMatrix, _alias_free_grid
+from .symbol import SymbolMatrix
 
 UNIMODULAR_TOL = 1e-9
 COEFF_TRUNCATION = 1e-12
@@ -39,8 +37,7 @@ class ModelWalkSpec:
 
 def lambda_coeffs_from_samples(samples: np.ndarray) -> LaurentPoly:
     """Fourier coefficients of circle samples, truncated below COEFF_TRUNCATION."""
-    p = LaurentPoly.from_circle_samples(samples)
-    return LaurentPoly({s: c for s, c in p.coeffs.items() if abs(c) >= COEFF_TRUNCATION})
+    return LaurentPoly(circle_coefficients(samples, COEFF_TRUNCATION)[0])
 
 
 def build_model_walk(
@@ -51,7 +48,7 @@ def build_model_walk(
     |lambda| is checked on max(256, least power of two > 4 radius(lambda))
     circle points, the grid on which |lambda|^2 - 1 cannot alias away.
     """
-    grid = _alias_free_grid(256, 4 * spec.lambda_coeffs.radius)
+    grid = alias_free_grid(256, 4 * spec.lambda_coeffs.radius)
     dev = float(np.max(np.abs(np.abs(spec.lambda_coeffs.circle_samples(grid)) - 1.0)))
     if dev > unimodular_tol:
         raise DomainError(
@@ -103,33 +100,3 @@ def rearrangement_check(
         worst = max(worst, direct.distance(rearranged))
     return worst
 
-
-# ---------------------------------------------------------------------------
-# the continuous-time generator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CtGenerator:
-    """Real phase h on a uniform circle grid with exp(i*h) = lambda."""
-
-    h_samples: np.ndarray
-
-    @property
-    def thetas(self) -> np.ndarray:
-        m = len(self.h_samples)
-        return 2.0 * np.pi * np.arange(m) / m
-
-
-def ct_generator(lambda_samples: np.ndarray) -> CtGenerator:
-    """Continuous argument branch of unit-modulus samples with zero winding."""
-    samples = np.asarray(lambda_samples, dtype=complex)
-    w, _residual = winding_of_samples(samples)
-    if w != 0:
-        raise DomainError(f"nonzero winding ({w}); no single-valued generator exists")
-    closure = abs(
-        float(np.sum(np.angle(np.roll(samples, -1) / samples)))
-    )
-    if closure > 0.01 * 2.0 * np.pi:
-        raise DomainError("unwrapped argument does not close; winding unresolved")
-    return CtGenerator(np.unwrap(np.angle(samples)))

@@ -22,12 +22,16 @@ from typing import Mapping
 
 import numpy as np
 
+from .circle import circle_values
 from .errors import DomainError
-from .symbol import SymbolMatrix, _circle_values
+from .symbol import SymbolMatrix
 
 # Largest |site| a state may hold: site / t stays exact in floating point and
 # int64 site arithmetic stays far from overflow.
 MAX_SITE = 2**53
+# Most complex values (256 MiB) in one of evolve's grid arrays, n x max(n, classes)
+# x FFT length; a step holds a few at once, so a wider light cone is refused.
+MAX_CONE_VALUES = 2**24
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -83,7 +87,7 @@ class StateVector:
         occupied, row = np.unique(self.sites, return_inverse=True)
         placed = np.zeros((len(occupied), self.n), dtype=complex)
         placed[row, self.channels - 1] = self.values
-        return _circle_values(placed, occupied, grid_size)
+        return circle_values(placed, occupied, grid_size)
 
 
 def _settle(sites, channels, values, n: int) -> StateVector:
@@ -161,7 +165,8 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     its largest sublattice site; sites outside the cones are exactly zero (in
     particular every site off x + m0 t + gZ), and entries inside carry an
     absolute error of order t times machine epsilon (binary powering of V),
-    including roundoff-level values where the exact amplitude is zero.
+    including roundoff-level values where the exact amplitude is zero.  A cone
+    needing more than MAX_CONE_VALUES values per array raises DomainError.
     """
     if t < 0:
         raise DomainError("time must be nonnegative")
@@ -188,6 +193,11 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     np.maximum.at(highs, column, y)
     widths = highs - lows + degree * t + 1
     size = _fast_fft_length(int(widths.max()))
+    cone = n * max(n, len(classes)) * size
+    if cone > MAX_CONE_VALUES:
+        raise DomainError(
+            f"light cone needs {cone} grid values (FFT length {size}), above {MAX_CONE_VALUES}"
+        )
     psi = np.zeros((n, len(classes), size), dtype=complex)
     psi[xi.channels - 1, column, y - lows[column]] = xi.values
     vec = np.fft.ifft(psi, axis=-1)

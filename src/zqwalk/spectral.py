@@ -39,10 +39,10 @@ stack and solves one eigendecomposition (values and vectors) over it, and
 the start-point search, eigenvalue clustering, certified matching,
 permutation composition, projection weights and Hellmann-Feynman group
 velocities are array operations over all M points.  That decomposition is
-the only one per walk and grid: the system keeps it, refine_system passes it
-on, and band_projections builds its vector-free half from it (inverse
-eigenvectors, clusters, band matching, checks and velocities) once per
-system and walk, so each further initial vector costs one batched
+the only one per walk and grid: the system keeps it, refine_system returns
+that same system, and band_projections builds its vector-free half from it
+(inverse eigenvectors, clusters, band matching, checks and velocities) once
+per system and walk, so each further initial vector costs one batched
 matrix-vector product.  The limit measure takes both its weights and its
 velocities from there.  Only the uncertified matching steps go point by
 point, because each extrapolates from the step before it; the velocities at
@@ -56,9 +56,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import rotation_distance, winding_of_samples
+from .circle import circle_values, rotation_distance, winding_of_samples
 from .errors import DomainError, ResolutionError, UnitarityError
-from .symbol import SymbolMatrix, _circle_values, char_poly, verify_unitary_symbol
+from .symbol import SymbolMatrix, char_poly, verify_unitary_symbol
 
 # Conjugate edge of the char-poly distance, relative to the coefficient scale:
 # char_poly prunes below PRUNE_TOL = 1e-14, conjugate pairs of generated walks
@@ -437,11 +437,11 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     walk : SymbolMatrix
         Must pass the unitarity check.
     base_grid : int
-        Power of two, at least 64.  The returned system lives on the first
+        Power of two in 64..MAX_GRID/2.  The returned system lives on the first
         grid at or above this size whose structure is stable under doubling.
     """
-    if base_grid < 64 or base_grid & (base_grid - 1):
-        raise DomainError("base_grid must be a power of two >= 64")
+    if base_grid < 64 or base_grid & (base_grid - 1) or 2 * base_grid > MAX_GRID:
+        raise DomainError(f"base_grid {base_grid} is not a power of two in 64..{MAX_GRID // 2}")
     _require_unitary(walk)
     grid = base_grid
     lipschitz = _lipschitz(walk)
@@ -477,13 +477,12 @@ def _validated_winding(samples: np.ndarray) -> int:
     floating-point noise; a loop stepping by close to a half turn is the real
     aliasing signal, and both trip the same error.
     """
-    w, residual = winding_of_samples(samples)
-    steps = np.abs(np.angle(np.roll(samples, -1) / samples))
-    if residual >= WINDING_RESIDUAL or float(steps.max()) > np.pi / 2:
+    w, residual, max_step = winding_of_samples(samples)
+    if residual >= WINDING_RESIDUAL or max_step > np.pi / 2:
         raise ResolutionError(
             "winding not integral: argument increments are under-resolved "
             f"(residual {residual:.3f} turns, max step "
-            f"{float(steps.max()) / (2 * np.pi):.3f} turns)"
+            f"{max_step / (2 * np.pi):.3f} turns)"
         )
     return w
 
@@ -511,18 +510,13 @@ def refine_system(system: EigenSystem) -> EigenSystem:
     A band of degree d whose function repeats under rotation of the covering
     argument by 2*pi*c/d (minimal such divisor c) is the (d/c)-fold repeat of
     a degree-c band; it is replaced by that band with multiplied multiplicity.
-    The operation is idempotent, and track_bands already returns its fixed
-    point; it is for hand-built and loaded systems, whose windings it
+    It is idempotent and returns a fixed point, such as track_bands output, as
+    is (caches included); it is for hand-built systems, whose windings it
     recomputes and validates.
     """
     raw = [(b.d, b.samples, b.multiplicity) for b in system.bands]
     refined = _finish_system(raw, system.n, system.base_grid)
-    # the eigendecomposition depends only on the walk and the grid, the frame
-    # also on the bands
-    object.__setattr__(refined, "_solved", system._solved)
-    if refined.bands == system.bands:
-        object.__setattr__(refined, "_frame", system._frame)
-    return refined
+    return system if refined == system else refined
 
 
 def total_winding(system: EigenSystem) -> int:
@@ -689,7 +683,7 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
     shifts = walk.shifts
-    derivative = _circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m)
+    derivative = circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m)
     slope = np.einsum("kij,kji->ki", left, derivative @ vecs) / (1j * evals)
 
     degrees = [b.d for b in system.bands]

@@ -3,7 +3,7 @@
 A walk's symbol U(z) = sum_s C_s z^s is stored as one read-only complex array
 `coeffs` of shape (S, n, n) with C_{low + s} = coeffs[s], pruned below
 PRUNE_TOL as LaurentPoly prunes and trimmed so that its first and last slices
-are nonzero.  Circle grids are evaluated by one phase-matrix product, and a
+are nonzero.  Circle grids are sampled by circle.circle_values, and a
 product of symbols is one convolution along the shift axis.  The module also
 provides the characteristic polynomial interpolated from a circle grid (any
 dimension), unitarity and Cayley-Hamilton verification on circle grids, and
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .circle import alias_free_grid, circle_coefficients, circle_values
 from .errors import DomainError
 from .laurent import PRUNE_TOL, LaurentPoly
 
@@ -122,24 +123,7 @@ class SymbolMatrix:
 
     def grid_eval(self, grid_size: int) -> np.ndarray:
         """Stack of symbol values at grid_size uniform circle points, shape (M, n, n)."""
-        return _circle_values(self.coeffs, self.shifts, grid_size)
-
-
-def _circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndarray:
-    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), shape (grid, ...)."""
-    # z_k^s = exp(2 pi i (k (s mod M) mod M) / M): exact integers, no overflow
-    phase = np.exp(2j * np.pi * (np.outer(np.arange(grid), shifts % grid) % grid) / grid)
-    return np.tensordot(phase, coeffs, axes=1)
-
-
-def _alias_free_grid(floor: int, span: int) -> int:
-    """The least power of two above `span`, or `floor` if larger.
-
-    On such a grid no two shifts s, s' with |s - s'| <= span alias, so a
-    Laurent polynomial with shifts in |s| <= span / 2 is zero on the grid only
-    when it is zero.
-    """
-    return max(floor, 1 << span.bit_length())
+        return circle_values(self.coeffs, self.shifts, grid_size)
 
 
 def eval_symbol(walk: SymbolMatrix, z: complex) -> np.ndarray:
@@ -165,7 +149,7 @@ def verify_unitary_symbol(
     """
     if grid_size < 16:
         raise DomainError("grid_size must be at least 16")
-    vals = walk.grid_eval(_alias_free_grid(grid_size, 4 * walk.propagation_radius))
+    vals = walk.grid_eval(alias_free_grid(grid_size, 4 * walk.propagation_radius))
     eye = np.eye(walk.n)
     dev = np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye
     max_dev = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
@@ -265,11 +249,11 @@ def char_poly(walk: SymbolMatrix) -> CharPoly:
     Each lambda-coefficient is a Laurent polynomial supported in |s| <= n*R
     (R the propagation radius), so a grid of more than 2*n*R points holds it
     exactly up to roundoff.  Faddeev-LeVerrier runs batched over the grid and
-    one FFT per coefficient returns to the Laurent ring; there is no
+    one batched FFT returns all coefficients to the Laurent ring; there is no
     dimension cap.
     """
     n = walk.n
-    grid = _alias_free_grid(16, 2 * n * walk.propagation_radius)
+    grid = alias_free_grid(16, 2 * n * walk.propagation_radius)
     u = walk.grid_eval(grid)
     eye = np.eye(n)
     coeffs = np.zeros((n + 1, grid), dtype=complex)
@@ -278,7 +262,7 @@ def char_poly(walk: SymbolMatrix) -> CharPoly:
     for k in range(1, n + 1):
         um = u @ (um + coeffs[n - k + 1][:, None, None] * eye)
         coeffs[n - k] = -np.trace(um, axis1=1, axis2=2) / k
-    laurent = [LaurentPoly.from_circle_samples(c) for c in coeffs[:n]]
+    laurent = [LaurentPoly(c) for c in circle_coefficients(coeffs[:n], PRUNE_TOL)]
     return CharPoly(n, tuple(laurent) + (LaurentPoly.one(),))
 
 
@@ -287,16 +271,19 @@ def verify_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
 
     f(U(z); z) has shifts |s| <= nR, so the grid has max(grid_size, least
     power of two > 2nR) points.  The Laurent coefficients of f are evaluated
-    on this grid, not taken from the interpolation grid of char_poly, so the
-    check covers that step too.
+    on this grid, all in one circle_values call, not taken from the
+    interpolation grid of char_poly, so the check covers that step too.
     """
     f = char_poly(walk)
-    grid_size = _alias_free_grid(grid_size, 2 * walk.n * walk.propagation_radius)
+    grid_size = alias_free_grid(grid_size, 2 * walk.n * walk.propagation_radius)
     u = walk.grid_eval(grid_size)
+    shifts = sorted(set().union(*(c.coeffs for c in f.coeffs)))
+    stack = np.array([[c[s] for c in f.coeffs] for s in shifts], dtype=complex)
+    samples = circle_values(stack, np.array(shifts, dtype=np.int64), grid_size)
     eye = np.eye(walk.n)
     acc = np.zeros_like(u)
-    for c in reversed(f.coeffs):  # Horner in the matrix argument
-        acc = acc @ u + c.circle_samples(grid_size)[:, None, None] * eye
+    for k in reversed(range(f.degree + 1)):  # Horner in the matrix argument
+        acc = acc @ u + samples[:, k, None, None] * eye
     return float(np.max(np.linalg.norm(acc, axis=(1, 2))))
 
 

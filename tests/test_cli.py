@@ -275,9 +275,52 @@ def test_cli_ct_check_writes_generators(spec_dir, tmp_path):
     ) == 0
     generators = sorted(p.name for p in out.glob("generator_band*.csv"))
     assert generators == ["generator_band0.csv", "generator_band1.csv"]
-    rows = list(csv.DictReader(open(out / "generator_band0.csv")))
-    assert len(rows) == 256
-    float(rows[10]["theta"]), float(rows[10]["h"])
+    # each band's continuous phase: h = +-arccos(cos(theta) / sqrt 2), exp(i h) = lambda
+    system = track_bands(coined_walk(), 256)
+    signs = []
+    for name, band in zip(generators, system.bands, strict=True):
+        rows = list(csv.DictReader((out / name).read_text().splitlines()))
+        theta = np.array([float(row["theta"]) for row in rows])
+        h = np.array([float(row["h"]) for row in rows])
+        assert np.array_equal(theta, 2.0 * np.pi * np.arange(256) / 256)
+        signs.append(np.sign(h[0]))
+        assert np.max(np.abs(h - signs[-1] * np.arccos(2**-0.5 * np.cos(theta)))) < 1e-12
+        assert np.max(np.abs(np.exp(1j * h) - band.samples)) < 1e-12
+    assert sorted(signs) == [-1, 1]
+
+
+@pytest.mark.parametrize("grid", ["100", "32", "0", "65536", "131072"])
+def test_cli_refuses_grid_outside_range(spec_dir, tmp_path, capsys, grid):
+    # 65536 and above: a base grid whose doubling passes MAX_GRID never certifies
+    out = tmp_path / "run"
+    code = run_cli("bands", spec_dir / "hadamard.json", "--grid", grid, "--out", out)
+    assert code == 2
+    assert f"--grid must be a power of two in 64..32768, got {grid}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_check_sparse_far_shift(tmp_path, capsys):
+    # diag(1, z^100000): the circle grids (2**19 points) touch its two live
+    # coefficients only
+    spec = tmp_path / "far_shift.json"
+    walk = direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(100000))
+    spec.write_text(json.dumps(zio.walk_to_json(walk)))
+    assert run_cli("check", spec, "--out", tmp_path / "run") == 0
+    assert "unitarity pass" in capsys.readouterr().out
+    report = json.loads((tmp_path / "run" / "check.json").read_text())
+    assert report["cayley_hamilton_residual"] <= 1e-15
+
+
+def test_cli_simulate_refuses_unallocatable_light_cone(spec_dir, tmp_path, capsys):
+    init = tmp_path / "far.json"
+    xi = StateVector({(0, 1): 0.6, (10**11, 1): 0.8}, 2)
+    init.write_text(json.dumps(zio.state_to_json(xi)))
+    code = run_cli(
+        "simulate", spec_dir / "hadamard.json", "--init", init, "--t", "1",
+        "--out", tmp_path / "run",
+    )
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: light cone needs")
 
 
 def test_cli_simulate_contract(spec_dir, tmp_path):
@@ -511,7 +554,8 @@ def test_bench_script_writes_report(tmp_path):
         assert set(stages) == {
             "grid_eval", "eigvals", "eig", "track_bands", "band_projections_first",
             "band_projections_repeat", "limit_measure",
-            "evolve_t400", "evolve_t1600", "evolve_t6400",
+            "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
+            "char_poly", "verify_cayley_hamilton", "build_model_walk",
         }
         assert all(0 < s["q25_s"] <= s["median_s"] <= s["q75_s"] for s in stages.values())
         # one eigendecomposition and one inverse serve tracking and both vectors
@@ -521,6 +565,10 @@ def test_bench_script_writes_report(tmp_path):
     assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
     assert accuracy["grover3_atom_err"] < 1e-12
     assert accuracy["norm_drift_max"] < 1e-9
+    assert accuracy["z100000_cayley_hamilton"] <= 1e-15
+    # two windings summing to the det winding 0 (ROADMAP item 4: the truth is [0, 0])
+    assert len(accuracy["near_crossing_windings"]) == 2
+    assert sum(accuracy["near_crossing_windings"]) == 0
     assert report["environment"]["nproc"] >= 1
 
 

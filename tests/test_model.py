@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from zqwalk import (
     build_model_walk,
     char_poly,
     coined_lambda,
+    coined_walk,
     compose,
-    ct_generator,
     eval_symbol,
     lambda_coeffs_from_samples,
     rearrangement_check,
@@ -22,6 +24,7 @@ from zqwalk import (
     verify_unitary_symbol,
     winding_of_samples,
 )
+from zqwalk.io import write_generator_csv
 from support import random_local_state, random_unimodular_spec, trig_phase_samples
 
 
@@ -106,7 +109,7 @@ def test_rearrangement_generic_lambda(rng):
 def test_shift_factorization_perturbed_monomial(rng):
     # lambda = z^w * (z^-w lambda): the shift S_w times a winding-zero walk
     spec = random_unimodular_spec(rng, 1, winding=2)
-    w, _ = winding_of_samples(spec.lambda_coeffs.circle_samples(256))
+    w = winding_of_samples(spec.lambda_coeffs.circle_samples(256))[0]
     assert w == 2
     residual = ModelWalkSpec(
         1, LaurentPoly({s - w: c for s, c in spec.lambda_coeffs.coeffs.items()})
@@ -122,29 +125,24 @@ def test_shift_factorization_perturbed_monomial(rng):
 # -- continuous-time generator ----------------------------------------------------------
 
 
-def test_ct_generator_trivial():
-    gen = ct_generator(np.ones(128, dtype=complex))
-    assert np.max(np.abs(gen.h_samples)) == 0.0
-    assert np.mean(gen.h_samples) == 0.0
-
-
 def test_ct_generator_coined_branch():
+    # the generator ct-check writes is the band's unwrapped phase h, exp(i h) = lambda
     theta = 2.0 * np.pi * np.arange(512) / 512
     samples = coined_lambda(theta, branch=+1)
-    gen = ct_generator(samples)
+    system = track_bands(coined_walk(), 512)
+    (band,) = [b for b in system.bands if np.max(np.abs(b.samples - samples)) < 1e-12]
+    stream = io.StringIO()
+    write_generator_csv(band, stream)
+    rows = stream.getvalue().splitlines()
+    assert rows[0] == "theta,h"
+    h_samples = np.array([float(row.split(",")[1]) for row in rows[1:]])
     want = np.arccos(2**-0.5 * np.cos(theta))
-    assert np.max(np.abs(gen.h_samples - want)) < 1e-12
-    assert np.max(np.abs(np.exp(1j * gen.h_samples) - samples)) < 1e-12
+    assert np.max(np.abs(h_samples - want)) < 1e-12
+    assert np.max(np.abs(np.exp(1j * h_samples) - samples)) < 1e-12
     # fractional time stays unitary and interpolates the phase
-    half = np.exp(0.5j * gen.h_samples)
+    half = np.exp(0.5j * h_samples)
     assert np.max(np.abs(np.abs(half) - 1.0)) < 1e-12
     assert np.max(np.abs(half * half - samples)) < 1e-12
-
-
-def test_ct_generator_rejects_winding():
-    theta = 2.0 * np.pi * np.arange(128) / 128
-    with pytest.raises(DomainError):
-        ct_generator(np.exp(1j * theta))
 
 
 # -- spectrum of the model walk -----------------------------------------------------------

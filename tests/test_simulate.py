@@ -20,7 +20,7 @@ from zqwalk import (
     position_distribution,
     rescaled_moment,
 )
-from zqwalk.simulate import _fast_fft_length
+from zqwalk.simulate import MAX_CONE_VALUES, _fast_fft_length
 from support import (
     dict_apply_walk,
     random_constant_unitary,
@@ -318,3 +318,14 @@ def test_state_accepts_sites_up_to_two_to_the_53():
     assert rescaled_moment(xi, 2**53, 1) == pytest.approx(-0.28, abs=1e-15)
     with pytest.raises(DomainError):
         apply_walk(SymbolMatrix.shift(1), StateVector.delta(2**53, 1, 1))
+
+
+def test_evolve_refuses_unallocatable_light_cone():
+    # sites 0 and 10**11 share one cone about 10**11 sites wide: refused before
+    # numpy is asked for terabytes
+    xi = StateVector({(0, 1): 0.6, (10**11, 1): 0.8}, 2)
+    with pytest.raises(DomainError, match=f"above {MAX_CONE_VALUES}"):
+        evolve(coined_walk(), xi, 1)
+    # the same two sites one light cone apart still evolve
+    near = StateVector({(0, 1): 0.6, (1000, 1): 0.8}, 2)
+    assert evolve(coined_walk(), near, 1).norm() == pytest.approx(1.0, abs=1e-15)

@@ -6,6 +6,7 @@ import pytest
 
 from zqwalk import (
     Band,
+    DomainError,
     EigenSystem,
     LaurentPoly,
     ResolutionError,
@@ -230,7 +231,9 @@ def test_windings_are_computed_once_when_tracking(monkeypatch):
 
     monkeypatch.setattr(zqwalk.spectral, "winding_of_samples", counting)
     system = track_bands(modified_coined_walk(), 256)
-    assert calls
+    # one argument pass per band of each system built: the double-cover band
+    # on grid 256, then on the doubled grid of the certificate
+    assert calls == [512, 1024]
     calls.clear()
     assert winding_numbers(system) == [1]
     assert total_winding(system) == 1
@@ -293,7 +296,7 @@ def test_refine_idempotent(tracked_corpus, corpus):
         # track_bands returns the refined system, a fixed point of refine_system
         system = track_bands(walk, grid)
         assert system.indecomposable, name
-        assert refine_system(system) == system, name
+        assert refine_system(system) is system, name
         systems.append(system)
     for system in systems:
         m = system.base_grid
@@ -464,7 +467,7 @@ def test_index_identity_on_generated_walks(rng):
             refused += 1
             continue
         det = (-1) ** walk.n * char_poly(walk).coeffs[0].circle_samples(4096)
-        index, residual = winding_of_samples(det)
+        index, residual, _ = winding_of_samples(det)
         assert residual < 1e-6
         assert sum(b.multiplicity * b.winding for b in system.bands) == index
     assert refused <= len(walks) // 4
@@ -671,18 +674,25 @@ def test_start_point_matches_per_point_loop(corpus):
 
 
 def test_track_rejects_bad_grid():
-    with pytest.raises(Exception) as err:
+    from zqwalk.spectral import MAX_GRID
+
+    with pytest.raises(DomainError, match="power of two"):
         track_bands(SymbolMatrix.identity(1), 100)
-    assert "power of two" in str(err.value)
+    # a base grid whose doubling passes MAX_GRID could never certify; refused
+    # before anything is evaluated, so before the unitarity check too
+    for grid in (MAX_GRID, 2 * MAX_GRID):
+        with pytest.raises(DomainError, match=f"64..{MAX_GRID // 2}"):
+            track_bands(SymbolMatrix.from_constant([[2.0]]), grid)
 
 
 def test_track_grid_exhaustion(monkeypatch):
     import zqwalk.spectral as spectral
 
-    monkeypatch.setattr(spectral, "MAX_GRID", 64)
-    with pytest.raises(Exception) as err:
-        track_bands(SymbolMatrix.identity(1), 64)
-    assert "grid resolution exceeded" in str(err.value)
+    # this walk's base grid 64 is not reproduced at 128, and 256 is beyond reach
+    monkeypatch.setattr(spectral, "MAX_GRID", 128)
+    walk = random_split_step_walk(np.random.default_rng(5010), 5, 2)
+    with pytest.raises(ResolutionError, match=r"grid resolution exceeded \(128\)"):
+        track_bands(walk, 64)
 
 
 def test_winding_rejects_open_loop():

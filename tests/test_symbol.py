@@ -1,4 +1,6 @@
+import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from zqwalk import (
     verify_cayley_hamilton,
     verify_unitary_symbol,
 )
+from zqwalk import io as zio
 from zqwalk.model import ModelWalkSpec
+from zqwalk.spectral import UNITARY_TOL
 from support import (
     entrywise_adjoint,
     entrywise_compose,
@@ -135,6 +139,32 @@ def test_cayley_hamilton_corpus(corpus):
 
 def test_cayley_hamilton_identity_exact():
     assert verify_cayley_hamilton(SymbolMatrix.identity(2), 64) == 0.0
+
+
+def test_cayley_hamilton_at_roundoff_on_far_shifts_and_fixtures():
+    # the char-poly coefficients are sampled with the exact phases of U itself
+    for shift in (100000, 1000003):
+        assert verify_cayley_hamilton(SymbolMatrix.shift(shift)) <= 1e-15, shift
+    for path in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")):
+        walk = zio.parse_spec(path.read_text())
+        if isinstance(walk, ModelWalkSpec):
+            walk = build_model_walk(walk)
+        if isinstance(walk, SymbolMatrix):
+            assert verify_cayley_hamilton(walk) <= 1.1e-15, path.name
+
+
+def test_unitarity_grid_touches_only_live_shifts():
+    # diag(1, z^1000) has two live coefficients among 1001 shift rows; its
+    # 4096-point grid is sampled through those two
+    walk = direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(1000))
+    tracemalloc.start()
+    try:
+        report = verify_unitary_symbol(walk, 256, UNITARY_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 5e6
 
 
 # -- compose / adjoint ----------------------------------------------------------
