@@ -17,9 +17,17 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 - build_model_walk: the model walk of the first tracked band's Fourier
   coefficients, its |lambda| = 1 check included.
 
-Each stage reports the median and quartiles of --repeats timed runs (one
-untimed warm-up first).  The file also records the machine (nproc, BLAS
-thread cap, versions), the numbers of eig, eigvals and inv calls one
+Writers, in-process on grover3 at grid 1024 into memory: eigensystem_to_json
+plus write_bands_csv (the artifacts of `bands`), write_measure_csv of the
+delta's limit measure, and write_distribution_csv at t = 6400.
+
+CLI: each of the nine subcommands on the fixtures as a subprocess, the
+interpreter's start and imports included, timed over CLI_RUNS runs.
+
+Each stage and writer reports the median and quartiles of --repeats timed
+runs (one untimed warm-up first; CLI_RUNS runs for the subcommands).  The
+file also records the machine (nproc, BLAS thread cap, numpy and, where it
+imports, scipy versions), the numbers of eig, eigvals and inv calls one
 track_bands -> refine_system -> 2 x limit_measure chain makes, the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
 error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
@@ -40,10 +48,13 @@ for _var in BLAS_VARS:  # one BLAS thread, before numpy loads
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -62,19 +73,40 @@ from zqwalk import (  # noqa: E402
     lambda_coeffs_from_samples,
     limit_measure,
     limit_moments,
+    position_distribution,
     refine_system,
     track_bands,
     verify_cayley_hamilton,
     verify_unitary_symbol,
     winding_numbers,
 )
+import zqwalk  # noqa: E402
 from zqwalk import io as zio  # noqa: E402
-from zqwalk.spectral import UNITARY_TOL  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = 1024
 TIMES = (400, 1600, 6400)
 R = 2**-0.5
+CLI_RUNS = 5
+CLI_ENTRY = "import sys; from zqwalk.cli import main; sys.exit(main())"
+
+
+def fixture(name: str) -> str:
+    return str(ROOT / "fixtures" / f"{name}.json")
+
+
+CLI_COMMANDS = [
+    ["check", fixture("grover3")],
+    ["bands", fixture("grover3")],
+    ["decompose", fixture("grover3")],
+    ["winding", fixture("modified_hadamard")],
+    ["ct-check", fixture("hadamard")],
+    ["simulate", fixture("hadamard"), "--init", fixture("delta0_ch1"), "--t", "100,400"],
+    ["limit", fixture("grover3"), "--init", fixture("delta0_ch2_3state")],
+    ["compare", fixture("hadamard"), "--init", fixture("delta0_ch1"), "--t", "100,400",
+     "--mmax", "4"],
+    ["conjugate", fixture("hadamard"), fixture("modified_hadamard")],
+]
 
 
 def split_step_walk(seed: int, n: int, layers: int) -> SymbolMatrix:
@@ -99,7 +131,7 @@ def split_step_walk(seed: int, n: int, layers: int) -> SymbolMatrix:
 def inputs() -> dict[str, tuple[SymbolMatrix, StateVector, StateVector]]:
     """name -> (walk, delta vector, a second unit vector)."""
     walks = {
-        name: zio.parse_spec((ROOT / "fixtures" / f"{name}.json").read_text())
+        name: zio.parse_spec(Path(fixture(name)).read_text())
         for name in ("hadamard", "modified_hadamard", "grover3")
     }
     walks["split_n6"] = split_step_walk(306, 6, 1)
@@ -157,14 +189,57 @@ def stage_timings(walk, delta, other, repeats: int) -> dict:
     band = track_bands(walk, GRID).bands[0]
     model = ModelWalkSpec(band.d, lambda_coeffs_from_samples(band.samples))
     stages.update(
-        verify_unitary_symbol=timed(
-            lambda _: verify_unitary_symbol(walk, 256, UNITARY_TOL), repeats
-        ),
+        verify_unitary_symbol=timed(lambda _: verify_unitary_symbol(walk), repeats),
         char_poly=timed(lambda _: char_poly(walk), repeats),
         verify_cayley_hamilton=timed(lambda _: verify_cayley_hamilton(walk, 256), repeats),
         build_model_walk=timed(lambda _: build_model_walk(model), repeats),
     )
     return stages
+
+
+def writer_timings(walk, delta, repeats: int) -> dict:
+    """The artifact writers into memory: bands, limit measure, a t = 6400 distribution."""
+    system = track_bands(walk, GRID)
+    measure = limit_measure(walk, delta, system)
+    dist = position_distribution(evolve(walk, delta, TIMES[-1]), time=TIMES[-1])
+
+    def bands(_):
+        zio.eigensystem_to_json(system)
+        zio.write_bands_csv(system, io.StringIO())
+
+    return {
+        "eigensystem_json_bands_csv": timed(bands, repeats),
+        "measure_csv": timed(lambda _: zio.write_measure_csv(measure, io.StringIO()), repeats),
+        f"distribution_csv_t{TIMES[-1]}": timed(
+            lambda _: zio.write_distribution_csv(dist, io.StringIO()), repeats
+        ),
+    }
+
+
+def cli_timings() -> dict:
+    """Each subcommand as a fresh interpreter on the fixtures, writing into a scratch dir.
+
+    The subprocesses import the zqwalk package this script imported.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(zqwalk.__file__).resolve().parent.parent)}
+    timings = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for argv in CLI_COMMANDS:
+            name = argv[0]
+            cmd = [sys.executable, "-c", CLI_ENTRY, *argv, "--out", str(Path(scratch) / name)]
+            timings[name] = timed(
+                lambda _, cmd=cmd: subprocess.run(cmd, env=env, capture_output=True, check=True),
+                CLI_RUNS,
+            )
+    return timings
+
+
+def scipy_version() -> str | None:
+    try:
+        import scipy
+    except ImportError:
+        return None
+    return scipy.__version__
 
 
 def solve_counts(walk, vectors) -> dict:
@@ -236,11 +311,14 @@ def main() -> None:
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy_version(),
             "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
             "commit": commit(),
         },
         "grid": GRID,
         "stages": {},
+        "writers": writer_timings(*cases["grover3"][:2], args.repeats),
+        "cli": cli_timings(),
         "solve_counts": {},
         "accuracy": accuracy(cases),
     }
@@ -251,6 +329,9 @@ def main() -> None:
             f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
         )
         print(f"{name} (median ms): {medians}")
+    for group in ("writers", "cli"):
+        medians = ", ".join(f"{k} {1e3 * s['median_s']:.2f}" for k, s in report[group].items())
+        print(f"{group} (median ms): {medians}")
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"accuracy: {report['accuracy']}")
     print(f"wrote {args.out}")

@@ -12,7 +12,9 @@ from pathlib import Path
 from zqwalk import (
     StateVector,
     coined_walk,
-    compare_empirical,
+    compare_moments,
+    evolve,
+    limit_measure,
     track_bands,
 )
 from zqwalk import io as zio
@@ -29,7 +31,8 @@ def main() -> None:
     xi = StateVector.delta(0, 1, 2)
     system = track_bands(walk, args.grid)
     times = [int(t) for t in args.times.split(",")]
-    rows = compare_empirical(walk, xi, system, times, args.mmax)
+    measure = limit_measure(walk, xi, system)
+    rows = compare_moments(measure, ((t, evolve(walk, xi, t)) for t in times), args.mmax)
 
     out = Path("runs/convergence")
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ from .limit import (
     LimitMeasure,
     MomentComparison,
     cdf_distance,
-    compare_empirical,
     compare_moments,
     limit_measure,
     limit_moments,

@@ -1,19 +1,23 @@
 """Command-line front end.
 
 Subcommands: check, bands, decompose, winding, ct-check, simulate, limit,
-compare, conjugate.  Every run writes its artifacts plus a manifest.json into
-one run directory (--out).  Specs are JSON files or '-' for stdin.  Each
+compare, conjugate.  main owns the run: each subcommand loads its specs,
+computes, writes its artifacts into the Run it is given and returns its
+stdout line; main then writes manifest.json and prints that line.  The run
+directory (--out) is made when the first artifact is written, so a refused
+spec or option leaves none.  Specs are JSON files or '-' for stdin.  Each
 subcommand takes only the options it reads: --grid (the base circle grid of
 track_bands, a power of two in 64..MAX_GRID/2 = 32768, default 1024) where it
 tracks bands, --tol (the non-conjugate edge) for conjugate alone.
 
 `check` reports unitarity as a verdict and always exits 0 on a well-formed
 spec; every other subcommand treats a non-unitary symbol as an input error.
-Both apply the one test of _require_unitary, so a walk `check` passes is a
-walk the other subcommands accept.  Each walk is checked once per command: by
-`track_bands` where the command tracks it, by the loader otherwise.
-Exit codes: 0 ok, 2 malformed spec or option value (checked before any
-work), 3 unitarity failure, 4 resolution failure, 5 domain error.
+Both read the one verdict of verify_unitary_symbol, so a walk `check` passes
+is a walk the other subcommands accept.  Each walk is checked once per
+command: by `track_bands` where the command tracks it, by the loader
+otherwise.  Exit codes: 0 ok, 2 malformed or unreadable spec or option value
+(checked before any work), 3 unitarity failure, 4 resolution failure, 5
+domain error.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from .errors import (
     UnitarityError,
     ZqwalkError,
 )
-from .limit import limit_measure
+from .limit import cdf_distance, compare_moments, limit_measure
 from .model import ModelWalkSpec, build_model_walk
 from .simulate import StateVector, evolve, position_distribution
 from .spectral import (
     DEFAULT_BASE_GRID,
     DEFAULT_TOL,
     MAX_GRID,
-    UNITARY_TOL,
     EigenSystem,
     _char_polys_match,
     _require_unitary,
@@ -49,6 +52,7 @@ from .spectral import (
     is_decomposable,
     total_winding,
     track_bands,
+    valid_base_grid,
     winding_numbers,
 )
 from .symbol import (
@@ -69,7 +73,11 @@ EXIT_CODES = {
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SpecFormatError(f"{path}: cannot read spec: {reason}") from None
 
 
 def _walk_id(path: str) -> str:
@@ -97,7 +105,7 @@ def _with_path(path: str, func, *args):
 
 def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
     """A walk spec and its bands; track_bands makes the unitarity check."""
-    if args.grid < 64 or args.grid & (args.grid - 1) or 2 * args.grid > MAX_GRID:
+    if not valid_base_grid(args.grid):
         raise SpecFormatError(
             f"--grid must be a power of two in 64..{MAX_GRID // 2}, got {args.grid}"
         )
@@ -112,46 +120,47 @@ def _load_vector(path: str) -> StateVector:
     return spec
 
 
-class Run:
-    """One run directory: collects artifacts and writes the manifest."""
+def _write_json(payload: dict, stream) -> None:
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
 
-    def __init__(self, args, command: str):
-        base = args.out or os.path.join("runs", f"{_walk_id(args.spec)}-{command}")
+
+class Run:
+    """One run directory, made on the first write: artifacts and the manifest."""
+
+    def __init__(self, args):
+        self.command = args.command
+        base = args.out or os.path.join("runs", f"{_walk_id(args.spec)}-{self.command}")
         self.dir = Path(base)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.command = command
-        self.args = {
-            k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
-        }
+        self.args = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         self.outputs: list[str] = []
 
-    def path(self, name: str) -> Path:
+    def _write(self, name: str, writer, obj, **options) -> None:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        with open(self.dir / name, "w") as fh:
+            writer(obj, fh, **options)
+
+    def write_csv(self, name: str, writer, obj, **options) -> None:
+        """Artifact `name`, written by writer(obj, stream, **options)."""
         self.outputs.append(name)
-        return self.dir / name
+        self._write(name, writer, obj, **options)
 
     def write_json(self, name: str, payload: dict) -> None:
-        with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        self.outputs.append(name)
+        self._write(name, _write_json, payload)
 
     def finish(self) -> None:
-        manifest = {
-            "command": self.command,
-            "arguments": self.args,
-            "outputs": list(self.outputs),
-        }
-        with open(self.dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        manifest = {"command": self.command, "arguments": self.args, "outputs": self.outputs}
+        self._write("manifest.json", _write_json, manifest)
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each writes its artifacts into `run` and returns its stdout line.
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, run: Run) -> str:
     walk = _load_walk(args.spec)
-    run = Run(args, "check")
-    unitary = verify_unitary_symbol(walk, 256, UNITARY_TOL)  # as _require_unitary
+    unitary = verify_unitary_symbol(walk)
     decay = classify_decay(walk, max(4, walk.propagation_radius + 1))
     report = {
         "walk_id": _walk_id(args.spec),
@@ -168,28 +177,21 @@ def cmd_check(args) -> int:
         summary += f", cayley-hamilton residual {residual:.3e}"
     report["artifacts"] = ["check.json"]
     run.write_json("check.json", report)
-    run.finish()
-    print(summary)
-    return 0
+    return summary
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args, run: Run) -> str:
     _walk, system = _load_tracked(args.spec, args)
-    run = Run(args, "bands")
     run.write_json("eigensystem.json", zio.eigensystem_to_json(system))
-    with open(run.path("bands.csv"), "w") as fh:
-        zio.write_bands_csv(system, fh)
-    run.finish()
-    print(
+    run.write_csv("bands.csv", zio.write_bands_csv, system)
+    return (
         f"{_walk_id(args.spec)}: {len(system.bands)} band(s) "
         f"{[(b.d, b.multiplicity) for b in system.bands]} on grid {system.base_grid}"
     )
-    return 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args, run: Run) -> str:
     _walk, system = _load_tracked(args.spec, args)
-    run = Run(args, "decompose")
     run.write_json("eigensystem.json", zio.eigensystem_to_json(system))
     report = {
         "walk_id": _walk_id(args.spec),
@@ -203,50 +205,32 @@ def cmd_decompose(args) -> int:
         "artifacts": run.outputs + ["decompose.json"],
     }
     run.write_json("decompose.json", report)
-    run.finish()
     verdict = "decomposable" if report["decomposable"] else "indecomposable"
-    print(
-        f"{report['walk_id']}: {verdict}, bands "
-        f"{[(b.d, b.winding) for b in system.bands]}"
-    )
-    return 0
+    return f"{report['walk_id']}: {verdict}, bands {[(b.d, b.winding) for b in system.bands]}"
 
 
-def cmd_winding(args) -> int:
+def cmd_winding(args, run: Run) -> str:
     _walk, system = _load_tracked(args.spec, args)
     windings = winding_numbers(system)
     multiplicities = [b.multiplicity for b in system.bands]
     total = total_winding(system)
-    run = Run(args, "winding")
     run.write_json(
         "winding.json",
         {"windings": windings, "multiplicities": multiplicities, "total_abs": total},
     )
-    run.finish()
-    print(f"{_walk_id(args.spec)}: windings {windings}, |w| = {total}")
-    return 0
+    return f"{_walk_id(args.spec)}: windings {windings}, |w| = {total}"
 
 
-def cmd_ct_check(args) -> int:
+def cmd_ct_check(args, run: Run) -> str:
     _walk, system = _load_tracked(args.spec, args)
-    realizable = ct_realizable(system)
-    run = Run(args, "ct-check")
-    payload = {"ct_realizable": realizable}
-    if realizable:
-        for j, band in enumerate(system.bands):
-            with open(run.path(f"generator_band{j}.csv"), "w") as fh:
-                zio.write_generator_csv(band, fh)
-    else:
-        payload["reason"] = (
-            f"winding {[b.winding for b in system.bands if b.winding != 0]}"
-        )
-    run.write_json("ct_check.json", payload)
-    run.finish()
-    if realizable:
-        print(f"{_walk_id(args.spec)}: true (generators written)")
-    else:
-        print(f"{_walk_id(args.spec)}: false, reason \"{payload['reason']}\"")
-    return 0
+    if not ct_realizable(system):
+        reason = f"winding {[b.winding for b in system.bands if b.winding != 0]}"
+        run.write_json("ct_check.json", {"ct_realizable": False, "reason": reason})
+        return f"{_walk_id(args.spec)}: false, reason \"{reason}\""
+    for j, band in enumerate(system.bands):
+        run.write_csv(f"generator_band{j}.csv", zio.write_generator_csv, band)
+    run.write_json("ct_check.json", {"ct_realizable": True})
+    return f"{_walk_id(args.spec)}: true (generators written)"
 
 
 def _parse_times(text: str) -> list[int]:
@@ -260,40 +244,33 @@ def _parse_times(text: str) -> list[int]:
     return list(dict.fromkeys(times))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, run: Run) -> str:
     walk = _load_walk(args.spec, require_unitary=True)
     xi = _load_vector(args.init)
     times = _parse_times(args.t)
-    run = Run(args, "simulate")
     for t in times:
         dist = position_distribution(evolve(walk, xi, t), time=t)
-        with open(run.path(f"dist_t{t}.csv"), "w") as fh:
-            zio.write_distribution_csv(dist, fh, rescaled=args.rescaled and t > 0)
-    run.finish()
-    print(f"{_walk_id(args.spec)}: wrote distributions for t = {times}")
-    return 0
+        run.write_csv(
+            f"dist_t{t}.csv", zio.write_distribution_csv, dist,
+            rescaled=args.rescaled and t > 0,
+        )
+    return f"{_walk_id(args.spec)}: wrote distributions for t = {times}"
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args, run: Run) -> str:
     walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
     measure = limit_measure(walk, xi, system)
-    run = Run(args, "limit")
     run.write_json("measure.json", zio.measure_to_json(measure))
-    with open(run.path("measure.csv"), "w") as fh:
-        zio.write_measure_csv(measure, fh)
-    run.finish()
+    run.write_csv("measure.csv", zio.write_measure_csv, measure)
     atoms = ", ".join(f"{x:+.4f} (mass {mass:.4f})" for x, mass in measure.atoms)
-    print(
+    return (
         f"{_walk_id(args.spec)}: total mass {measure.total_mass:.6f}, "
         f"atoms [{atoms or 'none'}]"
     )
-    return 0
 
 
-def cmd_compare(args) -> int:
-    from .limit import cdf_distance, compare_moments
-
+def cmd_compare(args, run: Run) -> str:
     times = _parse_times(args.t)
     if 0 in times:
         raise SpecFormatError("compare times must be positive")
@@ -304,32 +281,25 @@ def cmd_compare(args) -> int:
     measure = limit_measure(walk, xi, system)
     states = [(t, evolve(walk, xi, t)) for t in times]
     rows = compare_moments(measure, states, args.mmax)
-    run = Run(args, "compare")
-    with open(run.path("moments.csv"), "w") as fh:
-        zio.write_comparison_csv(rows, fh)
-    run.finish()
-    worst = max(row.deviation for row in rows)
-    print(f"{_walk_id(args.spec)}: max |empirical - limit| = {worst:.3e}")
+    run.write_csv("moments.csv", zio.write_comparison_csv, rows)
     # KS-style distance is diagnostic only (atoms block uniform convergence)
     for t, state in states:
         dist = position_distribution(state, time=t)
         print(f"  t={t}: CDF sup distance {cdf_distance(measure, dist, t):.4f}",
               file=sys.stderr)
-    return 0
+    worst = max(row.deviation for row in rows)
+    return f"{_walk_id(args.spec)}: max |empirical - limit| = {worst:.3e}"
 
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(args, run: Run) -> str:
     # are_conjugate, with each walk checked once, by the loader and by name
     if not 0 < args.tol < math.inf:
         raise SpecFormatError(f"--tol must be finite and positive, got {args.tol}")
     w1 = _load_walk(args.spec, require_unitary=True)
     w2 = _load_walk(args.other, require_unitary=True)
     verdict = _char_polys_match(w1, w2, args.tol)
-    run = Run(args, "conjugate")
     run.write_json("conjugate.json", {"conjugate": verdict})
-    run.finish()
-    print("true" if verdict else "false")
-    return 0
+    return "true" if verdict else "false"
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -387,14 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run = Run(args)
     try:
-        return args.func(args)
+        summary = args.func(args, run)
     except ZqwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for cls, code in EXIT_CODES.items():
-            if isinstance(exc, cls):
-                return code
-        return 1
+        return next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), 1)
+    run.finish()
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

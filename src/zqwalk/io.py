@@ -14,8 +14,10 @@ limit measure    {"atoms": [{"x", "mass"}], "bins": [{"x", "mass"}]}
 Walks, models and initial vectors are read and written.  Eigen systems and
 limit measures are written only; the measure's "bins" are its
 LimitMeasure.histogram() view, from which the samples cannot be rebuilt.
-Rows and columns are 1-based; unspecified entries are zero.  CSV floats are
-written with 17 significant digits, '.' decimal separator, no locale.
+Rows and columns are 1-based; unspecified entries are zero, and a repeated
+entry (row, col), shift or (site, channel) adds to the earlier ones in file
+order.  CSV floats are written with 17 significant digits, '.' decimal
+separator, no locale.
 """
 
 from __future__ import annotations
@@ -60,15 +62,15 @@ def _require(obj, key, kind, where):
     return value
 
 
-def _terms_to_poly(terms, where) -> LaurentPoly:
-    coeffs: dict[int, complex] = {}
+def _add_terms(coeffs: dict[int, complex], terms, where) -> dict[int, complex]:
+    """Add each term to coeffs[shift] in order; repeated shifts are summed."""
     for idx, term in enumerate(terms):
         loc = f"{where}[{idx}]"
         shift = _require(term, "shift", int, loc)
         re = _require(term, "re", float, loc)
         im = _require(term, "im", float, loc)
         coeffs[shift] = coeffs.get(shift, 0.0) + complex(re, im)
-    return LaurentPoly(coeffs)
+    return coeffs
 
 
 def _poly_to_terms(poly: LaurentPoly) -> list[dict]:
@@ -96,7 +98,7 @@ def walk_from_json(data: dict) -> SymbolMatrix:
     n = _require(data, "n", int, "walk")
     if n < 1:
         raise SpecFormatError("walk.n: must be positive")
-    entries = [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
+    coeffs: dict[tuple[int, int], dict[int, complex]] = {}
     for idx, item in enumerate(_require(data, "entries", list, "walk")):
         where = f"walk.entries[{idx}]"
         row = _require(item, "row", int, where)
@@ -104,17 +106,17 @@ def walk_from_json(data: dict) -> SymbolMatrix:
         if not (1 <= row <= n and 1 <= col <= n):
             raise SpecFormatError(f"{where}: row/col outside 1..{n}")
         terms = _require(item, "terms", list, where)
-        entries[row - 1][col - 1] = _terms_to_poly(terms, f"{where}.terms")
-    return SymbolMatrix(n, tuple(tuple(row) for row in entries))
+        # a repeated (row, col) adds its terms to the entry's, in file order
+        _add_terms(coeffs.setdefault((row, col), {}), terms, f"{where}.terms")
+    rows = range(1, n + 1)
+    return SymbolMatrix(n, [[LaurentPoly(coeffs.get((i, j), {})) for j in rows] for i in rows])
 
 
 def model_from_json(data: dict) -> ModelWalkSpec:
     inner = data["model"]
     d = _require(inner, "d", int, "model")
-    coeffs = _terms_to_poly(
-        _require(inner, "lambda_coeffs", list, "model"), "model.lambda_coeffs"
-    )
-    return ModelWalkSpec(d, coeffs)
+    terms = _require(inner, "lambda_coeffs", list, "model")
+    return ModelWalkSpec(d, LaurentPoly(_add_terms({}, terms, "model.lambda_coeffs")))
 
 
 # -- state vectors -----------------------------------------------------------
@@ -197,52 +199,58 @@ def measure_to_json(measure: LimitMeasure) -> dict:
 # -- CSV emitters ------------------------------------------------------------
 
 
+def _cells(column) -> list[str]:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [_fmt(v) if isinstance(v, float) else str(v) for v in values]
+
+
+def _write_rows(stream: IO, header: str, *columns) -> None:
+    """The header line, then one line per row: floats through _fmt, the rest str."""
+    lines = [header, *map(",".join, zip(*map(_cells, columns)))]
+    stream.write("\n".join(lines) + "\n")
+
+
+def _covering_angles(count: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(count) / count
+
+
 def write_bands_csv(system: EigenSystem, stream: IO) -> None:
     """Columns: band_index, covering_angle, re, im, arg."""
-    stream.write("band_index,covering_angle,re,im,arg\n")
-    for j, band in enumerate(system.bands):
-        count = len(band.samples)
-        for m, value in enumerate(band.samples):
-            angle = 2.0 * np.pi * m / count
-            stream.write(
-                f"{j},{_fmt(angle)},{_fmt(value.real)},{_fmt(value.imag)},"
-                f"{_fmt(np.angle(value))}\n"
-            )
+    samples = [band.samples for band in system.bands]
+    values = np.concatenate(samples)
+    index = np.repeat(np.arange(len(samples)), [len(s) for s in samples])
+    angles = np.concatenate([_covering_angles(len(s)) for s in samples])
+    _write_rows(stream, "band_index,covering_angle,re,im,arg",
+                index, angles, values.real, values.imag, np.angle(values))
 
 
 def write_distribution_csv(
     dist: PositionDistribution, stream: IO, rescaled: bool = False
 ) -> None:
     """Columns: (site, prob), or (x, prob) with x = site/time when rescaled."""
+    if rescaled and dist.time <= 0:
+        raise SpecFormatError("rescaled output needs a positive time")
+    sites = sorted(dist.probs)
+    probs = [dist.probs[s] for s in sites]
     if rescaled:
-        if dist.time <= 0:
-            raise SpecFormatError("rescaled output needs a positive time")
-        stream.write("x,prob\n")
-        for s in sorted(dist.probs):
-            stream.write(f"{_fmt(s / dist.time)},{_fmt(dist.probs[s])}\n")
+        _write_rows(stream, "x,prob", [s / dist.time for s in sites], probs)
     else:
-        stream.write("site,prob\n")
-        for s in sorted(dist.probs):
-            stream.write(f"{s},{_fmt(dist.probs[s])}\n")
+        _write_rows(stream, "site,prob", sites, probs)
 
 
 def write_measure_csv(measure: LimitMeasure, stream: IO) -> None:
     """Columns: kind, x, mass (atoms first, then the histogram view's cells)."""
-    stream.write("kind,x,mass\n")
-    for x, mass in measure.atoms:
-        stream.write(f"atom,{_fmt(x)},{_fmt(mass)}\n")
-    for x, mass in zip(*measure.histogram()):
-        stream.write(f"bin,{_fmt(x)},{_fmt(mass)}\n")
+    centers, cells = measure.histogram()
+    kinds = ["atom"] * len(measure.atoms) + ["bin"] * len(centers)
+    xs = [x for x, _mass in measure.atoms] + centers.tolist()
+    masses = [mass for _x, mass in measure.atoms] + cells.tolist()
+    _write_rows(stream, "kind,x,mass", kinds, xs, masses)
 
 
 def write_comparison_csv(rows: Iterable[MomentComparison], stream: IO) -> None:
     """Columns: t, m, empirical, limit, deviation."""
-    stream.write("t,m,empirical,limit,deviation\n")
-    for row in rows:
-        stream.write(
-            f"{row.t},{row.m},{_fmt(row.empirical)},{_fmt(row.limit)},"
-            f"{_fmt(row.deviation)}\n"
-        )
+    table = [(row.t, row.m, row.empirical, row.limit, row.deviation) for row in rows]
+    _write_rows(stream, "t,m,empirical,limit,deviation", *zip(*table))
 
 
 def write_generator_csv(band: Band, stream: IO) -> None:
@@ -251,8 +259,5 @@ def write_generator_csv(band: Band, stream: IO) -> None:
     exp(i h) = lambda, and at winding zero h is single-valued: the band's
     continuous-time generator.
     """
-    count = len(band.samples)
-    thetas = 2.0 * np.pi * np.arange(count) / count
-    stream.write("theta,h\n")
-    for theta, h in zip(thetas, np.unwrap(np.angle(band.samples))):
-        stream.write(f"{_fmt(theta)},{_fmt(h)}\n")
+    thetas = _covering_angles(len(band.samples))
+    _write_rows(stream, "theta,h", thetas, np.unwrap(np.angle(band.samples)))

@@ -18,12 +18,12 @@ histogram is only a view for the written outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
-from .simulate import StateVector, evolve, rescaled_moment
+from .simulate import StateVector, rescaled_moment
 from .spectral import EigenSystem, band_projections
 from .symbol import SymbolMatrix
 
@@ -190,20 +190,3 @@ def compare_moments(
             lim = limit_moments(measure, m)
             rows.append(MomentComparison(t, m, emp, lim, abs(emp - lim)))
     return rows
-
-
-def compare_empirical(
-    walk: SymbolMatrix,
-    xi: StateVector,
-    system: EigenSystem,
-    t_list: Sequence[int],
-    m_max: int,
-) -> list[MomentComparison]:
-    """Rescaled moments of evolved states against the limit moments.
-
-    Returns one row per (t, m); deviations should trend to zero in t up to
-    O(1/t) noise.
-    """
-    measure = limit_measure(walk, xi, system)
-    states = ((t, evolve(walk, xi, t)) for t in t_list)
-    return compare_moments(measure, states, m_max)

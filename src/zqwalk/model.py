@@ -40,20 +40,19 @@ def lambda_coeffs_from_samples(samples: np.ndarray) -> LaurentPoly:
     return LaurentPoly(circle_coefficients(samples, COEFF_TRUNCATION)[0])
 
 
-def build_model_walk(
-    spec: ModelWalkSpec, unimodular_tol: float = UNIMODULAR_TOL
-) -> SymbolMatrix:
+def build_model_walk(spec: ModelWalkSpec) -> SymbolMatrix:
     """Assemble the d x d symbol with coefficient c(k - l + d*s) at shift s.
 
-    |lambda| is checked on max(256, least power of two > 4 radius(lambda))
-    circle points, the grid on which |lambda|^2 - 1 cannot alias away.
+    |lambda| must be within UNIMODULAR_TOL of 1 on max(256, least power of two
+    > 4 radius(lambda)) circle points, the grid on which |lambda|^2 - 1 cannot
+    alias away.
     """
     grid = alias_free_grid(256, 4 * spec.lambda_coeffs.radius)
     dev = float(np.max(np.abs(np.abs(spec.lambda_coeffs.circle_samples(grid)) - 1.0)))
-    if dev > unimodular_tol:
+    if dev > UNIMODULAR_TOL:
         raise DomainError(
             f"lambda not unimodular: max modulus deviation {dev:.3e} "
-            f"exceeds {unimodular_tol:.1e}"
+            f"exceeds {UNIMODULAR_TOL:.1e}"
         )
     d = spec.d
     sigma = np.array(spec.lambda_coeffs.support)

@@ -68,7 +68,6 @@ DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
 MAX_GRID = 1 << 16
-UNITARY_TOL = 1e-8  # bound on |U*U - I| in _require_unitary and the CLI `check` verdict
 WINDING_RESIDUAL = 0.01
 
 
@@ -370,7 +369,7 @@ def _build_system(vals: np.ndarray, lipschitz: float) -> EigenSystem:
 
 
 def _require_unitary(walk: SymbolMatrix) -> None:
-    report = verify_unitary_symbol(walk, 256, UNITARY_TOL)
+    report = verify_unitary_symbol(walk)
     if not report.passed:
         raise UnitarityError(
             f"symbol not unitary: max deviation {report.max_deviation:.3e}"
@@ -404,6 +403,11 @@ def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
         Band(b.d, b.samples[::step], b.winding, b.multiplicity) for b in system.bands
     )
     return EigenSystem(bands, system.n, coarse, system.indecomposable)
+
+
+def valid_base_grid(grid: int) -> bool:
+    """A power of two in 64..MAX_GRID/2: a base grid track_bands can certify."""
+    return grid >= 64 and not grid & (grid - 1) and 2 * grid <= MAX_GRID
 
 
 def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> EigenSystem:
@@ -440,7 +444,7 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
         Power of two in 64..MAX_GRID/2.  The returned system lives on the first
         grid at or above this size whose structure is stable under doubling.
     """
-    if base_grid < 64 or base_grid & (base_grid - 1) or 2 * base_grid > MAX_GRID:
+    if not valid_base_grid(base_grid):
         raise DomainError(f"base_grid {base_grid} is not a power of two in 64..{MAX_GRID // 2}")
     _require_unitary(walk)
     grid = base_grid
@@ -606,10 +610,6 @@ class _Frame:
     split: np.ndarray
 
 
-def _same_walk(a: SymbolMatrix, b: SymbolMatrix) -> bool:
-    return a is b or (a.low == b.low and np.array_equal(a.coeffs, b.coeffs))
-
-
 def band_projections(
     walk: SymbolMatrix,
     system: EigenSystem,
@@ -658,9 +658,9 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     """The system's cached frame for `walk`, built (and cached) if there is none.
 
     The eigendecomposition is the one track_bands solved when the system
-    carries it for this walk (the same object, or equal coefficients and
-    least shift), else it is solved here; a foreign walk never reuses another
-    walk's frame, so its spectrum is checked against the bands afresh.
+    carries it for this walk (the very object it tracked), else it is solved
+    here; any other walk never reuses another walk's frame, so its spectrum
+    is checked against the bands afresh.
 
     Velocities are Hellmann-Feynman slopes Re((W U' V)_ii / (i lambda_i)),
     with U' exact from the symbol's coefficients.  Where one cluster holds
@@ -671,11 +671,11 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     nearest eigenvalue, and through it to that eigenvalue's cluster.
     """
     frame = system._frame
-    if frame is not None and _same_walk(frame.walk, walk):
+    if frame is not None and frame.walk is walk:
         return frame
     m = system.base_grid
     n = walk.n
-    if system._solved is not None and _same_walk(system._solved[0], walk):
+    if system._solved is not None and system._solved[0] is walk:
         evals, vecs = system._solved[1:]
     else:
         evals, vecs = np.linalg.eig(walk.grid_eval(m))

@@ -21,6 +21,9 @@ from .circle import alias_free_grid, circle_coefficients, circle_values
 from .errors import DomainError
 from .laurent import PRUNE_TOL, LaurentPoly
 
+UNITARY_GRID = 256  # least circle grid of the unitarity check
+UNITARY_TOL = 1e-8  # bound on |U*U - I|: every command's unitarity verdict
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class SymbolMatrix:
@@ -138,22 +141,18 @@ class UnitarityReport(NamedTuple):
     max_deviation: float
 
 
-def verify_unitary_symbol(
-    walk: SymbolMatrix, grid_size: int = 256, tol: float = 1e-10
-) -> UnitarityReport:
+def verify_unitary_symbol(walk: SymbolMatrix) -> UnitarityReport:
     """Max Frobenius deviation of U(z)*U(z) from the identity over a circle grid.
 
     U*U - I has shifts |s| <= 2R (R the propagation radius), so the grid has
-    max(grid_size, least power of two > 4R) points: a deviation of the symbol
-    cannot alias away.
+    max(UNITARY_GRID, least power of two > 4R) points: a deviation of the
+    symbol cannot alias away.  The walk passes below UNITARY_TOL.
     """
-    if grid_size < 16:
-        raise DomainError("grid_size must be at least 16")
-    vals = walk.grid_eval(alias_free_grid(grid_size, 4 * walk.propagation_radius))
+    vals = walk.grid_eval(alias_free_grid(UNITARY_GRID, 4 * walk.propagation_radius))
     eye = np.eye(walk.n)
     dev = np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye
     max_dev = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
-    return UnitarityReport(max_dev < tol, max_dev)
+    return UnitarityReport(max_dev < UNITARY_TOL, max_dev)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

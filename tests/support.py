@@ -16,9 +16,12 @@ from zqwalk import (
     StateVector,
     SymbolMatrix,
     coined_walk,
+    compare_moments,
     compose,
     direct_sum,
+    evolve,
     lambda_coeffs_from_samples,
+    limit_measure,
     track_bands,
 )
 from zqwalk.spectral import (
@@ -435,3 +438,67 @@ def fft_band_velocities(system: EigenSystem) -> list[np.ndarray]:
         h = (deriv + band.winding) / band.d
         out.append(h.reshape(band.d, system.base_grid).T)
     return out
+
+
+# -- the moment comparison of `zqwalk compare` ---------------------------------------
+
+
+def compared_moments(walk, xi, system, times, m_max):
+    """Rescaled moments of walk^t xi for each t against the limit measure's."""
+    measure = limit_measure(walk, xi, system)
+    return compare_moments(measure, [(t, evolve(walk, xi, t)) for t in times], m_max)
+
+
+# -- row-by-row CSV emitters, the reference for io's column writers ------------------
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def loop_bands_csv(system: EigenSystem, stream) -> None:
+    stream.write("band_index,covering_angle,re,im,arg\n")
+    for j, band in enumerate(system.bands):
+        count = len(band.samples)
+        for m, value in enumerate(band.samples):
+            angle = 2.0 * np.pi * m / count
+            stream.write(
+                f"{j},{_fmt(angle)},{_fmt(value.real)},{_fmt(value.imag)},"
+                f"{_fmt(np.angle(value))}\n"
+            )
+
+
+def loop_distribution_csv(dist, stream, rescaled: bool = False) -> None:
+    if rescaled:
+        stream.write("x,prob\n")
+        for s in sorted(dist.probs):
+            stream.write(f"{_fmt(s / dist.time)},{_fmt(dist.probs[s])}\n")
+    else:
+        stream.write("site,prob\n")
+        for s in sorted(dist.probs):
+            stream.write(f"{s},{_fmt(dist.probs[s])}\n")
+
+
+def loop_measure_csv(measure, stream) -> None:
+    stream.write("kind,x,mass\n")
+    for x, mass in measure.atoms:
+        stream.write(f"atom,{_fmt(x)},{_fmt(mass)}\n")
+    for x, mass in zip(*measure.histogram()):
+        stream.write(f"bin,{_fmt(x)},{_fmt(mass)}\n")
+
+
+def loop_comparison_csv(rows, stream) -> None:
+    stream.write("t,m,empirical,limit,deviation\n")
+    for row in rows:
+        stream.write(
+            f"{row.t},{row.m},{_fmt(row.empirical)},{_fmt(row.limit)},"
+            f"{_fmt(row.deviation)}\n"
+        )
+
+
+def loop_generator_csv(band: Band, stream) -> None:
+    count = len(band.samples)
+    thetas = 2.0 * np.pi * np.arange(count) / count
+    stream.write("theta,h\n")
+    for theta, h in zip(thetas, np.unwrap(np.angle(band.samples))):
+        stream.write(f"{_fmt(theta)},{_fmt(h)}\n")

@@ -154,10 +154,7 @@ def test_criterion_4_model_identities():
             s1 = random_unimodular_spec(rng, d, winding=1)
             s2 = random_unimodular_spec(rng, d, winding=-1)
             lhs = compose(build_model_walk(s1), build_model_walk(s2))
-            rhs = build_model_walk(
-                ModelWalkSpec(d, s1.lambda_coeffs * s2.lambda_coeffs),
-                unimodular_tol=1e-8,
-            )
+            rhs = build_model_walk(ModelWalkSpec(d, s1.lambda_coeffs * s2.lambda_coeffs))
             assert all(
                 lhs.entries[i][j].max_coeff_distance(rhs.entries[i][j]) < 1e-12
                 for i in range(d)

@@ -12,6 +12,7 @@ import pytest
 
 from zqwalk import (
     DomainError,
+    LimitMeasure,
     ModelWalkSpec,
     SpecFormatError,
     StateVector,
@@ -20,17 +21,23 @@ from zqwalk import (
     are_conjugate,
     build_model_walk,
     coined_walk,
-    compare_empirical,
     direct_sum,
     evolve,
     grover_walk_3,
     limit_measure,
     modified_coined_walk,
+    position_distribution,
     refine_system,
     track_bands,
 )
 from support import (
+    compared_moments,
     conjugated_coined_sum,
+    loop_bands_csv,
+    loop_comparison_csv,
+    loop_distribution_csv,
+    loop_generator_csv,
+    loop_measure_csv,
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
@@ -84,6 +91,22 @@ def test_parse_vector(spec_dir):
 def test_parse_malformed_json():
     with pytest.raises(SpecFormatError):
         zio.parse_spec("{not json")
+
+
+def test_repeated_walk_entries_are_summed(tmp_path, capsys):
+    # hadamard's (1, 1) term 1/sqrt 2 split over two entries, 0.5 first
+    payload = json.loads((FIXTURES / "hadamard.json").read_text())
+    first = payload["entries"][0]
+    assert (first["row"], first["col"], first["terms"][0]["shift"]) == (1, 1, -1)
+    first["terms"][0]["re"] = 0.5
+    rest = {"row": 1, "col": 1, "terms": [{"shift": -1, "re": 0.20710678118654757, "im": 0.0}]}
+    payload["entries"].insert(1, rest)
+    assert zio.walk_from_json(payload).allclose(coined_walk(), 0.0)
+    spec = tmp_path / "split.json"
+    spec.write_text(json.dumps(payload))
+    assert run_cli("check", spec, "--out", tmp_path / "check") == 0
+    assert "unitarity pass" in capsys.readouterr().out
+    assert run_cli("bands", spec, "--grid", 64, "--out", tmp_path / "bands") == 0
 
 
 def test_parse_schema_diagnostics():
@@ -230,6 +253,50 @@ def test_measure_json_payload():
     assert max(abs(b["x"]) for b in payload["bins"]) <= mu.max_support()
     total = sum(item["mass"] for item in payload["atoms"] + payload["bins"])
     assert abs(total - mu.total_mass) <= 1e-12
+
+
+# -- CSV writers ------------------------------------------------------------------
+
+
+def _csv(writer, obj, **options) -> str:
+    stream = io.StringIO()
+    writer(obj, stream, **options)
+    return stream.getvalue()
+
+
+def test_csv_writers_match_row_loops():
+    # the column writers give the bytes of the row-by-row reference
+    cases = (("hadamard", "delta0_ch1"), ("modified_hadamard", "delta0_ch1"),
+             ("grover3", "delta0_ch2_3state"))
+    for walk_name, vector_name in cases:
+        walk = zio.parse_spec((FIXTURES / f"{walk_name}.json").read_text())
+        xi = zio.parse_spec((FIXTURES / f"{vector_name}.json").read_text())
+        for grid in (64, 1024):
+            system = track_bands(walk, grid)
+            assert _csv(zio.write_bands_csv, system) == _csv(loop_bands_csv, system)
+            for band in system.bands:
+                assert _csv(zio.write_generator_csv, band) == _csv(loop_generator_csv, band)
+            measure = limit_measure(walk, xi, system)
+            assert _csv(zio.write_measure_csv, measure) == _csv(loop_measure_csv, measure)
+            rows = compared_moments(walk, xi, system, [7, 400], 4)
+            assert _csv(zio.write_comparison_csv, rows) == _csv(loop_comparison_csv, rows)
+        for t in (0, 7, 400):
+            dist = position_distribution(evolve(walk, xi, t), time=t)
+            for rescaled in (False, True) if t else (False,):
+                assert _csv(zio.write_distribution_csv, dist, rescaled=rescaled) == _csv(
+                    loop_distribution_csv, dist, rescaled=rescaled
+                ), (walk_name, t, rescaled)
+    assert _csv(zio.write_comparison_csv, []) == "t,m,empirical,limit,deviation\n"
+    # a shift walk's limit is one atom, and two atoms with no samples
+    shift = SymbolMatrix.shift(1)
+    atom = limit_measure(shift, StateVector.delta(0, 1, 1), track_bands(shift, 64))
+    atoms = LimitMeasure(((-0.5, 0.25), (1 / 3, 0.75)), [], [])
+    for measure in (atom, atoms):
+        assert not len(measure.velocities)
+        assert _csv(zio.write_measure_csv, measure) == _csv(loop_measure_csv, measure)
+    assert _csv(zio.write_measure_csv, atoms) == (
+        "kind,x,mass\natom,-0.5,0.25\natom,0.33333333333333331,0.75\n"
+    )
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -384,7 +451,6 @@ def test_cli_limit_and_compare(spec_dir, tmp_path):
 
 def test_cli_compare_builds_measure_once(spec_dir, tmp_path, monkeypatch):
     import zqwalk.cli
-    import zqwalk.limit
 
     calls = {"limit_measure": 0, "evolve": 0}
 
@@ -395,9 +461,8 @@ def test_cli_compare_builds_measure_once(spec_dir, tmp_path, monkeypatch):
 
         return wrapper
 
-    for module in (zqwalk.cli, zqwalk.limit):
-        for name in calls:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in calls:
+        monkeypatch.setattr(zqwalk.cli, name, counting(name, getattr(zqwalk.cli, name)))
     out = tmp_path / "run-compare"
     assert run_cli(
         "compare",
@@ -417,7 +482,7 @@ def test_cli_compare_builds_measure_once(spec_dir, tmp_path, monkeypatch):
     walk, xi = coined_walk(), StateVector.delta(0, 1, 2)
     system = refine_system(track_bands(walk, 256))
     want = io.StringIO()
-    zio.write_comparison_csv(compare_empirical(walk, xi, system, [20, 80, 160], 2), want)
+    zio.write_comparison_csv(compared_moments(walk, xi, system, [20, 80, 160], 2), want)
     assert (out / "moments.csv").read_text() == want.getvalue()
 
 
@@ -570,6 +635,17 @@ def test_bench_script_writes_report(tmp_path):
     assert len(accuracy["near_crossing_windings"]) == 2
     assert sum(accuracy["near_crossing_windings"]) == 0
     assert report["environment"]["nproc"] >= 1
+    assert report["environment"]["scipy"]  # the test support imports scipy
+    assert set(report["writers"]) == {
+        "eigensystem_json_bands_csv", "measure_csv", "distribution_csv_t6400"
+    }
+    assert set(report["cli"]) == {
+        "check", "bands", "decompose", "winding", "ct-check", "simulate", "limit",
+        "compare", "conjugate",
+    }
+    for timing in list(report["writers"].values()) + list(report["cli"].values()):
+        assert 0 < timing["q25_s"] <= timing["median_s"] <= timing["q75_s"]
+    assert {timing["runs"] for timing in report["cli"].values()} == {5}
 
 
 def test_cli_options_are_the_ones_each_command_reads(monkeypatch):
@@ -638,6 +714,29 @@ def test_cli_unitarity_check_does_not_alias(tmp_path, capsys):
     assert f"{spec}: symbol not unitary" in capsys.readouterr().err
     with pytest.raises(UnitarityError):
         track_bands(walk)
+
+
+@pytest.mark.parametrize("case", ["missing_spec", "missing_init", "directory", "binary"])
+def test_cli_unreadable_spec_exits_2(spec_dir, tmp_path, capsys, case):
+    unreadable = {
+        "missing_spec": tmp_path / "missing.json",
+        "missing_init": tmp_path / "missing.json",
+        "directory": spec_dir,
+        "binary": tmp_path / "binary.json",
+    }[case]
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    spec, init = spec_dir / "hadamard.json", spec_dir / "delta0_ch1.json"
+    if case == "missing_init":
+        init = unreadable
+    else:
+        spec = unreadable
+    for argv in (["bands", spec], ["limit", spec, "--init", init, "--grid", 64]):
+        if argv[0] == "bands" and case == "missing_init":
+            continue
+        out = tmp_path / f"run-{argv[0]}"
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {unreadable}: cannot read spec")
+        assert not out.exists()
 
 
 def test_cli_bad_json_exit_code(tmp_path, capsys):

@@ -8,7 +8,6 @@ from zqwalk import (
     band_projections,
     build_model_walk,
     coined_walk,
-    compare_empirical,
     compose,
     evolve,
     grover_walk_3,
@@ -19,7 +18,7 @@ from zqwalk import (
     refine_system,
     track_bands,
 )
-from support import random_constant_unitary, random_unimodular_spec
+from support import compared_moments, random_constant_unitary, random_unimodular_spec
 
 R = 2**-0.5
 
@@ -194,12 +193,12 @@ def test_symmetric_initial_state_centers_measure(tracked_corpus):
 def test_compare_shift_walk_is_exact():
     walk = SymbolMatrix.shift(1)
     system = refined(walk, 64)
-    rows = compare_empirical(walk, StateVector.delta(0, 1, 1), system, [5, 50], 2)
+    rows = compared_moments(walk, StateVector.delta(0, 1, 1), system, [5, 50], 2)
     assert all(row.deviation < 1e-12 for row in rows)
 
 
 def test_compare_coined_decreasing(tracked_corpus):
-    rows = compare_empirical(
+    rows = compared_moments(
         coined_walk(),
         StateVector.delta(0, 1, 2),
         tracked_corpus["coined"],
@@ -321,7 +320,7 @@ def test_coined_density_matches_arcsine_type_law(tracked_corpus):
 
 
 def test_compare_grover_at_long_horizon(tracked_corpus):
-    rows = compare_empirical(
+    rows = compared_moments(
         grover_walk_3(),
         StateVector.from_channel_vector(0, [0.0, 1.0, 0.0]),
         tracked_corpus["grover3"],

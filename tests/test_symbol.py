@@ -26,7 +26,6 @@ from zqwalk import (
 )
 from zqwalk import io as zio
 from zqwalk.model import ModelWalkSpec
-from zqwalk.spectral import UNITARY_TOL
 from support import (
     entrywise_adjoint,
     entrywise_compose,
@@ -63,18 +62,13 @@ def test_eval_rejects_origin():
 
 
 def test_unitarity_pass_and_fail():
-    ok = verify_unitary_symbol(coined_walk(), 256, 1e-10)
+    ok = verify_unitary_symbol(coined_walk())
     assert ok.passed and ok.max_deviation < 1e-12
-    ident = verify_unitary_symbol(SymbolMatrix.identity(2), 64, 1e-12)
+    ident = verify_unitary_symbol(SymbolMatrix.identity(2))
     assert ident.passed and ident.max_deviation == 0.0
-    bad = verify_unitary_symbol(SymbolMatrix.from_constant(np.diag([1.0, 2.0])), 64, 1e-10)
+    bad = verify_unitary_symbol(SymbolMatrix.from_constant(np.diag([1.0, 2.0])))
     assert not bad.passed
     assert bad.max_deviation == pytest.approx(3.0, abs=1e-12)
-
-
-def test_unitarity_grid_too_small():
-    with pytest.raises(DomainError):
-        verify_unitary_symbol(SymbolMatrix.identity(1), 8)
 
 
 # -- characteristic polynomials ------------------------------------------------
@@ -159,7 +153,7 @@ def test_unitarity_grid_touches_only_live_shifts():
     walk = direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(1000))
     tracemalloc.start()
     try:
-        report = verify_unitary_symbol(walk, 256, UNITARY_TOL)
+        report = verify_unitary_symbol(walk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,5 +285,5 @@ def test_classify_small_cutoff_errors():
 
 def test_corpus_unitarity_tolerance(corpus):
     for name, walk in corpus.items():
-        report = verify_unitary_symbol(walk, 256, 1e-9)
-        assert report.passed, (name, report.max_deviation)
+        report = verify_unitary_symbol(walk)
+        assert report.passed and report.max_deviation < 1e-9, (name, report.max_deviation)
