@@ -17,6 +17,11 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 - build_model_walk: the model walk of the first tracked band's Fourier
   coefficients, its |lambda| = 1 check included.
 
+Laurent objects: the tracemalloc peak of parsing the spec of diag(1, z^1000000)
+(two live terms across a span of 10^6 + 1 shifts), and the per-call cost of
+three small objects: LaurentPoly.monomial, SymbolMatrix(8, entries) of a
+diagonal of monomials, and evaluating a 43-term LaurentPoly at 128 points.
+
 Writers, in-process on grover3 at grid 1024 into memory: eigensystem_to_json
 plus write_bands_csv (the artifacts of `bands`), write_measure_csv of the
 delta's limit measure, and write_distribution_csv at t = 6400.
@@ -56,11 +61,13 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from zqwalk import (  # noqa: E402
+    LaurentPoly,
     ModelWalkSpec,
     StateVector,
     SymbolMatrix,
@@ -124,7 +131,7 @@ def split_step_walk(seed: int, n: int, layers: int) -> SymbolMatrix:
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q, r = np.linalg.qr(z)
         coin = SymbolMatrix.from_constant(q * (np.diag(r) / np.abs(np.diag(r))))
-        walk = compose(SymbolMatrix.from_array(shift, -1), compose(coin, walk))
+        walk = compose(SymbolMatrix.from_terms([-1, 0, 1], shift), compose(coin, walk))
     return walk
 
 
@@ -195,6 +202,39 @@ def stage_timings(walk, delta, other, repeats: int) -> dict:
         build_model_walk=timed(lambda _: build_model_walk(model), repeats),
     )
     return stages
+
+
+def per_call(fn, calls: int, repeats: int) -> dict:
+    """timed() of `calls` back-to-back calls of fn(), scaled to one call."""
+    batch = timed(lambda _: [fn() for _ in range(calls)], repeats)
+    return {key: value / calls if key.endswith("_s") else value for key, value in batch.items()}
+
+
+def laurent_costs(repeats: int) -> dict:
+    """Parse peak of a far-shift spec and the per-call cost of three small objects."""
+    term = {"re": 1.0, "im": 0.0}
+    text = json.dumps({"n": 2, "entries": [
+        {"row": 1, "col": 1, "terms": [{"shift": 0, **term}]},
+        {"row": 2, "col": 2, "terms": [{"shift": 10**6, **term}]},
+    ]})
+    tracemalloc.start()
+    try:
+        zio.parse_spec(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rng = np.random.default_rng(26)
+    zero = LaurentPoly.zero()
+    diagonal = [LaurentPoly.monomial(int(s)) for s in rng.integers(-1, 2, size=8)]
+    entries = [[diagonal[i] if i == j else zero for j in range(8)] for i in range(8)]
+    poly = LaurentPoly({s: complex(*rng.normal(size=2)) for s in range(-21, 22)})
+    points = np.exp(2j * np.pi * np.arange(128) / 128)
+    return {
+        "parse_diag_z1e6_peak_bytes": peak,
+        "monomial": per_call(lambda: LaurentPoly.monomial(3, 0.5), 2000, repeats),
+        "symbol_matrix_n8": per_call(lambda: SymbolMatrix(8, entries), 200, repeats),
+        "call_43_shifts_128_points": per_call(lambda: poly(points), 50, repeats),
+    }
 
 
 def writer_timings(walk, delta, repeats: int) -> dict:
@@ -317,6 +357,7 @@ def main() -> None:
         },
         "grid": GRID,
         "stages": {},
+        "laurent": laurent_costs(args.repeats),
         "writers": writer_timings(*cases["grover3"][:2], args.repeats),
         "cli": cli_timings(),
         "solve_counts": {},
@@ -329,6 +370,10 @@ def main() -> None:
             f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
         )
         print(f"{name} (median ms): {medians}")
+    costs = dict(report["laurent"])
+    peak = costs.pop("parse_diag_z1e6_peak_bytes")
+    calls = ", ".join(f"{k} {1e6 * s['median_s']:.2f}" for k, s in costs.items())
+    print(f"laurent: parse peak {peak} B; per call (median us): {calls}")
     for group in ("writers", "cli"):
         medians = ", ".join(f"{k} {1e3 * s['median_s']:.2f}" for k, s in report[group].items())
         print(f"{group} (median ms): {medians}")

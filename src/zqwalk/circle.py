@@ -10,6 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
+# Most complex values (256 MiB) in one array of a circle grid, of a symbol
+# product's span stacks or of evolve's light cone; a larger one is refused.
+MAX_CONE_VALUES = 2**24
+
+
+def require_values(count: int, what: str) -> None:
+    """Refuse with DomainError, before it is allocated, an array of more than
+    MAX_CONE_VALUES complex values."""
+    if count > MAX_CONE_VALUES:
+        raise DomainError(f"{what} needs {count} values, above {MAX_CONE_VALUES}")
+
 
 def alias_free_grid(floor: int, span: int) -> int:
     """The least power of two above `span`, or `floor` if larger.
@@ -22,17 +35,21 @@ def alias_free_grid(floor: int, span: int) -> int:
 
 
 def circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndarray:
-    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), over nonzero rows."""
+    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), over nonzero rows;
+    its phase table and values pass require_values first."""
     live = np.any(coeffs != 0, axis=tuple(range(1, coeffs.ndim)))
     coeffs, shifts = coeffs[live], shifts[live]
+    values = grid * max(len(shifts), int(np.prod(coeffs.shape[1:])))
+    require_values(values, f"circle grid of {grid} points")
     # z_k^s = roots[k (s mod M) mod M]: exact integer exponents, no overflow
     roots = np.exp(2j * np.pi * np.arange(grid) / grid)
     phase = roots[np.outer(np.arange(grid), shifts % grid) % grid]
     return np.tensordot(phase, coeffs, axes=1)
 
 
-def circle_coefficients(samples: np.ndarray, tol: float) -> list[dict[int, complex]]:
-    """{shift: coefficient} of each row of circle samples (last axis), by one FFT.
+def circle_coefficients(samples: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(increasing shifts, coefficients) of each row of circle samples (last
+    axis), by one FFT.
 
     Coefficients below `tol` in magnitude are dropped.  Exact up to roundoff
     when the support fits in |shift| < M/2 (M the row length); shifts above
@@ -40,13 +57,10 @@ def circle_coefficients(samples: np.ndarray, tol: float) -> list[dict[int, compl
     """
     samples = np.asarray(samples, dtype=complex)
     m = samples.shape[-1]
-    coeffs = (np.fft.fft(samples, axis=-1) / m).reshape(-1, m)
-    index = np.arange(m)
-    signed = np.where(index <= m // 2, index, index - m)
-    return [
-        dict(zip(signed[keep].tolist(), row[keep].tolist()))
-        for row, keep in zip(coeffs, np.abs(coeffs) >= tol)
-    ]
+    half = (m - 1) // 2  # the FFT index m - half is shift -half, the least
+    coeffs = np.roll(np.fft.fft(samples, axis=-1) / m, half, axis=-1).reshape(-1, m)
+    signed = np.arange(m) - half
+    return [(signed[keep], row[keep]) for row, keep in zip(coeffs, np.abs(coeffs) >= tol)]
 
 
 def winding_of_samples(samples: np.ndarray) -> tuple[int, float, float]:

@@ -62,22 +62,24 @@ def _require(obj, key, kind, where):
     return value
 
 
-def _add_terms(coeffs: dict[int, complex], terms, where) -> dict[int, complex]:
-    """Add each term to coeffs[shift] in order; repeated shifts are summed."""
+def _read_terms(terms, where, shifts: list, values: list) -> int:
+    """Append each term's shift and coefficient, in file order; returns the count."""
     for idx, term in enumerate(terms):
         loc = f"{where}[{idx}]"
-        shift = _require(term, "shift", int, loc)
+        shifts.append(_require(term, "shift", int, loc))
         re = _require(term, "re", float, loc)
         im = _require(term, "im", float, loc)
-        coeffs[shift] = coeffs.get(shift, 0.0) + complex(re, im)
-    return coeffs
+        values.append(complex(re, im))
+    return len(terms)
 
 
-def _poly_to_terms(poly: LaurentPoly) -> list[dict]:
-    return [
-        {"shift": s, "re": c.real, "im": c.imag}
-        for s, c in sorted(poly.coeffs.items())
-    ]
+def _summed(shifts: list, keys: tuple, values: list, shape: tuple):
+    """(live shifts, coefficients): the values summed from zero in file order
+    over their (shift, *keys); laurent.settle bounds the shifts."""
+    live, at = np.unique(np.array(shifts, dtype=object), return_inverse=True)
+    coeffs = np.zeros((len(live),) + shape, dtype=complex)
+    np.add.at(coeffs, (at, *(np.asarray(k, dtype=np.intp) for k in keys)), values)
+    return live, coeffs
 
 
 # -- walks -------------------------------------------------------------------
@@ -85,12 +87,14 @@ def _poly_to_terms(poly: LaurentPoly) -> list[dict]:
 
 def walk_to_json(walk: SymbolMatrix) -> dict:
     entries = []
-    for i, row in enumerate(walk.entries):
-        for j, poly in enumerate(row):
-            if not poly.is_zero:
-                entries.append(
-                    {"row": i + 1, "col": j + 1, "terms": _poly_to_terms(poly)}
-                )
+    for i, j in np.ndindex(walk.n, walk.n):
+        live = walk.coeffs[:, i, j] != 0
+        if live.any():
+            terms = zip(walk.shifts[live].tolist(), walk.coeffs[live, i, j].tolist())
+            entries.append({
+                "row": i + 1, "col": j + 1,
+                "terms": [{"shift": s, "re": c.real, "im": c.imag} for s, c in terms],
+            })
     return {"n": walk.n, "entries": entries}
 
 
@@ -98,7 +102,7 @@ def walk_from_json(data: dict) -> SymbolMatrix:
     n = _require(data, "n", int, "walk")
     if n < 1:
         raise SpecFormatError("walk.n: must be positive")
-    coeffs: dict[tuple[int, int], dict[int, complex]] = {}
+    shifts, rows, cols, values = [], [], [], []
     for idx, item in enumerate(_require(data, "entries", list, "walk")):
         where = f"walk.entries[{idx}]"
         row = _require(item, "row", int, where)
@@ -106,17 +110,19 @@ def walk_from_json(data: dict) -> SymbolMatrix:
         if not (1 <= row <= n and 1 <= col <= n):
             raise SpecFormatError(f"{where}: row/col outside 1..{n}")
         terms = _require(item, "terms", list, where)
-        # a repeated (row, col) adds its terms to the entry's, in file order
-        _add_terms(coeffs.setdefault((row, col), {}), terms, f"{where}.terms")
-    rows = range(1, n + 1)
-    return SymbolMatrix(n, [[LaurentPoly(coeffs.get((i, j), {})) for j in rows] for i in rows])
+        count = _read_terms(terms, f"{where}.terms", shifts, values)
+        rows += [row - 1] * count
+        cols += [col - 1] * count
+    return SymbolMatrix.from_terms(*_summed(shifts, (rows, cols), values, (n, n)))
 
 
 def model_from_json(data: dict) -> ModelWalkSpec:
     inner = data["model"]
     d = _require(inner, "d", int, "model")
     terms = _require(inner, "lambda_coeffs", list, "model")
-    return ModelWalkSpec(d, LaurentPoly(_add_terms({}, terms, "model.lambda_coeffs")))
+    shifts, values = [], []
+    _read_terms(terms, "model.lambda_coeffs", shifts, values)
+    return ModelWalkSpec(d, LaurentPoly.from_terms(*_summed(shifts, (), values, ())))
 
 
 # -- state vectors -----------------------------------------------------------

@@ -37,7 +37,7 @@ class ModelWalkSpec:
 
 def lambda_coeffs_from_samples(samples: np.ndarray) -> LaurentPoly:
     """Fourier coefficients of circle samples, truncated below COEFF_TRUNCATION."""
-    return LaurentPoly(circle_coefficients(samples, COEFF_TRUNCATION)[0])
+    return LaurentPoly.from_terms(*circle_coefficients(samples, COEFF_TRUNCATION)[0])
 
 
 def build_model_walk(spec: ModelWalkSpec) -> SymbolMatrix:
@@ -55,15 +55,14 @@ def build_model_walk(spec: ModelWalkSpec) -> SymbolMatrix:
             f"exceeds {UNIMODULAR_TOL:.1e}"
         )
     d = spec.d
-    sigma = np.array(spec.lambda_coeffs.support)
-    values = np.array([spec.lambda_coeffs[s] for s in sigma], dtype=complex)
+    sigma = spec.lambda_coeffs.shifts
     # sigma = d*s + k - l lands at shift s of entry (k, l): one (s, k, l) per sigma
     step = sigma[:, None, None] - np.arange(d)[:, None] + np.arange(d)
     term, k, l = np.nonzero(step % d == 0)
-    shift = step[term, k, l] // d
-    coeffs = np.zeros((shift.max() - shift.min() + 1, d, d), dtype=complex)
-    coeffs[shift - shift.min(), k, l] = values[term]
-    return SymbolMatrix.from_array(coeffs, int(shift.min()))
+    shifts, at = np.unique(step[term, k, l] // d, return_inverse=True)
+    coeffs = np.zeros((len(shifts), d, d), dtype=complex)
+    coeffs[at, k, l] = spec.lambda_coeffs.coeffs[term]
+    return SymbolMatrix.from_terms(shifts, coeffs)
 
 
 # ---------------------------------------------------------------------------

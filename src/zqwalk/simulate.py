@@ -22,16 +22,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .circle import circle_values
+from .circle import MAX_CONE_VALUES, circle_values, require_values  # noqa: F401
 from .errors import DomainError
 from .symbol import SymbolMatrix
 
 # Largest |site| a state may hold: site / t stays exact in floating point and
 # int64 site arithmetic stays far from overflow.
 MAX_SITE = 2**53
-# Most complex values (256 MiB) in one of evolve's grid arrays, n x max(n, classes)
-# x FFT length; a step holds a few at once, so a wider light cone is refused.
-MAX_CONE_VALUES = 2**24
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -144,10 +141,9 @@ def apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:
     """One exact convolution step; support grows by at most the propagation radius."""
     if walk.n != xi.n:
         raise DomainError(f"dimension mismatch: walk n={walk.n}, vector n={xi.n}")
-    live = np.any(walk.coeffs != 0, axis=(1, 2))
     # [e, s, k] = C_s[k, l] a for the entry (x, l, a) of xi: it lands on (x + s, k)
-    terms = walk.coeffs[live].transpose(2, 0, 1)[xi.channels - 1] * xi.values[:, None, None]
-    sites = xi.sites[:, None, None] + walk.shifts[live][:, None]
+    terms = walk.coeffs.transpose(2, 0, 1)[xi.channels - 1] * xi.values[:, None, None]
+    sites = xi.sites[:, None, None] + walk.shifts[:, None]
     channels = np.arange(1, walk.n + 1)
     return _settle(*np.broadcast_arrays(sites, channels, terms), walk.n)
 
@@ -175,12 +171,12 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     if t == 0 or not len(xi.values):
         return xi
     n = walk.n
-    if not len(walk.coeffs):
+    if not len(walk.shifts):
         return StateVector({}, n)
-    m0 = walk.low
-    live = np.flatnonzero(np.any(walk.coeffs != 0, axis=(1, 2)))
-    g = math.gcd(*live.tolist()) or 1
-    degree = int(live[-1]) // g
+    m0 = int(walk.shifts[0])
+    offsets = walk.shifts - m0
+    g = math.gcd(*offsets.tolist()) or 1
+    degree = int(offsets[-1]) // g
 
     residues = xi.sites % g
     y = (xi.sites - residues) // g
@@ -193,18 +189,14 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     np.maximum.at(highs, column, y)
     widths = highs - lows + degree * t + 1
     size = _fast_fft_length(int(widths.max()))
-    cone = n * max(n, len(classes)) * size
-    if cone > MAX_CONE_VALUES:
-        raise DomainError(
-            f"light cone needs {cone} grid values (FFT length {size}), above {MAX_CONE_VALUES}"
-        )
+    require_values(n * max(n, len(classes)) * size, "light cone")
     psi = np.zeros((n, len(classes), size), dtype=complex)
     psi[xi.channels - 1, column, y - lows[column]] = xi.values
     vec = np.fft.ifft(psi, axis=-1)
 
     # V(w) = sum_j C_{m0 + g j} w^j at w_m = exp(2 pi i m / M), channel-major
     base = np.zeros((n, n, size), dtype=complex)
-    base[:, :, : degree + 1] = walk.coeffs[::g].transpose(1, 2, 0)
+    base[:, :, offsets // g] = walk.coeffs.transpose(1, 2, 0)
     base = np.fft.ifft(base, axis=-1) * size
     # einsum's own loop forms each product with no (n, n, n, M) temporary
     remaining = t

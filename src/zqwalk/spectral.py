@@ -576,7 +576,7 @@ def _char_polys_match(w1: SymbolMatrix, w2: SymbolMatrix, tol: float) -> bool:
         return False
     pairs = list(zip(char_poly(w1).coeffs, char_poly(w2).coeffs))
     distance = max(a.max_coeff_distance(b) for a, b in pairs)
-    scale = max(abs(c) for pair in pairs for poly in pair for c in poly.coeffs.values())
+    scale = max(float(np.max(np.abs(poly.coeffs), initial=0.0)) for pair in pairs for poly in pair)
     same = CHAR_POLY_TOL * scale  # at least CHAR_POLY_TOL: both are monic
     if distance <= same:
         return True

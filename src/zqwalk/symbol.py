@@ -1,13 +1,16 @@
 """Matrix symbols of finite-propagation homogeneous lattice operators.
 
-A walk's symbol U(z) = sum_s C_s z^s is stored as one read-only complex array
-`coeffs` of shape (S, n, n) with C_{low + s} = coeffs[s], pruned below
-PRUNE_TOL as LaurentPoly prunes and trimmed so that its first and last slices
-are nonzero.  Circle grids are sampled by circle.circle_values, and a
-product of symbols is one convolution along the shift axis.  The module also
-provides the characteristic polynomial interpolated from a circle grid (any
-dimension), unitarity and Cayley-Hamilton verification on circle grids, and
-the decay class that `check` reports: finite propagation with its radius.
+A walk's symbol U(z) = sum_s C_s z^s is stored in the live-shift form of
+laurent.settle: a sorted read-only int64 array `shifts` and a read-only
+complex array `coeffs` of shape (L, n, n) with C_{shifts[i]} = coeffs[i],
+one row per shift with a nonzero coefficient, pruned below PRUNE_TOL.  So a
+symbol costs its terms and not its span.  Circle grids are sampled by
+circle.circle_values, and a product of symbols is one convolution along the
+shift axis of the two factors' span stacks, built inside the call.  The
+module also provides the characteristic polynomial interpolated from a circle
+grid (any dimension), unitarity and Cayley-Hamilton verification on circle
+grids, and the decay class that `check` reports: finite propagation with its
+radius.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import alias_free_grid, circle_coefficients, circle_values
+from .circle import alias_free_grid, circle_coefficients, circle_values, require_values
 from .errors import DomainError
-from .laurent import PRUNE_TOL, LaurentPoly
+from .laurent import PRUNE_TOL, LaurentPoly, coefficient_distance, evaluate, settle, stack_terms
 
 UNITARY_GRID = 256  # least circle grid of the unitarity check
 UNITARY_TOL = 1e-8  # bound on |U*U - I|: every command's unitarity verdict
@@ -27,78 +30,58 @@ UNITARY_TOL = 1e-8  # bound on |U*U - I|: every command's unitarity verdict
 
 @dataclass(frozen=True, eq=False, init=False)
 class SymbolMatrix:
-    """The symbol sum_s C_s z^s of a homogeneous walk: C_{low + s} = coeffs[s].
+    """The symbol sum_i coeffs[i] z^shifts[i] of a homogeneous walk, C_s n x n.
 
     `SymbolMatrix(n, entries)` converts an n x n matrix of LaurentPoly entries,
-    which `entries` rebuilds on demand; `from_array` wraps a coefficient stack.
+    which `entries` rebuilds on demand; `from_terms` takes the two arrays.
     """
 
     n: int
+    shifts: np.ndarray
     coeffs: np.ndarray
-    low: int
 
     def __init__(self, n: int, entries) -> None:
         rows = tuple(tuple(row) for row in entries)
         if n < 1 or len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"entries must form an n x n matrix, n >= 1 (n = {n})")
-        shifts = [s for row in rows for poly in row for s in poly.coeffs] or [0]
-        low = min(shifts)
-        coeffs = np.zeros((max(shifts) - low + 1, n, n), dtype=complex)
-        for i, row in enumerate(rows):
-            for j, poly in enumerate(row):
-                for s, c in poly.coeffs.items():
-                    coeffs[s - low, i, j] = c
-        self._settle(coeffs, low)
+        shifts, stack = stack_terms([poly for row in rows for poly in row])
+        self._store(shifts, stack.reshape(-1, n, n))
 
-    def _settle(self, coeffs: np.ndarray, low: int) -> None:
-        """Store coeffs pruned below PRUNE_TOL, zero end slices trimmed, read-only."""
-        coeffs = np.where(np.abs(coeffs) >= PRUNE_TOL, coeffs, 0)
-        live = np.flatnonzero(np.any(coeffs != 0, axis=(1, 2)))
-        if len(live):
-            coeffs, low = coeffs[live[0] : live[-1] + 1], low + int(live[0])
-        else:
-            coeffs, low = coeffs[:0], 0
-        coeffs.flags.writeable = False
+    def _store(self, shifts, coeffs) -> None:
+        shifts, coeffs = settle(shifts, coeffs)
         object.__setattr__(self, "n", coeffs.shape[1])
+        object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "low", low)
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_array(cls, coeffs, low: int) -> "SymbolMatrix":
-        """The symbol with C_{low + s} = coeffs[s], for an (S, n, n) stack."""
+    def from_terms(cls, shifts, coeffs) -> "SymbolMatrix":
+        """The symbol sum_i coeffs[i] z^shifts[i], for an (L, n, n) stack (see settle)."""
         walk = cls.__new__(cls)
-        walk._settle(np.asarray(coeffs, dtype=complex), int(low))
+        walk._store(shifts, coeffs)
         return walk
 
     @classmethod
     def identity(cls, n: int) -> "SymbolMatrix":
-        return cls.from_array(np.eye(n)[None], 0)
+        return cls.from_terms([0], np.eye(n)[None])
 
     @classmethod
     def shift(cls, s: int) -> "SymbolMatrix":
         """The 1-state shift operator S_s, symbol z^s."""
-        return cls.from_array(np.ones((1, 1, 1)), s)
+        return cls.from_terms([s], np.ones((1, 1, 1)))
 
     @classmethod
     def from_constant(cls, matrix) -> "SymbolMatrix":
         """Wrap a constant numeric matrix as a shift-free symbol."""
-        return cls.from_array(np.asarray(matrix)[None], 0)
-
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def shifts(self) -> np.ndarray:
-        """The shift of each coefficient slice: low, ..., low + S - 1."""
-        return np.arange(self.low, self.low + len(self.coeffs))
+        return cls.from_terms([0], np.asarray(matrix)[None])
 
     @property
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The n x n matrix of LaurentPoly entries, rebuilt on each access."""
-        seqs = self.coefficient_sequences().items()
         return tuple(
-            tuple(LaurentPoly({s: c[i, j] for s, c in seqs}) for j in range(self.n))
+            tuple(
+                LaurentPoly.from_terms(self.shifts[live], self.coeffs[live, i, j])
+                for j, live in enumerate(self.coeffs[:, i].T != 0)
+            )
             for i in range(self.n)
         )
 
@@ -107,19 +90,11 @@ class SymbolMatrix:
         return int(np.max(np.abs(self.shifts), initial=0))
 
     def coefficient_sequences(self) -> dict[int, np.ndarray]:
-        """Map shift -> coefficient matrix, over the shifts with a nonzero coefficient."""
-        live = np.any(self.coeffs != 0, axis=(1, 2))
-        return dict(zip(self.shifts[live].tolist(), self.coeffs[live]))
+        """Map shift -> coefficient matrix, over the live shifts."""
+        return dict(zip(self.shifts.tolist(), self.coeffs))
 
     def allclose(self, other: "SymbolMatrix", tol: float = 1e-12) -> bool:
-        if self.n != other.n:
-            return False
-        low = min(self.low, other.low)
-        size = max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low
-        diff = np.zeros((size, self.n, self.n), dtype=complex)
-        diff[self.shifts - low] += self.coeffs
-        diff[other.shifts - low] -= other.coeffs
-        return bool(np.all(np.abs(diff) <= tol))
+        return self.n == other.n and coefficient_distance(self, other) <= tol
 
     def __call__(self, z: complex) -> np.ndarray:
         return eval_symbol(self, z)
@@ -131,9 +106,7 @@ class SymbolMatrix:
 
 def eval_symbol(walk: SymbolMatrix, z: complex) -> np.ndarray:
     """Value of the symbol at one point; total on nonzero z, error at z = 0."""
-    if z == 0:
-        raise DomainError("symbol cannot be evaluated at z = 0")
-    return np.tensordot(complex(z) ** walk.shifts, walk.coeffs, axes=1)
+    return evaluate(walk.shifts, walk.coeffs, z)
 
 
 class UnitarityReport(NamedTuple):
@@ -165,8 +138,6 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     result is bit for bit that of entrywise Laurent arithmetic.
     """
     sa, sb, n = len(a), len(b), a.shape[1]
-    if not sa or not sb:
-        return np.zeros((0, n, n), dtype=complex)
     size = sa + sb - 1
     pad = np.zeros((size + sa - 1, n, 2, n))  # b with real and imaginary parts apart
     pad[sa - 1 : sa - 1 + sb] = np.stack([b.real, b.imag], axis=2)
@@ -180,33 +151,51 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.view(complex)[..., 0].transpose(1, 0, 2)
 
 
+def _span_stack(walk: SymbolMatrix) -> np.ndarray:
+    """The (S, n, n) coefficient stack over the walk's whole span, zero rows included."""
+    stack = np.zeros((int(walk.shifts[-1] - walk.shifts[0]) + 1, walk.n, walk.n), dtype=complex)
+    stack[walk.shifts - walk.shifts[0]] = walk.coeffs
+    return stack
+
+
 def compose(w1: SymbolMatrix, w2: SymbolMatrix) -> SymbolMatrix:
-    """Matrix product: the convolution of the two coefficient stacks."""
+    """Matrix product: the convolution of the two factors' span stacks.
+
+    The span stacks exist only inside the call, and its Toeplitz and result
+    stacks pass require_values first.
+    """
     if w1.n != w2.n:
         raise DomainError(f"dimension mismatch: {w1.n} vs {w2.n}")
-    return SymbolMatrix.from_array(_convolve(w1.coeffs, w2.coeffs), w1.low + w2.low)
+    if not len(w1.shifts) or not len(w2.shifts):
+        return w2 if len(w1.shifts) else w1  # the zero symbol
+    sa, sb = (int(w.shifts[-1] - w.shifts[0]) + 1 for w in (w1, w2))
+    size = sa + sb - 1
+    require_values(w1.n * size * max(sa, w1.n), f"compose of spans {sa} and {sb}")
+    low = int(w1.shifts[0] + w2.shifts[0])
+    product = _convolve(_span_stack(w1), _span_stack(w2))
+    return SymbolMatrix.from_terms(np.arange(low, low + size), product)
 
 
 def adjoint(walk: SymbolMatrix) -> SymbolMatrix:
     """Conjugate transpose: C*_s = conj(C_{-s})^T, shifts reflected."""
-    high = walk.low + len(walk.coeffs) - 1
-    return SymbolMatrix.from_array(np.conj(walk.coeffs[::-1]).transpose(0, 2, 1), -high)
+    return SymbolMatrix.from_terms(
+        -walk.shifts[::-1], np.conj(walk.coeffs[::-1]).transpose(0, 2, 1)
+    )
 
 
 def direct_sum(*walks: SymbolMatrix) -> SymbolMatrix:
     """Block-diagonal sum of symbols."""
     if not walks:
         raise DomainError("need at least one summand")
-    low = min(w.low for w in walks)
-    high = max(w.low + len(w.coeffs) for w in walks)
+    shifts, at = np.unique(np.concatenate([w.shifts for w in walks]), return_inverse=True)
     n = sum(w.n for w in walks)
-    out = np.zeros((high - low, n, n), dtype=complex)
-    offset = 0
+    out = np.zeros((len(shifts), n, n), dtype=complex)
+    offset = start = 0
     for w in walks:
         block = slice(offset, offset + w.n)
-        out[w.shifts - low, block, block] = w.coeffs
-        offset += w.n
-    return SymbolMatrix.from_array(out, low)
+        out[at[start : start + len(w.shifts)], block, block] = w.coeffs
+        offset, start = offset + w.n, start + len(w.shifts)
+    return SymbolMatrix.from_terms(shifts, out)
 
 
 def symbol_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
@@ -238,7 +227,7 @@ class CharPoly:
     def __post_init__(self):
         if len(self.coeffs) != self.degree + 1:
             raise DomainError("need degree + 1 coefficients")
-        if not self.coeffs[-1].allclose(LaurentPoly.one(), 1e-12):
+        if self.coeffs[-1].max_coeff_distance(LaurentPoly.one()) > 1e-12:
             raise DomainError("characteristic polynomial must be monic")
 
 
@@ -261,7 +250,7 @@ def char_poly(walk: SymbolMatrix) -> CharPoly:
     for k in range(1, n + 1):
         um = u @ (um + coeffs[n - k + 1][:, None, None] * eye)
         coeffs[n - k] = -np.trace(um, axis1=1, axis2=2) / k
-    laurent = [LaurentPoly(c) for c in circle_coefficients(coeffs[:n], PRUNE_TOL)]
+    laurent = [LaurentPoly.from_terms(*c) for c in circle_coefficients(coeffs[:n], PRUNE_TOL)]
     return CharPoly(n, tuple(laurent) + (LaurentPoly.one(),))
 
 
@@ -276,9 +265,8 @@ def verify_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
     f = char_poly(walk)
     grid_size = alias_free_grid(grid_size, 2 * walk.n * walk.propagation_radius)
     u = walk.grid_eval(grid_size)
-    shifts = sorted(set().union(*(c.coeffs for c in f.coeffs)))
-    stack = np.array([[c[s] for c in f.coeffs] for s in shifts], dtype=complex)
-    samples = circle_values(stack, np.array(shifts, dtype=np.int64), grid_size)
+    shifts, stack = stack_terms(f.coeffs)
+    samples = circle_values(stack, shifts, grid_size)
     eye = np.eye(walk.n)
     acc = np.zeros_like(u)
     for k in reversed(range(f.degree + 1)):  # Horner in the matrix argument

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .laurent import LaurentPoly
 from .symbol import SymbolMatrix
 
 
@@ -22,10 +21,7 @@ def coined_walk(a: complex = 2**-0.5, b: complex = 2**-0.5) -> SymbolMatrix:
     """
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12 or a == 0 or b == 0:
         raise DomainError("need |a|^2 + |b|^2 = 1 with a, b nonzero")
-    return SymbolMatrix(2, (
-        (LaurentPoly.monomial(-1, np.conj(a)), LaurentPoly.monomial(-1, -b)),
-        (LaurentPoly.monomial(1, np.conj(b)), LaurentPoly.monomial(1, a)),
-    ))
+    return SymbolMatrix.from_terms([-1, 1], [[[np.conj(a), -b], [0, 0]], [[0, 0], [np.conj(b), a]]])
 
 
 def modified_coined_walk(r: float = 2**-0.5, b: complex | None = None) -> SymbolMatrix:
@@ -40,17 +36,14 @@ def modified_coined_walk(r: float = 2**-0.5, b: complex | None = None) -> Symbol
         b = float(np.sqrt(1.0 - r * r))
     if abs(r * r + abs(b) ** 2 - 1.0) > 1e-12:
         raise DomainError("need r^2 + |b|^2 = 1")
-    return SymbolMatrix(2, (
-        (LaurentPoly.monomial(1, r), LaurentPoly.monomial(1, -b)),
-        (LaurentPoly.constant(np.conj(b)), LaurentPoly.constant(r)),
-    ))
+    return SymbolMatrix.from_terms([0, 1], [[[0, 0], [np.conj(b), r]], [[r, -b], [0, 0]]])
 
 
 def grover_walk_3() -> SymbolMatrix:
     """3-state Grover walk: Grover coin with channels shifted by -1, 0, +1."""
     coin = (2.0 - 3.0 * np.eye(3)) / 3.0
     # channel k moves by k - 1, so coefficient slice k holds row k of the coin
-    return SymbolMatrix.from_array(np.eye(3)[:, :, None] * coin, -1)
+    return SymbolMatrix.from_terms([-1, 0, 1], np.eye(3)[:, :, None] * coin)
 
 
 def walk_corpus() -> dict[str, SymbolMatrix]:

@@ -155,6 +155,33 @@ def random_symbol(rng: np.random.Generator, n: int, radius: int = 3) -> SymbolMa
 
 
 # -- entrywise Laurent algebra, the reference for the array operations ---------
+# Exact coefficient arithmetic on {shift: coefficient} dictionaries, each
+# result pruned to canonical form as it is made.
+
+
+def poly_terms(poly: LaurentPoly) -> dict[int, complex]:
+    """{shift: coefficient} of a LaurentPoly, in increasing shift order."""
+    return dict(zip(poly.shifts.tolist(), poly.coeffs.tolist()))
+
+
+def poly_sum(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    out = poly_terms(p)
+    for s, c in poly_terms(q).items():
+        out[s] = out.get(s, 0.0) + c
+    return LaurentPoly(out)
+
+
+def poly_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    out: dict[int, complex] = {}
+    for s1, c1 in poly_terms(p).items():
+        for s2, c2 in poly_terms(q).items():
+            out[s1 + s2] = out.get(s1 + s2, 0.0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def poly_conj_reflect(p: LaurentPoly) -> LaurentPoly:
+    """The adjoint of convolution by p: the coefficient at s becomes conj(p_{-s})."""
+    return LaurentPoly({-s: c.conjugate() for s, c in poly_terms(p).items()})
 
 
 def entrywise_compose(w1: SymbolMatrix, w2: SymbolMatrix) -> SymbolMatrix:
@@ -168,7 +195,7 @@ def entrywise_compose(w1: SymbolMatrix, w2: SymbolMatrix) -> SymbolMatrix:
         for j in range(n):
             acc = LaurentPoly.zero()
             for k in range(n):
-                acc = acc + w1.entries[i][k] * w2.entries[k][j]
+                acc = poly_sum(acc, poly_product(w1.entries[i][k], w2.entries[k][j]))
             row.append(acc)
         rows.append(tuple(row))
     return SymbolMatrix(n, tuple(rows))
@@ -178,7 +205,7 @@ def entrywise_adjoint(walk: SymbolMatrix) -> SymbolMatrix:
     """Conjugate transpose; each entry's coefficients are conjugate-reflected."""
     n = walk.n
     return SymbolMatrix(n, tuple(
-        tuple(walk.entries[j][i].conj_reflect() for j in range(n)) for i in range(n)
+        tuple(poly_conj_reflect(walk.entries[j][i]) for j in range(n)) for i in range(n)
     ))
 
 

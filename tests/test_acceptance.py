@@ -43,6 +43,8 @@ from zqwalk import (
 )
 from support import (
     is_rotation_symmetric,
+    poly_conj_reflect,
+    poly_product,
     random_constant_unitary,
     random_local_state,
     random_unimodular_spec,
@@ -125,8 +127,9 @@ def test_criterion_2_characteristic_polynomials():
         sym = LaurentPoly({1: third, 0: third, -1: third})
         assert f.coeffs[3].max_coeff_distance(LaurentPoly.one()) < 1e-12
         assert f.coeffs[2].max_coeff_distance(sym) < 1e-12
-        assert f.coeffs[1].max_coeff_distance(-1.0 * sym) < 1e-12
-        assert f.coeffs[0].max_coeff_distance(LaurentPoly.constant(-1.0)) < 1e-12
+        minus_sym = LaurentPoly({1: -third, 0: -third, -1: -third})
+        assert f.coeffs[1].max_coeff_distance(minus_sym) < 1e-12
+        assert f.coeffs[0].max_coeff_distance(LaurentPoly({0: -1.0})) < 1e-12
 
 
 def test_criterion_3_cayley_hamilton():
@@ -154,7 +157,8 @@ def test_criterion_4_model_identities():
             s1 = random_unimodular_spec(rng, d, winding=1)
             s2 = random_unimodular_spec(rng, d, winding=-1)
             lhs = compose(build_model_walk(s1), build_model_walk(s2))
-            rhs = build_model_walk(ModelWalkSpec(d, s1.lambda_coeffs * s2.lambda_coeffs))
+            product = poly_product(s1.lambda_coeffs, s2.lambda_coeffs)
+            rhs = build_model_walk(ModelWalkSpec(d, product))
             assert all(
                 lhs.entries[i][j].max_coeff_distance(rhs.entries[i][j]) < 1e-12
                 for i in range(d)
@@ -162,7 +166,7 @@ def test_criterion_4_model_identities():
             )
             from zqwalk import adjoint
 
-            conj = build_model_walk(ModelWalkSpec(d, s1.lambda_coeffs.conj_reflect()))
+            conj = build_model_walk(ModelWalkSpec(d, poly_conj_reflect(s1.lambda_coeffs)))
             adj = adjoint(build_model_walk(s1))
             assert all(
                 adj.entries[i][j].max_coeff_distance(conj.entries[i][j]) < 1e-12

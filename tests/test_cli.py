@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from support import (
     loop_distribution_csv,
     loop_generator_csv,
     loop_measure_csv,
+    poly_terms,
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
@@ -79,7 +81,7 @@ def test_parse_walk_fixture(spec_dir):
 def test_parse_model_form(spec_dir):
     spec = zio.parse_spec((spec_dir / "shift_model.json").read_text())
     assert isinstance(spec, ModelWalkSpec)
-    assert spec.d == 1 and spec.lambda_coeffs.coeffs == {1: 1.0}
+    assert spec.d == 1 and poly_terms(spec.lambda_coeffs) == {1: 1.0}
 
 
 def test_parse_vector(spec_dir):
@@ -177,7 +179,26 @@ def test_walk_json_round_trip():
         for item in payload["entries"]:
             poly = again.entries[item["row"] - 1][item["col"] - 1]
             want = {t["shift"]: complex(t["re"], t["im"]) for t in item["terms"]}
-            assert poly.coeffs == want, name
+            assert poly_terms(poly) == want, name
+
+
+def test_far_shift_walk_parses_and_round_trips_in_bounded_memory():
+    # diag(1, z^10^9) keeps its two terms, not its span of 10^9 + 1 shifts
+    term = {"re": 1.0, "im": 0.0}
+    text = json.dumps({"n": 2, "entries": [
+        {"row": 1, "col": 1, "terms": [{"shift": 0, **term}]},
+        {"row": 2, "col": 2, "terms": [{"shift": 10**9, **term}]},
+    ]})
+    tracemalloc.start()
+    try:
+        walk = zio.parse_spec(text)
+        again = json.dumps(zio.walk_to_json(walk))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk.shifts.tolist() == [0, 10**9] and walk.coeffs.shape == (2, 2, 2)
+    assert again == text
+    assert peak < 2**20, peak
 
 
 # sha256 of json.dumps(state_to_json(xi)), recorded when every state was a
@@ -636,6 +657,9 @@ def test_bench_script_writes_report(tmp_path):
     assert sum(accuracy["near_crossing_windings"]) == 0
     assert report["environment"]["nproc"] >= 1
     assert report["environment"]["scipy"]  # the test support imports scipy
+    laurent = dict(report["laurent"])
+    assert laurent.pop("parse_diag_z1e6_peak_bytes") < 2**20  # the live terms, not the span
+    assert set(laurent) == {"monomial", "symbol_matrix_n8", "call_43_shifts_128_points"}
     assert set(report["writers"]) == {
         "eigensystem_json_bands_csv", "measure_csv", "distribution_csv_t6400"
     }
@@ -643,7 +667,7 @@ def test_bench_script_writes_report(tmp_path):
         "check", "bands", "decompose", "winding", "ct-check", "simulate", "limit",
         "compare", "conjugate",
     }
-    for timing in list(report["writers"].values()) + list(report["cli"].values()):
+    for timing in [*laurent.values(), *report["writers"].values(), *report["cli"].values()]:
         assert 0 < timing["q25_s"] <= timing["median_s"] <= timing["q75_s"]
     assert {timing["runs"] for timing in report["cli"].values()} == {5}
 
@@ -700,9 +724,7 @@ def test_cli_unitarity_check_does_not_alias(tmp_path, capsys):
     # u(z) = (z^-64 + i z^64) / sqrt(2) has |u|^2 - 1 = -sin(128 theta), which
     # vanishes at every point of a 256-point grid and reaches 1 between them
     coeff = 1 / np.sqrt(2)
-    walk = SymbolMatrix.from_array(
-        np.array([coeff] + [0.0] * 127 + [1j * coeff])[:, None, None], -64
-    )
+    walk = SymbolMatrix.from_terms([-64, 64], np.array([coeff, 1j * coeff])[:, None, None])
     spec, init = tmp_path / "radius64.json", tmp_path / "delta.json"
     spec.write_text(json.dumps(zio.walk_to_json(walk)))
     init.write_text(json.dumps(zio.state_to_json(StateVector.delta(0, 1, 1))))
@@ -776,6 +798,45 @@ def test_cli_rejects_non_finite_and_far_vectors(spec_dir, tmp_path, capsys, comm
             argv += ["--t", 4]
         assert run_cli(*argv) == code, item
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_far_shifts_exit_like_far_sites(tmp_path, capsys):
+    # a shift beyond 2**53 in a walk or a model spec is refused as a far site is
+    term = {"shift": 10**20, "re": 1.0, "im": 0.0}
+    specs = {
+        "walk": {"n": 1, "entries": [{"row": 1, "col": 1, "terms": [term]}]},
+        "walk_low": {"n": 1, "entries": [
+            {"row": 1, "col": 1, "terms": [{**term, "shift": -(2**53) - 1}]}]},
+        "model": {"model": {"d": 1, "lambda_coeffs": [term]}},
+    }
+    for name, payload in specs.items():
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(payload))
+        assert run_cli("check", spec, "--out", tmp_path / name) == 5, name
+        assert "outside -2**53..2**53" in capsys.readouterr().err, name
+        assert not (tmp_path / name).exists(), name
+    init = tmp_path / "vector.json"
+    init.write_text(json.dumps({"n": 2, "amps": [
+        {"site": 10**20, "channel": 1, "re": 1.0, "im": 0.0}]}))
+    argv = ["simulate", FIXTURES / "hadamard.json", "--init", init, "--t", 1,
+            "--out", tmp_path / "vector"]
+    assert run_cli(*argv) == 5
+    assert "site 100000000000000000000 outside -2**53..2**53" in capsys.readouterr().err
+    # the bound itself is a shift a spec may hold
+    edge = {"n": 1, "entries": [{"row": 1, "col": 1, "terms": [{**term, "shift": -(2**53)}]}]}
+    assert zio.parse_spec(json.dumps(edge)).shifts.tolist() == [-(2**53)]
+
+
+def test_cli_refuses_unallocatable_circle_grid(tmp_path, capsys):
+    # diag(1, z^10^9) parses as two terms, but its unitarity grid would hold
+    # 2^32 points of 2 x 2 values
+    spec = tmp_path / "diag_far.json"
+    far = direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(10**9))
+    spec.write_text(json.dumps(zio.walk_to_json(far)))
+    for command in ("check", "bands"):
+        assert run_cli(command, spec, "--out", tmp_path / command) == 5, command
+        assert "circle grid of 4294967296 points" in capsys.readouterr().err, command
+        assert not (tmp_path / command).exists(), command
 
 
 def test_cli_non_unitary_exit_code(tmp_path, capsys):

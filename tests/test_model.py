@@ -25,7 +25,13 @@ from zqwalk import (
     winding_of_samples,
 )
 from zqwalk.io import write_generator_csv
-from support import random_local_state, random_unimodular_spec, trig_phase_samples
+from support import (
+    poly_conj_reflect,
+    poly_product,
+    random_local_state,
+    random_unimodular_spec,
+    trig_phase_samples,
+)
 
 
 def test_build_d1_shift():
@@ -69,11 +75,11 @@ def test_built_walks_are_unitary(rng):
 def test_model_algebra(rng):
     spec1 = random_unimodular_spec(rng, 3, winding=1)
     spec2 = random_unimodular_spec(rng, 3, winding=-2)
-    product_coeffs = spec1.lambda_coeffs * spec2.lambda_coeffs
+    product_coeffs = poly_product(spec1.lambda_coeffs, spec2.lambda_coeffs)
     lhs = compose(build_model_walk(spec1), build_model_walk(spec2))
     rhs = build_model_walk(ModelWalkSpec(3, product_coeffs))
     assert lhs.allclose(rhs, 1e-11)
-    conj = build_model_walk(ModelWalkSpec(3, spec1.lambda_coeffs.conj_reflect()))
+    conj = build_model_walk(ModelWalkSpec(3, poly_conj_reflect(spec1.lambda_coeffs)))
     assert adjoint(build_model_walk(spec1)).allclose(conj)
 
 
@@ -112,7 +118,7 @@ def test_shift_factorization_perturbed_monomial(rng):
     w = winding_of_samples(spec.lambda_coeffs.circle_samples(256))[0]
     assert w == 2
     residual = ModelWalkSpec(
-        1, LaurentPoly({s - w: c for s, c in spec.lambda_coeffs.coeffs.items()})
+        1, LaurentPoly.from_terms(spec.lambda_coeffs.shifts - w, spec.lambda_coeffs.coeffs)
     )
     assert winding_of_samples(residual.lambda_coeffs.circle_samples(256))[0] == 0
     # composing the shift back reproduces the original coefficient-wise

@@ -77,6 +77,17 @@ def test_evolve_matches_repeated_apply(rng):
     assert evolve(walk, xi, 7).distance(stepped) < 1e-13
 
 
+def test_evolve_far_shift_matches_repeated_apply(rng):
+    # coin x diag(1, z^1000): two live shifts 1000 apart, so V(w) has degree 1
+    diag = direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(1000))
+    walk = compose(SymbolMatrix.from_constant(random_constant_unitary(rng, 2)), diag)
+    xi = random_local_state(rng, 2)
+    stepped = xi
+    for t in range(1, 6):
+        stepped = apply_walk(walk, stepped)
+        assert evolve(walk, xi, t).distance(stepped) < 1e-13, t
+
+
 def test_evolve_hadamard_two_steps():
     out = evolve(coined_walk(), StateVector.delta(0, 1, 2), 2)
     sites = {s for (s, _k) in out.amplitudes}

@@ -25,14 +25,19 @@ from zqwalk import (
     verify_unitary_symbol,
 )
 from zqwalk import io as zio
+from zqwalk.circle import MAX_CONE_VALUES
+from zqwalk.laurent import PRUNE_TOL
 from zqwalk.model import ModelWalkSpec
+from zqwalk.spectral import MAX_GRID
 from support import (
     entrywise_adjoint,
     entrywise_compose,
     entrywise_direct_sum,
     entrywise_power,
+    poly_terms,
     random_split_step_walk,
     random_symbol,
+    random_unimodular_spec,
 )
 
 R = 2**-0.5
@@ -77,36 +82,37 @@ def test_unitarity_pass_and_fail():
 def test_char_poly_coined():
     f = char_poly(coined_walk())
     assert f.degree == 2
-    assert f.coeffs[2].allclose(LaurentPoly.one())
-    assert f.coeffs[1].allclose(LaurentPoly({1: -R, -1: -R}))
-    assert f.coeffs[0].allclose(LaurentPoly.one())
+    assert f.coeffs[2].max_coeff_distance(LaurentPoly.one()) <= 1e-12
+    assert f.coeffs[1].max_coeff_distance(LaurentPoly({1: -R, -1: -R})) <= 1e-12
+    assert f.coeffs[0].max_coeff_distance(LaurentPoly.one()) <= 1e-12
 
 
 def test_char_poly_modified():
     f = char_poly(modified_coined_walk())
-    assert f.coeffs[1].allclose(LaurentPoly({1: -R, 0: -R}))
-    assert f.coeffs[0].allclose(LaurentPoly.monomial(1))
+    assert f.coeffs[1].max_coeff_distance(LaurentPoly({1: -R, 0: -R})) <= 1e-12
+    assert f.coeffs[0].max_coeff_distance(LaurentPoly.monomial(1)) <= 1e-12
 
 
 def test_char_poly_grover():
     f = char_poly(grover_walk_3())
     third = 1.0 / 3.0
     sym = LaurentPoly({1: third, 0: third, -1: third})
-    assert f.coeffs[2].allclose(sym)
-    assert f.coeffs[1].allclose(-1.0 * sym)
-    assert f.coeffs[0].allclose(LaurentPoly.constant(-1.0))
+    minus_sym = LaurentPoly({1: -third, 0: -third, -1: -third})
+    assert f.coeffs[2].max_coeff_distance(sym) <= 1e-12
+    assert f.coeffs[1].max_coeff_distance(minus_sym) <= 1e-12
+    assert f.coeffs[0].max_coeff_distance(LaurentPoly({0: -1.0})) <= 1e-12
 
 
 def test_char_poly_shift_1x1():
     f = char_poly(SymbolMatrix.shift(1))
-    assert f.coeffs[0].allclose(LaurentPoly.monomial(1, -1.0))
-    assert f.coeffs[1].allclose(LaurentPoly.one())
+    assert f.coeffs[0].max_coeff_distance(LaurentPoly.monomial(1, -1.0)) <= 1e-12
+    assert f.coeffs[1].max_coeff_distance(LaurentPoly.one()) <= 1e-12
 
 
 def test_char_poly_beyond_dimension_eight(rng):
     f = char_poly(SymbolMatrix.identity(9))
     want = [(-1) ** (9 - k) * comb(9, k) for k in range(10)]  # (lambda - 1)^9
-    assert all(c.coeffs == {0: w} for c, w in zip(f.coeffs, want))
+    assert all(poly_terms(c) == {0: w} for c, w in zip(f.coeffs, want))
     z = np.exp(2j * np.pi * (np.arange(7) + 0.37) / 7)  # off every FFT grid
     for n in (10, 12):
         walk = random_split_step_walk(rng, n, 1)
@@ -218,14 +224,11 @@ def _assert_matches_entrywise(got, want, tol=1e-13):
     assert got.n == want.n
     for got_row, want_row in zip(got.entries, want.entries):
         for g, w in zip(got_row, want_row):
-            assert g.support == w.support
+            assert np.array_equal(g.shifts, w.shifts)
             assert g.max_coeff_distance(w) <= tol
-    # the array itself is pruned and trimmed: its nonzeros are the terms above
-    shifts = [s for row in want.entries for p in row for s in p.support]
-    assert np.count_nonzero(got.coeffs) == len(shifts)
-    assert (got.low, len(got.coeffs)) == (
-        (min(shifts), max(shifts) - min(shifts) + 1) if shifts else (0, 0)
-    )
+    # the arrays hold exactly the terms above, one row per live shift
+    assert np.count_nonzero(got.coeffs) == sum(len(p.shifts) for row in want.entries for p in row)
+    assert np.array_equal(got.shifts, want.shifts)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -251,6 +254,76 @@ def test_array_algebra_matches_entrywise_oracle(seed):
     for got, want in cases:
         _assert_matches_entrywise(got, want)
     assert compose(u, adjoint(u)).allclose(SymbolMatrix.identity(n), 1e-13)
+
+
+# -- the live-shift form ----------------------------------------------------------
+
+
+def _assert_live_shift_form(obj):
+    """Sorted int64 shifts, one row per shift, no zero row, no coefficient below
+    PRUNE_TOL, both arrays read-only."""
+    assert obj.shifts.dtype == np.int64 and len(obj.coeffs) == len(obj.shifts)
+    assert np.all(np.diff(obj.shifts) > 0)
+    assert np.all(np.any(obj.coeffs != 0, axis=tuple(range(1, obj.coeffs.ndim))))
+    assert np.all(np.abs(obj.coeffs[obj.coeffs != 0]) >= PRUNE_TOL)
+    assert not obj.shifts.flags.writeable and not obj.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_symbol_is_in_live_shift_form(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(1, 5))
+    a, b = random_symbol(rng, n), random_symbol(rng, n)
+    u = random_split_step_walk(rng, n, int(rng.integers(1, 4)))
+    # unsorted repeated shifts: -1 cancels exactly, 5 is below PRUNE_TOL
+    mats = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    mats[4], mats[5] = -mats[1], 1e-15
+    terms = SymbolMatrix.from_terms([2, -1, 2, 0, -1, 5], mats)
+    assert terms.shifts.tolist() == [0, 2]
+    assert np.array_equal(terms.coeffs, np.stack([mats[3], mats[0] + mats[2]]))
+    poly = LaurentPoly.from_terms([3, -1, 3, 7], [1.0, 2.0, -1.0, 1e-15])
+    assert poly_terms(poly) == {-1: 2.0}
+    walks = [
+        a, b, u, terms, SymbolMatrix(n, a.entries), SymbolMatrix.identity(n),
+        SymbolMatrix.shift(-3), SymbolMatrix.from_constant(np.diag(np.arange(n))),
+        compose(a, b), adjoint(a), direct_sum(a, b, u), symbol_power(u, 5),
+        compose(u, adjoint(u)), build_model_walk(random_unimodular_spec(rng, n, 1)),
+    ]
+    for walk in walks:
+        _assert_live_shift_form(walk)
+        for row in walk.entries:
+            for entry in row:
+                _assert_live_shift_form(entry)
+    for c in (poly, *char_poly(u).coeffs):
+        _assert_live_shift_form(c)
+
+
+def test_repeated_spec_terms_settle_to_the_live_shift_form():
+    # (1, 1, shift 3) appears three times and cancels; (1, 1, -1) twice
+    term = lambda s, re: {"shift": s, "re": re, "im": 0.0}  # noqa: E731
+    walk = zio.walk_from_json({"n": 2, "entries": [
+        {"row": 1, "col": 1, "terms": [term(3, 0.5), term(-1, 0.25), term(3, 0.25)]},
+        {"row": 2, "col": 1, "terms": [term(1, 1.0)]},
+        {"row": 1, "col": 1, "terms": [term(3, -0.75), term(-1, 0.5)]},
+    ]})
+    _assert_live_shift_form(walk)
+    assert walk.shifts.tolist() == [-1, 1]
+    assert walk.coefficient_sequences()[-1].tolist() == [[0.75, 0], [0, 0]]
+    assert walk.coefficient_sequences()[1].tolist() == [[0, 0], [1.0, 0]]
+
+
+def test_far_shifts_store_their_terms_and_refuse_their_span():
+    far = direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(10**9))
+    assert far.shifts.tolist() == [0, 10**9] and far.propagation_radius == 10**9
+    assert adjoint(far).shifts.tolist() == [-(10**9), 0]
+    assert np.allclose(far(np.exp(0.25j)), np.diag([1.0, np.exp(0.25j * 10**9)]))
+    # the product's span stack and the unitarity grid are refused, not allocated
+    with pytest.raises(DomainError, match=f"above {MAX_CONE_VALUES}"):
+        compose(far, far)
+    with pytest.raises(DomainError, match=f"above {MAX_CONE_VALUES}"):
+        verify_unitary_symbol(far)
+    # the bound leaves tracking of n <= 16 at MAX_GRID allowed
+    assert 16 * 16 * MAX_GRID <= MAX_CONE_VALUES
 
 
 # -- decay classification --------------------------------------------------------
