@@ -5,8 +5,10 @@ Inputs: the three walk fixtures (hadamard, modified_hadamard, grover3) and a
 seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 
 - grid_eval: the (M, n, n) symbol stack;
-- eigvals, eig: the batched eigensolve of that stack without and with
-  eigenvectors (track_bands solves one of them on its base grid);
+- eigvals, eig: the unitary eigensolver (spectral._unitary_eig) on that
+  stack without and with eigenvectors (track_bands solves its base grid with
+  vectors and the certificate's midpoints without), np_eig: LAPACK's general
+  np.linalg.eig on the same stack, for reference;
 - track_bands: the certified, refined system;
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
@@ -32,7 +34,8 @@ interpreter's start and imports included, timed over CLI_RUNS runs.
 Each stage and writer reports the median and quartiles of --repeats timed
 runs (one untimed warm-up first; CLI_RUNS runs for the subcommands).  The
 file also records the machine (nproc, BLAS thread cap, numpy and, where it
-imports, scipy versions), the numbers of eig, eigvals and inv calls one
+imports, scipy versions), the numbers of unitary-eigensolver calls (with
+and without vectors) and of np.linalg eig, eigvals and inv calls one
 track_bands -> refine_system -> 2 x limit_measure chain makes, the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
 error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
@@ -41,7 +44,19 @@ roundoff), and the windings track_bands certifies at grid 1024 for the
 near-avoided crossing coined_walk(sqrt(1 - 1e-6), 1e-3), whose truth is
 [0, 0].
 
+With --against CHECKOUT, the `src/zqwalk` of another checkout is imported
+beside this one under the package name zqwalk_against, and only the stages
+above run: each round times this checkout's call and the other's back to
+back, alternating which goes first, on inputs each package builds for
+itself.  Each stage then reports this checkout's median and quartiles, the
+other's under "against", and "ratio", the other's median over this one's
+(above 1: this checkout is faster).  For a checkout without
+spectral._unitary_eig, its eigvals and eig stages time np.linalg.eigvals and
+np.linalg.eig, the solvers its tracking runs.  np_eig runs the same code on
+both sides, so its ratio shows how far the pairing resolves.
+
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
+           [--against ../other-checkout]
 """
 
 from __future__ import annotations
@@ -53,6 +68,7 @@ for _var in BLAS_VARS:  # one BLAS thread, before numpy loads
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -68,26 +84,20 @@ import numpy as np  # noqa: E402
 
 from zqwalk import (  # noqa: E402
     LaurentPoly,
-    ModelWalkSpec,
     StateVector,
     SymbolMatrix,
-    band_projections,
-    build_model_walk,
-    char_poly,
     coined_walk,
-    compose,
     evolve,
-    lambda_coeffs_from_samples,
     limit_measure,
     limit_moments,
     position_distribution,
     refine_system,
     track_bands,
     verify_cayley_hamilton,
-    verify_unitary_symbol,
     winding_numbers,
 )
 import zqwalk  # noqa: E402
+import zqwalk.spectral as spectral  # noqa: E402
 from zqwalk import io as zio  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +106,7 @@ TIMES = (400, 1600, 6400)
 R = 2**-0.5
 CLI_RUNS = 5
 CLI_ENTRY = "import sys; from zqwalk.cli import main; sys.exit(main())"
+AGAINST_PACKAGE = "zqwalk_against"
 
 
 def fixture(name: str) -> str:
@@ -116,13 +127,14 @@ CLI_COMMANDS = [
 ]
 
 
-def split_step_walk(seed: int, n: int, layers: int) -> SymbolMatrix:
+def split_step_walk(zq, seed: int, n: int, layers: int) -> SymbolMatrix:
     """`layers` random coins each followed by a diagonal shift in {-1, 0, 1}.
 
-    Channel 1 moves right and channel n left in every layer.
+    Channel 1 moves right and channel n left in every layer.  `zq` is the
+    zqwalk package that builds it.
     """
     rng = np.random.default_rng(seed)
-    walk = SymbolMatrix.identity(n)
+    walk = zq.SymbolMatrix.identity(n)
     for _ in range(layers):
         steps = rng.integers(-1, 2, size=n)
         steps[0], steps[-1] = 1, -1
@@ -130,78 +142,129 @@ def split_step_walk(seed: int, n: int, layers: int) -> SymbolMatrix:
         shift[steps + 1, np.arange(n), np.arange(n)] = 1.0
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q, r = np.linalg.qr(z)
-        coin = SymbolMatrix.from_constant(q * (np.diag(r) / np.abs(np.diag(r))))
-        walk = compose(SymbolMatrix.from_terms([-1, 0, 1], shift), compose(coin, walk))
+        coin = zq.SymbolMatrix.from_constant(q * (np.diag(r) / np.abs(np.diag(r))))
+        walk = zq.compose(zq.SymbolMatrix.from_terms([-1, 0, 1], shift), zq.compose(coin, walk))
     return walk
 
 
-def inputs() -> dict[str, tuple[SymbolMatrix, StateVector, StateVector]]:
-    """name -> (walk, delta vector, a second unit vector)."""
+def inputs(zq=zqwalk) -> dict[str, tuple[SymbolMatrix, StateVector, StateVector]]:
+    """name -> (walk, delta vector, a second unit vector), built by package `zq`."""
     walks = {
-        name: zio.parse_spec(Path(fixture(name)).read_text())
+        name: zq.io.parse_spec(Path(fixture(name)).read_text())
         for name in ("hadamard", "modified_hadamard", "grover3")
     }
-    walks["split_n6"] = split_step_walk(306, 6, 1)
+    walks["split_n6"] = split_step_walk(zq, 306, 6, 1)
     out = {}
     for name, walk in walks.items():
         n = walk.n
-        delta = StateVector.delta(0, 2 if name == "grover3" else 1, n)
-        other = StateVector({(0, k): n**-0.5 for k in range(1, n + 1)}, n)
+        delta = zq.StateVector.delta(0, 2 if name == "grover3" else 1, n)
+        other = zq.StateVector({(0, k): n**-0.5 for k in range(1, n + 1)}, n)
         out[name] = (walk, delta, other)
     return out
 
 
+def summary(samples: list[float]) -> dict:
+    """Median and quartiles of timed samples."""
+    q25, median, q75 = (
+        statistics.quantiles(samples, n=4, method="inclusive") if len(samples) > 1 else samples * 3
+    )
+    return {"median_s": median, "q25_s": q25, "q75_s": q75, "runs": len(samples)}
+
+
+def run_once(fn, setup) -> float:
+    arg = setup() if setup else None
+    start = time.perf_counter()
+    fn(arg)
+    return time.perf_counter() - start
+
+
 def timed(fn, repeats: int, setup=None) -> dict:
     """Median and quartiles of `repeats` timed calls of fn(setup())."""
-    samples = []
+    run_once(fn, setup)  # warm-up
+    return summary([run_once(fn, setup) for _ in range(repeats)])
+
+
+def timed_pair(this, other, repeats: int) -> dict:
+    """timed() of two (fn, setup) stages in alternating order, and their median ratio."""
+    samples: tuple[list, list] = ([], [])
     for i in range(repeats + 1):
-        arg = setup() if setup else None
-        start = time.perf_counter()
-        fn(arg)
-        if i:  # the first call is a warm-up
-            samples.append(time.perf_counter() - start)
-    q25, median, q75 = (
-        statistics.quantiles(samples, n=4, method="inclusive") if repeats > 1 else samples * 3
-    )
-    return {"median_s": median, "q25_s": q25, "q75_s": q75, "runs": repeats}
+        for side in ((0, 1) if i % 2 else (1, 0)):
+            fn, setup = (this, other)[side]
+            elapsed = run_once(fn, setup)
+            if i:  # the first round is a warm-up
+                samples[side].append(elapsed)
+    mine, theirs = summary(samples[0]), summary(samples[1])
+    return {**mine, "against": theirs, "ratio": theirs["median_s"] / mine["median_s"]}
 
 
-def stage_timings(walk, delta, other, repeats: int) -> dict:
+def solvers(zq):
+    """The (values, vectors) eigensolvers package `zq` tracks with."""
+    solve = getattr(zq.spectral, "_unitary_eig", None)
+    if solve is None:  # a checkout from before the unitary eigensolver
+        return np.linalg.eigvals, np.linalg.eig
+    return (lambda stack: solve(stack, vectors=False)), solve
+
+
+def stages(zq, walk, delta, other) -> dict:
+    """Stage name -> (fn, setup) for one walk of package `zq`; timed() runs fn(setup())."""
     xh, xh2 = delta.fourier_samples(GRID), other.fourier_samples(GRID)
     stack = walk.grid_eval(GRID)
+    eigvals, eig = solvers(zq)
 
     def tracked(_=None):
-        return refine_system(track_bands(walk, GRID))
+        return zq.refine_system(zq.track_bands(walk, GRID))
 
     def projected_once():
         system = tracked()
-        band_projections(walk, system, xh)
+        zq.band_projections(walk, system, xh)
         return system
 
-    stages = {
-        "grid_eval": timed(lambda _: walk.grid_eval(GRID), repeats),
-        "eigvals": timed(lambda _: np.linalg.eigvals(stack), repeats),
-        "eig": timed(lambda _: np.linalg.eig(stack), repeats),
-        "track_bands": timed(lambda _: track_bands(walk, GRID), repeats),
-        "band_projections_first": timed(
-            lambda s: band_projections(walk, s, xh), repeats, tracked
-        ),
-        "band_projections_repeat": timed(
-            lambda s: band_projections(walk, s, xh2), repeats, projected_once
-        ),
-        "limit_measure": timed(lambda s: limit_measure(walk, delta, s), repeats, tracked),
+    out = {
+        "grid_eval": (lambda _: walk.grid_eval(GRID), None),
+        "eigvals": (lambda _: eigvals(stack), None),
+        "eig": (lambda _: eig(stack), None),
+        "np_eig": (lambda _: np.linalg.eig(stack), None),
+        "track_bands": (lambda _: zq.track_bands(walk, GRID), None),
+        "band_projections_first": (lambda s: zq.band_projections(walk, s, xh), tracked),
+        "band_projections_repeat": (lambda s: zq.band_projections(walk, s, xh2), projected_once),
+        "limit_measure": (lambda s: zq.limit_measure(walk, delta, s), tracked),
     }
     for t in TIMES:
-        stages[f"evolve_t{t}"] = timed(lambda _, t=t: evolve(walk, delta, t), repeats)
-    band = track_bands(walk, GRID).bands[0]
-    model = ModelWalkSpec(band.d, lambda_coeffs_from_samples(band.samples))
-    stages.update(
-        verify_unitary_symbol=timed(lambda _: verify_unitary_symbol(walk), repeats),
-        char_poly=timed(lambda _: char_poly(walk), repeats),
-        verify_cayley_hamilton=timed(lambda _: verify_cayley_hamilton(walk, 256), repeats),
-        build_model_walk=timed(lambda _: build_model_walk(model), repeats),
+        out[f"evolve_t{t}"] = (lambda _, t=t: zq.evolve(walk, delta, t), None)
+    band = zq.track_bands(walk, GRID).bands[0]
+    model = zq.ModelWalkSpec(band.d, zq.lambda_coeffs_from_samples(band.samples))
+    out.update(
+        verify_unitary_symbol=(lambda _: zq.verify_unitary_symbol(walk), None),
+        char_poly=(lambda _: zq.char_poly(walk), None),
+        verify_cayley_hamilton=(lambda _: zq.verify_cayley_hamilton(walk, 256), None),
+        build_model_walk=(lambda _: zq.build_model_walk(model), None),
     )
-    return stages
+    return out
+
+
+def load_against(checkout: Path):
+    """Import `checkout`/src/zqwalk as the package AGAINST_PACKAGE."""
+    init = checkout / "src" / "zqwalk" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"--against: no {init}")
+    spec = importlib.util.spec_from_file_location(
+        AGAINST_PACKAGE, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST_PACKAGE] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{AGAINST_PACKAGE}.io")
+    return package
+
+
+def against_timings(zq_other, repeats: int) -> dict:
+    """Every stage of every walk, this checkout and `zq_other` timed in alternation."""
+    other_cases = inputs(zq_other)
+    report = {}
+    for name, case in inputs().items():
+        mine, theirs = stages(zqwalk, *case), stages(zq_other, *other_cases[name])
+        report[name] = {stage: timed_pair(mine[stage], theirs[stage], repeats) for stage in mine}
+    return report
 
 
 def per_call(fn, calls: int, repeats: int) -> dict:
@@ -283,9 +346,15 @@ def scipy_version() -> str | None:
 
 
 def solve_counts(walk, vectors) -> dict:
-    """np.linalg eig/eigvals/inv calls of track_bands -> refine_system -> limit_measure(s)."""
-    counts = {"eig": 0, "eigvals": 0, "inv": 0}
-    originals = {name: getattr(np.linalg, name) for name in counts}
+    """Eigensolver calls of track_bands -> refine_system -> limit_measure(s).
+
+    unitary_eig_vectors and unitary_eig_values count spectral._unitary_eig
+    calls with and without eigenvectors; eig, eigvals and inv count the
+    np.linalg functions.
+    """
+    counts = {"unitary_eig_vectors": 0, "unitary_eig_values": 0, "eig": 0, "eigvals": 0, "inv": 0}
+    originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "inv")}
+    unitary_eig = spectral._unitary_eig
 
     def counting(name):
         def wrapper(*args, **kwargs):
@@ -294,8 +363,13 @@ def solve_counts(walk, vectors) -> dict:
 
         return wrapper
 
-    for name in counts:
+    def counting_unitary_eig(stack, first_pole=None, vectors=True):
+        counts["unitary_eig_vectors" if vectors else "unitary_eig_values"] += 1
+        return unitary_eig(stack, first_pole, vectors)
+
+    for name in originals:
         setattr(np.linalg, name, counting(name))
+    spectral._unitary_eig = counting_unitary_eig
     try:
         system = refine_system(track_bands(walk, GRID))
         for xi in vectors:
@@ -303,6 +377,7 @@ def solve_counts(walk, vectors) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(np.linalg, name, fn)
+        spectral._unitary_eig = unitary_eig
     return counts
 
 
@@ -327,10 +402,11 @@ def accuracy(cases) -> dict:
     }
 
 
-def commit() -> str | None:
+def commit(checkout: Path = ROOT) -> str | None:
     try:
         done = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True
+            ["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True,
+            text=True,
         )
     except OSError:
         return None
@@ -341,20 +417,41 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH.json")
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--against", type=Path, help="checkout to time the stages against")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
+    environment = {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy_version(),
+        "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
+        "commit": commit(),
+    }
+    if args.against is not None:
+        checkout = args.against.resolve()
+        report = {
+            "environment": environment,
+            "grid": GRID,
+            "against": {"checkout": str(checkout), "commit": commit(checkout)},
+            "stages": against_timings(load_against(checkout), args.repeats),
+        }
+        for name, paired in report["stages"].items():
+            ratios = ", ".join(
+                f"{stage} {1e3 * s['median_s']:.2f}/{1e3 * s['against']['median_s']:.2f}"
+                f" ({s['ratio']:.2f}x)"
+                for stage, s in paired.items()
+            )
+            print(f"{name} (median ms, this/against): {ratios}")
+        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {args.out}")
+        return
+
     cases = inputs()
     report = {
-        "environment": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy_version(),
-            "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
-            "commit": commit(),
-        },
+        "environment": environment,
         "grid": GRID,
         "stages": {},
         "laurent": laurent_costs(args.repeats),
@@ -365,7 +462,10 @@ def main() -> None:
     }
     for name, (walk, delta, other) in cases.items():
         report["solve_counts"][name] = solve_counts(walk, [delta, other])
-        report["stages"][name] = stage_timings(walk, delta, other, args.repeats)
+        report["stages"][name] = {
+            stage: timed(fn, args.repeats, setup)
+            for stage, (fn, setup) in stages(zqwalk, walk, delta, other).items()
+        }
         medians = ", ".join(
             f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
         )

@@ -31,8 +31,23 @@ once.  Correctness of the whole is still certified the blunt way: the
 refined system must be reproduced when the grid is doubled, otherwise the
 grid keeps doubling until it is.  The certificate compares refined systems,
 not raw cycles, because inside an exactly degenerate eigenspace (a direct
-sum) the raw cycle structure depends on how eig labels the eigenvectors,
-which changes from grid to grid.
+sum) the raw cycle structure depends on how the solver labels the
+eigenvectors, which changes from grid to grid.
+
+Eigensolver note: U(z) is unitary on the circle, so every grid stack is
+solved as a Hermitian one (_unitary_eig).  The Cayley transform
+T = i (I + W)^-1 (I - W) of W = conj(r) U has U's eigenvectors and maps an
+eigenvalue r e^{i alpha} to tan(alpha / 2), so it is Hermitian and finite
+unless an eigenvalue sits at the pole -r.  The first pole of a row is the
+direction opposite its trace, turned by the small angle of POLE_TILT, or on
+the certificate's midpoints the middle of the widest gap in the spectrum of
+the left grid neighbour.  The pole is checked on every row: ||T||_F, taken
+before T is made Hermitian, must be at most 2 sqrt(n) cot(pi / (2 (n + 1))).
+Rows above it, or with I + W singular, retry with the pole turned by
+2 pi / (n + 1); one of those n + 1 poles is at least pi / (n + 1) from every
+eigenvalue, where ||T||_F is at most half the bound, so a unitary row always
+passes and a row that never does raises ResolutionError.  The eigenvectors
+come back orthonormal, so V^-1 is V^H and no inverse is taken.
 
 Grid work is batched: track_bands evaluates the symbol as one (M, n, n)
 stack and solves one eigendecomposition (values and vectors) over it, and
@@ -41,12 +56,12 @@ permutation composition, projection weights and Hellmann-Feynman group
 velocities are array operations over all M points.  That decomposition is
 the only one per walk and grid: the system keeps it, refine_system returns
 that same system, and band_projections builds its vector-free half from it
-(inverse eigenvectors, clusters, band matching, checks and velocities) once
-per system and walk, so each further initial vector costs one batched
-matrix-vector product.  The limit measure takes both its weights and its
-velocities from there.  Only the uncertified matching steps go point by
-point, because each extrapolates from the step before it; the velocities at
-the few self-collision points are solved one cluster at a time.
+(clusters, band matching, checks and velocities) once per system and walk,
+so each further initial vector costs one batched matrix-vector product.
+The limit measure takes both its weights and its velocities from there.
+Only the uncertified matching steps go point by point, because each
+extrapolates from the step before it; the velocities at the few
+self-collision points are solved one cluster at a time.
 """
 
 from __future__ import annotations
@@ -68,6 +83,9 @@ DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
 MAX_GRID = 1 << 16
+# Default Cayley pole turn: off the trace axis, so exact flat bands at +-1 and
+# +-i (Grover's lambda = 1) never sit on it.
+POLE_TILT = np.exp(0.0123j)
 WINDING_RESIDUAL = 0.01
 
 
@@ -148,6 +166,95 @@ class EigenSystem:
     def summand_count(self) -> int:
         """Number of irreducible summands, counted with multiplicity."""
         return sum(b.multiplicity for b in self.bands)
+
+
+# ---------------------------------------------------------------------------
+# the unitary eigensolver
+# ---------------------------------------------------------------------------
+
+
+def _cayley(stack: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """i (I + W)^-1 (I - W) with W = conj(r) U per row; NaN rows where I + W is singular."""
+    w = center.conj()[:, None, None] * stack
+    eye = np.eye(stack.shape[1])
+    minus = 1j * (eye - w)
+    plus = np.add(eye, w, out=w)  # in place: one stack fewer at the peak
+    try:
+        return np.linalg.solve(plus, minus)
+    except np.linalg.LinAlgError:
+        regular = np.linalg.slogdet(plus)[0] != 0
+        out = np.full_like(w, np.nan)
+        out[regular] = np.linalg.solve(plus[regular], minus[regular])
+        return out
+
+
+def _unitary_eig(stack: np.ndarray, first_pole: np.ndarray | None = None, vectors: bool = True):
+    """Eigenvalues, and orthonormal eigenvectors with `vectors`, of an (M, n, n) unitary stack.
+
+    The Cayley transform T of each row, its pole check and the retries are
+    the module docstring's eigensolver note; the first pole of row k is
+    `first_pole[k]`, by default the direction opposite its trace turned by
+    POLE_TILT.  The check runs on T itself, before H = (T + T^H) / 2 is
+    formed: symmetrizing would drop the huge skew part of a transform whose
+    pole sits on an eigenvalue.  With vectors, one batched eigh of H and the
+    Rayleigh quotients diag(V^H U V) as eigenvalues (exact on the identity);
+    without, eigvalsh and r (1 + i h) / (1 - i h).  Every step works row by
+    row, so a row gives the same bits alone or in any stack.  Returns
+    (values, vectors) of shapes (M, n) and (M, n, n), or the values alone.
+    """
+    m, n = stack.shape[:2]
+    if first_pole is None:
+        trace = stack[:, 0, 0].copy()
+        for i in range(1, n):
+            trace += stack[:, i, i]
+        size = np.abs(trace)
+        first_pole = np.where(size > 0, -trace / np.where(size > 0, size, 1.0), 1.0) * POLE_TILT
+    first = -np.asarray(first_pole, dtype=complex)
+    bound = 2.0 * math.sqrt(n) / math.tan(math.pi / (2 * (n + 1)))
+    todo = np.arange(m)
+    smallest = np.full(m, np.inf)  # each row's least ||T||_F, for the refusal
+    for attempt in range(n + 1):
+        rows = todo if attempt else slice(None)  # the first pole takes every row, uncopied
+        # out of place: an in-place complex product of one element rounds
+        # differently, and a row must not depend on its stack
+        r = first[rows] * np.exp(2j * math.pi * attempt / (n + 1))
+        t = _cayley(stack[rows], r)
+        size = np.linalg.norm(t, axis=(1, 2))
+        passed = size <= bound  # False on NaN
+        if attempt:
+            cayley[todo[passed]], center[todo[passed]] = t[passed], r[passed]
+        else:
+            cayley, center = t, r
+        smallest[todo] = np.fmin(smallest[todo], size)
+        todo = todo[~passed]
+        if not todo.size:
+            break
+    else:
+        raise ResolutionError(
+            f"no Cayley pole conditions {len(todo)} of {m} grid points: smallest "
+            f"||T||_F {np.min(smallest[todo]):.3e} above the bound {bound:.3e}; the "
+            "symbol is not unitary there"
+        )
+    cayley += cayley.conj().swapaxes(1, 2)  # H = (T + T^H) / 2 in T's own memory
+    herm = np.divide(cayley, 2, out=cayley)
+    if not vectors:
+        h = np.linalg.eigvalsh(herm)
+        return center[:, None] * (1 + 1j * h) / (1 - 1j * h)
+    vecs = np.linalg.eigh(herm)[1]
+    uv = stack @ vecs
+    vals = vecs[:, 0].conj() * uv[:, 0]  # diag(V^H U V), one row of V at a time
+    for i in range(1, n):
+        vals += vecs[:, i].conj() * uv[:, i]
+    return vals, vecs
+
+
+def _gap_poles(vals: np.ndarray) -> np.ndarray:
+    """The middle of the largest angular gap of each (M, n) eigenvalue row."""
+    ang = np.sort(np.angle(vals), axis=1)
+    gaps = np.diff(ang, axis=1, append=ang[:, :1] + 2.0 * np.pi)
+    widest = np.argmax(gaps, axis=1)[:, None]
+    middle = np.take_along_axis(ang + gaps / 2, widest, axis=1)[:, 0]
+    return np.exp(1j * middle)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +539,12 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     returned; the grid doubles until that holds or MAX_GRID is exceeded.
     Every other point of the doubled grid is a point of the current one (the
     grid phases are reduced exactly in integers), so only the new midpoints
-    are solved, for eigenvalues only.  The base grid is solved with
-    eigenvectors, and a system returned on it keeps that decomposition for
+    are solved, for eigenvalues only, each with its first Cayley pole in the
+    widest gap of its left neighbour's spectrum (module docstring).  The
+    base grid is solved with orthonormal eigenvectors; when the grid
+    doubles, the midpoints are solved again with vectors and the system is
+    rebuilt from those values, so the returned system's samples always come
+    from vector solves, and it keeps its grid's decomposition for
     band_projections, tied to this walk.
 
     Parameters
@@ -449,9 +560,8 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     _require_unitary(walk)
     grid = base_grid
     lipschitz = _lipschitz(walk)
-    vals, vecs = np.linalg.eig(walk.grid_eval(grid))
+    vals, vecs = _unitary_eig(walk.grid_eval(grid))
     system = _build_system(vals, lipschitz)
-    object.__setattr__(system, "_solved", (walk, vals, vecs))
     while True:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
@@ -459,13 +569,19 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
             )
         finer_vals = np.empty((2 * grid, walk.n), dtype=complex)
         finer_vals[::2] = vals
-        finer_vals[1::2] = np.linalg.eigvals(walk.grid_eval(2 * grid)[1::2])
-        finer = _build_system(finer_vals, lipschitz)
-        shared = _subsample_system(finer, grid)
+        finer_vals[1::2] = _unitary_eig(
+            walk.grid_eval(2 * grid)[1::2], _gap_poles(vals), vectors=False
+        )
+        shared = _subsample_system(_build_system(finer_vals, lipschitz), grid)
         if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
+            object.__setattr__(system, "_solved", (walk, vals, vecs))
             return system
+        finer_vecs = np.empty((2 * grid, walk.n, walk.n), dtype=complex)
+        finer_vecs[::2] = vecs
+        finer_vals[1::2], finer_vecs[1::2] = _unitary_eig(walk.grid_eval(2 * grid)[1::2])
         grid *= 2
-        vals, system = finer_vals, finer
+        vals, vecs = finer_vals, finer_vecs
+        system = _build_system(vals, lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +712,12 @@ def _char_polys_match(w1: SymbolMatrix, w2: SymbolMatrix, tol: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class _Frame:
     """The vector-free half of band_projections for one walk and band set:
-    eigenvectors V and W = V^-1, eigenvalue clusters, each slot's cluster and
-    how many slots share it, the read-only velocities and the band boundaries.
+    W = V^H for the orthonormal eigenvectors V, eigenvalue clusters, each
+    slot's cluster and how many slots share it, the read-only velocities and
+    the band boundaries.
     """
 
     walk: SymbolMatrix
-    vecs: np.ndarray
     left: np.ndarray
     linked: np.ndarray
     slot_cluster: np.ndarray
@@ -629,13 +745,13 @@ def band_projections(
     velocity arrays are read-only.
 
     All grid points are handled at once.  The half that does not depend on
-    xi_hat (the decomposition U = V diag(lambda) W with W = V^-1 batched,
+    xi_hat (the decomposition U = V diag(lambda) V^H with V orthonormal,
     clusters, slot matching, checks and velocities) is built once per system
     and walk and cached on the system (_projection_frame).  Per vector,
-    a = W xi_hat, and the weight of an eigenvalue cluster c (single linkage
-    at DEGENERACY_TOL) is |sum_{i in c} V_i a_i|^2, the spectral projector of
-    c applied to xi_hat, so it stays exact where eig returns a non-orthogonal
-    basis of a degenerate eigenspace; |V^H xi_hat|^2 would not.
+    a = V^H xi_hat, and the weight of an eigenvalue cluster c (single linkage
+    at DEGENERACY_TOL) is sum_{i in c} |a_i|^2: the columns of V in c are an
+    orthonormal basis of c's eigenspace, so this is the squared norm of the
+    spectral projector of c applied to xi_hat.  No inverse is taken.
     """
     m = system.base_grid
     xi_hat = np.asarray(xi_hat, dtype=complex)
@@ -643,10 +759,8 @@ def band_projections(
         raise DomainError(f"xi_hat must have shape ({m}, {walk.n})")
     frame = _projection_frame(walk, system)
     coeffs = (frame.left @ xi_hat[:, :, None])[:, :, 0]
-    # column j of the product is the projection of xi_hat onto j's cluster
-    cluster_weight = np.sum(
-        np.abs((frame.vecs * coeffs[:, None, :]) @ frame.linked) ** 2, axis=1
-    )
+    power = coeffs.real**2 + coeffs.imag**2
+    cluster_weight = (power[:, None, :] @ frame.linked)[:, 0, :]  # [k, j]: j's cluster
     share = np.take_along_axis(cluster_weight, frame.slot_cluster, axis=1) / frame.slot_count
     return (
         np.split(share, frame.split, axis=1),
@@ -659,14 +773,16 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
 
     The eigendecomposition is the one track_bands solved when the system
     carries it for this walk (the very object it tracked), else it is solved
-    here; any other walk never reuses another walk's frame, so its spectrum
-    is checked against the bands afresh.
+    here by _unitary_eig; any other walk never reuses another walk's frame,
+    so its spectrum is checked against the bands afresh.  The eigenvectors V
+    are orthonormal, so W = V^H.
 
     Velocities are Hellmann-Feynman slopes Re((W U' V)_ii / (i lambda_i)),
     with U' exact from the symbol's coefficients.  Where one cluster holds
     several covering points of a band, the slopes are the eigenvalues of the
-    cluster block of W U' V / (i lambda) (degenerate perturbation theory),
-    assigned to the covering points in the order of their velocities at the
+    Hermitian part of the cluster block of W U' V / (i lambda) (degenerate
+    perturbation theory; the block is Hermitian for a unitary U), assigned
+    to the covering points in the order of their velocities at the
     neighbouring grid point.  Each tracked covering value is matched to its
     nearest eigenvalue, and through it to that eigenvalue's cluster.
     """
@@ -678,8 +794,8 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     if system._solved is not None and system._solved[0] is walk:
         evals, vecs = system._solved[1:]
     else:
-        evals, vecs = np.linalg.eig(walk.grid_eval(m))
-    left = np.linalg.inv(vecs)
+        evals, vecs = _unitary_eig(walk.grid_eval(m))
+    left = vecs.conj().swapaxes(1, 2)
     linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
     shifts = walk.shifts
@@ -715,7 +831,8 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     for k, c in collisions:
         members = np.flatnonzero(label[k] == c)
         block = left[k, members] @ derivative[k] @ vecs[k][:, members]
-        cluster_slopes = np.sort(np.linalg.eigvals(block / (1j * evals[k, members, None])).real)
+        block /= 1j * evals[k, members, None]
+        cluster_slopes = np.linalg.eigvalsh((block + block.conj().T) / 2)  # ascending
         slots = np.flatnonzero(slot_cluster[k] == c)
         mult = system.bands[slot_band[slots[0]]].multiplicity
         # slot (M-1, i) continues as (0, i+1), so the seam looks back instead
@@ -724,7 +841,7 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
         velocity[k, slots[order]] = cluster_slopes[::mult]
     velocity.flags.writeable = False
     frame = _Frame(
-        walk, vecs, left, linked, slot_cluster, slot_count, velocity, np.cumsum(degrees)[:-1]
+        walk, left, linked, slot_cluster, slot_count, velocity, np.cumsum(degrees)[:-1]
     )
     object.__setattr__(system, "_frame", frame)
     return frame

@@ -33,6 +33,7 @@ from zqwalk.spectral import (
     _lipschitz,
     _match_band_sets,
     _subsample_system,
+    _unitary_eig,
 )
 
 SAMPLE_GRID = 4096
@@ -323,8 +324,10 @@ def full_grid_track_bands(
 ) -> EigenSystem:
     """Reference for `zqwalk.track_bands`: every doubled grid solved in full.
 
-    With `assignment`, branches are matched by `assignment_track_cycles`
-    instead of the certified matcher.
+    Each grid is solved row by row with eigenvectors, as track_bands solves
+    every grid it returns, so the two agree bit for bit.  With `assignment`,
+    branches are matched by `assignment_track_cycles` instead of the
+    certified matcher.
     """
     lipschitz = _lipschitz(walk)
 
@@ -335,9 +338,9 @@ def full_grid_track_bands(
         return _finish_system(cycles, vals.shape[1], vals.shape[0])
 
     grid = base_grid
-    system = build(np.linalg.eigvals(walk.grid_eval(grid)))
+    system = build(_unitary_eig(walk.grid_eval(grid))[0])
     while True:
-        finer = build(np.linalg.eigvals(walk.grid_eval(2 * grid)))
+        finer = build(_unitary_eig(walk.grid_eval(2 * grid))[0])
         shared = _subsample_system(finer, grid)
         if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
             return system

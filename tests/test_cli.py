@@ -625,6 +625,14 @@ def test_script_runs(argv, tmp_path):
     assert any((tmp_path / "runs").rglob("*.csv"))
 
 
+BENCH_STAGES = {
+    "grid_eval", "eigvals", "eig", "np_eig", "track_bands", "band_projections_first",
+    "band_projections_repeat", "limit_measure",
+    "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
+    "char_poly", "verify_cayley_hamilton", "build_model_walk",
+}
+
+
 def test_bench_script_writes_report(tmp_path):
     root = FIXTURES.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -637,16 +645,13 @@ def test_bench_script_writes_report(tmp_path):
     report = json.loads(out.read_text())
     assert set(report["stages"]) == {"hadamard", "modified_hadamard", "grover3", "split_n6"}
     for name, stages in report["stages"].items():
-        assert set(stages) == {
-            "grid_eval", "eigvals", "eig", "track_bands", "band_projections_first",
-            "band_projections_repeat", "limit_measure",
-            "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
-            "char_poly", "verify_cayley_hamilton", "build_model_walk",
-        }
+        assert set(stages) == BENCH_STAGES
         assert all(0 < s["q25_s"] <= s["median_s"] <= s["q75_s"] for s in stages.values())
-        # one eigendecomposition and one inverse serve tracking and both vectors
+        # one eigendecomposition serves tracking and both vectors, with no
+        # inverse and no general eigensolver
         counts = report["solve_counts"][name]
-        assert (counts["eig"], counts["inv"]) == (1, 1), name
+        assert counts.pop("unitary_eig_values") >= 1, name  # the certificate's midpoints
+        assert counts == {"unitary_eig_vectors": 1, "eig": 0, "eigvals": 0, "inv": 0}, name
     accuracy = report["accuracy"]
     assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
     assert accuracy["grover3_atom_err"] < 1e-12
@@ -670,6 +675,30 @@ def test_bench_script_writes_report(tmp_path):
     for timing in [*laurent.values(), *report["writers"].values(), *report["cli"].values()]:
         assert 0 < timing["q25_s"] <= timing["median_s"] <= timing["q75_s"]
     assert {timing["runs"] for timing in report["cli"].values()} == {5}
+
+
+def test_bench_script_times_stages_against_a_checkout(tmp_path):
+    # this checkout against itself, imported a second time under another name
+    root = FIXTURES.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = tmp_path / "against.json"
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bench.py"), "--repeats", "1",
+         "--against", root, "--out", out],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["against"]["checkout"] == str(root.resolve())
+    assert set(report) == {"environment", "grid", "against", "stages"}
+    assert set(report["stages"]) == {"hadamard", "modified_hadamard", "grover3", "split_n6"}
+    for stages in report["stages"].values():
+        assert set(stages) == BENCH_STAGES
+        for s in stages.values():
+            assert 0 < s["q25_s"] <= s["median_s"] <= s["q75_s"]
+            assert 0 < s["against"]["median_s"]
+            assert s["runs"] == s["against"]["runs"] == 1
+            assert s["ratio"] == s["against"]["median_s"] / s["median_s"]
 
 
 def test_cli_options_are_the_ones_each_command_reads(monkeypatch):

@@ -55,6 +55,7 @@ from zqwalk.spectral import (
     _match_band_sets,
     _min_cost_assignment,
     _subsample_system,
+    _unitary_eig,
 )
 
 M = 1024
@@ -571,6 +572,107 @@ def test_band_velocities_match_fft_reference(corpus):
             assert np.ptp(velocities[flat]) <= 1e-13
 
 
+# -- the unitary eigensolver -----------------------------------------------------------
+
+
+def _solver_stacks():
+    """name -> an (M, n, n) stack the unitary eigensolver is checked on."""
+    grover = grover_walk_3()
+    stacks = {
+        # an untilted pole opposite the trace sits on grover3's flat band 1
+        # (row 199 of grid 256 has trace -0.447)
+        "grover3_grid256": grover.grid_eval(256),
+        "grover3_grid1024": grover.grid_eval(1024),
+        "identity": SymbolMatrix.identity(3).grid_eval(64),
+        "minus_identity": np.tile(-np.eye(3, dtype=complex), (8, 1, 1)),
+        "trace_zero": np.tile(np.diag([1.0, -1.0]).astype(complex), (8, 1, 1)),
+        "double_eigenvalues": conjugated_coined_sum(3).grid_eval(256),
+    }
+    for n in range(2, 9):
+        walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
+        stacks[f"split_n{n}"] = walk.grid_eval(256)
+    for d in range(2, 5):  # unitary to about 1e-12
+        spec = random_unimodular_spec(np.random.default_rng(400 + d), d, winding=1)
+        stacks[f"model_d{d}"] = build_model_walk(spec).grid_eval(256)
+    return stacks
+
+
+def _matched_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest distance of two (M, n) eigenvalue stacks, each row matched optimally."""
+    from scipy.optimize import linear_sum_assignment
+
+    worst = 0.0
+    for g, w in zip(got, want, strict=True):
+        cost = np.abs(g[:, None] - w[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        worst = max(worst, float(cost[rows, cols].max()))
+    return worst
+
+
+def test_unitary_eig_solves_unitary_stacks():
+    for name, stack in _solver_stacks().items():
+        n = stack.shape[1]
+        want = np.linalg.eigvals(stack)
+        vals, vecs = _unitary_eig(stack)
+        assert _matched_error(vals, want) <= 1e-13, name
+        assert np.max(np.abs(vecs.conj().swapaxes(1, 2) @ vecs - np.eye(n))) <= n * 1e-14, name
+        assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-13, name
+        # values alone come back on the circle, so a near-unitary stack's
+        # eigenvalues are off them by up to its deviation from unitarity
+        values = _unitary_eig(stack, vectors=False)
+        gram = stack.conj().swapaxes(1, 2) @ stack - np.eye(n)
+        deviation = float(np.max(np.linalg.norm(gram, ord=2, axis=(1, 2))))
+        assert _matched_error(values, want) <= 1e-13 + deviation, name
+        # every step works row by row: a row alone gives the same bits
+        for k in (0, 1, len(stack) // 3, len(stack) - 1):
+            row = stack[k : k + 1]
+            alone_vals, alone_vecs = _unitary_eig(row)
+            assert np.array_equal(alone_vals[0], vals[k]), name
+            assert np.array_equal(alone_vecs[0], vecs[k]), name
+            assert np.array_equal(_unitary_eig(row, vectors=False)[0], values[k]), name
+        if name == "identity":
+            assert np.all(vals == 1.0)
+
+
+def test_unitary_eig_retries_only_rows_whose_pole_fails(monkeypatch):
+    import zqwalk.spectral as spectral
+
+    rows = []
+    cayley = spectral._cayley
+
+    def recorded(stack, center):
+        rows.append(len(stack))
+        return cayley(stack, center)
+
+    monkeypatch.setattr(spectral, "_cayley", recorded)
+    # pole 1 on the eigenvalue 1 of diag(1, -1): I + W is exactly singular,
+    # so solve raises; the diag(i, -i) rows pass with that pole
+    stack = np.concatenate([
+        np.tile(np.diag([1.0, -1.0]).astype(complex), (3, 1, 1)),
+        np.tile(np.diag([1j, -1j]), (5, 1, 1)),
+    ])
+    slogdet = _count_calls(monkeypatch, "slogdet")
+    vals, vecs = _unitary_eig(stack, first_pole=np.ones(8, dtype=complex))
+    assert rows == [8, 3]
+    assert slogdet == {"slogdet": 1}  # found the singular rows after solve raised
+    assert _matched_error(vals, np.linalg.eigvals(stack)) <= 1e-15
+    assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-15
+    values = _unitary_eig(stack, first_pole=np.ones(8, dtype=complex), vectors=False)
+    assert _matched_error(values, np.linalg.eigvals(stack)) <= 1e-15
+
+
+def test_unitary_eig_refuses_a_row_no_pole_conditions():
+    # far from normal: ||T||_F stays above the bound for every pole
+    stack = np.array([np.eye(2), [[1.0, 1e3], [0.0, 1.0]]], dtype=complex)
+    with pytest.raises(ResolutionError, match=r"1 of 2 grid points") as refused:
+        _unitary_eig(stack)
+    found = re.search(r"\|\|T\|\|_F (\S+) above the bound (\S+);", str(refused.value))
+    least, bound = map(float, found.groups())
+    assert bound < least < 1e4  # the refused row's norms, not the passing row's
+    with pytest.raises(ResolutionError, match="no Cayley pole"):
+        _unitary_eig(np.full((1, 2, 2), np.nan, dtype=complex), vectors=False)
+
+
 # -- one eigendecomposition per walk and grid ------------------------------------------
 
 
@@ -588,6 +690,20 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _record_solves(monkeypatch):
+    """(rows, vectors) of every spectral._unitary_eig call from here on."""
+    import zqwalk.spectral as spectral
+
+    solves = []
+
+    def recorded(stack, first_pole=None, vectors=True):
+        solves.append((len(stack), vectors))
+        return _unitary_eig(stack, first_pole, vectors)
+
+    monkeypatch.setattr(spectral, "_unitary_eig", recorded)
+    return solves
+
+
 def _seeded_split_steps():
     return [
         (f"split_n{n}", random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3))
@@ -598,14 +714,35 @@ def _seeded_split_steps():
 @pytest.mark.parametrize("name", ["coined", "grover3", "split_n6"])
 def test_one_eigensolve_per_walk_and_grid(name, corpus, monkeypatch):
     walk = dict(corpus, **dict(_seeded_split_steps()))[name]
-    counts = _count_calls(monkeypatch, "eig", "inv")
+    counts = _count_calls(monkeypatch, "eig", "eigvals", "inv")
+    solves = _record_solves(monkeypatch)
     system = refine_system(track_bands(walk, M))
     assert system.base_grid == M
     rng = np.random.default_rng(20240811)
     for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
         assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
-    # tracking's eigendecomposition serves both vectors, and so does one inverse
-    assert counts == {"eig": 1, "inv": 1}
+    # tracking's eigendecomposition serves both vectors; V is orthonormal, so
+    # no inverse, and no general eigensolver runs anywhere in the chain
+    assert [rows for rows, vectors in solves if vectors] == [M]
+    assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
+
+
+def test_escalated_system_keeps_its_decomposition(monkeypatch):
+    # base 64 is not reproduced at 128: the new rows are solved with vectors
+    # once, and the measures reuse the grid-128 decomposition
+    walk = random_split_step_walk(np.random.default_rng(5010), 5, 2)
+    counts = _count_calls(monkeypatch, "eig", "eigvals", "inv")
+    solves = _record_solves(monkeypatch)
+    system = refine_system(track_bands(walk, 64))
+    assert system.base_grid == 128
+    assert [rows for rows, vectors in solves if vectors] == [64, 64]
+    tracked = len(solves)
+    rng = np.random.default_rng(5011)
+    for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
+        assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
+    assert len(solves) == tracked
+    assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
+    assert system == full_grid_track_bands(walk, 64)
 
 
 def test_projection_cache_is_kept_to_its_walk():
