@@ -5,10 +5,9 @@ Inputs: the three walk fixtures (hadamard, modified_hadamard, grover3) and a
 seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 
 - grid_eval: the (M, n, n) symbol stack;
-- eigvals, eig: the unitary eigensolver (spectral._unitary_eig) on that
-  stack without and with eigenvectors (track_bands solves its base grid with
-  vectors and the certificate's midpoints without), np_eig: LAPACK's general
-  np.linalg.eig on the same stack, for reference;
+- eig: the unitary eigensolver (spectral._unitary_eig) on that stack, values
+  and orthonormal eigenvectors, as track_bands solves every grid; np_eig:
+  LAPACK's general np.linalg.eig on the same stack, for reference;
 - track_bands: the certified, refined system;
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
@@ -29,14 +28,15 @@ plus write_bands_csv (the artifacts of `bands`), write_measure_csv of the
 delta's limit measure, and write_distribution_csv at t = 6400.
 
 CLI: each of the nine subcommands on the fixtures as a subprocess, the
-interpreter's start and imports included, timed over CLI_RUNS runs.
+interpreter's start and imports included.
 
 Each stage and writer reports the median and quartiles of --repeats timed
-runs (one untimed warm-up first; CLI_RUNS runs for the subcommands).  The
-file also records the machine (nproc, BLAS thread cap, numpy and, where it
-imports, scipy versions), the numbers of unitary-eigensolver calls (with
-and without vectors) and of np.linalg eig, eigvals and inv calls one
-track_bands -> refine_system -> 2 x limit_measure chain makes, the coined
+runs, each subcommand of min(CLI_RUNS, --repeats), one untimed warm-up
+first.  The file also records the machine (nproc, BLAS thread cap, numpy
+and, where it imports, scipy versions), what one track_bands ->
+refine_system -> 2 x limit_measure chain solves (the rows of each
+unitary-eigensolver call, whether the doubling certificate ran, and the
+numbers of np.linalg eig, eigvals and inv calls), the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
 error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
 Cayley-Hamilton residual of the 1 x 1 walk z^100000 (exact phases give
@@ -50,10 +50,11 @@ above run: each round times this checkout's call and the other's back to
 back, alternating which goes first, on inputs each package builds for
 itself.  Each stage then reports this checkout's median and quartiles, the
 other's under "against", and "ratio", the other's median over this one's
-(above 1: this checkout is faster).  For a checkout without
-spectral._unitary_eig, its eigvals and eig stages time np.linalg.eigvals and
-np.linalg.eig, the solvers its tracking runs.  np_eig runs the same code on
-both sides, so its ratio shows how far the pairing resolves.
+(above 1: this checkout is faster).  The eig stage calls
+spectral._unitary_eig(stack), which every checkout that has it answers with
+values and vectors; for a checkout without it, eig times np.linalg.eig, the
+solver its tracking runs.  np_eig runs the same code on both sides, so its
+ratio shows how far the pairing resolves.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
            [--against ../other-checkout]
@@ -197,19 +198,17 @@ def timed_pair(this, other, repeats: int) -> dict:
     return {**mine, "against": theirs, "ratio": theirs["median_s"] / mine["median_s"]}
 
 
-def solvers(zq):
-    """The (values, vectors) eigensolvers package `zq` tracks with."""
-    solve = getattr(zq.spectral, "_unitary_eig", None)
-    if solve is None:  # a checkout from before the unitary eigensolver
-        return np.linalg.eigvals, np.linalg.eig
-    return (lambda stack: solve(stack, vectors=False)), solve
+def solver(zq):
+    """The eigensolver (values and vectors) package `zq` tracks with."""
+    # np.linalg.eig for a checkout from before the unitary eigensolver
+    return getattr(zq.spectral, "_unitary_eig", np.linalg.eig)
 
 
 def stages(zq, walk, delta, other) -> dict:
     """Stage name -> (fn, setup) for one walk of package `zq`; timed() runs fn(setup())."""
     xh, xh2 = delta.fourier_samples(GRID), other.fourier_samples(GRID)
     stack = walk.grid_eval(GRID)
-    eigvals, eig = solvers(zq)
+    eig = solver(zq)
 
     def tracked(_=None):
         return zq.refine_system(zq.track_bands(walk, GRID))
@@ -221,7 +220,6 @@ def stages(zq, walk, delta, other) -> dict:
 
     out = {
         "grid_eval": (lambda _: walk.grid_eval(GRID), None),
-        "eigvals": (lambda _: eigvals(stack), None),
         "eig": (lambda _: eig(stack), None),
         "np_eig": (lambda _: np.linalg.eig(stack), None),
         "track_bands": (lambda _: zq.track_bands(walk, GRID), None),
@@ -319,7 +317,7 @@ def writer_timings(walk, delta, repeats: int) -> dict:
     }
 
 
-def cli_timings() -> dict:
+def cli_timings(repeats: int) -> dict:
     """Each subcommand as a fresh interpreter on the fixtures, writing into a scratch dir.
 
     The subprocesses import the zqwalk package this script imported.
@@ -332,7 +330,7 @@ def cli_timings() -> dict:
             cmd = [sys.executable, "-c", CLI_ENTRY, *argv, "--out", str(Path(scratch) / name)]
             timings[name] = timed(
                 lambda _, cmd=cmd: subprocess.run(cmd, env=env, capture_output=True, check=True),
-                CLI_RUNS,
+                min(CLI_RUNS, repeats),
             )
     return timings
 
@@ -346,13 +344,14 @@ def scipy_version() -> str | None:
 
 
 def solve_counts(walk, vectors) -> dict:
-    """Eigensolver calls of track_bands -> refine_system -> limit_measure(s).
+    """Eigensolves of track_bands -> refine_system -> limit_measure(s).
 
-    unitary_eig_vectors and unitary_eig_values count spectral._unitary_eig
-    calls with and without eigenvectors; eig, eigvals and inv count the
-    np.linalg functions.
+    unitary_eig_rows lists the rows of each spectral._unitary_eig call;
+    certificate is whether track_bands solved more than its base grid (the
+    doubling certificate ran); eig, eigvals and inv count the np.linalg
+    functions.
     """
-    counts = {"unitary_eig_vectors": 0, "unitary_eig_values": 0, "eig": 0, "eigvals": 0, "inv": 0}
+    counts = {"unitary_eig_rows": [], "certificate": False, "eig": 0, "eigvals": 0, "inv": 0}
     originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "inv")}
     unitary_eig = spectral._unitary_eig
 
@@ -363,15 +362,16 @@ def solve_counts(walk, vectors) -> dict:
 
         return wrapper
 
-    def counting_unitary_eig(stack, first_pole=None, vectors=True):
-        counts["unitary_eig_vectors" if vectors else "unitary_eig_values"] += 1
-        return unitary_eig(stack, first_pole, vectors)
+    def counting_unitary_eig(stack):
+        counts["unitary_eig_rows"].append(len(stack))
+        return unitary_eig(stack)
 
     for name in originals:
         setattr(np.linalg, name, counting(name))
     spectral._unitary_eig = counting_unitary_eig
     try:
         system = refine_system(track_bands(walk, GRID))
+        counts["certificate"] = len(counts["unitary_eig_rows"]) > 1
         for xi in vectors:
             limit_measure(walk, xi, system)
     finally:
@@ -456,7 +456,7 @@ def main() -> None:
         "stages": {},
         "laurent": laurent_costs(args.repeats),
         "writers": writer_timings(*cases["grover3"][:2], args.repeats),
-        "cli": cli_timings(),
+        "cli": cli_timings(args.repeats),
         "solve_counts": {},
         "accuracy": accuracy(cases),
     }

@@ -258,8 +258,8 @@ def cmd_simulate(args, run: Run) -> str:
 
 
 def cmd_limit(args, run: Run) -> str:
-    walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
+    walk, system = _load_tracked(args.spec, args)
     measure = limit_measure(walk, xi, system)
     run.write_json("measure.json", zio.measure_to_json(measure))
     run.write_csv("measure.csv", zio.write_measure_csv, measure)
@@ -276,8 +276,8 @@ def cmd_compare(args, run: Run) -> str:
         raise SpecFormatError("compare times must be positive")
     if args.mmax < 1:
         raise SpecFormatError(f"--mmax must be at least 1, got {args.mmax}")
-    walk, system = _load_tracked(args.spec, args)
     xi = _load_vector(args.init)
+    walk, system = _load_tracked(args.spec, args)
     measure = limit_measure(walk, xi, system)
     states = [(t, evolve(walk, xi, t)) for t in times]
     rows = compare_moments(measure, states, args.mmax)

@@ -27,21 +27,33 @@ minimum-total-distance assignment on linearly extrapolated values, taken in
 grid order, over each group of eigenvalues within 2 delta of each other; the
 extrapolated prediction stays on the analytic branch through a transversal
 collision, where raw values cannot.  The step permutations are then composed
-once.  Correctness of the whole is still certified the blunt way: the
-refined system must be reproduced when the grid is doubled, otherwise the
-grid keeps doubling until it is.  The certificate compares refined systems,
-not raw cycles, because inside an exactly degenerate eigenspace (a direct
-sum) the raw cycle structure depends on how the solver labels the
-eigenvectors, which changes from grid to grid.
+once.
+
+A step is open when it is uncertified, or when its target point has a
+DEGENERACY_TOL cluster of two or more eigenvalues: matched in index order,
+its members are not told apart as branches (direct sums, crossings).
+A pass with no open step is the analytic continuation: each branch moves
+at most the integral of |lambda'| <= L (Kato, Perturbation Theory, ch. II),
+so at most delta, between points whose n eigenvalues are singletons
+pairwise more than 2 delta apart, and the composed permutation is the
+monodromy.  On the doubled grid each midpoint lies within delta / 2 of
+both neighbours, so its eigenvalues are more than delta apart and every
+doubled step is certified: doubling would compose the same cycles through
+the same even-point values, so it is skipped.  A pass with open steps must
+have its refined system reproduced on the doubled grid; otherwise the
+doubled grid becomes the pass, until one is reproduced or has no open step.
+The certificate compares refined systems, not raw cycles, because inside an
+exactly degenerate eigenspace (a direct sum) the raw cycle structure
+depends on how the solver labels the eigenvectors, which changes from grid
+to grid.
 
 Eigensolver note: U(z) is unitary on the circle, so every grid stack is
 solved as a Hermitian one (_unitary_eig).  The Cayley transform
 T = i (I + W)^-1 (I - W) of W = conj(r) U has U's eigenvectors and maps an
 eigenvalue r e^{i alpha} to tan(alpha / 2), so it is Hermitian and finite
-unless an eigenvalue sits at the pole -r.  The first pole of a row is the
-direction opposite its trace, turned by the small angle of POLE_TILT, or on
-the certificate's midpoints the middle of the widest gap in the spectrum of
-the left grid neighbour.  The pole is checked on every row: ||T||_F, taken
+unless an eigenvalue sits at the pole -r.  Every row's first pole follows
+one rule: the direction opposite its trace, turned by the small angle of
+POLE_TILT.  The pole is checked on every row: ||T||_F, taken
 before T is made Hermitian, must be at most 2 sqrt(n) cot(pi / (2 (n + 1))).
 Rows above it, or with I + W singular, retry with the pole turned by
 2 pi / (n + 1); one of those n + 1 poles is at least pi / (n + 1) from every
@@ -188,28 +200,25 @@ def _cayley(stack: np.ndarray, center: np.ndarray) -> np.ndarray:
         return out
 
 
-def _unitary_eig(stack: np.ndarray, first_pole: np.ndarray | None = None, vectors: bool = True):
-    """Eigenvalues, and orthonormal eigenvectors with `vectors`, of an (M, n, n) unitary stack.
+def _unitary_eig(stack: np.ndarray):
+    """Eigenvalues and orthonormal eigenvectors of an (M, n, n) unitary stack.
 
     The Cayley transform T of each row, its pole check and the retries are
-    the module docstring's eigensolver note; the first pole of row k is
-    `first_pole[k]`, by default the direction opposite its trace turned by
-    POLE_TILT.  The check runs on T itself, before H = (T + T^H) / 2 is
-    formed: symmetrizing would drop the huge skew part of a transform whose
-    pole sits on an eigenvalue.  With vectors, one batched eigh of H and the
-    Rayleigh quotients diag(V^H U V) as eigenvalues (exact on the identity);
-    without, eigvalsh and r (1 + i h) / (1 - i h).  Every step works row by
-    row, so a row gives the same bits alone or in any stack.  Returns
-    (values, vectors) of shapes (M, n) and (M, n, n), or the values alone.
+    the module docstring's eigensolver note; the first pole of a row is the
+    direction opposite its trace, turned by POLE_TILT.  The check runs on T
+    itself, before H = (T + T^H) / 2 is formed: symmetrizing would drop the
+    huge skew part of a transform whose pole sits on an eigenvalue.  One
+    batched eigh of H gives the vectors V, and the Rayleigh quotients
+    diag(V^H U V) the eigenvalues (exact on the identity).  Every step works
+    row by row, so a row gives the same bits alone or in any stack.  Returns
+    (values, vectors) of shapes (M, n) and (M, n, n).
     """
     m, n = stack.shape[:2]
-    if first_pole is None:
-        trace = stack[:, 0, 0].copy()
-        for i in range(1, n):
-            trace += stack[:, i, i]
-        size = np.abs(trace)
-        first_pole = np.where(size > 0, -trace / np.where(size > 0, size, 1.0), 1.0) * POLE_TILT
-    first = -np.asarray(first_pole, dtype=complex)
+    trace = stack[:, 0, 0].copy()
+    for i in range(1, n):
+        trace += stack[:, i, i]
+    size = np.abs(trace)
+    first = np.where(size > 0, trace / np.where(size > 0, size, 1.0), -1.0) * POLE_TILT
     bound = 2.0 * math.sqrt(n) / math.tan(math.pi / (2 * (n + 1)))
     todo = np.arange(m)
     smallest = np.full(m, np.inf)  # each row's least ||T||_F, for the refusal
@@ -222,9 +231,9 @@ def _unitary_eig(stack: np.ndarray, first_pole: np.ndarray | None = None, vector
         size = np.linalg.norm(t, axis=(1, 2))
         passed = size <= bound  # False on NaN
         if attempt:
-            cayley[todo[passed]], center[todo[passed]] = t[passed], r[passed]
+            cayley[todo[passed]] = t[passed]
         else:
-            cayley, center = t, r
+            cayley = t
         smallest[todo] = np.fmin(smallest[todo], size)
         todo = todo[~passed]
         if not todo.size:
@@ -236,25 +245,12 @@ def _unitary_eig(stack: np.ndarray, first_pole: np.ndarray | None = None, vector
             "symbol is not unitary there"
         )
     cayley += cayley.conj().swapaxes(1, 2)  # H = (T + T^H) / 2 in T's own memory
-    herm = np.divide(cayley, 2, out=cayley)
-    if not vectors:
-        h = np.linalg.eigvalsh(herm)
-        return center[:, None] * (1 + 1j * h) / (1 - 1j * h)
-    vecs = np.linalg.eigh(herm)[1]
+    vecs = np.linalg.eigh(np.divide(cayley, 2, out=cayley))[1]
     uv = stack @ vecs
     vals = vecs[:, 0].conj() * uv[:, 0]  # diag(V^H U V), one row of V at a time
     for i in range(1, n):
         vals += vecs[:, i].conj() * uv[:, i]
     return vals, vecs
-
-
-def _gap_poles(vals: np.ndarray) -> np.ndarray:
-    """The middle of the largest angular gap of each (M, n) eigenvalue row."""
-    ang = np.sort(np.angle(vals), axis=1)
-    gaps = np.diff(ang, axis=1, append=ang[:, :1] + 2.0 * np.pi)
-    widest = np.argmax(gaps, axis=1)[:, None]
-    middle = np.take_along_axis(ang + gaps / 2, widest, axis=1)[:, 0]
-    return np.exp(1j * middle)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +323,8 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> np.ndarray:
-    """(M, n) step permutations: row k sends eigenvalue i at point k to row[i] at k + 1.
+def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> tuple[np.ndarray, int]:
+    """(M, n) step permutations (row k sends eigenvalue i at k to row[i] at k + 1), open steps.
 
     `delta` bounds how far any eigenvalue moves in one step, so each one's
     Hoffman-Wielandt partner lies in the group (single linkage) of its
@@ -339,13 +335,17 @@ def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> np.ndarray
     are taken at 2 delta, and each group of two or more is matched by minimum
     total distance from predicted values, in grid order from kstar: a step
     predicts by linear extrapolation through the step before it, except the
-    first, which has no history and predicts the current values.
+    first, which has no history and predicts the current values.  A step is
+    open where it is uncertified or point k + 1 has a cluster of two or more
+    eigenvalues (module docstring).
     """
     grid, n = vals.shape
     target = np.roll(vals, -1, axis=0)  # row k: the spectrum at point k + 1
     linked = _linked(target, DEGENERACY_TOL)
     dist = np.abs(target[:, :, None] - target[:, None, :])
     uncertified = np.min(np.where(linked, np.inf, dist), axis=(1, 2)) <= 2 * delta
+    clustered = np.any(np.count_nonzero(linked, axis=2) > 1, axis=1)
+    open_steps = int(np.count_nonzero(uncertified | clustered))
     linked[uncertified] = _linked(target[uncertified], 2 * delta)
     label = np.argmax(linked, axis=2)  # smallest index in each cluster or group
     nearest = np.argmin(np.abs(vals[:, :, None] - target[:, None, :]), axis=2)
@@ -368,23 +368,24 @@ def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> np.ndarray
             rows, cols = np.flatnonzero(source[k] == g), np.flatnonzero(label[k] == g)
             cost = np.abs(predicted[rows, None] - target[k, cols])
             steps[k, rows] = cols[_min_cost_assignment(cost)]
-    return steps
+    return steps, open_steps
 
 
-def _track_cycles(vals: np.ndarray, lipschitz: float) -> list[tuple[int, np.ndarray]]:
-    """Track branches through the (M, n) eigenvalue lists; return (d, samples) cycles.
+def _track_cycles(vals: np.ndarray, lipschitz: float) -> tuple[list, int]:
+    """Track branches through the (M, n) eigenvalue lists.
 
-    `lipschitz` bounds ||dU/dtheta||_F (see _lipschitz).  The pass starts at
-    the grid point where the spectrum is best separated, so the single
-    history-free first step never straddles a collision that extrapolation
-    would have been needed for.
+    Returns the (d, samples) cycles and the pass's number of open steps
+    (_step_permutations).  `lipschitz` bounds ||dU/dtheta||_F (see
+    _lipschitz).  The pass starts at the grid point where the spectrum is
+    best separated, so the single history-free first step never straddles a
+    collision that extrapolation would have been needed for.
     """
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
     start = vals[kstar]
     order0 = np.lexsort((start.imag, start.real, np.angle(start)))
     # chain[j] composes the pass's first j + 1 steps (inclusive scan by doubling)
-    steps = _step_permutations(vals, lipschitz * 2.0 * np.pi / grid, kstar)
+    steps, open_steps = _step_permutations(vals, lipschitz * 2.0 * np.pi / grid, kstar)
     chain = np.roll(steps, -kstar, axis=0)
     offset = 1
     while offset < grid:
@@ -412,7 +413,7 @@ def _track_cycles(vals: np.ndarray, lipschitz: float) -> list[tuple[int, np.ndar
         seq = np.concatenate([path_vals[b, :grid] for b in cycle])
         samples = np.roll(seq, kstar)  # covering index 0 <-> base point z = 1
         cycles.append((d, _canonical_rotation(samples, grid)))
-    return cycles
+    return cycles, open_steps
 
 
 def _canonical_rotation(samples: np.ndarray, base_grid: int) -> np.ndarray:
@@ -468,11 +469,11 @@ def _finish_system(
     return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
-def _build_system(vals: np.ndarray, lipschitz: float) -> EigenSystem:
-    """The refined system tracked through the (M, n) eigenvalues of a circle grid."""
+def _build_system(vals: np.ndarray, lipschitz: float) -> tuple[EigenSystem, int]:
+    """The refined system tracked through (M, n) grid eigenvalues, and its open steps."""
     grid, n = vals.shape
-    cycles = [(d, s, 1) for d, s in _track_cycles(vals, lipschitz)]
-    return _finish_system(cycles, n, grid)
+    cycles, open_steps = _track_cycles(vals, lipschitz)
+    return _finish_system([(d, s, 1) for d, s in cycles], n, grid), open_steps
 
 
 def _require_unitary(walk: SymbolMatrix) -> None:
@@ -520,32 +521,23 @@ def valid_base_grid(grid: int) -> bool:
 def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> EigenSystem:
     """Track the eigenvalue branches of a unitary symbol around the circle.
 
-    Eigenvalues are computed at `base_grid` uniform points and matched between
-    adjacent points under the per-step Hoffman-Wielandt certificate of the
-    module docstring: with L = sum_s |s| ||C_s||_F no eigenvalue moves
-    further than delta = 2 pi L / M in one step, so where the next point's
-    eigenvalue clusters lie more than 2 delta apart each eigenvalue goes to
-    its nearest cluster, all such steps in one batched argmin.  The remaining
-    steps, near crossings the grid does not resolve, match extrapolated
-    values by minimum total distance within each group of eigenvalues closer
-    than 2 delta.  The step permutations compose into one permutation whose
-    cycles give covering degrees.  The result is refined: each cycle is
-    contracted to its minimal rotation period (samples repeating to within
-    DEFAULT_TOL), and branches coinciding everywhere merge into one band with
-    a multiplicity, so refine_system leaves it unchanged.  Each band carries
+    Eigenvalues and orthonormal eigenvectors are solved at `base_grid`
+    uniform points and matched between adjacent points under the per-step
+    Hoffman-Wielandt certificate of the module docstring (no eigenvalue
+    moves further than delta = 2 pi L / M, L = sum_s |s| ||C_s||_F); the
+    step permutations compose into one permutation whose cycles give
+    covering degrees.  The result is refined: each cycle is contracted to
+    its minimal rotation period (samples repeating to within DEFAULT_TOL),
+    and branches coinciding everywhere merge into one band with a
+    multiplicity, so refine_system leaves it unchanged.  Each band carries
     its winding, validated once here: an under-resolved winding raises
-    ResolutionError.  The refined system must be reproduced at twice the
-    resolution, band samples agreeing to within DEFAULT_TOL, before it is
-    returned; the grid doubles until that holds or MAX_GRID is exceeded.
-    Every other point of the doubled grid is a point of the current one (the
-    grid phases are reduced exactly in integers), so only the new midpoints
-    are solved, for eigenvalues only, each with its first Cayley pole in the
-    widest gap of its left neighbour's spectrum (module docstring).  The
-    base grid is solved with orthonormal eigenvectors; when the grid
-    doubles, the midpoints are solved again with vectors and the system is
-    rebuilt from those values, so the returned system's samples always come
-    from vector solves, and it keeps its grid's decomposition for
-    band_projections, tied to this walk.
+    ResolutionError.  A pass with an open step must be reproduced at twice
+    the resolution, band samples agreeing to within DEFAULT_TOL; otherwise
+    the doubled grid becomes the pass, until a pass is reproduced or has no
+    open step, or MAX_GRID is exceeded.  The doubled grid's even points are
+    the current ones (grid phases are reduced exactly in integers), so only
+    its midpoints are solved, once.  The returned system keeps its grid's
+    decomposition for band_projections, tied to this walk.
 
     Parameters
     ----------
@@ -553,7 +545,8 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
         Must pass the unitarity check.
     base_grid : int
         Power of two in 64..MAX_GRID/2.  The returned system lives on the first
-        grid at or above this size whose structure is stable under doubling.
+        grid at or above this size with no open step or whose structure is
+        stable under doubling.
     """
     if not valid_base_grid(base_grid):
         raise DomainError(f"base_grid {base_grid} is not a power of two in 64..{MAX_GRID // 2}")
@@ -561,27 +554,23 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     grid = base_grid
     lipschitz = _lipschitz(walk)
     vals, vecs = _unitary_eig(walk.grid_eval(grid))
-    system = _build_system(vals, lipschitz)
-    while True:
+    system, open_steps = _build_system(vals, lipschitz)
+    while open_steps:
         if 2 * grid > MAX_GRID:
             raise ResolutionError(
                 f"grid resolution exceeded ({MAX_GRID}) without stable tracking"
             )
         finer_vals = np.empty((2 * grid, walk.n), dtype=complex)
-        finer_vals[::2] = vals
-        finer_vals[1::2] = _unitary_eig(
-            walk.grid_eval(2 * grid)[1::2], _gap_poles(vals), vectors=False
-        )
-        shared = _subsample_system(_build_system(finer_vals, lipschitz), grid)
-        if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
-            object.__setattr__(system, "_solved", (walk, vals, vecs))
-            return system
         finer_vecs = np.empty((2 * grid, walk.n, walk.n), dtype=complex)
-        finer_vecs[::2] = vecs
+        finer_vals[::2], finer_vecs[::2] = vals, vecs
         finer_vals[1::2], finer_vecs[1::2] = _unitary_eig(walk.grid_eval(2 * grid)[1::2])
-        grid *= 2
-        vals, vecs = finer_vals, finer_vecs
-        system = _build_system(vals, lipschitz)
+        finer, finer_open = _build_system(finer_vals, lipschitz)
+        shared = _subsample_system(finer, grid)
+        if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
+            break
+        grid, vals, vecs, system, open_steps = 2 * grid, finer_vals, finer_vecs, finer, finer_open
+    object.__setattr__(system, "_solved", (walk, vals, vecs))
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +821,7 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
         members = np.flatnonzero(label[k] == c)
         block = left[k, members] @ derivative[k] @ vecs[k][:, members]
         block /= 1j * evals[k, members, None]
-        cluster_slopes = np.linalg.eigvalsh((block + block.conj().T) / 2)  # ascending
+        cluster_slopes = np.linalg.eigh((block + block.conj().T) / 2)[0]  # ascending
         slots = np.flatnonzero(slot_cluster[k] == c)
         mult = system.bands[slot_band[slots[0]]].multiplicity
         # slot (M-1, i) continues as (0, i+1), so the seam looks back instead

@@ -324,8 +324,10 @@ def full_grid_track_bands(
 ) -> EigenSystem:
     """Reference for `zqwalk.track_bands`: every doubled grid solved in full.
 
-    Each grid is solved row by row with eigenvectors, as track_bands solves
-    every grid it returns, so the two agree bit for bit.  With `assignment`,
+    The doubling certificate always runs here, also on a pass with no open
+    step, where track_bands skips it.  Each grid is solved row by row with
+    eigenvectors, as track_bands solves every grid, so the two agree bit for
+    bit.  With `assignment`,
     branches are matched by `assignment_track_cycles` instead of the
     certified matcher.
     """
@@ -333,7 +335,7 @@ def full_grid_track_bands(
 
     def build(vals):
         if not assignment:
-            return _build_system(vals, lipschitz)
+            return _build_system(vals, lipschitz)[0]
         cycles = [(d, s, 1) for d, s in assignment_track_cycles(vals)]
         return _finish_system(cycles, vals.shape[1], vals.shape[0])
 

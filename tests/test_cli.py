@@ -626,7 +626,7 @@ def test_script_runs(argv, tmp_path):
 
 
 BENCH_STAGES = {
-    "grid_eval", "eigvals", "eig", "np_eig", "track_bands", "band_projections_first",
+    "grid_eval", "eig", "np_eig", "track_bands", "band_projections_first",
     "band_projections_repeat", "limit_measure",
     "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
     "char_poly", "verify_cayley_hamilton", "build_model_walk",
@@ -648,10 +648,13 @@ def test_bench_script_writes_report(tmp_path):
         assert set(stages) == BENCH_STAGES
         assert all(0 < s["q25_s"] <= s["median_s"] <= s["q75_s"] for s in stages.values())
         # one eigendecomposition serves tracking and both vectors, with no
-        # inverse and no general eigensolver
-        counts = report["solve_counts"][name]
-        assert counts.pop("unitary_eig_values") >= 1, name  # the certificate's midpoints
-        assert counts == {"unitary_eig_vectors": 1, "eig": 0, "eigvals": 0, "inv": 0}, name
+        # inverse and no general eigensolver; only grover3's crossing at
+        # z = 1 leaves steps open, so only its certificate solves midpoints
+        certified = name == "grover3"
+        assert report["solve_counts"][name] == {
+            "unitary_eig_rows": [1024] * (1 + certified), "certificate": certified,
+            "eig": 0, "eigvals": 0, "inv": 0,
+        }, name
     accuracy = report["accuracy"]
     assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
     assert accuracy["grover3_atom_err"] < 1e-12
@@ -674,7 +677,7 @@ def test_bench_script_writes_report(tmp_path):
     }
     for timing in [*laurent.values(), *report["writers"].values(), *report["cli"].values()]:
         assert 0 < timing["q25_s"] <= timing["median_s"] <= timing["q75_s"]
-    assert {timing["runs"] for timing in report["cli"].values()} == {5}
+    assert {timing["runs"] for timing in report["cli"].values()} == {1}  # min(5, --repeats)
 
 
 def test_bench_script_times_stages_against_a_checkout(tmp_path):
@@ -788,6 +791,27 @@ def test_cli_unreadable_spec_exits_2(spec_dir, tmp_path, capsys, case):
         assert run_cli(*argv, "--out", out) == 2
         assert capsys.readouterr().err.startswith(f"error: {unreadable}: cannot read spec")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["limit", "compare"])
+def test_cli_reads_init_before_tracking(spec_dir, tmp_path, capsys, monkeypatch, command):
+    import zqwalk.cli
+
+    tracked = []
+    monkeypatch.setattr(
+        zqwalk.cli, "track_bands", lambda *args: tracked.append(args) or track_bands(*args)
+    )
+    missing = tmp_path / "missing.json"
+    argv = [command, spec_dir / "hadamard.json", "--init", missing, "--grid", 64]
+    if command == "compare":
+        argv += ["--t", "10"]
+    assert run_cli(*argv, "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read spec")
+    assert tracked == []
+    # both inputs bad: the vector's error is the one reported
+    argv[1] = tmp_path / "also_missing.json"
+    assert run_cli(*argv, "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: cannot read spec")
 
 
 def test_cli_bad_json_exit_code(tmp_path, capsys):

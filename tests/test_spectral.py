@@ -112,6 +112,42 @@ def test_certificate_reuses_coarse_eigenvalues(corpus):
     assert track_bands(cases[-2][0], 64).base_grid == 128
 
 
+def _certificate_corpus():
+    """Seeded split steps, coupled direct sums and near-identity coins, for grid 64."""
+    walks = {
+        f"split_step_{i}": random_split_step_walk(
+            np.random.default_rng(3000 + i), 2 + i % 7, 1 + i % 3
+        )
+        for i in range(40)
+    }
+    rng = np.random.default_rng(3100)
+    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h, v = np.linalg.eigh(k + k.conj().T)
+    for eps in (0.0, 1e-9, 1e-7, 1e-4):
+        coupling = SymbolMatrix.from_constant((v * np.exp(1j * eps * h)) @ v.conj().T)
+        walks[f"coupled_sum_{eps}"] = compose(
+            coupling, direct_sum(coined_walk(), coined_walk())
+        )
+    for eps in (0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
+        walks[f"near_identity_{eps}"] = coined_walk(np.sqrt(1 - eps), np.sqrt(eps))
+    return walks
+
+
+def test_skipped_certificate_matches_always_doubling_oracle(monkeypatch):
+    # a pass with no open step is the analytic continuation, so the doubling
+    # it skips could only have reproduced it; a pass with open steps still
+    # doubles until reproduced, so both give the oracle's system bit for bit
+    solves = _record_solves(monkeypatch)
+    certified = {}
+    for name, walk in _certificate_corpus().items():
+        solves.clear()
+        system = track_bands(walk, 64)
+        certified[name] = len(solves) > 1
+        assert system == full_grid_track_bands(walk, 64), name
+    assert not certified["split_step_0"] and not certified["near_identity_0.5"]
+    assert certified["coupled_sum_0.0"] and certified["near_identity_0.001"]
+
+
 def _matcher_corpus():
     """The walks the certified matcher is checked on against the assignment oracle."""
     walks = {"near_crossing": coined_walk(np.sqrt(1 - 1e-6), 1e-3)}
@@ -232,9 +268,9 @@ def test_windings_are_computed_once_when_tracking(monkeypatch):
 
     monkeypatch.setattr(zqwalk.spectral, "winding_of_samples", counting)
     system = track_bands(modified_coined_walk(), 256)
-    # one argument pass per band of each system built: the double-cover band
-    # on grid 256, then on the doubled grid of the certificate
-    assert calls == [512, 1024]
+    # one argument pass per band of the one system built: the double-cover
+    # band on grid 256 (no step is open, so the certificate does not run)
+    assert calls == [512]
     calls.clear()
     assert winding_numbers(system) == [1]
     assert total_winding(system) == 1
@@ -617,19 +653,11 @@ def test_unitary_eig_solves_unitary_stacks():
         assert _matched_error(vals, want) <= 1e-13, name
         assert np.max(np.abs(vecs.conj().swapaxes(1, 2) @ vecs - np.eye(n))) <= n * 1e-14, name
         assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-13, name
-        # values alone come back on the circle, so a near-unitary stack's
-        # eigenvalues are off them by up to its deviation from unitarity
-        values = _unitary_eig(stack, vectors=False)
-        gram = stack.conj().swapaxes(1, 2) @ stack - np.eye(n)
-        deviation = float(np.max(np.linalg.norm(gram, ord=2, axis=(1, 2))))
-        assert _matched_error(values, want) <= 1e-13 + deviation, name
         # every step works row by row: a row alone gives the same bits
         for k in (0, 1, len(stack) // 3, len(stack) - 1):
-            row = stack[k : k + 1]
-            alone_vals, alone_vecs = _unitary_eig(row)
+            alone_vals, alone_vecs = _unitary_eig(stack[k : k + 1])
             assert np.array_equal(alone_vals[0], vals[k]), name
             assert np.array_equal(alone_vecs[0], vecs[k]), name
-            assert np.array_equal(_unitary_eig(row, vectors=False)[0], values[k]), name
         if name == "identity":
             assert np.all(vals == 1.0)
 
@@ -645,20 +673,20 @@ def test_unitary_eig_retries_only_rows_whose_pole_fails(monkeypatch):
         return cayley(stack, center)
 
     monkeypatch.setattr(spectral, "_cayley", recorded)
-    # pole 1 on the eigenvalue 1 of diag(1, -1): I + W is exactly singular,
-    # so solve raises; the diag(i, -i) rows pass with that pole
+    # unturned, the first pole of a zero-trace row is 1, on the eigenvalue 1
+    # of diag(1, -1): I + W is exactly singular, so solve raises; the
+    # diag(i, -i) rows pass with that pole
+    monkeypatch.setattr(spectral, "POLE_TILT", 1.0)
     stack = np.concatenate([
         np.tile(np.diag([1.0, -1.0]).astype(complex), (3, 1, 1)),
         np.tile(np.diag([1j, -1j]), (5, 1, 1)),
     ])
     slogdet = _count_calls(monkeypatch, "slogdet")
-    vals, vecs = _unitary_eig(stack, first_pole=np.ones(8, dtype=complex))
+    vals, vecs = _unitary_eig(stack)
     assert rows == [8, 3]
     assert slogdet == {"slogdet": 1}  # found the singular rows after solve raised
     assert _matched_error(vals, np.linalg.eigvals(stack)) <= 1e-15
     assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-15
-    values = _unitary_eig(stack, first_pole=np.ones(8, dtype=complex), vectors=False)
-    assert _matched_error(values, np.linalg.eigvals(stack)) <= 1e-15
 
 
 def test_unitary_eig_refuses_a_row_no_pole_conditions():
@@ -670,7 +698,7 @@ def test_unitary_eig_refuses_a_row_no_pole_conditions():
     least, bound = map(float, found.groups())
     assert bound < least < 1e4  # the refused row's norms, not the passing row's
     with pytest.raises(ResolutionError, match="no Cayley pole"):
-        _unitary_eig(np.full((1, 2, 2), np.nan, dtype=complex), vectors=False)
+        _unitary_eig(np.full((1, 2, 2), np.nan, dtype=complex))
 
 
 # -- one eigendecomposition per walk and grid ------------------------------------------
@@ -691,14 +719,14 @@ def _count_calls(monkeypatch, *names):
 
 
 def _record_solves(monkeypatch):
-    """(rows, vectors) of every spectral._unitary_eig call from here on."""
+    """The rows of every spectral._unitary_eig call from here on."""
     import zqwalk.spectral as spectral
 
     solves = []
 
-    def recorded(stack, first_pole=None, vectors=True):
-        solves.append((len(stack), vectors))
-        return _unitary_eig(stack, first_pole, vectors)
+    def recorded(stack):
+        solves.append(len(stack))
+        return _unitary_eig(stack)
 
     monkeypatch.setattr(spectral, "_unitary_eig", recorded)
     return solves
@@ -722,20 +750,23 @@ def test_one_eigensolve_per_walk_and_grid(name, corpus, monkeypatch):
     for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
         assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
     # tracking's eigendecomposition serves both vectors; V is orthonormal, so
-    # no inverse, and no general eigensolver runs anywhere in the chain
-    assert [rows for rows, vectors in solves if vectors] == [M]
+    # no inverse, and no general eigensolver runs anywhere in the chain.
+    # grover3's crossing at z = 1 leaves steps open, so its certificate
+    # solves the M midpoints; the others have no open step and skip it
+    assert solves == {"coined": [M], "grover3": [M, M], "split_n6": [M]}[name]
     assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
 
 
 def test_escalated_system_keeps_its_decomposition(monkeypatch):
-    # base 64 is not reproduced at 128: the new rows are solved with vectors
-    # once, and the measures reuse the grid-128 decomposition
+    # base 64 is not reproduced at 128: the certificate's 64 midpoints become
+    # rows of grid 128, which still has open steps and is certified by its
+    # own 128 midpoints; the measures reuse the grid-128 decomposition
     walk = random_split_step_walk(np.random.default_rng(5010), 5, 2)
     counts = _count_calls(monkeypatch, "eig", "eigvals", "inv")
     solves = _record_solves(monkeypatch)
     system = refine_system(track_bands(walk, 64))
     assert system.base_grid == 128
-    assert [rows for rows, vectors in solves if vectors] == [64, 64]
+    assert solves == [64, 64, 128]
     tracked = len(solves)
     rng = np.random.default_rng(5011)
     for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
