@@ -52,9 +52,9 @@ solved as a Hermitian one (_unitary_eig).  The Cayley transform
 T = i (I + W)^-1 (I - W) of W = conj(r) U has U's eigenvectors and maps an
 eigenvalue r e^{i alpha} to tan(alpha / 2), so it is Hermitian and finite
 unless an eigenvalue sits at the pole -r.  Every row's first pole follows
-one rule: the direction opposite its trace, turned by the small angle of
-POLE_TILT.  The pole is checked on every row: ||T||_F, taken
-before T is made Hermitian, must be at most 2 sqrt(n) cot(pi / (2 (n + 1))).
+one rule: the direction opposite its trace, turned by POLE_TURN times the
+retry turn, pi / (2 (n + 1)).  The pole is checked on every row: ||T||_F,
+taken before T is made Hermitian, must be at most 2 sqrt(n) cot(pi / (2 (n + 1))).
 Rows above it, or with I + W singular, retry with the pole turned by
 2 pi / (n + 1); one of those n + 1 poles is at least pi / (n + 1) from every
 eigenvalue, where ||T||_F is at most half the bound, so a unitary row always
@@ -95,9 +95,10 @@ DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
 MAX_GRID = 1 << 16
-# Default Cayley pole turn: off the trace axis, so exact flat bands at +-1 and
-# +-i (Grover's lambda = 1) never sit on it.
-POLE_TILT = np.exp(0.0123j)
+# Turn of the first Cayley pole off the trace axis, as a fraction of the retry
+# turn 2 pi / (n + 1): exact flat bands at +-1 and +-i (Grover's lambda = 1)
+# never sit on it, and of the turns measured a quarter retries fewest rows.
+POLE_TURN = 0.25
 WINDING_RESIDUAL = 0.01
 
 
@@ -205,7 +206,7 @@ def _unitary_eig(stack: np.ndarray):
 
     The Cayley transform T of each row, its pole check and the retries are
     the module docstring's eigensolver note; the first pole of a row is the
-    direction opposite its trace, turned by POLE_TILT.  The check runs on T
+    direction opposite its trace, turned by POLE_TURN.  The check runs on T
     itself, before H = (T + T^H) / 2 is formed: symmetrizing would drop the
     huge skew part of a transform whose pole sits on an eigenvalue.  One
     batched eigh of H gives the vectors V, and the Rayleigh quotients
@@ -218,7 +219,7 @@ def _unitary_eig(stack: np.ndarray):
     for i in range(1, n):
         trace += stack[:, i, i]
     size = np.abs(trace)
-    first = np.where(size > 0, trace / np.where(size > 0, size, 1.0), -1.0) * POLE_TILT
+    first = np.where(size > 0, trace / np.where(size > 0, size, 1.0), -1.0)
     bound = 2.0 * math.sqrt(n) / math.tan(math.pi / (2 * (n + 1)))
     todo = np.arange(m)
     smallest = np.full(m, np.inf)  # each row's least ||T||_F, for the refusal
@@ -226,7 +227,7 @@ def _unitary_eig(stack: np.ndarray):
         rows = todo if attempt else slice(None)  # the first pole takes every row, uncopied
         # out of place: an in-place complex product of one element rounds
         # differently, and a row must not depend on its stack
-        r = first[rows] * np.exp(2j * math.pi * attempt / (n + 1))
+        r = first[rows] * np.exp(2j * math.pi * (attempt + POLE_TURN) / (n + 1))
         t = _cayley(stack[rows], r)
         size = np.linalg.norm(t, axis=(1, 2))
         passed = size <= bound  # False on NaN

@@ -676,7 +676,7 @@ def test_unitary_eig_retries_only_rows_whose_pole_fails(monkeypatch):
     # unturned, the first pole of a zero-trace row is 1, on the eigenvalue 1
     # of diag(1, -1): I + W is exactly singular, so solve raises; the
     # diag(i, -i) rows pass with that pole
-    monkeypatch.setattr(spectral, "POLE_TILT", 1.0)
+    monkeypatch.setattr(spectral, "POLE_TURN", 0.0)
     stack = np.concatenate([
         np.tile(np.diag([1.0, -1.0]).astype(complex), (3, 1, 1)),
         np.tile(np.diag([1j, -1j]), (5, 1, 1)),
