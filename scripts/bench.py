@@ -14,9 +14,19 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 - limit_measure: the first measure on a freshly tracked system;
 - evolve_t400, evolve_t1600, evolve_t6400: dense evolution of the delta;
 - verify_unitary_symbol, char_poly, verify_cayley_hamilton: the circle-grid
-  checks of `zqwalk check` (unitarity on 256 points, Cayley-Hamilton);
+  checks of `zqwalk check` (unitarity on 256 points, Cayley-Hamilton, its
+  char poly included);
+- symbol_power_t64: the exact symbol U^64;
 - build_model_walk: the model walk of the first tracked band's Fourier
-  coefficients, its |lambda| = 1 check included.
+  coefficients, its |lambda| = 1 check included;
+- rearrangement_check: that model walk against its interleaved 1-channel
+  form on two vectors, the walk built inside the stage.
+
+A walk keeps its unitarity verdict and char poly, and a model spec its walk,
+so track_bands, the three checks, build_model_walk and rearrangement_check
+each get a fresh copy of the walk or spec, made outside the timed call: every
+stage times the work, not a lookup, on this checkout and on an --against
+checkout without those caches alike.
 
 Laurent objects: the tracemalloc peak of parsing the spec of diag(1, z^1000000)
 (two live terms across a span of 10^6 + 1 shifts), and the per-call cost of
@@ -218,11 +228,14 @@ def stages(zq, walk, delta, other) -> dict:
         zq.band_projections(walk, system, xh)
         return system
 
+    def fresh_walk():
+        return zq.SymbolMatrix.from_terms(walk.shifts, walk.coeffs)
+
     out = {
         "grid_eval": (lambda _: walk.grid_eval(GRID), None),
         "eig": (lambda _: eig(stack), None),
         "np_eig": (lambda _: np.linalg.eig(stack), None),
-        "track_bands": (lambda _: zq.track_bands(walk, GRID), None),
+        "track_bands": (lambda w: zq.track_bands(w, GRID), fresh_walk),
         "band_projections_first": (lambda s: zq.band_projections(walk, s, xh), tracked),
         "band_projections_repeat": (lambda s: zq.band_projections(walk, s, xh2), projected_once),
         "limit_measure": (lambda s: zq.limit_measure(walk, delta, s), tracked),
@@ -230,12 +243,23 @@ def stages(zq, walk, delta, other) -> dict:
     for t in TIMES:
         out[f"evolve_t{t}"] = (lambda _, t=t: zq.evolve(walk, delta, t), None)
     band = zq.track_bands(walk, GRID).bands[0]
-    model = zq.ModelWalkSpec(band.d, zq.lambda_coeffs_from_samples(band.samples))
+    lam = zq.lambda_coeffs_from_samples(band.samples)
+    vectors = [
+        zq.StateVector.delta(0, 1, band.d),
+        zq.StateVector({(s, k): complex(s, k) for s in range(-3, 4) for k in range(1, band.d + 1)},
+                       band.d),
+    ]
+
+    def fresh_spec():
+        return zq.ModelWalkSpec(band.d, lam)
+
     out.update(
-        verify_unitary_symbol=(lambda _: zq.verify_unitary_symbol(walk), None),
-        char_poly=(lambda _: zq.char_poly(walk), None),
-        verify_cayley_hamilton=(lambda _: zq.verify_cayley_hamilton(walk, 256), None),
-        build_model_walk=(lambda _: zq.build_model_walk(model), None),
+        verify_unitary_symbol=(lambda w: zq.verify_unitary_symbol(w), fresh_walk),
+        char_poly=(lambda w: zq.char_poly(w), fresh_walk),
+        verify_cayley_hamilton=(lambda w: zq.verify_cayley_hamilton(w, 256), fresh_walk),
+        symbol_power_t64=(lambda _: zq.symbol_power(walk, 64), None),
+        build_model_walk=(lambda spec: zq.build_model_walk(spec), fresh_spec),
+        rearrangement_check=(lambda spec: zq.rearrangement_check(spec, vectors), fresh_spec),
     )
     return out
 

@@ -156,7 +156,9 @@ def cdf_distance(measure: LimitMeasure, dist, t: int) -> float:
     count = len(dist.probs)
     sites = np.fromiter(dist.probs.keys(), dtype=float, count=count) / t
     probs = np.fromiter(dist.probs.values(), dtype=float, count=count)
-    grid = np.union1d(locations, sites)
+    # every jump point, duplicates included: they do not change the sup, and
+    # np.union1d would import numpy.ma on its first call
+    grid = np.concatenate([locations, sites])
     gap = _cdf_at(locations, masses, grid) - _cdf_at(sites, probs, grid)
     return float(np.max(np.abs(gap), initial=0.0))
 

@@ -2,7 +2,8 @@
 
 A state is three read-only arrays (sites, channels, values) sorted by (site,
 channel), each key once, no exact zeros; `_settle` builds that layout for
-every producer.  Single applications are exact sparse convolutions, the
+every producer but channel interleaving (model.py), whose increasing key map
+keeps it and which wraps its arrays with `_sorted_state`.  Single applications are exact sparse convolutions, the
 reference the long evolutions are tested against.  Long evolutions go through
 the symbol: a finite-propagation symbol splits exactly as U(z) = z^m0 V(z^g),
 the shift factor moves every site by m0 t, and V^t, a polynomial of degree
@@ -97,9 +98,7 @@ def _settle(sites, channels, values, n: int) -> StateVector:
     """
     sites, channels = np.ravel(sites), np.ravel(channels)
     values = np.ravel(np.asarray(values, dtype=complex))
-    far = (sites < -MAX_SITE) | (sites > MAX_SITE)
-    if far.any():
-        raise DomainError(f"site {sites[far][0]} outside -2**53..2**53")
+    _require_sites(sites)
     stray = (channels < 1) | (channels > n)
     if stray.any():
         raise DomainError(f"channel {channels[stray][0]} outside 1..{n}")
@@ -114,10 +113,20 @@ def _settle(sites, channels, values, n: int) -> StateVector:
         np.add.at(summed, np.cumsum(first) - 1, values)
         sites, channels, values = sites[first], channels[first], summed
     live = values != 0
+    return _sorted_state(sites[live], channels[live], values[live], n)
+
+
+def _require_sites(sites: np.ndarray) -> None:
+    far = (sites < -MAX_SITE) | (sites > MAX_SITE)
+    if far.any():
+        raise DomainError(f"site {sites[far][0]} outside -2**53..2**53")
+
+
+def _sorted_state(sites, channels, values, n: int) -> StateVector:
+    """The state of arrays already in _settle's layout, marked read-only in place."""
     xi = object.__new__(StateVector)
     object.__setattr__(xi, "n", n)
     for name, array in (("sites", sites), ("channels", channels), ("values", values)):
-        array = array[live]
         array.flags.writeable = False
         object.__setattr__(xi, name, array)
     return xi

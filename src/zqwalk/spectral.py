@@ -418,14 +418,23 @@ def _track_cycles(vals: np.ndarray, lipschitz: float) -> tuple[list, int]:
 
 
 def _canonical_rotation(samples: np.ndarray, base_grid: int) -> np.ndarray:
-    """Fix the rotation gauge: start the loop at the smallest initial argument."""
+    """Fix the rotation gauge: start the loop at the smallest initial argument.
+
+    The argument is rounded into (-pi, pi] with -pi read as +pi, so a value on
+    the negative real axis gets one key whatever the sign of its roundoff
+    imaginary part.  Sheets that start at the same value are ordered by the
+    turn of the argument to their next sample, the smaller first.
+    """
     d = len(samples) // base_grid
     if d == 1:
         return samples
     candidates = [np.roll(samples, -i * base_grid) for i in range(d)]
-    keys = [
-        (round(float(np.angle(c[0])), 9), round(float(c[0].real), 12)) for c in candidates
-    ]
+    half_turn = round(np.pi, 9)
+    keys = []
+    for c in candidates:
+        angle = round(float(np.angle(c[0])), 9)
+        turn = round(float(np.angle(c[1] / c[0])), 9)
+        keys.append((half_turn if angle == -half_turn else angle, turn))
     return candidates[min(range(d), key=keys.__getitem__)]
 
 

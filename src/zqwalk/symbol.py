@@ -11,6 +11,13 @@ module also provides the characteristic polynomial interpolated from a circle
 grid (any dimension), unitarity and Cayley-Hamilton verification on circle
 grids, and the decay class that `check` reports: finite propagation with its
 radius.
+
+A walk keeps its exact invariants: the first char_poly and the first
+verify_unitary_symbol of a SymbolMatrix are stored on it, and later calls
+return them.  Its shifts and coefficients are read-only, so they cannot go
+stale.  verify_cayley_hamilton reuses the stored char poly and evaluates it
+at U(z) by Paterson-Stockmeyer: about 2 sqrt(n) grid-stack products, not
+n + 1.
 """
 
 from __future__ import annotations
@@ -34,11 +41,15 @@ class SymbolMatrix:
 
     `SymbolMatrix(n, entries)` converts an n x n matrix of LaurentPoly entries,
     which `entries` rebuilds on demand; `from_terms` takes the two arrays.
+    The verdicts `_unitarity` and `_char_poly` are not fields: char_poly and
+    verify_unitary_symbol set them on first use, and __eq__ and repr ignore them.
     """
 
     n: int
     shifts: np.ndarray
     coeffs: np.ndarray
+    _unitarity = None
+    _char_poly = None
 
     def __init__(self, n: int, entries) -> None:
         rows = tuple(tuple(row) for row in entries)
@@ -119,13 +130,17 @@ def verify_unitary_symbol(walk: SymbolMatrix) -> UnitarityReport:
 
     U*U - I has shifts |s| <= 2R (R the propagation radius), so the grid has
     max(UNITARY_GRID, least power of two > 4R) points: a deviation of the
-    symbol cannot alias away.  The walk passes below UNITARY_TOL.
+    symbol cannot alias away.  The walk passes below UNITARY_TOL.  The report
+    is computed once per walk and kept on it, so track_bands, are_conjugate
+    and the CLI loaders check a walk they share once.
     """
-    vals = walk.grid_eval(alias_free_grid(UNITARY_GRID, 4 * walk.propagation_radius))
-    eye = np.eye(walk.n)
-    dev = np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye
-    max_dev = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
-    return UnitarityReport(max_dev < UNITARY_TOL, max_dev)
+    if walk._unitarity is None:
+        vals = walk.grid_eval(alias_free_grid(UNITARY_GRID, 4 * walk.propagation_radius))
+        eye = np.eye(walk.n)
+        dev = np.conj(np.transpose(vals, (0, 2, 1))) @ vals - eye
+        max_dev = float(np.max(np.linalg.norm(dev, axis=(1, 2))))
+        object.__setattr__(walk, "_unitarity", UnitarityReport(max_dev < UNITARY_TOL, max_dev))
+    return walk._unitarity
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,16 +214,25 @@ def direct_sum(*walks: SymbolMatrix) -> SymbolMatrix:
 
 
 def symbol_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
-    """Exact t-th power (t >= 0) of the symbol by repeated squaring."""
+    """Exact t-th power (t >= 0) of the symbol by repeated squaring.
+
+    The product starts as the power of t's lowest set bit and takes the
+    higher bits' squares in on the right.
+    """
     if t < 0:
         raise DomainError("negative powers not supported; use adjoint first")
-    result = SymbolMatrix.identity(walk.n)
+    if t == 0:
+        return SymbolMatrix.identity(walk.n)
     base = walk
-    while t:
+    while not t & 1:
+        base = compose(base, base)
+        t >>= 1
+    result = base
+    while t > 1:
+        base = compose(base, base)
+        t >>= 1
         if t & 1:
             result = compose(result, base)
-        base = compose(base, base) if t > 1 else base
-        t >>= 1
     return result
 
 
@@ -238,8 +262,14 @@ def char_poly(walk: SymbolMatrix) -> CharPoly:
     (R the propagation radius), so a grid of more than 2*n*R points holds it
     exactly up to roundoff.  Faddeev-LeVerrier runs batched over the grid and
     one batched FFT returns all coefficients to the Laurent ring; there is no
-    dimension cap.
+    dimension cap.  The polynomial is computed once per walk and kept on it.
     """
+    if walk._char_poly is None:
+        object.__setattr__(walk, "_char_poly", _faddeev_leverrier(walk))
+    return walk._char_poly
+
+
+def _faddeev_leverrier(walk: SymbolMatrix) -> CharPoly:
     n = walk.n
     grid = alias_free_grid(16, 2 * n * walk.propagation_radius)
     u = walk.grid_eval(grid)
@@ -258,19 +288,32 @@ def verify_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
     """Max Frobenius norm of f(U(z); z) over a circle grid (f = char poly).
 
     f(U(z); z) has shifts |s| <= nR, so the grid has max(grid_size, least
-    power of two > 2nR) points.  The Laurent coefficients of f are evaluated
-    on this grid, all in one circle_values call, not taken from the
-    interpolation grid of char_poly, so the check covers that step too.
+    power of two > 2nR) points.  The Laurent coefficients c_k of f (the walk's
+    kept char_poly) are evaluated on this grid, all in one circle_values call,
+    not taken from the interpolation grid of char_poly, so the check covers
+    that step too.  f(U) = sum_k c_k U^k is evaluated by Paterson-Stockmeyer:
+    with s = ceil(sqrt(n + 1)), the powers U, ..., U^s, then Horner in U^s over
+    blocks of s coefficients, lowest power last, each block's c_k I added on
+    the diagonal in place.  That is about 2 sqrt(n) products (4 for n = 8).
     """
     f = char_poly(walk)
-    grid_size = alias_free_grid(grid_size, 2 * walk.n * walk.propagation_radius)
+    n = walk.n
+    grid_size = alias_free_grid(grid_size, 2 * n * walk.propagation_radius)
     u = walk.grid_eval(grid_size)
     shifts, stack = stack_terms(f.coeffs)
     samples = circle_values(stack, shifts, grid_size)
-    eye = np.eye(walk.n)
+    s = int(np.ceil(np.sqrt(n + 1)))
+    powers = [u]  # U^1 .. U^s; U^s only when there is more than one block
+    while len(powers) < min(s, n):
+        powers.append(powers[-1] @ u)
+    diagonal = np.arange(n)
     acc = np.zeros_like(u)
-    for k in reversed(range(f.degree + 1)):  # Horner in the matrix argument
-        acc = acc @ u + samples[:, k, None, None] * eye
+    for start in reversed(range(0, n + 1, s)):  # Horner in U^s, top block first
+        if start + s <= n:
+            acc = acc @ powers[s - 1]
+        for i in range(1, min(s, n + 1 - start)):
+            acc += samples[:, start + i, None, None] * powers[i - 1]
+        acc[:, diagonal, diagonal] += samples[:, start, None]
     return float(np.max(np.linalg.norm(acc, axis=(1, 2))))
 
 

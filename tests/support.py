@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
@@ -15,6 +17,9 @@ from zqwalk import (
     ResolutionError,
     StateVector,
     SymbolMatrix,
+    apply_walk,
+    build_model_walk,
+    char_poly,
     coined_walk,
     compare_moments,
     compose,
@@ -22,8 +27,13 @@ from zqwalk import (
     evolve,
     lambda_coeffs_from_samples,
     limit_measure,
+    modified_coined_walk,
     track_bands,
 )
+from zqwalk import io as zio
+from zqwalk.circle import alias_free_grid, circle_values
+from zqwalk.laurent import stack_terms
+from zqwalk.simulate import _settle
 from zqwalk.spectral import (
     DEFAULT_TOL,
     _best_separated_point,
@@ -136,6 +146,29 @@ def random_split_step_walk(
     return walk
 
 
+def pinned_walks(fixtures: Path) -> dict:
+    """name -> (walk, fixture name or None): the walks whose JSON the suite pins.
+
+    A fixture file is its walk's own golden; the others are pinned by digest.
+    """
+    walks = {"modified_coined_walk": (modified_coined_walk(), "modified_hadamard")}
+    for name in ("hadamard", "modified_hadamard", "grover3"):
+        walks[name] = (zio.parse_spec((fixtures / f"{name}.json").read_text()), name)
+    spec = zio.parse_spec((fixtures / "shift1_model.json").read_text())
+    walks["shift1_model"] = (build_model_walk(spec), None)
+    for n in range(2, 9):
+        walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
+        walks[f"split_step_n{n}"] = (walk, None)
+    for d in range(1, 5):
+        spec = random_unimodular_spec(np.random.default_rng(400 + d), d, winding=d % 3 - 1)
+        walks[f"model_d{d}"] = (build_model_walk(spec), None)
+    walks["conjugated_coined_sum_5"] = (conjugated_coined_sum(5), None)
+    walks["coined_plus_modified"] = (
+        direct_sum(coined_walk(), modified_coined_walk()), None
+    )
+    return walks
+
+
 def random_symbol(rng: np.random.Generator, n: int, radius: int = 3) -> SymbolMatrix:
     """Generic n x n symbol: each entry a random subset of shifts in [-radius, radius].
 
@@ -232,6 +265,62 @@ def entrywise_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
     for _ in range(t):
         result = entrywise_compose(result, walk)
     return result
+
+
+def composed_power(walk: SymbolMatrix, t: int) -> SymbolMatrix:
+    """Repeated squaring that composes every set bit's power onto the identity."""
+    result = SymbolMatrix.identity(walk.n)
+    base = walk
+    while t:
+        if t & 1:
+            result = compose(result, base)
+        base = compose(base, base) if t > 1 else base
+        t >>= 1
+    return result
+
+
+def recorded_grid_evals(monkeypatch) -> list:
+    """(walk, grid size) of every SymbolMatrix.grid_eval call from now on."""
+    calls = []
+    grid_eval = SymbolMatrix.grid_eval
+
+    def recorded(walk, grid_size):
+        calls.append((walk, grid_size))
+        return grid_eval(walk, grid_size)
+
+    monkeypatch.setattr(SymbolMatrix, "grid_eval", recorded)
+    return calls
+
+
+def horner_cayley_hamilton(walk: SymbolMatrix, grid_size: int = 256) -> float:
+    """Max Frobenius norm of f(U(z); z) on the grid of verify_cayley_hamilton, by
+    n + 1 Horner steps acc -> acc U + c_k I in the matrix argument."""
+    f = char_poly(walk)
+    grid_size = alias_free_grid(grid_size, 2 * walk.n * walk.propagation_radius)
+    u = walk.grid_eval(grid_size)
+    shifts, stack = stack_terms(f.coeffs)
+    samples = circle_values(stack, shifts, grid_size)
+    acc = np.zeros_like(u)
+    for k in reversed(range(f.degree + 1)):
+        acc = acc @ u + samples[:, k, None, None] * np.eye(walk.n)
+    return float(np.max(np.linalg.norm(acc, axis=(1, 2))))
+
+
+def rebuilt_rearrangement_check(spec: ModelWalkSpec, test_vectors: list[StateVector]) -> float:
+    """rearrangement_check with both walks built afresh by build_model_walk and
+    every interleaved state sorted again by _settle."""
+    walk_d = build_model_walk(ModelWalkSpec(spec.d, spec.lambda_coeffs))
+    walk_1 = build_model_walk(ModelWalkSpec(1, spec.lambda_coeffs))
+    worst = 0.0
+    for xi in test_vectors:
+        direct = apply_walk(walk_d, xi)
+        line = apply_walk(
+            walk_1, _settle(xi.channels + xi.n * xi.sites, np.ones_like(xi.channels), xi.values, 1)
+        )
+        k = (line.sites - 1) % spec.d + 1
+        rearranged = _settle((line.sites - k) // spec.d, k, line.values, spec.d)
+        worst = max(worst, direct.distance(rearranged))
+    return worst
 
 
 # -- dictionary stepping, the reference for the array apply_walk ---------------------

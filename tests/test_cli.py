@@ -20,7 +20,6 @@ from zqwalk import (
     SymbolMatrix,
     UnitarityError,
     are_conjugate,
-    build_model_walk,
     coined_walk,
     direct_sum,
     evolve,
@@ -39,10 +38,9 @@ from support import (
     loop_distribution_csv,
     loop_generator_csv,
     loop_measure_csv,
+    pinned_walks,
     poly_terms,
     random_local_state,
-    random_split_step_walk,
-    random_unimodular_spec,
 )
 from zqwalk import io as zio
 from zqwalk.cli import main
@@ -144,28 +142,8 @@ WALK_JSON_SHA256 = {
 }
 
 
-def _pinned_walks() -> dict:
-    """name -> (walk, expected JSON text or None); the fixture files are their own goldens."""
-    walks = {"modified_coined_walk": (modified_coined_walk(), "modified_hadamard")}
-    for name in ("hadamard", "modified_hadamard", "grover3"):
-        walks[name] = (zio.parse_spec((FIXTURES / f"{name}.json").read_text()), name)
-    spec = zio.parse_spec((FIXTURES / "shift1_model.json").read_text())
-    walks["shift1_model"] = (build_model_walk(spec), None)
-    for n in range(2, 9):
-        walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
-        walks[f"split_step_n{n}"] = (walk, None)
-    for d in range(1, 5):
-        spec = random_unimodular_spec(np.random.default_rng(400 + d), d, winding=d % 3 - 1)
-        walks[f"model_d{d}"] = (build_model_walk(spec), None)
-    walks["conjugated_coined_sum_5"] = (conjugated_coined_sum(5), None)
-    walks["coined_plus_modified"] = (
-        direct_sum(coined_walk(), modified_coined_walk()), None
-    )
-    return walks
-
-
 def test_walk_json_round_trip():
-    for name, (walk, fixture) in _pinned_walks().items():
+    for name, (walk, fixture) in pinned_walks(FIXTURES).items():
         payload = zio.walk_to_json(walk)
         text = json.dumps(payload)
         if fixture is None:
@@ -629,7 +607,8 @@ BENCH_STAGES = {
     "grid_eval", "eig", "np_eig", "track_bands", "band_projections_first",
     "band_projections_repeat", "limit_measure",
     "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
-    "char_poly", "verify_cayley_hamilton", "build_model_walk",
+    "char_poly", "verify_cayley_hamilton", "symbol_power_t64", "build_model_walk",
+    "rearrangement_check",
 }
 
 

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zqwalk
 from zqwalk import (
     DomainError,
     StateVector,
@@ -286,6 +291,21 @@ def _loop_cdf_distance(measure, dist, t):
             j += 1
         worst = max(worst, abs(ci - cj))
     return worst
+
+
+def test_cdf_distance_loads_no_numpy_ma():
+    # np.union1d imports numpy.ma on its first call, a module load in every fresh process
+    src = Path(zqwalk.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from zqwalk import LimitMeasure, PositionDistribution, cdf_distance\n"
+        "mu = LimitMeasure(((0.0, 0.5),), (0.5, 1.0), (0.25, 0.25))\n"
+        "print(cdf_distance(mu, PositionDistribution({-1: 0.25, 0: 0.25, 2: 0.5}), 2),"
+        " 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0.25", "False"]
 
 
 @pytest.mark.parametrize("name", ["coined", "grover3"])

@@ -15,7 +15,9 @@ from zqwalk import (
     coined_lambda,
     coined_walk,
     compose,
+    deinterleave_channels,
     eval_symbol,
+    interleave_channels,
     lambda_coeffs_from_samples,
     rearrangement_check,
     refine_system,
@@ -25,11 +27,13 @@ from zqwalk import (
     winding_of_samples,
 )
 from zqwalk.io import write_generator_csv
+from zqwalk.simulate import MAX_SITE
 from support import (
     poly_conj_reflect,
     poly_product,
     random_local_state,
     random_unimodular_spec,
+    rebuilt_rearrangement_check,
     trig_phase_samples,
 )
 
@@ -107,6 +111,52 @@ def test_rearrangement_generic_lambda(rng):
     spec = random_unimodular_spec(rng, 2, winding=1)
     vectors = [random_local_state(rng, 2) for _ in range(5)]
     assert rearrangement_check(spec, vectors) < 1e-12
+
+
+def test_rearrangement_equals_rebuilding_both_walks():
+    for d in (1, 2, 3, 4):
+        for seed in range(3):
+            rng = np.random.default_rng(500 + 10 * d + seed)
+            spec = random_unimodular_spec(rng, d, winding=seed - 1)
+            vectors = [random_local_state(rng, d, radius=2) for _ in range(3)]
+            vectors.append(StateVector.delta(-5, d, d))
+            got = rearrangement_check(spec, vectors)
+            assert got == rebuilt_rearrangement_check(spec, vectors), (d, seed)
+
+
+def test_spec_keeps_its_walk(monkeypatch):
+    spec = random_unimodular_spec(np.random.default_rng(9), 3, winding=1)
+    checks = []
+    circle_samples = LaurentPoly.circle_samples
+
+    def recorded(poly, grid_size):
+        checks.append(grid_size)
+        return circle_samples(poly, grid_size)
+
+    monkeypatch.setattr(LaurentPoly, "circle_samples", recorded)
+    walk = build_model_walk(spec)
+    rearrangement_check(spec, [StateVector.delta(0, 1, 3)])
+    assert build_model_walk(spec) is walk
+    assert len(checks) == 1  # one |lambda| = 1 check for both calls
+    # equality and repr read the fields alone
+    twin = ModelWalkSpec(3, spec.lambda_coeffs)
+    assert twin == spec and repr(twin) == repr(spec)
+    assert build_model_walk(twin) is not walk and len(checks) == 2
+
+
+def test_interleaving_refuses_sites_beyond_max_site():
+    edge = StateVector.delta(MAX_SITE // 2 - 1, 2, 2)  # interleaves onto site MAX_SITE
+    line = interleave_channels(edge)
+    assert line.sites.tolist() == [MAX_SITE] and not line.sites.flags.writeable
+    assert deinterleave_channels(line, 2).amplitudes == edge.amplitudes
+    beyond = StateVector.delta(MAX_SITE // 2, 1, 2)
+    with pytest.raises(DomainError, match="outside -2\\*\\*53..2\\*\\*53"):
+        interleave_channels(beyond)
+    with pytest.raises(DomainError):
+        rearrangement_check(ModelWalkSpec(2, LaurentPoly.monomial(1)), [beyond])
+    # 2048 * 2**53 wraps to 0 in int64: refused, not mapped onto site 1
+    with pytest.raises(DomainError, match="interleaving 2048 channels"):
+        interleave_channels(StateVector.delta(MAX_SITE, 1, 2048))
 
 
 # -- shift times a winding-zero walk ---------------------------------------------------

@@ -45,12 +45,14 @@ from support import (
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
+    recorded_grid_evals,
     schur_band_projections,
     tracked_conjugacy,
 )
 from zqwalk.spectral import (
     DEGENERACY_TOL,
     _best_separated_point,
+    _canonical_rotation,
     _lipschitz,
     _match_band_sets,
     _min_cost_assignment,
@@ -96,6 +98,19 @@ def test_track_grover_structure(tracked_corpus):
         else:
             want = grover_lambda(covering_angles(2))
             assert rotation_distance(band.samples, want, M) < 1e-7
+
+
+def test_rotation_gauge_ignores_the_sign_of_a_roundoff_seam():
+    # both covering values of grover3's d = 2 band over z = 1 are -1: the
+    # gauge must not follow the sign of their roundoff imaginary parts
+    band = next(b for b in track_bands(grover_walk_3(), 64).bands if b.d == 2)
+    assert np.max(np.abs(band.samples[[0, 64]] + 1.0)) < 1e-12
+    for signs in itertools.product((1.0, -1.0), repeat=2):
+        samples = band.samples.copy()
+        for seam, sign in zip((0, 64), signs):
+            samples[seam] = complex(samples[seam].real, sign * 1e-18)
+        canonical = _canonical_rotation(samples, 64)
+        assert np.array_equal(np.delete(canonical, [0, 64]), np.delete(band.samples, [0, 64]))
 
 
 def test_certificate_reuses_coarse_eigenvalues(corpus):
@@ -421,6 +436,16 @@ def test_conjugacy_refusal_band():
     # at or above tol the verdict is a plain False
     assert not are_conjugate(walk, nudged, tol=1e-10)
     assert not are_conjugate(walk, coined_walk(np.cos(0.3), np.sin(0.3)))
+
+
+def test_tracking_then_conjugacy_checks_each_walk_once(monkeypatch):
+    walk, other = coined_walk(), modified_coined_walk()
+    calls = recorded_grid_evals(monkeypatch)
+    track_bands(walk, 64)
+    assert not are_conjugate(walk, other)
+    # UNITARY_GRID = 256: one unitarity grid per walk, then the char-poly grids
+    assert [grid for w, grid in calls if w is walk] == [256, 64, 16]
+    assert [grid for w, grid in calls if w is other] == [256, 16]
 
 
 def test_conjugacy_requires_unitary():

@@ -25,19 +25,23 @@ from zqwalk import (
     verify_unitary_symbol,
 )
 from zqwalk import io as zio
-from zqwalk.circle import MAX_CONE_VALUES
+from zqwalk.circle import MAX_CONE_VALUES, alias_free_grid
 from zqwalk.laurent import PRUNE_TOL
 from zqwalk.model import ModelWalkSpec
 from zqwalk.spectral import MAX_GRID
 from support import (
+    composed_power,
     entrywise_adjoint,
     entrywise_compose,
     entrywise_direct_sum,
     entrywise_power,
+    horner_cayley_hamilton,
+    pinned_walks,
     poly_terms,
     random_split_step_walk,
     random_symbol,
     random_unimodular_spec,
+    recorded_grid_evals,
 )
 
 R = 2**-0.5
@@ -153,6 +157,34 @@ def test_cayley_hamilton_at_roundoff_on_far_shifts_and_fixtures():
             assert verify_cayley_hamilton(walk) <= 1.1e-15, path.name
 
 
+def test_cayley_hamilton_matches_horner_oracle():
+    walks = [random_split_step_walk(np.random.default_rng(700 + n), n, 1 + n % 3)
+             for n in range(1, 10)]
+    walks.append(SymbolMatrix.shift(100000))
+    walks += [direct_sum(SymbolMatrix.identity(1), SymbolMatrix.shift(k)) for k in (1, 7, 1000)]
+    for walk in walks:
+        got = verify_cayley_hamilton(walk)
+        assert abs(got - horner_cayley_hamilton(walk)) <= 1e-14, walk.n
+        assert got < 1e-10
+
+
+def test_walk_keeps_its_char_poly_and_unitarity_verdict(monkeypatch):
+    walk = random_split_step_walk(np.random.default_rng(5), 5, 2)
+    calls = recorded_grid_evals(monkeypatch)
+    f = char_poly(walk)
+    verify_cayley_hamilton(walk)
+    assert char_poly(walk) is f
+    # one Faddeev-LeVerrier grid, then the Cayley-Hamilton grid
+    reach = 2 * walk.n * walk.propagation_radius
+    assert [grid for _w, grid in calls] == [alias_free_grid(16, reach), alias_free_grid(256, reach)]
+    report = verify_unitary_symbol(walk)
+    assert verify_unitary_symbol(walk) is report and len(calls) == 3
+    # a fresh walk with the same terms computes its own
+    again = SymbolMatrix.from_terms(walk.shifts, walk.coeffs)
+    assert char_poly(again) is not f and len(calls) == 4
+    assert repr(again) == repr(walk) and again != walk
+
+
 def test_unitarity_grid_touches_only_live_shifts():
     # diag(1, z^1000) has two live coefficients among 1001 shift rows; its
     # 4096-point grid is sampled through those two
@@ -218,6 +250,19 @@ def test_symbol_power_matches_repeated_compose():
     walk = coined_walk()
     assert symbol_power(walk, 3).allclose(compose(walk, compose(walk, walk)))
     assert symbol_power(walk, 0).allclose(SymbolMatrix.identity(2))
+
+
+def test_symbol_power_equals_composing_onto_the_identity():
+    # the small pinned walks: every power up to 70, bit for bit
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    names = ("hadamard", "grover3", "shift1_model", "model_d4", "coined_plus_modified")
+    walks = pinned_walks(fixtures)
+    for name in names:
+        walk = walks[name][0]
+        for t in range(71):
+            got, want = symbol_power(walk, t), composed_power(walk, t)
+            assert np.array_equal(got.shifts, want.shifts) and got.coeffs.dtype == want.coeffs.dtype
+            assert np.array_equal(got.coeffs, want.coeffs), (name, t)
 
 
 def _assert_matches_entrywise(got, want, tol=1e-13):
