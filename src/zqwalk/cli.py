@@ -13,11 +13,11 @@ tracks bands, --tol (the non-conjugate edge) for conjugate alone.
 `check` reports unitarity as a verdict and always exits 0 on a well-formed
 spec; every other subcommand treats a non-unitary symbol as an input error.
 Both read the one verdict of verify_unitary_symbol, so a walk `check` passes
-is a walk the other subcommands accept.  Each walk is checked once per
-command: by `track_bands` where the command tracks it, by the loader
-otherwise.  Exit codes: 0 ok, 2 malformed or unreadable spec or option value
-(checked before any work), 3 unitarity failure, 4 resolution failure, 5
-domain error.
+is a walk the other subcommands accept.  Every loader but `check`'s requires
+the verdict and names the spec in its error; a walk keeps its verdict, so
+the library calls after it (track_bands, are_conjugate) compute none.  Exit
+codes: 0 ok, 2 malformed or unreadable spec or option value (checked before
+any work), 3 unitarity failure, 4 resolution failure, 5 domain error.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from .spectral import (
     DEFAULT_TOL,
     MAX_GRID,
     EigenSystem,
-    _char_polys_match,
     _require_unitary,
+    are_conjugate,
     ct_realizable,
     is_decomposable,
     total_winding,
@@ -84,33 +84,29 @@ def _walk_id(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
 
 
-def _load_walk(path: str, require_unitary: bool = False) -> SymbolMatrix:
+def _load_walk(path: str, require_unitary: bool = True) -> SymbolMatrix:
+    """The walk spec at `path`; a non-unitary one raises UnitarityError naming it."""
     spec = zio.parse_spec(_read_source(path))
     if isinstance(spec, ModelWalkSpec):
         spec = build_model_walk(spec)
     if isinstance(spec, StateVector):
         raise SpecFormatError(f"{path}: expected a walk spec, found an initial vector")
     if require_unitary:
-        _with_path(path, _require_unitary, spec)
+        try:
+            _require_unitary(spec)
+        except UnitarityError as exc:
+            raise UnitarityError(f"{path}: {exc}") from None
     return spec
 
 
-def _with_path(path: str, func, *args):
-    """func(*args), with the spec path named in a UnitarityError it raises."""
-    try:
-        return func(*args)
-    except UnitarityError as exc:
-        raise UnitarityError(f"{path}: {exc}") from None
-
-
 def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
-    """A walk spec and its bands; track_bands makes the unitarity check."""
+    """A walk spec and its bands on the base grid --grid."""
     if not valid_base_grid(args.grid):
         raise SpecFormatError(
             f"--grid must be a power of two in 64..{MAX_GRID // 2}, got {args.grid}"
         )
     walk = _load_walk(path)
-    return walk, _with_path(path, track_bands, walk, args.grid)
+    return walk, track_bands(walk, args.grid)
 
 
 def _load_vector(path: str) -> StateVector:
@@ -159,7 +155,7 @@ class Run:
 
 
 def cmd_check(args, run: Run) -> str:
-    walk = _load_walk(args.spec)
+    walk = _load_walk(args.spec, require_unitary=False)
     unitary = verify_unitary_symbol(walk)
     decay = classify_decay(walk, max(4, walk.propagation_radius + 1))
     report = {
@@ -245,7 +241,7 @@ def _parse_times(text: str) -> list[int]:
 
 
 def cmd_simulate(args, run: Run) -> str:
-    walk = _load_walk(args.spec, require_unitary=True)
+    walk = _load_walk(args.spec)
     xi = _load_vector(args.init)
     times = _parse_times(args.t)
     for t in times:
@@ -292,12 +288,11 @@ def cmd_compare(args, run: Run) -> str:
 
 
 def cmd_conjugate(args, run: Run) -> str:
-    # are_conjugate, with each walk checked once, by the loader and by name
     if not 0 < args.tol < math.inf:
         raise SpecFormatError(f"--tol must be finite and positive, got {args.tol}")
-    w1 = _load_walk(args.spec, require_unitary=True)
-    w2 = _load_walk(args.other, require_unitary=True)
-    verdict = _char_polys_match(w1, w2, args.tol)
+    w1 = _load_walk(args.spec)
+    w2 = _load_walk(args.other)
+    verdict = are_conjugate(w1, w2, args.tol)
     run.write_json("conjugate.json", {"conjugate": verdict})
     return "true" if verdict else "false"
 

@@ -139,9 +139,6 @@ class PositionDistribution:
     probs: Mapping[int, float]
     time: int = 0
 
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
-
     def mass_outside(self, radius: float) -> float:
         return float(sum(p for s, p in self.probs.items() if abs(s) > radius))
 

@@ -417,24 +417,28 @@ def _track_cycles(vals: np.ndarray, lipschitz: float) -> tuple[list, int]:
     return cycles, open_steps
 
 
+_HALF_TURN = round(np.pi, 9)
+
+
+def _seam_angle(value: complex) -> float:
+    """arg(value) rounded to 9 digits, -pi read as +pi: a value on the negative
+    real axis gets one key whatever the sign of its roundoff imaginary part."""
+    angle = round(float(np.angle(value)), 9)
+    return _HALF_TURN if angle == -_HALF_TURN else angle
+
+
 def _canonical_rotation(samples: np.ndarray, base_grid: int) -> np.ndarray:
     """Fix the rotation gauge: start the loop at the smallest initial argument.
 
-    The argument is rounded into (-pi, pi] with -pi read as +pi, so a value on
-    the negative real axis gets one key whatever the sign of its roundoff
-    imaginary part.  Sheets that start at the same value are ordered by the
-    turn of the argument to their next sample, the smaller first.
+    The argument is keyed by _seam_angle.  Sheets that start at the same
+    value are ordered by the turn of the argument to their next sample, the
+    smaller first.
     """
     d = len(samples) // base_grid
     if d == 1:
         return samples
     candidates = [np.roll(samples, -i * base_grid) for i in range(d)]
-    half_turn = round(np.pi, 9)
-    keys = []
-    for c in candidates:
-        angle = round(float(np.angle(c[0])), 9)
-        turn = round(float(np.angle(c[1] / c[0])), 9)
-        keys.append((half_turn if angle == -half_turn else angle, turn))
+    keys = [(_seam_angle(c[0]), round(float(np.angle(c[1] / c[0])), 9)) for c in candidates]
     return candidates[min(range(d), key=keys.__getitem__)]
 
 
@@ -460,9 +464,10 @@ def _finish_system(
 
     Each branch is contracted to its minimal rotation period, coinciding
     branches merge at DEGENERACY_TOL, each band's winding is computed and
-    validated (_validated_winding), and the bands are sorted.  One pass of
-    contraction suffices: a rotation symmetry of a contracted band would be a
-    smaller period of the original one.
+    validated (_validated_winding), and the bands are sorted by degree,
+    multiplicity (the larger first) and _seam_angle of the first sample.  One
+    pass of contraction suffices: a rotation symmetry of a contracted band
+    would be a smaller period of the original one.
     """
     contracted = []
     for d, samples, mult in raw:
@@ -475,7 +480,7 @@ def _finish_system(
         Band(d, samples, _validated_winding(samples), mult)
         for d, samples, mult in _merge_duplicates(contracted, base_grid)
     ]
-    bands.sort(key=lambda b: (b.d, -b.multiplicity, float(np.angle(b.samples[0]))))
+    bands.sort(key=lambda b: (b.d, -b.multiplicity, _seam_angle(b.samples[0])))
     return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
@@ -682,11 +687,6 @@ def are_conjugate(
         raise DomainError(f"tol must be finite and positive, got {tol}")
     _require_unitary(w1)
     _require_unitary(w2)
-    return _char_polys_match(w1, w2, tol)
-
-
-def _char_polys_match(w1: SymbolMatrix, w2: SymbolMatrix, tol: float) -> bool:
-    """The char-poly verdict of are_conjugate, for walks already checked unitary."""
     if w1.n != w2.n:
         return False
     pairs = list(zip(char_poly(w1).coeffs, char_poly(w2).coeffs))

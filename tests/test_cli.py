@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -41,10 +43,12 @@ from support import (
     pinned_walks,
     poly_terms,
     random_local_state,
+    recorded_grid_evals,
 )
 from zqwalk import io as zio
 from zqwalk.cli import main
 from zqwalk.limit import DEFAULT_BINS
+from zqwalk.symbol import UNITARY_GRID
 
 
 @pytest.fixture
@@ -586,21 +590,23 @@ def test_cli_check_reports_decay_of_each_walk_fixture(tmp_path, capsys):
     assert "decay finite_propagation" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["analyze_reference_walks.py"], ["convergence_experiment.py", "--times", "100,200"]],
-    ids=["analyze_reference_walks", "convergence_experiment"],
-)
-def test_script_runs(argv, tmp_path):
-    # the scripts import library names directly and write under runs/ in the cwd
-    root = FIXTURES.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    assert any((tmp_path / "runs").rglob("*.csv"))
+def test_readme_analysis_lines_run(tmp_path, monkeypatch, capsys):
+    # the README's reference analysis and convergence table, line for line,
+    # run from a directory holding the fixtures and written under its runs/
+    section = (FIXTURES.parent / "README.md").read_text().split("## Scripts")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("zqwalk ")]
+    assert len(lines) == 13
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    runs = tmp_path / "runs"
+    for walk in ("hadamard", "modified_hadamard", "grover3"):
+        assert (runs / f"{walk}-bands" / "bands.csv").is_file(), walk
+        assert (runs / f"{walk}-limit" / "measure.csv").is_file(), walk
+    assert (runs / "hadamard-compare" / "moments.csv").is_file()
 
 
 BENCH_STAGES = {
@@ -889,22 +895,32 @@ def test_cli_non_unitary_exit_code(tmp_path, capsys):
 
 def test_cli_checks_unitarity_once_per_walk(spec_dir, tmp_path, capsys, monkeypatch):
     import zqwalk.cli
-    import zqwalk.spectral
 
-    calls = []
+    # the loader and the library both ask for the verdict; the walk keeps it,
+    # so each walk's unitarity grid is evaluated once per command
+    evals = recorded_grid_evals(monkeypatch)
+    conjugacy_calls = []
 
-    def counting(walk, *args):
-        calls.append(walk.n)
-        return zqwalk.symbol.verify_unitary_symbol(walk, *args)
+    def counting(*args):
+        conjugacy_calls.append(args)
+        return are_conjugate(*args)
 
-    for module in (zqwalk.cli, zqwalk.spectral):
-        monkeypatch.setattr(module, "verify_unitary_symbol", counting)
+    monkeypatch.setattr(zqwalk.cli, "are_conjugate", counting)
+
+    def unitarity_grids():
+        walks = [walk.n for walk, grid in evals if grid == UNITARY_GRID]
+        evals.clear()
+        return sorted(walks)
+
     hadamard, grover = spec_dir / "hadamard.json", spec_dir / "grover3.json"
     assert run_cli("bands", grover, "--grid", 64, "--out", tmp_path / "b") == 0
-    assert calls == [3]
-    calls.clear()
+    assert unitarity_grids() == [3]
     assert run_cli("conjugate", hadamard, grover, "--out", tmp_path / "c") == 0
-    assert sorted(calls) == [2, 3]
+    assert unitarity_grids() == [2, 3]
+    assert len(conjugacy_calls) == 1
+    assert run_cli("simulate", hadamard, "--init", spec_dir / "delta0_ch1.json", "--t", "1",
+                   "--out", tmp_path / "s") == 0
+    assert unitarity_grids() == [2]
     capsys.readouterr()
     # a non-unitary walk still fails with its own path, in either position
     bad = tmp_path / "nonunitary.json"

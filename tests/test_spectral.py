@@ -113,6 +113,16 @@ def test_rotation_gauge_ignores_the_sign_of_a_roundoff_seam():
         assert np.array_equal(np.delete(canonical, [0, 64]), np.delete(band.samples, [0, 64]))
 
 
+@pytest.mark.parametrize("imag", [1e-18, 0.0, -0.0, -1e-18])
+def test_band_order_ignores_the_sign_of_a_roundoff_seam(imag):
+    # a band starting at -1 sorts after one starting at 1, whatever the sign
+    # of its roundoff imaginary part
+    seam = Band(1, np.full(64, complex(-1.0, imag)), 0)
+    one = Band(1, np.ones(64, dtype=complex), 0)
+    refined = refine_system(EigenSystem((seam, one), 2, 64, indecomposable=False))
+    assert [b.samples[0].real for b in refined.bands] == [1.0, -1.0]
+
+
 def test_certificate_reuses_coarse_eigenvalues(corpus):
     # the even points of a doubled grid are the coarse grid bit for bit, so
     # solving only the new midpoints leaves every tracked system unchanged;
