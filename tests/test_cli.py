@@ -590,23 +590,41 @@ def test_cli_check_reports_decay_of_each_walk_fixture(tmp_path, capsys):
     assert "decay finite_propagation" in capsys.readouterr().out
 
 
-def test_readme_analysis_lines_run(tmp_path, monkeypatch, capsys):
-    # the README's reference analysis and convergence table, line for line,
-    # run from a directory holding the fixtures and written under its runs/
+def _readme_script_lines():
+    # the `zqwalk` lines of the README "Scripts" block, which replace the
+    # former analysis and convergence scripts
     section = (FIXTURES.parent / "README.md").read_text().split("## Scripts")[1]
     block = section.split("```sh\n")[1].split("```")[0]
-    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("zqwalk ")]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("zqwalk ")]
+
+
+@pytest.mark.parametrize(
+    "command, artifacts",
+    [
+        (
+            "analysis",
+            [f"{walk}-{kind}" for walk in ("hadamard", "modified_hadamard", "grover3")
+             for kind in ("bands/bands.csv", "limit/measure.csv")],
+        ),
+        ("compare", ["hadamard-compare/moments.csv"]),
+    ],
+    ids=["analyze_reference_walks", "convergence_experiment"],
+)
+def test_script_runs(command, artifacts, tmp_path, monkeypatch, capsys):
+    # the README's reference analysis (check, bands, decompose, limit of each
+    # walk) and convergence table (compare), line for line, run from a
+    # directory holding the fixtures and written under its runs/
+    lines = _readme_script_lines()
     assert len(lines) == 13
+    chosen = [argv for argv in lines if (argv[0] == "compare") == (command == "compare")]
+    assert len(chosen) == (1 if command == "compare" else 12)
     shutil.copytree(FIXTURES, tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
-    for argv in lines:
-        assert main(argv[1:]) == 0, argv
+    for argv in chosen:
+        assert main(argv) == 0, argv
     capsys.readouterr()
-    runs = tmp_path / "runs"
-    for walk in ("hadamard", "modified_hadamard", "grover3"):
-        assert (runs / f"{walk}-bands" / "bands.csv").is_file(), walk
-        assert (runs / f"{walk}-limit" / "measure.csv").is_file(), walk
-    assert (runs / "hadamard-compare" / "moments.csv").is_file()
+    for artifact in artifacts:
+        assert (tmp_path / "runs" / artifact).is_file(), artifact
 
 
 BENCH_STAGES = {
