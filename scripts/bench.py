@@ -9,6 +9,9 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
   and orthonormal eigenvectors, as track_bands solves every grid; np_eig:
   LAPACK's general np.linalg.eig on the same stack, for reference;
 - track_bands: the certified, refined system;
+- crossing_search: the exact-crossing search over the windows of
+  uncertified steps that the grid-1024 eigenvalues leave (none where every
+  step certifies);
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
 - limit_measure: the first measure on a freshly tracked system;
@@ -45,12 +48,14 @@ runs, each subcommand of min(CLI_RUNS, --repeats), one untimed warm-up
 first.  The file also records the machine (nproc, BLAS thread cap, numpy
 and, where it imports, scipy versions), what one track_bands ->
 refine_system -> 2 x limit_measure chain solves (the rows of each
-unitary-eigensolver call, whether the doubling certificate ran, and the
-numbers of np.linalg eig, eigvals and inv calls), the coined
+unitary-eigensolver call and how many of them it retried with another
+Cayley pole, each grid tracking tried with its counts of uncertified steps
+and of those outside exact-crossing windows, and the numbers of np.linalg
+eig, eigvals and inv calls), the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
 error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
 Cayley-Hamilton residual of the 1 x 1 walk z^100000 (exact phases give
-roundoff), and the windings track_bands certifies at grid 1024 for the
+roundoff), and the windings track_bands certifies from grid 1024 for the
 near-avoided crossing coined_walk(sqrt(1 - 1e-6), 1e-3), whose truth is
 [0, 0].
 
@@ -63,7 +68,8 @@ other's under "against", and "ratio", the other's median over this one's
 (above 1: this checkout is faster).  The eig stage calls
 spectral._unitary_eig(stack), which every checkout that has it answers with
 values and vectors; for a checkout without it, eig times np.linalg.eig, the
-solver its tracking runs.  np_eig runs the same code on both sides, so its
+solver its tracking runs; crossing_search times nothing on a checkout
+without spectral._certify.  np_eig runs the same code on both sides, so its
 ratio shows how far the pairing resolves.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
@@ -214,6 +220,16 @@ def solver(zq):
     return getattr(zq.spectral, "_unitary_eig", np.linalg.eig)
 
 
+def crossing_search(zq, walk, stack):
+    """The exact-crossing search of package `zq` over the windows `stack` leaves."""
+    certify = getattr(zq.spectral, "_certify", None)
+    if certify is None:  # a checkout from before the crossing search
+        return lambda _: None
+    vals = zq.spectral._unitary_eig(stack)[0]
+    windows = [window for window, _angle in certify(walk, vals)[1]]
+    return lambda _: [zq.spectral._window_crossing(walk, vals, *w) for w in windows]
+
+
 def stages(zq, walk, delta, other) -> dict:
     """Stage name -> (fn, setup) for one walk of package `zq`; timed() runs fn(setup())."""
     xh, xh2 = delta.fourier_samples(GRID), other.fourier_samples(GRID)
@@ -236,6 +252,7 @@ def stages(zq, walk, delta, other) -> dict:
         "eig": (lambda _: eig(stack), None),
         "np_eig": (lambda _: np.linalg.eig(stack), None),
         "track_bands": (lambda w: zq.track_bands(w, GRID), fresh_walk),
+        "crossing_search": (crossing_search(zq, walk, stack), None),
         "band_projections_first": (lambda s: zq.band_projections(walk, s, xh), tracked),
         "band_projections_repeat": (lambda s: zq.band_projections(walk, s, xh2), projected_once),
         "limit_measure": (lambda s: zq.limit_measure(walk, delta, s), tracked),
@@ -370,14 +387,18 @@ def scipy_version() -> str | None:
 def solve_counts(walk, vectors) -> dict:
     """Eigensolves of track_bands -> refine_system -> limit_measure(s).
 
-    unitary_eig_rows lists the rows of each spectral._unitary_eig call;
-    certificate is whether track_bands solved more than its base grid (the
-    doubling certificate ran); eig, eigvals and inv count the np.linalg
+    unitary_eig_rows lists the rows of each spectral._unitary_eig call (the
+    crossing search's included) and retried_rows how many of those rows each
+    call solved again with another Cayley pole; grids lists [grid,
+    uncertified steps, steps in windows without an exact crossing] for each
+    grid track_bands tried; eig, eigvals and inv count the np.linalg
     functions.
     """
-    counts = {"unitary_eig_rows": [], "certificate": False, "eig": 0, "eigvals": 0, "inv": 0}
+    counts = {"unitary_eig_rows": [], "retried_rows": [], "grids": [], "eig": 0, "eigvals": 0,
+              "inv": 0}
     originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "inv")}
-    unitary_eig = spectral._unitary_eig
+    unitary_eig, cayley, certify = spectral._unitary_eig, spectral._cayley, spectral._certify
+    cayley_rows = []
 
     def counting(name):
         def wrapper(*args, **kwargs):
@@ -387,21 +408,34 @@ def solve_counts(walk, vectors) -> dict:
         return wrapper
 
     def counting_unitary_eig(stack):
+        first = len(cayley_rows)
         counts["unitary_eig_rows"].append(len(stack))
-        return unitary_eig(stack)
+        out = unitary_eig(stack)
+        counts["retried_rows"].append(sum(cayley_rows[first + 1 :]))
+        return out
+
+    def counting_cayley(stack, center):
+        cayley_rows.append(len(stack))
+        return cayley(stack, center)
+
+    def counting_certify(walk, vals):
+        (delta, gap, linked), crossings = out = certify(walk, vals)
+        unexplained = sum(steps for (_start, steps), angle in crossings if angle is None)
+        counts["grids"].append([len(vals), int(np.count_nonzero(gap <= 2 * delta)), unexplained])
+        return out
 
     for name in originals:
         setattr(np.linalg, name, counting(name))
-    spectral._unitary_eig = counting_unitary_eig
+    spectral._unitary_eig, spectral._cayley = counting_unitary_eig, counting_cayley
+    spectral._certify = counting_certify
     try:
         system = refine_system(track_bands(walk, GRID))
-        counts["certificate"] = len(counts["unitary_eig_rows"]) > 1
         for xi in vectors:
             limit_measure(walk, xi, system)
     finally:
         for name, fn in originals.items():
             setattr(np.linalg, name, fn)
-        spectral._unitary_eig = unitary_eig
+        spectral._unitary_eig, spectral._cayley, spectral._certify = unitary_eig, cayley, certify
     return counts
 
 

@@ -13,39 +13,28 @@ no tracking: the bands are the analytic branches of the roots of
 det(lambda - U(z)), so two walks share a refined system exactly when their
 characteristic polynomials agree, and are_conjugate compares those.
 
-Branch matching note: each step between adjacent grid points is matched
-under a certificate.  U is normal on the circle and ||dU/dtheta||_F is at
-most L = sum_s |s| ||C_s||_F, so by Hoffman-Wielandt (1953) the spectra at
-two adjacent points of an M-point grid pair up, each eigenvalue with one of
-the other point, at distances at most delta = 2 pi L / M.  Cluster each
-point's eigenvalues at DEGENERACY_TOL; where the next point's clusters lie
-more than 2 delta apart, every eigenvalue's partner is in its nearest
-cluster, and the step matches each eigenvalue to that cluster (members of a
-cluster in index order), all such steps in one batched argmin.  The other
-steps (avoided or exact crossings the grid does not resolve) keep a
-minimum-total-distance assignment on linearly extrapolated values, taken in
-grid order, over each group of eigenvalues within 2 delta of each other; the
-extrapolated prediction stays on the analytic branch through a transversal
-collision, where raw values cannot.  The step permutations are then composed
-once.
+Branch matching note: U is normal on the circle, so an analytic branch moves
+in one step of h = 2 pi / M at most the integral of ||dU/dtheta||_2 over it
+(Kato, Perturbation Theory, ch. II): at most delta = h L, L = sum_s |s|
+||C_s||_F, and, as ||dU/dtheta||_2 changes by at most L2 = sum_s s^2 ||C_s||_2
+per radian, at most h (||U'(z_k)||_2 + ||U'(z_{k+1})||_2) / 2 + h^2 L2 / 2,
+taken on the steps h L leaves uncertified.  A step is certified where the
+DEGENERACY_TOL clusters of its target point lie more than 2 delta_k apart:
+each eigenvalue's branch ends in its nearest cluster, where the step sends it
+(members in index order: the refined system does not depend on labels
+inside a cluster), all such steps in one batched argmin.  The other steps
+match each group of eigenvalues within 2 delta_k of each other by minimum
+total distance from linearly extrapolated values, in grid order, which
+follows the analytic branch through a transversal collision.
 
-A step is open when it is uncertified, or when its target point has a
-DEGENERACY_TOL cluster of two or more eigenvalues: matched in index order,
-its members are not told apart as branches (direct sums, crossings).
-A pass with no open step is the analytic continuation: each branch moves
-at most the integral of |lambda'| <= L (Kato, Perturbation Theory, ch. II),
-so at most delta, between points whose n eigenvalues are singletons
-pairwise more than 2 delta apart, and the composed permutation is the
-monodromy.  On the doubled grid each midpoint lies within delta / 2 of
-both neighbours, so its eigenvalues are more than delta apart and every
-doubled step is certified: doubling would compose the same cycles through
-the same even-point values, so it is skipped.  A pass with open steps must
-have its refined system reproduced on the doubled grid; otherwise the
-doubled grid becomes the pass, until one is reproduced or has no open step.
-The certificate compares refined systems, not raw cycles, because inside an
-exactly degenerate eigenspace (a direct sum) the raw cycle structure
-depends on how the solver labels the eigenvectors, which changes from grid
-to grid.
+A pass is accepted when every uncertified step lies in a window around an
+exact crossing, through which the branches continue analytically (Rellich;
+Kato ch. II section 6).  A window is a maximal run of uncertified steps; a
+certified step between two runs whose target holds a cluster (a crossing on
+a grid point) joins them.  Its crossing is exact when the least gap between
+eigenvalue clusters, minimized from the window's grid points by rounds of
+sampling around the best angle, falls below DEGENERACY_TOL; otherwise the
+grid doubles, its even points reused, up to MAX_GRID.
 
 Eigensolver note: U(z) is unitary on the circle, so every grid stack is
 solved as a Hermitian one (_unitary_eig).  The Cayley transform
@@ -61,19 +50,12 @@ eigenvalue, where ||T||_F is at most half the bound, so a unitary row always
 passes and a row that never does raises ResolutionError.  The eigenvectors
 come back orthonormal, so V^-1 is V^H and no inverse is taken.
 
-Grid work is batched: track_bands evaluates the symbol as one (M, n, n)
-stack and solves one eigendecomposition (values and vectors) over it, and
-the start-point search, eigenvalue clustering, certified matching,
-permutation composition, projection weights and Hellmann-Feynman group
-velocities are array operations over all M points.  That decomposition is
-the only one per walk and grid: the system keeps it, refine_system returns
-that same system, and band_projections builds its vector-free half from it
-(clusters, band matching, checks and velocities) once per system and walk,
-so each further initial vector costs one batched matrix-vector product.
-The limit measure takes both its weights and its velocities from there.
-Only the uncertified matching steps go point by point, because each
-extrapolates from the step before it; the velocities at the few
-self-collision points are solved one cluster at a time.
+Grid work is batched: one eigendecomposition of the (M, n, n) symbol stack
+serves tracking, and the system keeps it for band_projections, whose
+vector-free half is built once per system and walk.  Matching, composition,
+weights and velocities are array operations over all M points, except the
+uncertified steps (each extrapolates from the one before) and the
+velocities at self-collisions.
 """
 
 from __future__ import annotations
@@ -85,12 +67,15 @@ import numpy as np
 
 from .circle import circle_values, rotation_distance, winding_of_samples
 from .errors import DomainError, ResolutionError, UnitarityError
+from .laurent import evaluate
 from .symbol import SymbolMatrix, char_poly, verify_unitary_symbol
 
 # Conjugate edge of the char-poly distance, relative to the coefficient scale:
 # char_poly prunes below PRUNE_TOL = 1e-14, conjugate pairs of generated walks
 # differ by about that much, and distinct band systems by order one.
 CHAR_POLY_TOL = 1e-12
+CROSSING_SAMPLES = 33
+CROSSING_WIDTH = 1e-12
 DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
@@ -205,8 +190,7 @@ def _unitary_eig(stack: np.ndarray):
     """Eigenvalues and orthonormal eigenvectors of an (M, n, n) unitary stack.
 
     The Cayley transform T of each row, its pole check and the retries are
-    the module docstring's eigensolver note; the first pole of a row is the
-    direction opposite its trace, turned by POLE_TURN.  The check runs on T
+    the module docstring's eigensolver note.  The check runs on T
     itself, before H = (T + T^H) / 2 is formed: symmetrizing would drop the
     huge skew part of a transform whose pole sits on an eigenvalue.  One
     batched eigh of H gives the vectors V, and the Rayleigh quotients
@@ -324,37 +308,98 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> tuple[np.ndarray, int]:
-    """(M, n) step permutations (row k sends eigenvalue i at k to row[i] at k + 1), open steps.
+def _step_bounds(walk: SymbolMatrix, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta, gap, linked) of an (M, n) pass, row k for the step to point k + 1:
+    the step bound (module docstring), the least distance between the
+    DEGENERACY_TOL clusters of point k + 1 and their links.  Step k is
+    certified where gap[k] > 2 delta[k]."""
+    grid = len(vals)
+    h = 2.0 * np.pi / grid
+    target = np.roll(vals, -1, axis=0)
+    linked = _linked(target, DEGENERACY_TOL)
+    dist = np.abs(target[:, :, None] - target[:, None, :])
+    gap = np.min(np.where(linked, np.inf, dist), axis=(1, 2))
+    delta = np.full(grid, h * _lipschitz(walk))
+    loose = np.flatnonzero(gap <= 2 * delta)
+    if loose.size:
+        s, c = walk.shifts, walk.coeffs
+        ends = np.stack([loose, (loose + 1) % grid])
+        slope = evaluate(s, 1j * s[:, None, None] * c, np.exp(1j * h * ends))
+        gram = [a.conj().swapaxes(-1, -2) @ a for a in (c, slope)]  # ||A||_2^2 = top eigenvalue
+        norms = [np.linalg.eigvalsh(g)[..., -1] ** 0.5 for g in gram]  # no SVD: MBs of peak RSS
+        local = h * norms[1].mean(axis=0) + h * h * float(np.sum(s**2.0 * norms[0])) / 2
+        delta[loose] = np.minimum(delta[loose], local)
+    return delta, gap, linked
 
-    `delta` bounds how far any eigenvalue moves in one step, so each one's
-    Hoffman-Wielandt partner lies in the group (single linkage) of its
-    nearest eigenvalue at point k + 1 whenever the groups lie at least 2 delta
-    apart.  A step is certified where the DEGENERACY_TOL clusters of point
-    k + 1 lie more than 2 delta apart: each eigenvalue goes to its nearest
-    cluster, members in index order, all steps at once.  Elsewhere the groups
-    are taken at 2 delta, and each group of two or more is matched by minimum
-    total distance from predicted values, in grid order from kstar: a step
-    predicts by linear extrapolation through the step before it, except the
-    first, which has no history and predicts the current values.  A step is
-    open where it is uncertified or point k + 1 has a cluster of two or more
-    eigenvalues (module docstring).
+
+def _window_crossing(walk: SymbolMatrix, vals: np.ndarray, start: int, steps: int) -> float | None:
+    """Angle of an exact crossing in the window of `steps` steps from `start`, or None.
+
+    The gap at an angle is the (r + 1)-th least pairwise eigenvalue distance,
+    r the DEGENERACY_TOL-linked pairs at the window's least clustered point:
+    the least gap between clusters, continuous through a crossing that merges
+    two.  From the grid point of least gap, each round samples CROSSING_SAMPLES
+    angles between the neighbours of the best angle, until the gap is below
+    DEGENERACY_TOL (exact), cannot get there in the bracket (it moves at most
+    2 L per radian) or the bracket is below CROSSING_WIDTH.
+    """
+    grid, n = vals.shape
+    points = (start + np.arange(steps + 1)) % grid
+    rank = int(np.count_nonzero(_linked(vals[points], DEGENERACY_TOL), axis=(1, 2)).min() - n) // 2
+    upper = np.triu_indices(n, 1)
+    width, speed = 2.0 * np.pi / grid, 2.0 * _lipschitz(walk)
+    angles, values = width * (start + np.arange(steps + 1)), vals[points]
+    while True:
+        pairs = np.abs(values[:, upper[0]] - values[:, upper[1]])
+        gaps = np.partition(pairs, rank, axis=1)[:, rank]
+        angle, gap = angles[np.argmin(gaps)], np.min(gaps)
+        hopeless = gap - speed * width >= DEGENERACY_TOL or width <= CROSSING_WIDTH
+        if gap < DEGENERACY_TOL or hopeless:
+            return angle % (2.0 * np.pi) if gap < DEGENERACY_TOL else None
+        angles = angle + width * np.linspace(-1.0, 1.0, CROSSING_SAMPLES)
+        values = _unitary_eig(evaluate(walk.shifts, walk.coeffs, np.exp(1j * angles)))[0]
+        width *= 2.0 / (CROSSING_SAMPLES - 1)
+
+
+def _certify(walk: SymbolMatrix, vals: np.ndarray) -> tuple[tuple, list]:
+    """_step_bounds of an (M, n) pass, and ((first step, step count), crossing
+    angle or None) for each of its windows (module docstring)."""
+    delta, gap, linked = bounds = _step_bounds(walk, vals)
+    uncertified = gap <= 2 * delta
+    if not uncertified.any():
+        return bounds, []
+    clustered = np.any(np.count_nonzero(linked, axis=2) > 1, axis=1)
+    inside = uncertified | (clustered & np.roll(uncertified, 1) & np.roll(uncertified, -1))
+    starts = np.flatnonzero(inside & ~np.roll(inside, 1))
+    ends = np.flatnonzero(inside & ~np.roll(inside, -1))
+    ends = ends[np.searchsorted(ends, starts) % max(len(ends), 1)]  # each run's own end
+    windows = [(int(a), int((b - a) % len(vals) + 1)) for a, b in zip(starts, ends)]
+    windows = windows or [(0, len(vals))]  # no start: every step is inside
+    return bounds, [(w, _window_crossing(walk, vals, *w)) for w in windows]
+
+
+def _step_permutations(
+    vals: np.ndarray, delta: np.ndarray, uncertified: np.ndarray, linked: np.ndarray, kstar: int
+) -> np.ndarray:
+    """(M, n) step permutations: row k sends eigenvalue i at k to row[i] at k + 1.
+
+    `delta` and `linked` are _step_bounds' (linked is overwritten).  A
+    certified step sends each eigenvalue to its nearest cluster, members in
+    index order, all steps at once.  An uncertified step groups the values at
+    2 delta[k] and matches each group by minimum total distance from values
+    extrapolated through the step before, in grid order from kstar (the
+    history-free first step predicts the current values).
     """
     grid, n = vals.shape
     target = np.roll(vals, -1, axis=0)  # row k: the spectrum at point k + 1
-    linked = _linked(target, DEGENERACY_TOL)
-    dist = np.abs(target[:, :, None] - target[:, None, :])
-    uncertified = np.min(np.where(linked, np.inf, dist), axis=(1, 2)) <= 2 * delta
-    clustered = np.any(np.count_nonzero(linked, axis=2) > 1, axis=1)
-    open_steps = int(np.count_nonzero(uncertified | clustered))
-    linked[uncertified] = _linked(target[uncertified], 2 * delta)
+    linked[uncertified] = _linked(target[uncertified], 2 * delta[uncertified, None, None])
     label = np.argmax(linked, axis=2)  # smallest index in each cluster or group
     nearest = np.argmin(np.abs(vals[:, :, None] - target[:, None, :]), axis=2)
     source = np.take_along_axis(label, nearest, axis=1)
     if np.any(np.sort(source, axis=1) != np.sort(label, axis=1)):
         raise ResolutionError(
             "eigenvalues moved further than the step bound "
-            f"{delta:.3e} between adjacent grid points"
+            f"{delta.max():.3e} between adjacent grid points"
         )
     # sorted by (group, index), sources and targets line up group by group
     steps = np.empty((grid, n), dtype=int)
@@ -369,25 +414,19 @@ def _step_permutations(vals: np.ndarray, delta: float, kstar: int) -> tuple[np.n
             rows, cols = np.flatnonzero(source[k] == g), np.flatnonzero(label[k] == g)
             cost = np.abs(predicted[rows, None] - target[k, cols])
             steps[k, rows] = cols[_min_cost_assignment(cost)]
-    return steps, open_steps
+    return steps
 
 
-def _track_cycles(vals: np.ndarray, lipschitz: float) -> tuple[list, int]:
-    """Track branches through the (M, n) eigenvalue lists.
-
-    Returns the (d, samples) cycles and the pass's number of open steps
-    (_step_permutations).  `lipschitz` bounds ||dU/dtheta||_F (see
-    _lipschitz).  The pass starts at the grid point where the spectrum is
-    best separated, so the single history-free first step never straddles a
-    collision that extrapolation would have been needed for.
-    """
+def _track_cycles(vals: np.ndarray, *bounds: np.ndarray) -> list:
+    """(d, samples, 1) per branch cycle through the (M, n) eigenvalue lists, by
+    _step_permutations(vals, *bounds); the pass starts where the spectrum is
+    best separated, so its history-free first step straddles no collision."""
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
     start = vals[kstar]
     order0 = np.lexsort((start.imag, start.real, np.angle(start)))
     # chain[j] composes the pass's first j + 1 steps (inclusive scan by doubling)
-    steps, open_steps = _step_permutations(vals, lipschitz * 2.0 * np.pi / grid, kstar)
-    chain = np.roll(steps, -kstar, axis=0)
+    chain = np.roll(_step_permutations(vals, *bounds, kstar), -kstar, axis=0)
     offset = 1
     while offset < grid:
         chain[offset:] = np.take_along_axis(chain[offset:], chain[:-offset], axis=1)
@@ -413,8 +452,8 @@ def _track_cycles(vals: np.ndarray, lipschitz: float) -> tuple[list, int]:
         d = len(cycle)
         seq = np.concatenate([path_vals[b, :grid] for b in cycle])
         samples = np.roll(seq, kstar)  # covering index 0 <-> base point z = 1
-        cycles.append((d, _canonical_rotation(samples, grid)))
-    return cycles, open_steps
+        cycles.append((d, _canonical_rotation(samples, grid), 1))
+    return cycles
 
 
 _HALF_TURN = round(np.pi, 9)
@@ -484,13 +523,6 @@ def _finish_system(
     return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
-def _build_system(vals: np.ndarray, lipschitz: float) -> tuple[EigenSystem, int]:
-    """The refined system tracked through (M, n) grid eigenvalues, and its open steps."""
-    grid, n = vals.shape
-    cycles, open_steps = _track_cycles(vals, lipschitz)
-    return _finish_system([(d, s, 1) for d, s in cycles], n, grid), open_steps
-
-
 def _require_unitary(walk: SymbolMatrix) -> None:
     report = verify_unitary_symbol(walk)
     if not report.passed:
@@ -499,37 +531,8 @@ def _require_unitary(walk: SymbolMatrix) -> None:
         )
 
 
-def _match_band_sets(
-    left: list[Band], right: list[Band], base_grid: int, tol: float
-) -> bool:
-    """Exact bipartite matching of bands by (d, multiplicity, rotation distance)."""
-    if len(left) != len(right):
-        return False
-    if not left:
-        return True
-    band = left[0]
-    for idx, other in enumerate(right):
-        if other.d != band.d or other.multiplicity != band.multiplicity:
-            continue
-        if rotation_distance(band.samples, other.samples, base_grid) >= tol:
-            continue
-        if _match_band_sets(left[1:], right[:idx] + right[idx + 1 :], base_grid, tol):
-            return True
-    return False
-
-
-def _subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
-    step = system.base_grid // coarse
-    if step == 1:
-        return system
-    bands = tuple(
-        Band(b.d, b.samples[::step], b.winding, b.multiplicity) for b in system.bands
-    )
-    return EigenSystem(bands, system.n, coarse, system.indecomposable)
-
-
 def valid_base_grid(grid: int) -> bool:
-    """A power of two in 64..MAX_GRID/2: a base grid track_bands can certify."""
+    """A power of two in 64..MAX_GRID/2: a base grid that leaves track_bands a doubling."""
     return grid >= 64 and not grid & (grid - 1) and 2 * grid <= MAX_GRID
 
 
@@ -537,53 +540,48 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     """Track the eigenvalue branches of a unitary symbol around the circle.
 
     Eigenvalues and orthonormal eigenvectors are solved at `base_grid`
-    uniform points and matched between adjacent points under the per-step
-    Hoffman-Wielandt certificate of the module docstring (no eigenvalue
-    moves further than delta = 2 pi L / M, L = sum_s |s| ||C_s||_F); the
-    step permutations compose into one permutation whose cycles give
-    covering degrees.  The result is refined: each cycle is contracted to
-    its minimal rotation period (samples repeating to within DEFAULT_TOL),
-    and branches coinciding everywhere merge into one band with a
-    multiplicity, so refine_system leaves it unchanged.  Each band carries
-    its winding, validated once here: an under-resolved winding raises
-    ResolutionError.  A pass with an open step must be reproduced at twice
-    the resolution, band samples agreeing to within DEFAULT_TOL; otherwise
-    the doubled grid becomes the pass, until a pass is reproduced or has no
-    open step, or MAX_GRID is exceeded.  The doubled grid's even points are
-    the current ones (grid phases are reduced exactly in integers), so only
-    its midpoints are solved, once.  The returned system keeps its grid's
-    decomposition for band_projections, tied to this walk.
+    uniform points and matched under the certificate of the module
+    docstring; the step permutations compose into one permutation whose
+    cycles give covering degrees.  A pass with a window holding no exact
+    crossing moves to the doubled grid, whose even points are the current
+    ones (phases are reduced exactly in integers), so only its midpoints are
+    solved; one still open at MAX_GRID raises ResolutionError naming the
+    grid, the narrowest open gap and its bound.  The result is refined: each
+    cycle is contracted to its minimal rotation period (to DEFAULT_TOL) and
+    branches coinciding everywhere merge into one band with a multiplicity,
+    so refine_system leaves it unchanged.  Each band's winding is validated
+    here (ResolutionError where under-resolved).  The system keeps its
+    grid's decomposition for band_projections, tied to this walk.
 
     Parameters
     ----------
     walk : SymbolMatrix
         Must pass the unitarity check.
     base_grid : int
-        Power of two in 64..MAX_GRID/2.  The returned system lives on the first
-        grid at or above this size with no open step or whose structure is
-        stable under doubling.
+        Power of two in 64..MAX_GRID/2, the least grid tried.
     """
     if not valid_base_grid(base_grid):
         raise DomainError(f"base_grid {base_grid} is not a power of two in 64..{MAX_GRID // 2}")
     _require_unitary(walk)
     grid = base_grid
-    lipschitz = _lipschitz(walk)
     vals, vecs = _unitary_eig(walk.grid_eval(grid))
-    system, open_steps = _build_system(vals, lipschitz)
-    while open_steps:
-        if 2 * grid > MAX_GRID:
-            raise ResolutionError(
-                f"grid resolution exceeded ({MAX_GRID}) without stable tracking"
-            )
-        finer_vals = np.empty((2 * grid, walk.n), dtype=complex)
-        finer_vecs = np.empty((2 * grid, walk.n, walk.n), dtype=complex)
-        finer_vals[::2], finer_vecs[::2] = vals, vecs
-        finer_vals[1::2], finer_vecs[1::2] = _unitary_eig(walk.grid_eval(2 * grid)[1::2])
-        finer, finer_open = _build_system(finer_vals, lipschitz)
-        shared = _subsample_system(finer, grid)
-        if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
+    while True:
+        (delta, gap, linked), crossings = _certify(walk, vals)
+        unexplained = [window for window, angle in crossings if angle is None]
+        if not unexplained:
             break
-        grid, vals, vecs, system, open_steps = 2 * grid, finer_vals, finer_vecs, finer, finer_open
+        if 2 * grid > MAX_GRID:
+            k = min(((a + i) % grid for a, m in unexplained for i in range(m)), key=gap.__getitem__)
+            raise ResolutionError(
+                f"tracking unresolved at grid {grid} (MAX_GRID), windows without an exact "
+                f"crossing: {len(unexplained)}; the narrowest gap between eigenvalue clusters "
+                f"is {gap[k]:.3e}, against its bound 2 delta {2 * delta[k]:.3e}"
+            )
+        mid_vals, mid_vecs = _unitary_eig(walk.grid_eval(2 * grid)[1::2])
+        vals = np.stack([vals, mid_vals], axis=1).reshape(2 * grid, walk.n)
+        vecs = np.stack([vecs, mid_vecs], axis=1).reshape(2 * grid, walk.n, walk.n)
+        grid *= 2
+    system = _finish_system(_track_cycles(vals, delta, gap <= 2 * delta, linked), walk.n, grid)
     object.__setattr__(system, "_solved", (walk, vals, vecs))
     return system
 

@@ -31,19 +31,14 @@ from zqwalk import (
     track_bands,
 )
 from zqwalk import io as zio
-from zqwalk.circle import alias_free_grid, circle_values
+from zqwalk.circle import alias_free_grid, circle_values, rotation_distance
 from zqwalk.laurent import stack_terms
 from zqwalk.simulate import _settle
 from zqwalk.spectral import (
     DEFAULT_TOL,
     _best_separated_point,
-    _build_system,
     _canonical_rotation,
     _finish_system,
-    _lipschitz,
-    _match_band_sets,
-    _subsample_system,
-    _unitary_eig,
 )
 
 SAMPLE_GRID = 4096
@@ -122,6 +117,19 @@ def conjugated_coined_sum(seed: int) -> SymbolMatrix:
         SymbolMatrix.from_constant(v),
         compose(walk, SymbolMatrix.from_constant(v.conj().T)),
     )
+
+
+def coupled_coined_sum(eps: float) -> SymbolMatrix:
+    """coined + coined coupled by exp(i eps K), K a seeded Hermitian 4 x 4 matrix.
+
+    Each double eigenvalue of the direct sum splits by about eps, so the two
+    copies of each band meet in avoided crossings of width about eps.
+    """
+    rng = np.random.default_rng(3100)
+    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h, v = np.linalg.eigh(k + k.conj().T)
+    coupling = SymbolMatrix.from_constant((v * np.exp(1j * eps * h)) @ v.conj().T)
+    return compose(coupling, direct_sum(coined_walk(), coined_walk()))
 
 
 def random_split_step_walk(
@@ -346,6 +354,35 @@ def dict_apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:
 # -- tracking references ------------------------------------------------------------
 
 
+def match_band_sets(
+    left: list[Band], right: list[Band], base_grid: int, tol: float
+) -> bool:
+    """Exact bipartite matching of bands by (d, multiplicity, rotation distance)."""
+    if len(left) != len(right):
+        return False
+    if not left:
+        return True
+    band = left[0]
+    for idx, other in enumerate(right):
+        if other.d != band.d or other.multiplicity != band.multiplicity:
+            continue
+        if rotation_distance(band.samples, other.samples, base_grid) >= tol:
+            continue
+        if match_band_sets(left[1:], right[:idx] + right[idx + 1 :], base_grid, tol):
+            return True
+    return False
+
+
+def subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
+    step = system.base_grid // coarse
+    if step == 1:
+        return system
+    bands = tuple(
+        Band(b.d, b.samples[::step], b.winding, b.multiplicity) for b in system.bands
+    )
+    return EigenSystem(bands, system.n, coarse, system.indecomposable)
+
+
 def tracked_conjugacy(w1: SymbolMatrix, w2: SymbolMatrix, base_grid: int = 1024) -> bool:
     """Oracle for `zqwalk.are_conjugate`: track both walks and match their bands.
 
@@ -357,8 +394,8 @@ def tracked_conjugacy(w1: SymbolMatrix, w2: SymbolMatrix, base_grid: int = 1024)
         return False
     sys1, sys2 = track_bands(w1, base_grid), track_bands(w2, base_grid)
     coarse = min(sys1.base_grid, sys2.base_grid)
-    sys1, sys2 = _subsample_system(sys1, coarse), _subsample_system(sys2, coarse)
-    return _match_band_sets(list(sys1.bands), list(sys2.bands), coarse, DEFAULT_TOL)
+    sys1, sys2 = subsample_system(sys1, coarse), subsample_system(sys2, coarse)
+    return match_band_sets(list(sys1.bands), list(sys2.bands), coarse, DEFAULT_TOL)
 
 
 def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -367,28 +404,35 @@ def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
     Walks the (M, n) eigenvalue lists from the best separated point and
     matches each point to the next by a minimum-total-distance assignment on
     linearly extrapolated values (raw values on the first step); returns the
-    (d, samples) cycles of the composed permutation.
+    (d, samples) cycles of the composed permutation.  A step whose raw
+    nearest-neighbour map is a permutation, each eigenvalue's nearest value
+    less than a quarter as far as its second nearest, takes that map (the
+    assignment there, extrapolated or not); the others are solved in grid
+    order by scipy's linear_sum_assignment.
     """
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
-    start = vals[kstar]
+    seq = np.roll(vals, -kstar, axis=0)  # pass order: step j goes from seq[j] to seq[j + 1]
+    after = np.roll(seq, -1, axis=0)
+    cost = np.abs(seq[:, :, None] - after[:, None, :])
+    col = np.argmin(cost, axis=2)  # col[j, i]: index at j + 1 of index i at j
+    nearest = np.sort(cost, axis=2)
+    easy = np.all(np.sort(col, axis=1) == np.arange(n), axis=1)
+    if n > 1:
+        easy &= np.all(4 * nearest[:, :, 0] < nearest[:, :, 1], axis=1)
+    for j in np.flatnonzero(~easy):
+        predicted = 2.0 * seq[j] - seq[j - 1][np.argsort(col[j - 1])] if j else seq[j]
+        col[j] = linear_sum_assignment(np.abs(predicted[:, None] - after[j][None, :]))[1]
+    start = seq[0]
     order0 = np.lexsort((start.imag, start.real, np.angle(start)))
-    path_vals = np.zeros((n, grid + 1), dtype=complex)
-    path_vals[:, 0] = start[order0]
-    cur = path_vals[:, 0].copy()
-    prev = None
-    col = order0.copy()
-    for j in range(1, grid + 1):
-        target = vals[(kstar + j) % grid]
-        predicted = cur if prev is None else 2.0 * cur - prev
-        cost = np.abs(predicted[:, None] - target[None, :])
-        _rows, col = linear_sum_assignment(cost)
-        prev = cur
-        cur = target[col]
-        path_vals[:, j] = cur
+    position = np.empty((grid + 1, n), dtype=int)  # index of each branch at each step
+    position[0] = order0
+    for j in range(grid):
+        position[j + 1] = col[j][position[j]]
     inv = np.empty(n, dtype=int)
     inv[order0] = np.arange(n)
-    pi = inv[col]  # branch b continues as branch pi[b] after one loop
+    pi = inv[position[grid]]  # branch b continues as branch pi[b] after one loop
+    path_vals = np.take_along_axis(seq, position[:grid], axis=1).T
 
     cycles = []
     seen = np.zeros(n, dtype=bool)
@@ -402,41 +446,46 @@ def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
             cycle.append(b)
             seen[b] = True
             b = int(pi[b])
-        seq = np.concatenate([path_vals[b, :grid] for b in cycle])
-        samples = np.roll(seq, kstar)  # covering index 0 <-> base point z = 1
+        seq_b = np.concatenate([path_vals[b] for b in cycle])
+        samples = np.roll(seq_b, kstar)  # covering index 0 <-> base point z = 1
         cycles.append((len(cycle), _canonical_rotation(samples, grid)))
     return cycles
 
 
-def full_grid_track_bands(
-    walk: SymbolMatrix, base_grid: int = 1024, assignment: bool = False
-) -> EigenSystem:
-    """Reference for `zqwalk.track_bands`: every doubled grid solved in full.
+FINE_GRID = 32768
+_FINE_PASSES: dict = {}
 
-    The doubling certificate always runs here, also on a pass with no open
-    step, where track_bands skips it.  Each grid is solved row by row with
-    eigenvectors, as track_bands solves every grid, so the two agree bit for
-    bit.  With `assignment`,
-    branches are matched by `assignment_track_cycles` instead of the
-    certified matcher.
+
+def fine_pass_system(walk: SymbolMatrix, grid: int = FINE_GRID) -> EigenSystem:
+    """Reference for `zqwalk.track_bands`: one pass at a fine grid, no certificate.
+
+    The eigenvalues of every grid point come from LAPACK's general eigvals and
+    are matched point by point by `assignment_track_cycles`; no step bound,
+    crossing search or doubling is involved.  Passes are kept per symbol and
+    grid for the session.
     """
-    lipschitz = _lipschitz(walk)
-
-    def build(vals):
-        if not assignment:
-            return _build_system(vals, lipschitz)[0]
+    key = (walk.shifts.tobytes(), walk.coeffs.tobytes(), grid)
+    if key not in _FINE_PASSES:
+        vals = np.linalg.eigvals(walk.grid_eval(grid))
         cycles = [(d, s, 1) for d, s in assignment_track_cycles(vals)]
-        return _finish_system(cycles, vals.shape[1], vals.shape[0])
+        _FINE_PASSES[key] = _finish_system(cycles, walk.n, grid)
+    return _FINE_PASSES[key]
 
-    grid = base_grid
-    system = build(_unitary_eig(walk.grid_eval(grid))[0])
-    while True:
-        finer = build(_unitary_eig(walk.grid_eval(2 * grid))[0])
-        shared = _subsample_system(finer, grid)
-        if _match_band_sets(list(system.bands), list(shared.bands), grid, DEFAULT_TOL):
-            return system
-        grid *= 2
-        system = finer
+
+def band_shape(system: EigenSystem) -> list[tuple[int, int, int]]:
+    """(d, multiplicity, winding) of each band, in the system's order."""
+    return [(b.d, b.multiplicity, b.winding) for b in system.bands]
+
+
+def agrees_with_fine_pass(system: EigenSystem, fine: EigenSystem, tol: float = 1e-7) -> bool:
+    """The same (d, multiplicity, winding) bands as the fine pass, and band
+    samples that match up to rotation on the coarser of the two grids (within
+    `tol`: a merged band keeps one member of a DEGENERACY_TOL cluster)."""
+    coarse = min(system.base_grid, fine.base_grid)
+    left, right = subsample_system(system, coarse), subsample_system(fine, coarse)
+    return sorted(band_shape(system)) == sorted(band_shape(fine)) and match_band_sets(
+        list(left.bands), list(right.bands), coarse, tol
+    )
 
 
 def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:

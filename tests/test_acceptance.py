@@ -204,9 +204,10 @@ def test_criterion_5_round_trip_random_models():
                 index,
                 d,
             )
-            covering = np.exp(2j * np.pi * np.arange(d * 256) / (d * 256))
+            m = system.base_grid  # at least 256; walk 14 certifies at 512
+            covering = np.exp(2j * np.pi * np.arange(d * m) / (d * m))
             want = spec.lambda_coeffs(covering)
-            assert rotation_distance(system.bands[0].samples, want, 256) < 1e-7
+            assert rotation_distance(system.bands[0].samples, want, m) < 1e-7
 
 
 def test_criterion_6_weak_limit_convergence():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -35,6 +36,7 @@ from zqwalk import (
 from support import (
     compared_moments,
     conjugated_coined_sum,
+    coupled_coined_sum,
     loop_bands_csv,
     loop_comparison_csv,
     loop_distribution_csv,
@@ -361,11 +363,25 @@ def test_cli_ct_check_writes_generators(spec_dir, tmp_path):
 
 @pytest.mark.parametrize("grid", ["100", "32", "0", "65536", "131072"])
 def test_cli_refuses_grid_outside_range(spec_dir, tmp_path, capsys, grid):
-    # 65536 and above: a base grid whose doubling passes MAX_GRID never certifies
+    # 65536 and above: a base grid must leave track_bands a doubling up to MAX_GRID
     out = tmp_path / "run"
     code = run_cli("bands", spec_dir / "hadamard.json", "--grid", grid, "--out", out)
     assert code == 2
     assert f"--grid must be a power of two in 64..32768, got {grid}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_unresolved_tracking(tmp_path, capsys):
+    # the sum coupled at 1e-7 has avoided crossings narrower than any grid
+    # step up to MAX_GRID: exit 4 with the grid, the narrowest gap and its bound
+    spec = tmp_path / "coupled.json"
+    spec.write_text(json.dumps(zio.walk_to_json(coupled_coined_sum(1e-7))))
+    out = tmp_path / "run"
+    assert run_cli("bands", spec, "--grid", "64", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert "at grid 65536 (MAX_GRID)" in err
+    assert re.search(r"narrowest gap between eigenvalue clusters is \S+e-07, against its bound 2 "
+                     r"delta \S+e-04", err), err
     assert not out.exists()
 
 
@@ -628,7 +644,7 @@ def test_script_runs(command, artifacts, tmp_path, monkeypatch, capsys):
 
 
 BENCH_STAGES = {
-    "grid_eval", "eig", "np_eig", "track_bands", "band_projections_first",
+    "grid_eval", "eig", "np_eig", "track_bands", "crossing_search", "band_projections_first",
     "band_projections_repeat", "limit_measure",
     "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
     "char_poly", "verify_cayley_hamilton", "symbol_power_t64", "build_model_walk",
@@ -652,20 +668,21 @@ def test_bench_script_writes_report(tmp_path):
         assert all(0 < s["q25_s"] <= s["median_s"] <= s["q75_s"] for s in stages.values())
         # one eigendecomposition serves tracking and both vectors, with no
         # inverse and no general eigensolver; only grover3's crossing at
-        # z = 1 leaves steps open, so only its certificate solves midpoints
-        certified = name == "grover3"
-        assert report["solve_counts"][name] == {
-            "unitary_eig_rows": [1024] * (1 + certified), "certificate": certified,
+        # z = 1 leaves steps uncertified, two, in one window whose crossing
+        # sits on the grid point, so no grid is doubled and no angle solved
+        counts = dict(report["solve_counts"][name])
+        retried = counts.pop("retried_rows")
+        assert counts == {
+            "unitary_eig_rows": [1024], "grids": [[1024, 2 if name == "grover3" else 0, 0]],
             "eig": 0, "eigvals": 0, "inv": 0,
         }, name
+        assert len(retried) == 1 and 0 <= retried[0] < 1024, name
     accuracy = report["accuracy"]
     assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
     assert accuracy["grover3_atom_err"] < 1e-12
     assert accuracy["norm_drift_max"] < 1e-9
     assert accuracy["z100000_cayley_hamilton"] <= 1e-15
-    # two windings summing to the det winding 0 (ROADMAP item 4: the truth is [0, 0])
-    assert len(accuracy["near_crossing_windings"]) == 2
-    assert sum(accuracy["near_crossing_windings"]) == 0
+    assert accuracy["near_crossing_windings"] == [0, 0]
     assert report["environment"]["nproc"] >= 1
     assert report["environment"]["scipy"]  # the test support imports scipy
     laurent = dict(report["laurent"])

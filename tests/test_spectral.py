@@ -38,25 +38,32 @@ from zqwalk import (
     winding_of_samples,
 )
 from support import (
+    agrees_with_fine_pass,
+    band_shape,
     conjugated_coined_sum,
+    coupled_coined_sum,
     fft_band_velocities,
-    full_grid_track_bands,
+    fine_pass_system,
+    poly_product,
+    poly_sum,
+    poly_terms,
     random_constant_unitary,
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
     recorded_grid_evals,
     schur_band_projections,
+    subsample_system,
     tracked_conjugacy,
 )
 from zqwalk.spectral import (
-    DEGENERACY_TOL,
+    CROSSING_SAMPLES,
     _best_separated_point,
     _canonical_rotation,
+    _certify,
     _lipschitz,
-    _match_band_sets,
     _min_cost_assignment,
-    _subsample_system,
+    _step_bounds,
     _unitary_eig,
 )
 
@@ -125,16 +132,20 @@ def test_band_order_ignores_the_sign_of_a_roundoff_seam(imag):
 
 def test_certificate_reuses_coarse_eigenvalues(corpus):
     # the even points of a doubled grid are the coarse grid bit for bit, so
-    # solving only the new midpoints leaves every tracked system unchanged;
-    # split-step n = 8 escalates from grid 64 and hands its grid on
+    # an escalated system keeps the eigenvalues a fresh solve of its grid
+    # gives; every system agrees with the fine pass.  Split-step n = 8
+    # escalates from grid 64 and hands its grid on
     cases = [(walk, grid) for walk in corpus.values() for grid in (64, 1024)]
     for n in range(2, 9):
         walk = random_split_step_walk(np.random.default_rng(300 + n), n, 1 + n % 3)
         cases += [(walk, 64), (walk, 1024)]
     for walk, grid in cases:
         assert np.array_equal(walk.grid_eval(2 * grid)[::2], walk.grid_eval(grid))
-        assert track_bands(walk, grid) == full_grid_track_bands(walk, grid)
-    assert track_bands(cases[-2][0], 64).base_grid == 128
+        system = track_bands(walk, grid)
+        vals = _unitary_eig(walk.grid_eval(system.base_grid))[0]
+        assert np.array_equal(system._solved[1], vals)
+        assert agrees_with_fine_pass(system, fine_pass_system(walk))
+    assert track_bands(cases[-2][0], 64).base_grid == 512
 
 
 def _certificate_corpus():
@@ -145,32 +156,35 @@ def _certificate_corpus():
         )
         for i in range(40)
     }
-    rng = np.random.default_rng(3100)
-    k = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h, v = np.linalg.eigh(k + k.conj().T)
     for eps in (0.0, 1e-9, 1e-7, 1e-4):
-        coupling = SymbolMatrix.from_constant((v * np.exp(1j * eps * h)) @ v.conj().T)
-        walks[f"coupled_sum_{eps}"] = compose(
-            coupling, direct_sum(coined_walk(), coined_walk())
-        )
+        walks[f"coupled_sum_{eps}"] = coupled_coined_sum(eps)
     for eps in (0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
         walks[f"near_identity_{eps}"] = coined_walk(np.sqrt(1 - eps), np.sqrt(eps))
     return walks
 
 
 def test_skipped_certificate_matches_always_doubling_oracle(monkeypatch):
-    # a pass with no open step is the analytic continuation, so the doubling
-    # it skips could only have reproduced it; a pass with open steps still
-    # doubles until reproduced, so both give the oracle's system bit for bit
+    # every pass track_bands returns agrees with the fine pass: a pass whose
+    # every step certifies costs one solve, one with windows of avoided
+    # crossings doubles, and the sum coupled at 1e-7, whose avoided crossings
+    # stay narrower than any grid step up to MAX_GRID, is refused
     solves = _record_solves(monkeypatch)
-    certified = {}
+    grids = {}
     for name, walk in _certificate_corpus().items():
         solves.clear()
+        if name == "coupled_sum_1e-07":
+            with pytest.raises(ResolutionError, match="grid 65536"):
+                track_bands(walk, 64)
+            continue
         system = track_bands(walk, 64)
-        certified[name] = len(solves) > 1
-        assert system == full_grid_track_bands(walk, 64), name
-    assert not certified["split_step_0"] and not certified["near_identity_0.5"]
-    assert certified["coupled_sum_0.0"] and certified["near_identity_0.001"]
+        grids[name] = system.base_grid
+        assert agrees_with_fine_pass(system, fine_pass_system(walk)), name
+        # the base grid, then the midpoints of each doubled grid
+        midpoints = [64 << i for i in range(system.base_grid.bit_length() - 7)]
+        assert [rows for rows in solves if rows != CROSSING_SAMPLES] == [64, *midpoints], name
+    assert grids["split_step_0"] == grids["near_identity_0.5"] == 64
+    assert grids["coupled_sum_0.0"] == grids["coupled_sum_1e-09"] == 64
+    assert grids["near_identity_0.001"] > 64 and grids["coupled_sum_0.0001"] == 32768
 
 
 def _matcher_corpus():
@@ -185,21 +199,135 @@ def _matcher_corpus():
 
 
 def test_certified_matcher_matches_assignment_oracle():
-    # the old per-point assignment gives the same bands; samples agree bit for
-    # bit unless a grid point holds a degenerate pair, whose labels may swap
+    # the per-point assignment on the fine pass gives the same bands, and its
+    # samples on the certified grid
     for name, walk in _matcher_corpus().items():
         system = track_bands(walk)
-        oracle = full_grid_track_bands(walk, assignment=True)
-        assert system.base_grid == oracle.base_grid, name
-        shape = [(b.d, b.multiplicity, b.winding) for b in system.bands]
-        assert shape == [(b.d, b.multiplicity, b.winding) for b in oracle.bands], name
-        vals = np.linalg.eigvals(walk.grid_eval(2 * system.base_grid))
-        if min(_min_gap(v) for v in vals) >= DEGENERACY_TOL:
-            assert system == oracle, name
+        assert agrees_with_fine_pass(system, fine_pass_system(walk)), name
+    assert track_bands(_matcher_corpus()["near_crossing"]).base_grid == 8192
+
+
+def _state_rows():
+    """name -> (walk, base grids, pass-32768 answer as sorted (d, multiplicity,
+    winding)): walks whose avoided crossings are narrower than their base
+    grids resolve, so a pass that jumps them gets wrong cycles."""
+    def split(seed, n, radius):
+        return random_split_step_walk(np.random.default_rng(seed), n, radius)
+
+    plain = [(1, 1, 0), (1, 1, 0)]
+    return {
+        "near_crossing": (coined_walk(np.sqrt(1 - 1e-6), 1e-3), [1024], plain),
+        "split_1602": (split(1602, 6, 2), [64], [(6, 1, 1)]),
+        "split_2803": (split(2803, 8, 3), [256], [(1, 1, 0)] * 8),
+        "split_3020": (split(3020, 8, 3), [64, 128, 256], [(8, 1, -3)]),
+        "split_3023": (split(3023, 4, 3), [64], [(2, 1, -1)] * 2),
+        "near_identity_1e-4": (coined_walk(np.sqrt(1 - 1e-4), 1e-2), [64], plain),
+        "near_identity_1e-6": (coined_walk(np.sqrt(1 - 1e-6), 1e-3), [64], plain),
+    }
+
+
+def test_state_rows_return_the_fine_pass_answer():
+    for name, (walk, grids, want) in _state_rows().items():
+        for grid in grids:
+            assert sorted(band_shape(track_bands(walk, grid))) == want, (name, grid)
+    # its avoided crossings (width about 1e-7) stay below every grid step
+    with pytest.raises(ResolutionError, match=r"at grid 65536 \(MAX_GRID\)"):
+        track_bands(coupled_coined_sum(1e-7), 64)
+
+
+def test_triple_points_certify_at_their_grid():
+    # three eigenvalues meet in grover3's square at z = 1 and in its cube at
+    # z = exp(+-2 pi i / 3); each meeting is one window whose exact crossing
+    # the gap search places, so the pass certifies at the grid asked for
+    grover = grover_walk_3()
+    for exponent, angles in ((2, [0.0]), (3, [2 * np.pi / 3, 4 * np.pi / 3, 0.0])):
+        walk = symbol_power(grover, exponent)
+        for grid in (256, 1024):
+            system = track_bands(walk, grid)
+            assert system.base_grid == grid, (exponent, grid)
+            assert sorted(band_shape(system)) == [(1, 1, 0), (2, 1, 0)]
+            found = [angle for _window, angle in _certify(walk, system._solved[1])[1]]
+            assert np.allclose(found, angles, rtol=0, atol=1e-8), (exponent, grid)
+
+
+def test_crossing_window_is_the_whole_run():
+    # a d = 2 model band crossing itself at a slow relative speed: each
+    # window is a run of 7 to 17 uncertified steps, as many steps long on the
+    # doubled grid, around one exact crossing at the same angle
+    walk = build_model_walk(random_unimodular_spec(np.random.default_rng(6), 2, winding=2))
+    runs, angles = [], []
+    for grid in (1024, 2048):
+        system = track_bands(walk, grid)
+        assert system.base_grid == grid and band_shape(system) == [(2, 1, 2)]
+        crossings = _certify(walk, system._solved[1])[1]
+        runs.append([steps for (_start, steps), _angle in crossings])
+        angles.append([angle for _window, angle in crossings])
+    assert runs == [[7, 17, 16], [7, 17, 16]]
+    assert np.allclose(angles[0], angles[1], rtol=0, atol=1e-9)
+
+
+def test_crossing_on_a_grid_point_joins_its_runs():
+    # grover3's band crosses itself on grid point 0, whose two values form
+    # one cluster: step M - 1 certifies, and the uncertified steps M - 2 and 0
+    # beside it make one window around the crossing at angle 0
+    walk = grover_walk_3()
+    vals = _unitary_eig(walk.grid_eval(M))[0]
+    delta, gap, _linked = _step_bounds(walk, vals)
+    assert list(np.flatnonzero(gap <= 2 * delta)) == [0, M - 2]
+    assert _certify(walk, vals)[1] == [((M - 2, 3), 0.0)]
+    assert track_bands(walk, M).base_grid == M
+
+
+def _n2_walks():
+    """n = 2 walks: seeded coined walks and the near-avoided crossing (no exact
+    crossing), and pairs of opposite phases that cross exactly."""
+    walks = {"near_crossing": coined_walk(np.sqrt(1 - 1e-6), 1e-3)}
+    rng = np.random.default_rng(700)
+    for seed in range(6):
+        a = np.sqrt(rng.uniform(0.05, 0.95)) * np.exp(2j * np.pi * rng.uniform())
+        b = np.sqrt(1 - abs(a) ** 2) * np.exp(2j * np.pi * rng.uniform())
+        walks[f"coined_{seed}"] = coined_walk(a, b)
+    walks["shift_pair"] = direct_sum(SymbolMatrix.shift(1), SymbolMatrix.shift(-1))
+    # diag(e^i z, 1/z) crosses where z^2 = e^-i, off the grid
+    phase = SymbolMatrix.from_terms([-1, 1], [[[0, 0], [0, 1]], [[np.exp(1j), 0], [0, 0]]])
+    walks["phase_pair"] = phase
+    walks["phase_pair_mixed"] = _conjugate_by(phase, random_constant_unitary(rng, 2))
+    return walks
+
+
+def _discriminant_roots(walk) -> np.ndarray:
+    """Roots in z of (tr U)^2 - 4 det U, its Laurent coefficients from char_poly."""
+    det, minus_trace, _one = char_poly(walk).coeffs
+    disc = poly_sum(
+        poly_product(minus_trace, minus_trace),
+        LaurentPoly({s: -4 * c for s, c in poly_terms(det).items()}),
+    )
+    terms = poly_terms(disc)
+    high = max(terms)
+    coeffs = np.zeros(high - min(terms) + 1, dtype=complex)
+    for s, c in terms.items():
+        coeffs[high - s] = c
+    return np.roots(coeffs)
+
+
+def test_crossings_match_discriminant_roots_on_n2_walks():
+    # an exact crossing of a 2 x 2 walk is a (double) root of the discriminant
+    # on the circle; the crossing search must find exactly those angles
+    for name, walk in _n2_walks().items():
+        system = track_bands(walk, M)
+        found = np.array([angle for _window, angle in _certify(walk, system._solved[1])[1]])
+        roots = _discriminant_roots(walk)
+        on_circle = np.angle(roots[np.abs(np.abs(roots) - 1) < 1e-6])
+        for angles, others in ((found, on_circle), (on_circle, found)):
+            turn = np.angle(np.exp(1j * (angles[:, None] - others[None, :])))
+            assert np.all(np.min(np.abs(turn), axis=1, initial=np.inf) < 1e-6), name
+        if name.startswith(("shift", "phase")):
+            assert len(found) == 2, name
         else:
-            assert _match_band_sets(
-                list(system.bands), list(oracle.bands), system.base_grid, 1e-12
-            ), name
+            assert len(found) == 0, name
+    # the near-avoided crossing's nearest root lies about 1e-3 off the circle
+    roots = _discriminant_roots(_n2_walks()["near_crossing"])
+    assert 1e-4 < np.min(np.abs(np.abs(roots) - 1)) < 1e-2
 
 
 def test_min_cost_assignment_is_optimal(rng):
@@ -632,7 +760,7 @@ def test_band_velocities_match_fft_reference(corpus):
     ]
     for name, walk, grid in cases:
         fine = refine_system(track_bands(walk, max(grid, 1024)))
-        system = _subsample_system(fine, grid)
+        system = subsample_system(fine, grid)
         xh = StateVector.delta(0, 1, walk.n).fourier_samples(grid)
         velocities = band_projections(walk, system, xh)[1]
         step = fine.base_grid // grid
@@ -786,29 +914,29 @@ def test_one_eigensolve_per_walk_and_grid(name, corpus, monkeypatch):
         assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
     # tracking's eigendecomposition serves both vectors; V is orthonormal, so
     # no inverse, and no general eigensolver runs anywhere in the chain.
-    # grover3's crossing at z = 1 leaves steps open, so its certificate
-    # solves the M midpoints; the others have no open step and skip it
-    assert solves == {"coined": [M], "grover3": [M, M], "split_n6": [M]}[name]
+    # grover3's crossing sits on the grid point z = 1, so its window needs no
+    # solve beyond the grid's
+    assert solves == [M]
     assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
 
 
 def test_escalated_system_keeps_its_decomposition(monkeypatch):
-    # base 64 is not reproduced at 128: the certificate's 64 midpoints become
-    # rows of grid 128, which still has open steps and is certified by its
-    # own 128 midpoints; the measures reuse the grid-128 decomposition
+    # base 64 leaves windows without an exact crossing up to grid 256: each
+    # doubling solves only the midpoints (the crossing searches solve their
+    # own few angles), and the measures reuse the grid-512 decomposition
     walk = random_split_step_walk(np.random.default_rng(5010), 5, 2)
     counts = _count_calls(monkeypatch, "eig", "eigvals", "inv")
     solves = _record_solves(monkeypatch)
     system = refine_system(track_bands(walk, 64))
-    assert system.base_grid == 128
-    assert solves == [64, 64, 128]
+    assert system.base_grid == 512
+    assert [rows for rows in solves if rows != CROSSING_SAMPLES] == [64, 64, 128, 256]
     tracked = len(solves)
     rng = np.random.default_rng(5011)
     for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
         assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
     assert len(solves) == tracked
     assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
-    assert system == full_grid_track_bands(walk, 64)
+    assert agrees_with_fine_pass(system, fine_pass_system(walk))
 
 
 def test_projection_cache_is_kept_to_its_walk():
@@ -875,7 +1003,7 @@ def test_track_rejects_bad_grid():
 
     with pytest.raises(DomainError, match="power of two"):
         track_bands(SymbolMatrix.identity(1), 100)
-    # a base grid whose doubling passes MAX_GRID could never certify; refused
+    # a base grid must leave a doubling up to MAX_GRID; refused
     # before anything is evaluated, so before the unitarity check too
     for grid in (MAX_GRID, 2 * MAX_GRID):
         with pytest.raises(DomainError, match=f"64..{MAX_GRID // 2}"):
@@ -885,10 +1013,13 @@ def test_track_rejects_bad_grid():
 def test_track_grid_exhaustion(monkeypatch):
     import zqwalk.spectral as spectral
 
-    # this walk's base grid 64 is not reproduced at 128, and 256 is beyond reach
+    # this walk leaves windows without an exact crossing at 128, and 256 is
+    # beyond reach: the refusal names the grid, the narrowest gap and its bound
     monkeypatch.setattr(spectral, "MAX_GRID", 128)
     walk = random_split_step_walk(np.random.default_rng(5010), 5, 2)
-    with pytest.raises(ResolutionError, match=r"grid resolution exceeded \(128\)"):
+    with pytest.raises(
+        ResolutionError, match=r"at grid 128 \(MAX_GRID\).* gap .* is \S+, against its bound"
+    ):
         track_bands(walk, 64)
 
 
