@@ -69,8 +69,8 @@ other's under "against", and "ratio", the other's median over this one's
 spectral._unitary_eig(stack), which every checkout that has it answers with
 values and vectors; for a checkout without it, eig times np.linalg.eig, the
 solver its tracking runs; crossing_search times nothing on a checkout
-without spectral._certify.  np_eig runs the same code on both sides, so its
-ratio shows how far the pairing resolves.
+without spectral._window_crossings.  np_eig runs the same code on both
+sides, so its ratio shows how far the pairing resolves.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
            [--against ../other-checkout]
@@ -223,11 +223,12 @@ def solver(zq):
 def crossing_search(zq, walk, stack):
     """The exact-crossing search of package `zq` over the windows `stack` leaves."""
     certify = getattr(zq.spectral, "_certify", None)
-    if certify is None:  # a checkout from before the crossing search
+    search = getattr(zq.spectral, "_window_crossings", None)
+    if certify is None or search is None:  # a checkout from before the per-group search
         return lambda _: None
     vals = zq.spectral._unitary_eig(stack)[0]
-    windows = [window for window, _angle in certify(walk, vals)[1]]
-    return lambda _: [zq.spectral._window_crossing(walk, vals, *w) for w in windows]
+    bounds, crossings = certify(walk, vals)
+    return lambda _: [search(walk, vals, bounds, *window) for window, _angles in crossings]
 
 
 def stages(zq, walk, delta, other) -> dict:
@@ -419,8 +420,8 @@ def solve_counts(walk, vectors) -> dict:
         return cayley(stack, center)
 
     def counting_certify(walk, vals):
-        (delta, gap, linked), crossings = out = certify(walk, vals)
-        unexplained = sum(steps for (_start, steps), angle in crossings if angle is None)
+        (delta, gap, _linked, _groups), crossings = out = certify(walk, vals)
+        unexplained = sum(steps for (_start, steps), angles in crossings if None in angles)
         counts["grids"].append([len(vals), int(np.count_nonzero(gap <= 2 * delta)), unexplained])
         return out
 

@@ -27,14 +27,16 @@ match each group of eigenvalues within 2 delta_k of each other by minimum
 total distance from linearly extrapolated values, in grid order, which
 follows the analytic branch through a transversal collision.
 
-A pass is accepted when every uncertified step lies in a window around an
-exact crossing, through which the branches continue analytically (Rellich;
-Kato ch. II section 6).  A window is a maximal run of uncertified steps; a
+A pass is accepted when every uncertified step lies in a window of exact
+crossings, through which the branches continue analytically (Rellich; Kato
+ch. II section 6).  A window is a maximal run of uncertified steps; a
 certified step between two runs whose target holds a cluster (a crossing on
-a grid point) joins them.  Its crossing is exact when the least gap between
-eigenvalue clusters, minimized from the window's grid points by rounds of
-sampling around the best angle, falls below DEGENERACY_TOL; otherwise the
-grid doubles, its even points reused, up to MAX_GRID.
+a grid point) joins them.  Groups of two clusters or more at consecutive
+targets of uncertified steps join where a value moves between them within
+the step bounds; along each such chain, the gap between clusters, minimized
+from each local minimum by sampling within a grid step among the values near
+the group's, must fall below DEGENERACY_TOL, or the grid doubles, its even
+points reused, up to MAX_GRID.
 
 Eigensolver note: U(z) is unitary on the circle, so every grid stack is
 solved as a Hermitian one (_unitary_eig).  The Cayley transform
@@ -308,11 +310,12 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _step_bounds(walk: SymbolMatrix, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta, gap, linked) of an (M, n) pass, row k for the step to point k + 1:
-    the step bound (module docstring), the least distance between the
-    DEGENERACY_TOL clusters of point k + 1 and their links.  Step k is
-    certified where gap[k] > 2 delta[k]."""
+def _step_bounds(walk: SymbolMatrix, vals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(delta, gap, linked, groups) of an (M, n) pass, row k for the step to
+    point k + 1: the step bound (module docstring), the least distance between
+    the DEGENERACY_TOL clusters of point k + 1, their links, and the links the
+    step matches by: linked where it is certified (gap[k] > 2 delta[k]), the
+    values within 2 delta[k] of each other where it is not."""
     grid = len(vals)
     h = 2.0 * np.pi / grid
     target = np.roll(vals, -1, axis=0)
@@ -329,42 +332,83 @@ def _step_bounds(walk: SymbolMatrix, vals: np.ndarray) -> tuple[np.ndarray, np.n
         norms = [np.linalg.eigvalsh(g)[..., -1] ** 0.5 for g in gram]  # no SVD: MBs of peak RSS
         local = h * norms[1].mean(axis=0) + h * h * float(np.sum(s**2.0 * norms[0])) / 2
         delta[loose] = np.minimum(delta[loose], local)
-    return delta, gap, linked
+    groups = linked.copy()
+    uncertified = gap <= 2 * delta
+    groups[uncertified] = _linked(target[uncertified], 2 * delta[uncertified, None, None])
+    return delta, gap, linked, groups
 
 
-def _window_crossing(walk: SymbolMatrix, vals: np.ndarray, start: int, steps: int) -> float | None:
-    """Angle of an exact crossing in the window of `steps` steps from `start`, or None.
+def _group_gaps(values: np.ndarray, inside: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Per row of an (S, n) value stack, the (rank + 1)-th least distance
+    between the values flagged `inside` (inf if there are fewer pairs)."""
+    i, j = np.triu_indices(values.shape[1], 1)
+    pairs = np.where(inside[:, i] & inside[:, j], np.abs(values[:, i] - values[:, j]), np.inf)
+    return np.take_along_axis(np.sort(pairs, axis=1), rank[:, None], axis=1)[:, 0]
 
-    The gap at an angle is the (r + 1)-th least pairwise eigenvalue distance,
-    r the DEGENERACY_TOL-linked pairs at the window's least clustered point:
-    the least gap between clusters, continuous through a crossing that merges
-    two.  From the grid point of least gap, each round samples CROSSING_SAMPLES
-    angles between the neighbours of the best angle, until the gap is below
-    DEGENERACY_TOL (exact), cannot get there in the bracket (it moves at most
-    2 L per radian) or the bracket is below CROSSING_WIDTH.
+
+def _window_crossings(
+    walk: SymbolMatrix, vals: np.ndarray, bounds: tuple, start: int, steps: int
+) -> tuple:
+    """Exact-crossing angles of the window of `steps` steps from `start`,
+    ending in None at the first search that finds none (module docstring).
+
+    A group's gap is the (r + 1)-th least distance between its values, r
+    their linked pairs: continuous through a crossing that merges two
+    clusters.  A search starts from each group whose gap is below those of
+    the groups joined before it and at most those joined after it, takes
+    the values within its point's step bounds of the group's at the solved
+    grid points beside it, then at CROSSING_SAMPLES angles around the best
+    so far, and stops when the gap is below DEGENERACY_TOL (exact), cannot
+    get there in the bracket (it moves at most 2 L per radian) or the
+    bracket is below CROSSING_WIDTH.
     """
+    delta, gap, linked, groups = bounds
     grid, n = vals.shape
-    points = (start + np.arange(steps + 1)) % grid
-    rank = int(np.count_nonzero(_linked(vals[points], DEGENERACY_TOL), axis=(1, 2)).min() - n) // 2
-    upper = np.triu_indices(n, 1)
-    width, speed = 2.0 * np.pi / grid, 2.0 * _lipschitz(walk)
-    angles, values = width * (start + np.arange(steps + 1)), vals[points]
-    while True:
-        pairs = np.abs(values[:, upper[0]] - values[:, upper[1]])
-        gaps = np.partition(pairs, rank, axis=1)[:, rank]
-        angle, gap = angles[np.argmin(gaps)], np.min(gaps)
-        hopeless = gap - speed * width >= DEGENERACY_TOL or width <= CROSSING_WIDTH
-        if gap < DEGENERACY_TOL or hopeless:
-            return angle % (2.0 * np.pi) if gap < DEGENERACY_TOL else None
-        angles = angle + width * np.linspace(-1.0, 1.0, CROSSING_SAMPLES)
-        values = _unitary_eig(evaluate(walk.shifts, walk.coeffs, np.exp(1j * angles)))[0]
-        width *= 2.0 / (CROSSING_SAMPLES - 1)
+    h, speed = 2.0 * np.pi / grid, 2.0 * _lipschitz(walk)
+    # the window's points u reached by uncertified steps, and their groups g
+    pos = 1 + np.flatnonzero((gap <= 2 * delta)[(start + np.arange(steps)) % grid])
+    points = (start + pos) % grid
+    member = np.argmax(groups[points - 1], axis=2)[:, None, :] == np.arange(n)[:, None]  # [u, g, i]
+    pairs = linked[points - 1, None] & member[:, :, :, None] & member[:, :, None, :]
+    rank = (np.count_nonzero(pairs, axis=(2, 3)) - np.count_nonzero(member, axis=2)) // 2
+    # inf for a group of one cluster (no pair left beyond the linked ones)
+    least = _group_gaps(np.repeat(vals[points], n, axis=0), member.reshape(-1, n), rank.ravel())
+    least = least.reshape(-1, n)
+    moved = np.concatenate([[0.0], np.cumsum(delta[(start + np.arange(steps)) % grid])])
+    reach = (moved[pos[1:]] - moved[pos[:-1]])[:, None, None]
+    near = np.abs(vals[points[:-1], :, None] - vals[points[1:], None, :]) <= reach
+    joined = (member[:-1] * 1.0) @ near @ (member[1:] * 1.0).swapaxes(1, 2) > 0  # [u, g, g']
+    before = np.min(np.where(joined, least[:-1, :, None], np.inf), axis=1, initial=np.inf)
+    after = np.min(np.where(joined, least[1:, None, :], np.inf), axis=2, initial=np.inf)
+    first = np.concatenate([np.full((1, n), True), least[1:] < before])
+    last = np.concatenate([least[:-1] <= after, np.full((1, n), True)])
+    angles = []
+    for u, g in zip(*np.nonzero(first & last & np.isfinite(least))):
+        point, width = points[u], 1.0
+        reach, ref = max(delta[point - 1], delta[point]), vals[point, member[u, g]]
+        origin = float(start + pos[u])  # positions in grid steps; the two beside it come solved
+        at, sampled = origin + np.arange(-1.0, 2.0), vals[(point + np.arange(-1, 2)) % grid]
+        while True:
+            close = np.min(np.abs(sampled[:, :, None] - ref), axis=2) <= reach
+            gaps = _group_gaps(sampled, close, np.full(len(at), rank[u, g]))
+            least_gap, best = np.min(gaps), at[np.argmin(gaps)]
+            if least_gap < DEGENERACY_TOL:
+                break
+            if least_gap - speed * h * width >= DEGENERACY_TOL or h * width <= CROSSING_WIDTH:
+                return (*angles, None)
+            at = best + width * np.linspace(-1.0, 1.0, CROSSING_SAMPLES)
+            at = np.clip(at, origin - 1.0, origin + 1.0)
+            sampled = _unitary_eig(evaluate(walk.shifts, walk.coeffs, np.exp(1j * h * at)))[0]
+            width *= 2.0 / (CROSSING_SAMPLES - 1)
+        angles.append(h * best % (2.0 * np.pi))
+    return tuple(angles)
 
 
 def _certify(walk: SymbolMatrix, vals: np.ndarray) -> tuple[tuple, list]:
-    """_step_bounds of an (M, n) pass, and ((first step, step count), crossing
-    angle or None) for each of its windows (module docstring)."""
-    delta, gap, linked = bounds = _step_bounds(walk, vals)
+    """_step_bounds of an (M, n) pass, and ((first step, step count),
+    _window_crossings) for each of its windows (module docstring)."""
+    bounds = _step_bounds(walk, vals)
+    delta, gap, linked, _groups = bounds
     uncertified = gap <= 2 * delta
     if not uncertified.any():
         return bounds, []
@@ -375,25 +419,23 @@ def _certify(walk: SymbolMatrix, vals: np.ndarray) -> tuple[tuple, list]:
     ends = ends[np.searchsorted(ends, starts) % max(len(ends), 1)]  # each run's own end
     windows = [(int(a), int((b - a) % len(vals) + 1)) for a, b in zip(starts, ends)]
     windows = windows or [(0, len(vals))]  # no start: every step is inside
-    return bounds, [(w, _window_crossing(walk, vals, *w)) for w in windows]
+    return bounds, [(w, _window_crossings(walk, vals, bounds, *w)) for w in windows]
 
 
 def _step_permutations(
-    vals: np.ndarray, delta: np.ndarray, uncertified: np.ndarray, linked: np.ndarray, kstar: int
+    vals: np.ndarray, delta: np.ndarray, uncertified: np.ndarray, groups: np.ndarray, kstar: int
 ) -> np.ndarray:
     """(M, n) step permutations: row k sends eigenvalue i at k to row[i] at k + 1.
 
-    `delta` and `linked` are _step_bounds' (linked is overwritten).  A
-    certified step sends each eigenvalue to its nearest cluster, members in
-    index order, all steps at once.  An uncertified step groups the values at
-    2 delta[k] and matches each group by minimum total distance from values
-    extrapolated through the step before, in grid order from kstar (the
-    history-free first step predicts the current values).
+    `delta` and `groups` are _step_bounds'.  A certified step sends each
+    eigenvalue to its nearest cluster, members in index order, all steps at
+    once.  An uncertified step matches each of its groups by minimum total
+    distance from values extrapolated through the step before, in grid order
+    from kstar (the history-free first step predicts the current values).
     """
     grid, n = vals.shape
     target = np.roll(vals, -1, axis=0)  # row k: the spectrum at point k + 1
-    linked[uncertified] = _linked(target[uncertified], 2 * delta[uncertified, None, None])
-    label = np.argmax(linked, axis=2)  # smallest index in each cluster or group
+    label = np.argmax(groups, axis=2)  # smallest index in each cluster or group
     nearest = np.argmin(np.abs(vals[:, :, None] - target[:, None, :]), axis=2)
     source = np.take_along_axis(label, nearest, axis=1)
     if np.any(np.sort(source, axis=1) != np.sort(label, axis=1)):
@@ -542,8 +584,8 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     Eigenvalues and orthonormal eigenvectors are solved at `base_grid`
     uniform points and matched under the certificate of the module
     docstring; the step permutations compose into one permutation whose
-    cycles give covering degrees.  A pass with a window holding no exact
-    crossing moves to the doubled grid, whose even points are the current
+    cycles give covering degrees.  A pass with a group no exact crossing
+    explains moves to the doubled grid, whose even points are the current
     ones (phases are reduced exactly in integers), so only its midpoints are
     solved; one still open at MAX_GRID raises ResolutionError naming the
     grid, the narrowest open gap and its bound.  The result is refined: each
@@ -566,8 +608,8 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     grid = base_grid
     vals, vecs = _unitary_eig(walk.grid_eval(grid))
     while True:
-        (delta, gap, linked), crossings = _certify(walk, vals)
-        unexplained = [window for window, angle in crossings if angle is None]
+        (delta, gap, _linked, groups), crossings = _certify(walk, vals)
+        unexplained = [window for window, angles in crossings if None in angles]
         if not unexplained:
             break
         if 2 * grid > MAX_GRID:
@@ -581,7 +623,7 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
         vals = np.stack([vals, mid_vals], axis=1).reshape(2 * grid, walk.n)
         vecs = np.stack([vecs, mid_vecs], axis=1).reshape(2 * grid, walk.n, walk.n)
         grid *= 2
-    system = _finish_system(_track_cycles(vals, delta, gap <= 2 * delta, linked), walk.n, grid)
+    system = _finish_system(_track_cycles(vals, delta, gap <= 2 * delta, groups), walk.n, grid)
     object.__setattr__(system, "_solved", (walk, vals, vecs))
     return system
 

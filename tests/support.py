@@ -36,6 +36,7 @@ from zqwalk.laurent import stack_terms
 from zqwalk.simulate import _settle
 from zqwalk.spectral import (
     DEFAULT_TOL,
+    DEGENERACY_TOL,
     _best_separated_point,
     _canonical_rotation,
     _finish_system,
@@ -404,35 +405,28 @@ def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
     Walks the (M, n) eigenvalue lists from the best separated point and
     matches each point to the next by a minimum-total-distance assignment on
     linearly extrapolated values (raw values on the first step); returns the
-    (d, samples) cycles of the composed permutation.  A step whose raw
-    nearest-neighbour map is a permutation, each eigenvalue's nearest value
-    less than a quarter as far as its second nearest, takes that map (the
-    assignment there, extrapolated or not); the others are solved in grid
-    order by scipy's linear_sum_assignment.
+    (d, samples) cycles of the composed permutation.
     """
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
-    seq = np.roll(vals, -kstar, axis=0)  # pass order: step j goes from seq[j] to seq[j + 1]
-    after = np.roll(seq, -1, axis=0)
-    cost = np.abs(seq[:, :, None] - after[:, None, :])
-    col = np.argmin(cost, axis=2)  # col[j, i]: index at j + 1 of index i at j
-    nearest = np.sort(cost, axis=2)
-    easy = np.all(np.sort(col, axis=1) == np.arange(n), axis=1)
-    if n > 1:
-        easy &= np.all(4 * nearest[:, :, 0] < nearest[:, :, 1], axis=1)
-    for j in np.flatnonzero(~easy):
-        predicted = 2.0 * seq[j] - seq[j - 1][np.argsort(col[j - 1])] if j else seq[j]
-        col[j] = linear_sum_assignment(np.abs(predicted[:, None] - after[j][None, :]))[1]
-    start = seq[0]
+    start = vals[kstar]
     order0 = np.lexsort((start.imag, start.real, np.angle(start)))
-    position = np.empty((grid + 1, n), dtype=int)  # index of each branch at each step
-    position[0] = order0
-    for j in range(grid):
-        position[j + 1] = col[j][position[j]]
+    path_vals = np.zeros((n, grid + 1), dtype=complex)
+    path_vals[:, 0] = start[order0]
+    cur = path_vals[:, 0].copy()
+    prev = None
+    col = order0.copy()
+    for j in range(1, grid + 1):
+        target = vals[(kstar + j) % grid]
+        predicted = cur if prev is None else 2.0 * cur - prev
+        cost = np.abs(predicted[:, None] - target[None, :])
+        _rows, col = linear_sum_assignment(cost)
+        prev = cur
+        cur = target[col]
+        path_vals[:, j] = cur
     inv = np.empty(n, dtype=int)
     inv[order0] = np.arange(n)
-    pi = inv[position[grid]]  # branch b continues as branch pi[b] after one loop
-    path_vals = np.take_along_axis(seq, position[:grid], axis=1).T
+    pi = inv[col]  # branch b continues as branch pi[b] after one loop
 
     cycles = []
     seen = np.zeros(n, dtype=bool)
@@ -446,17 +440,18 @@ def assignment_track_cycles(vals: np.ndarray) -> list[tuple[int, np.ndarray]]:
             cycle.append(b)
             seen[b] = True
             b = int(pi[b])
-        seq_b = np.concatenate([path_vals[b] for b in cycle])
-        samples = np.roll(seq_b, kstar)  # covering index 0 <-> base point z = 1
+        seq = np.concatenate([path_vals[b, :grid] for b in cycle])
+        samples = np.roll(seq, kstar)  # covering index 0 <-> base point z = 1
         cycles.append((len(cycle), _canonical_rotation(samples, grid)))
     return cycles
 
 
-FINE_GRID = 32768
+FINE_GRID = 32768  # the ROADMAP "State" rows and walks tracked at 8192 or finer
+CORPUS_GRID = 8192
 _FINE_PASSES: dict = {}
 
 
-def fine_pass_system(walk: SymbolMatrix, grid: int = FINE_GRID) -> EigenSystem:
+def fine_pass_system(walk: SymbolMatrix, grid: int) -> EigenSystem:
     """Reference for `zqwalk.track_bands`: one pass at a fine grid, no certificate.
 
     The eigenvalues of every grid point come from LAPACK's general eigvals and
@@ -477,14 +472,26 @@ def band_shape(system: EigenSystem) -> list[tuple[int, int, int]]:
     return [(b.d, b.multiplicity, b.winding) for b in system.bands]
 
 
-def agrees_with_fine_pass(system: EigenSystem, fine: EigenSystem, tol: float = 1e-7) -> bool:
-    """The same (d, multiplicity, winding) bands as the fine pass, and band
-    samples that match up to rotation on the coarser of the two grids (within
-    `tol`: a merged band keeps one member of a DEGENERACY_TOL cluster)."""
+def agrees_with_fine_pass(system: EigenSystem, walk: SymbolMatrix) -> bool:
+    """The same (d, multiplicity, winding) bands as the fine pass of `walk`
+    (at CORPUS_GRID, or FINE_GRID for a system tracked at CORPUS_GRID or
+    finer), and band samples that match up to rotation on the system's grid:
+    within 1e-12 (the two eigensolvers' roundoff) for a band of multiplicity
+    one, within DEGENERACY_TOL for a merged band, which keeps one member of
+    a DEGENERACY_TOL cluster."""
+    fine = fine_pass_system(walk, FINE_GRID if system.base_grid >= CORPUS_GRID else CORPUS_GRID)
+    if sorted(band_shape(system)) != sorted(band_shape(fine)):
+        return False
     coarse = min(system.base_grid, fine.base_grid)
-    left, right = subsample_system(system, coarse), subsample_system(fine, coarse)
-    return sorted(band_shape(system)) == sorted(band_shape(fine)) and match_band_sets(
-        list(left.bands), list(right.bands), coarse, tol
+    left, right = subsample_system(system, coarse).bands, subsample_system(fine, coarse).bands
+    return all(
+        match_band_sets(
+            [b for b in left if (b.multiplicity == 1) == single],
+            [b for b in right if (b.multiplicity == 1) == single],
+            coarse,
+            1e-12 if single else DEGENERACY_TOL,
+        )
+        for single in (True, False)
     )
 
 

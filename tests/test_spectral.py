@@ -38,6 +38,7 @@ from zqwalk import (
     winding_of_samples,
 )
 from support import (
+    FINE_GRID,
     agrees_with_fine_pass,
     band_shape,
     conjugated_coined_sum,
@@ -144,7 +145,7 @@ def test_certificate_reuses_coarse_eigenvalues(corpus):
         system = track_bands(walk, grid)
         vals = _unitary_eig(walk.grid_eval(system.base_grid))[0]
         assert np.array_equal(system._solved[1], vals)
-        assert agrees_with_fine_pass(system, fine_pass_system(walk))
+        assert agrees_with_fine_pass(system, walk)
     assert track_bands(cases[-2][0], 64).base_grid == 512
 
 
@@ -178,7 +179,7 @@ def test_skipped_certificate_matches_always_doubling_oracle(monkeypatch):
             continue
         system = track_bands(walk, 64)
         grids[name] = system.base_grid
-        assert agrees_with_fine_pass(system, fine_pass_system(walk)), name
+        assert agrees_with_fine_pass(system, walk), name
         # the base grid, then the midpoints of each doubled grid
         midpoints = [64 << i for i in range(system.base_grid.bit_length() - 7)]
         assert [rows for rows in solves if rows != CROSSING_SAMPLES] == [64, *midpoints], name
@@ -187,9 +188,23 @@ def test_skipped_certificate_matches_always_doubling_oracle(monkeypatch):
     assert grids["near_identity_0.001"] > 64 and grids["coupled_sum_0.0001"] == 32768
 
 
+def _paired_crossing_walks():
+    """A near-avoided pair (gap 2e-3) summed with a pair of shifts crossing
+    exactly at the same base angles, at other eigenvalues, plain and mixed
+    by a constant unitary; `turned` moves both meetings off the grid."""
+    walks = {}
+    mix = random_constant_unitary(np.random.default_rng(5), 4)
+    for name, phi in (("paired", 0.0), ("turned", 0.3)):
+        near = coined_walk(np.sqrt(1 - 1e-6) * np.exp(1j * phi), 1e-3)
+        shifts = [np.diag([0, 1j * np.exp(-2j * phi)]), np.diag([1j, 0])]  # i z, i e^{-2i phi} / z
+        walks[name] = direct_sum(near, SymbolMatrix.from_terms([-1, 1], shifts))
+        walks[f"{name}_mixed"] = _conjugate_by(walks[name], mix)
+    return walks
+
+
 def _matcher_corpus():
     """The walks the certified matcher is checked on against the assignment oracle."""
-    walks = {"near_crossing": coined_walk(np.sqrt(1 - 1e-6), 1e-3)}
+    walks = {"near_crossing": coined_walk(np.sqrt(1 - 1e-6), 1e-3), **_paired_crossing_walks()}
     for n in range(2, 9):
         for radius in range(1, 4):
             rng = np.random.default_rng(100 * n + radius)
@@ -201,10 +216,27 @@ def _matcher_corpus():
 def test_certified_matcher_matches_assignment_oracle():
     # the per-point assignment on the fine pass gives the same bands, and its
     # samples on the certified grid
+    grids = {}
     for name, walk in _matcher_corpus().items():
         system = track_bands(walk)
-        assert agrees_with_fine_pass(system, fine_pass_system(walk)), name
-    assert track_bands(_matcher_corpus()["near_crossing"]).base_grid == 8192
+        grids[name] = system.base_grid
+        assert agrees_with_fine_pass(system, walk), name
+    assert grids["near_crossing"] == 8192
+    assert all(grids[name] == 8192 for name in _paired_crossing_walks())
+
+
+def test_each_pair_meeting_in_a_window_needs_its_own_crossing():
+    # at 1024 the near pair's avoided crossing and the shift pair's exact
+    # crossing share windows; the exact one explains only its own chain of
+    # groups, so the near pair's search fails and the pass is refused
+    walks = _paired_crossing_walks()
+    for name, walk in walks.items():
+        windows = _certify(walk, _unitary_eig(walk.grid_eval(M))[0])[1]
+        assert any(None in angles for _window, angles in windows), name
+        system = track_bands(walk, M)
+        assert sorted(band_shape(system)) == [(1, 1, -1), (1, 1, 0), (1, 1, 0), (1, 1, 1)], name
+    windows = dict(_certify(walks["paired"], _unitary_eig(walks["paired"].grid_eval(M))[0])[1])
+    assert windows[(M - 2, 3)] == (0.0, None)
 
 
 def _state_rows():
@@ -228,6 +260,7 @@ def _state_rows():
 
 def test_state_rows_return_the_fine_pass_answer():
     for name, (walk, grids, want) in _state_rows().items():
+        assert sorted(band_shape(fine_pass_system(walk, FINE_GRID))) == want, name
         for grid in grids:
             assert sorted(band_shape(track_bands(walk, grid))) == want, (name, grid)
     # its avoided crossings (width about 1e-7) stay below every grid step
@@ -246,7 +279,7 @@ def test_triple_points_certify_at_their_grid():
             system = track_bands(walk, grid)
             assert system.base_grid == grid, (exponent, grid)
             assert sorted(band_shape(system)) == [(1, 1, 0), (2, 1, 0)]
-            found = [angle for _window, angle in _certify(walk, system._solved[1])[1]]
+            found = [a for _window, angles in _certify(walk, system._solved[1])[1] for a in angles]
             assert np.allclose(found, angles, rtol=0, atol=1e-8), (exponent, grid)
 
 
@@ -260,8 +293,8 @@ def test_crossing_window_is_the_whole_run():
         system = track_bands(walk, grid)
         assert system.base_grid == grid and band_shape(system) == [(2, 1, 2)]
         crossings = _certify(walk, system._solved[1])[1]
-        runs.append([steps for (_start, steps), _angle in crossings])
-        angles.append([angle for _window, angle in crossings])
+        runs.append([steps for (_start, steps), _angles in crossings])
+        angles.append([found for _window, found in crossings])
     assert runs == [[7, 17, 16], [7, 17, 16]]
     assert np.allclose(angles[0], angles[1], rtol=0, atol=1e-9)
 
@@ -272,9 +305,9 @@ def test_crossing_on_a_grid_point_joins_its_runs():
     # beside it make one window around the crossing at angle 0
     walk = grover_walk_3()
     vals = _unitary_eig(walk.grid_eval(M))[0]
-    delta, gap, _linked = _step_bounds(walk, vals)
+    delta, gap, _linked, _groups = _step_bounds(walk, vals)
     assert list(np.flatnonzero(gap <= 2 * delta)) == [0, M - 2]
-    assert _certify(walk, vals)[1] == [((M - 2, 3), 0.0)]
+    assert _certify(walk, vals)[1] == [((M - 2, 3), (0.0,))]
     assert track_bands(walk, M).base_grid == M
 
 
@@ -315,7 +348,8 @@ def test_crossings_match_discriminant_roots_on_n2_walks():
     # on the circle; the crossing search must find exactly those angles
     for name, walk in _n2_walks().items():
         system = track_bands(walk, M)
-        found = np.array([angle for _window, angle in _certify(walk, system._solved[1])[1]])
+        windows = _certify(walk, system._solved[1])[1]
+        found = np.array([a for _window, angles in windows for a in angles])
         roots = _discriminant_roots(walk)
         on_circle = np.angle(roots[np.abs(np.abs(roots) - 1) < 1e-6])
         for angles, others in ((found, on_circle), (on_circle, found)):
@@ -936,7 +970,7 @@ def test_escalated_system_keeps_its_decomposition(monkeypatch):
         assert limit_measure(walk, xi, system).total_mass == pytest.approx(1.0, abs=1e-9)
     assert len(solves) == tracked
     assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
-    assert agrees_with_fine_pass(system, fine_pass_system(walk))
+    assert agrees_with_fine_pass(system, walk)
 
 
 def test_projection_cache_is_kept_to_its_walk():
