@@ -15,7 +15,13 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
 - limit_measure: the first measure on a freshly tracked system;
-- evolve_t400, evolve_t1600, evolve_t6400: dense evolution of the delta;
+- evolve_t400, evolve_t1600, evolve_t6400: evolution of the delta through
+  the symbol (binary powering on an FFT grid);
+- moments_t6400: rescaled_moment of the delta's state at t = 6400 and
+  limit_moments of its limit measure, m = 1..4;
+- position_distribution_t6400: the position distribution of that state;
+- cdf_distance_t6400: the CDF distance between that distribution and the
+  limit measure;
 - verify_unitary_symbol, char_poly, verify_cayley_hamilton: the circle-grid
   checks of `zqwalk check` (unitarity on 256 points, Cayley-Hamilton, its
   char poly included);
@@ -260,6 +266,21 @@ def stages(zq, walk, delta, other) -> dict:
     }
     for t in TIMES:
         out[f"evolve_t{t}"] = (lambda _, t=t: zq.evolve(walk, delta, t), None)
+    last = TIMES[-1]
+    state = zq.evolve(walk, delta, last)
+    measure = zq.limit_measure(walk, delta, tracked())
+    dist = zq.position_distribution(state, time=last)
+
+    def moments(_):
+        for m in range(1, 5):
+            zq.rescaled_moment(state, last, m)
+            zq.limit_moments(measure, m)
+
+    out[f"moments_t{last}"] = (moments, None)
+    out[f"position_distribution_t{last}"] = (
+        lambda _: zq.position_distribution(state, time=last), None
+    )
+    out[f"cdf_distance_t{last}"] = (lambda _: zq.cdf_distance(measure, dist, last), None)
     band = zq.track_bands(walk, GRID).bands[0]
     lam = zq.lambda_coeffs_from_samples(band.samples)
     vectors = [

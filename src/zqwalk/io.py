@@ -236,12 +236,10 @@ def write_distribution_csv(
     """Columns: (site, prob), or (x, prob) with x = site/time when rescaled."""
     if rescaled and dist.time <= 0:
         raise SpecFormatError("rescaled output needs a positive time")
-    sites = sorted(dist.probs)
-    probs = [dist.probs[s] for s in sites]
     if rescaled:
-        _write_rows(stream, "x,prob", [s / dist.time for s in sites], probs)
+        _write_rows(stream, "x,prob", dist.sites / dist.time, dist.masses)
     else:
-        _write_rows(stream, "site,prob", sites, probs)
+        _write_rows(stream, "site,prob", dist.sites, dist.masses)
 
 
 def write_measure_csv(measure: LimitMeasure, stream: IO) -> None:

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .simulate import StateVector, rescaled_moment
+from .simulate import PositionDistribution, StateVector, _power, rescaled_moment
 from .spectral import EigenSystem, band_projections
 from .symbol import SymbolMatrix
 
@@ -139,10 +139,10 @@ def limit_moments(measure: LimitMeasure, m: int) -> float:
     if m < 0:
         raise DomainError("moment order must be nonnegative")
     acc = sum(mass * x**m for x, mass in measure.atoms)
-    return float(acc + np.dot(measure.masses, measure.velocities**m))
+    return float(acc + np.dot(measure.masses, _power(measure.velocities, m)))
 
 
-def cdf_distance(measure: LimitMeasure, dist, t: int) -> float:
+def cdf_distance(measure: LimitMeasure, dist: PositionDistribution, t: int) -> float:
     """Kolmogorov-Smirnov-style sup distance between rescaled CDFs.
 
     Diagnostic only: weak convergence does not force uniform CDF convergence
@@ -151,23 +151,20 @@ def cdf_distance(measure: LimitMeasure, dist, t: int) -> float:
     if t <= 0:
         raise DomainError("t must be positive")
     atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
-    locations = np.concatenate([atoms[:, 0], measure.velocities])
-    masses = np.concatenate([atoms[:, 1], measure.masses])
-    count = len(dist.probs)
-    sites = np.fromiter(dist.probs.keys(), dtype=float, count=count) / t
-    probs = np.fromiter(dist.probs.values(), dtype=float, count=count)
-    # every jump point, duplicates included: they do not change the sup, and
-    # np.union1d would import numpy.ma on its first call
-    grid = np.concatenate([locations, sites])
-    gap = _cdf_at(locations, masses, grid) - _cdf_at(sites, probs, grid)
-    return float(np.max(np.abs(gap), initial=0.0))
-
-
-def _cdf_at(locations: np.ndarray, masses: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Total mass at locations at or below each grid point."""
-    order = np.argsort(locations, kind="stable")
-    cumulative = np.concatenate(([0.0], np.cumsum(masses[order])))
-    return cumulative[np.searchsorted(locations[order], grid, side="right")]
+    located = len(atoms) + len(measure.velocities)
+    # every jump point of both CDFs in one stable order, the distribution's
+    # increasing sites one sorted run; each running sum gains zeros between
+    # its own jumps, which leave its partial sums as they are
+    points = np.concatenate([atoms[:, 0], measure.velocities, dist.sites / t])
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    limit = np.concatenate([atoms[:, 1], measure.masses, np.zeros(len(dist.sites))])
+    empirical = np.concatenate([np.zeros(located), dist.masses])
+    gap = np.cumsum(limit[order]) - np.cumsum(empirical[order])
+    # both CDFs are read after the last of any equal points
+    last = np.ones(len(points), dtype=bool)
+    last[:-1] = points[1:] != points[:-1]
+    return float(np.max(np.abs(gap[last]), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,18 @@ on a circle grid wider than the class's light cone, so no aliasing occurs.
 Sites outside those light cones (in particular off x + m0 t + gZ) are exactly
 zero; inside, the error is of order t times machine epsilon.  A Fourier-side
 evolution on a power-of-two grid is kept as a cross-check.
+
+A position distribution is two read-only arrays too: increasing sites, each
+once, and their nonzero probabilities, summed over channels in the state's
+order; its {site: probability} dict is built on first access and kept.
+Rescaled moments raise s/t to the integer power m by products, not by pow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -124,23 +130,48 @@ def _require_sites(sites: np.ndarray) -> None:
 
 def _sorted_state(sites, channels, values, n: int) -> StateVector:
     """The state of arrays already in _settle's layout, marked read-only in place."""
-    xi = object.__new__(StateVector)
-    object.__setattr__(xi, "n", n)
-    for name, array in (("sites", sites), ("channels", channels), ("values", values)):
-        array.flags.writeable = False
-        object.__setattr__(xi, name, array)
-    return xi
+    return _frozen(StateVector, n=n, sites=sites, channels=channels, values=values)
 
 
-@dataclass(frozen=True)
+def _frozen(cls, **fields):
+    """A cls with these fields, bypassing __init__; arrays marked read-only in place."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(made, name, value)
+    return made
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PositionDistribution:
-    """Probability per site at a given time step, {site: probability}, kept as given."""
+    """Probability per site at a given time step.
 
-    probs: Mapping[int, float]
-    time: int = 0
+    Stored as read-only arrays `sites` (int64, increasing, each site once) and
+    `masses` (no exact zeros), masses[k] the probability at sites[k].
+    `PositionDistribution(probs, time)` converts a {site: probability}
+    mapping; `probs` gives the same pairs back as a plain {int: float} dict,
+    built on first access and kept.
+    """
+
+    sites: np.ndarray
+    masses: np.ndarray
+    time: int
+
+    def __init__(self, probs: Mapping[int, float], time: int = 0) -> None:
+        sites = np.array(list(probs), dtype=np.int64)
+        _require_sites(sites)
+        masses = np.array(list(probs.values()), dtype=float)
+        order = np.argsort(sites)
+        self.__dict__.update(vars(_distribution(sites[order], masses[order], time)))
+
+    @cached_property
+    def probs(self) -> dict[int, float]:
+        """{site: probability} in increasing site order, built once."""
+        return dict(zip(self.sites.tolist(), self.masses.tolist()))
 
     def mass_outside(self, radius: float) -> float:
-        return float(sum(p for s, p in self.probs.items() if abs(s) > radius))
+        return float(np.sum(self.masses[np.abs(self.sites) > radius]))
 
 
 def apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:
@@ -265,27 +296,42 @@ def fourier_position_distribution(
     # forward FFT with 1/grid recovers amplitudes by frequency.
     amps_freq = np.fft.fft(evolved, axis=0) / grid  # (grid, n), index = site mod grid
     probs = np.sum(np.abs(amps_freq) ** 2, axis=1)
-    first = lo - reach - (grid - need) // 2  # least site of the window
-    sites = first + (np.arange(grid) - first) % grid
-    return _distribution(sites, probs, t)
+    sites = lo - reach - (grid - need) // 2 + np.arange(grid)  # the window, increasing
+    return _distribution(sites, probs[sites % grid], t)
 
 
 def position_distribution(xi: StateVector, time: int = 0) -> PositionDistribution:
     """probs(s) = sum over channels of |xi(s, k)|^2."""
-    occupied, index = np.unique(xi.sites, return_inverse=True)
-    probs = np.bincount(index, weights=np.abs(xi.values) ** 2, minlength=len(occupied))
-    return _distribution(occupied, probs, time)
+    # xi.sites is sorted: a site starts a new entry where it differs from the last
+    first = np.ones(len(xi.sites), dtype=bool)
+    first[1:] = xi.sites[1:] != xi.sites[:-1]
+    probs = np.bincount(np.cumsum(first) - 1, weights=np.abs(xi.values) ** 2)
+    return _distribution(xi.sites[first], probs, time)
 
 
 def _distribution(sites: np.ndarray, probs: np.ndarray, time: int) -> PositionDistribution:
-    """The distribution of the nonzero probs, keyed by plain int sites."""
+    """The distribution of the nonzero probs at increasing unique sites, read-only."""
+    probs = np.asarray(probs, dtype=float)  # np.bincount of no sites gives int64
     live = probs != 0.0
-    return PositionDistribution(dict(zip(sites[live].tolist(), probs[live].tolist())), time)
+    return _frozen(PositionDistribution, sites=sites[live], masses=probs[live], time=time)
+
+
+def _power(x: np.ndarray, m: int) -> np.ndarray:
+    """x**m for an integer m >= 0 by binary powering: products only, no pow."""
+    out = None
+    while m:
+        if m & 1:
+            out = x if out is None else out * x
+        m >>= 1
+        if m:
+            x = x * x
+    return np.ones_like(x) if out is None else out
 
 
 def rescaled_moment(xi: StateVector, t: int, m: int) -> float:
-    """m-th moment of the site distribution pushed through s -> s/t."""
+    """m-th moment (m >= 0) of the site distribution pushed through s -> s/t."""
     if t <= 0:
         raise DomainError("t must be positive")
-    return float(np.sum((xi.sites / t) ** m * np.abs(xi.values) ** 2))
-
+    if m < 0:
+        raise DomainError("moment order must be nonnegative")
+    return float(np.sum(_power(xi.sites / t, m) * np.abs(xi.values) ** 2))

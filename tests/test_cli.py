@@ -646,7 +646,8 @@ def test_script_runs(command, artifacts, tmp_path, monkeypatch, capsys):
 BENCH_STAGES = {
     "grid_eval", "eig", "np_eig", "track_bands", "crossing_search", "band_projections_first",
     "band_projections_repeat", "limit_measure",
-    "evolve_t400", "evolve_t1600", "evolve_t6400", "verify_unitary_symbol",
+    "evolve_t400", "evolve_t1600", "evolve_t6400", "moments_t6400",
+    "position_distribution_t6400", "cdf_distance_t6400", "verify_unitary_symbol",
     "char_poly", "verify_cayley_hamilton", "symbol_power_t64", "build_model_walk",
     "rearrangement_check",
 }

@@ -293,6 +293,60 @@ def _loop_cdf_distance(measure, dist, t):
     return worst
 
 
+def test_cdf_distance_ties_match_loop_reference():
+    from zqwalk import LimitMeasure, PositionDistribution, cdf_distance
+
+    cases = {
+        "atom at a sample's velocity": (
+            LimitMeasure(((0.5, 0.25),), (0.5, -0.25, 1.0), (0.25, 0.25, 0.25)),
+            {-1: 0.25, 2: 0.75}, 4, 0.25),
+        "repeated velocities": (
+            LimitMeasure((), (0.25, -0.5, 0.25, 0.25, -0.5), (0.1, 0.2, 0.3, 0.15, 0.25)),
+            {-2: 0.25, 0: 0.5, 2: 0.25}, 4, 0.3),
+        "sites on locations": (
+            LimitMeasure(((0.0, 0.5),), (-0.5, 0.25, 0.75), (0.2, 0.1, 0.2)),
+            {-2: 0.3, 0: 0.4, 1: 0.1, 3: 0.2}, 4, 0.1),
+        "empty distribution": (
+            LimitMeasure(((0.0, 0.5),), (-0.5, 0.5), (0.25, 0.25)), {}, 3, 1.0),
+        "atoms only": (
+            LimitMeasure(((-0.5, 0.25), (1 / 3, 0.75)), (), ()),
+            {-1: 0.25, 1: 0.5, 2: 0.25}, 3, 0.25),
+    }
+    # each want is the sup over whole groups of equal points; read inside a
+    # group, after the limit's mass but before the sites', every case but the
+    # empty one would give more
+    for name, (mu, probs, t, want) in cases.items():
+        dist = PositionDistribution(probs, time=t)
+        got = cdf_distance(mu, dist, t)
+        assert abs(got - _loop_cdf_distance(mu, dist, t)) <= 1e-14, name
+        assert got == pytest.approx(want, abs=1e-15), name
+    # many ties: velocities, atoms and rescaled sites all on multiples of 1/8
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        atoms = tuple((k / 8, 0.05) for k in rng.choice(np.arange(-8, 9), 3, replace=False))
+        velocities = rng.integers(-8, 9, size=40) / 8
+        masses = np.full(40, 0.85 / 40)
+        sites = rng.integers(-16, 17, size=30)
+        probs = {int(s): float(p) for s, p in zip(sites, rng.uniform(size=30))}
+        total = sum(probs.values())
+        dist = PositionDistribution({s: p / total for s, p in probs.items()}, time=16)
+        mu = LimitMeasure(atoms, velocities, masses)
+        assert abs(cdf_distance(mu, dist, 16) - _loop_cdf_distance(mu, dist, 16)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["coined", "grover3"])
+def test_limit_moments_match_loop_reference(corpus, tracked_corpus, name):
+    walk = corpus[name]
+    mu = limit_measure(walk, StateVector.delta(0, 1, walk.n), tracked_corpus[name])
+    assert mu.velocities.min() < 0  # odd powers of negative velocities included
+    samples = list(zip(mu.velocities.tolist(), mu.masses.tolist()))
+    for m in range(9):
+        want = sum(mass * x**m for x, mass in [*mu.atoms, *samples])
+        assert abs(limit_moments(mu, m) - want) <= 1e-14, m
+    with pytest.raises(DomainError, match="nonnegative"):
+        limit_moments(mu, -1)
+
+
 def test_cdf_distance_loads_no_numpy_ma():
     # np.union1d imports numpy.ma on its first call, a module load in every fresh process
     src = Path(zqwalk.__file__).resolve().parent.parent

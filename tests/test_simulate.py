@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zqwalk import (
     DomainError,
+    PositionDistribution,
     StateVector,
     SymbolMatrix,
     apply_walk,
@@ -265,6 +266,45 @@ def test_position_distribution_examples():
     assert position_distribution(both).probs[0] == pytest.approx(1.0)
 
 
+def _unique_bincount_probs(xi):
+    """Reference: sites indexed by np.unique, probabilities summed by np.bincount."""
+    occupied, index = np.unique(xi.sites, return_inverse=True)
+    probs = np.bincount(index, weights=np.abs(xi.values) ** 2, minlength=len(occupied))
+    live = probs != 0.0
+    return dict(zip(occupied[live].tolist(), probs[live].tolist()))
+
+
+def _assert_distribution_layout(dist):
+    assert dist.sites.dtype == np.int64 and dist.masses.dtype == np.float64
+    assert len(dist.sites) == len(dist.masses)
+    assert np.all(np.diff(dist.sites) > 0)
+    assert np.all(dist.masses != 0)
+    assert not dist.sites.flags.writeable and not dist.masses.flags.writeable
+    assert list(dist.probs) == dist.sites.tolist()
+
+
+@pytest.mark.parametrize("name", ["coined", "modified", "grover3"])
+def test_every_distribution_has_increasing_unique_read_only_sites(corpus, name):
+    walk = corpus[name]
+    delta = StateVector.delta(0, 2 if name == "grover3" else 1, walk.n)
+    for xi in (delta, random_local_state(np.random.default_rng(35), walk.n, 3)):
+        for t in (7, 400):
+            state = evolve(walk, xi, t)
+            dist = position_distribution(state, time=t)
+            # the same probabilities, bit for bit, as a site index from np.unique
+            assert dist.probs == _unique_bincount_probs(state)
+            assert dist.probs is dist.probs  # built once and kept
+            shuffled = dict(reversed(list(dist.probs.items())))
+            given = PositionDistribution(shuffled, time=t)
+            assert given.probs == dist.probs and given.time == t
+            fourier = fourier_position_distribution(walk, xi, t)
+            for made in (dist, given, fourier):
+                _assert_distribution_layout(made)
+    empty = position_distribution(StateVector({}, walk.n))
+    _assert_distribution_layout(empty)
+    assert empty.probs == {} and empty.mass_outside(0.0) == 0.0
+
+
 def test_rescaled_moment_examples():
     assert rescaled_moment(StateVector.delta(2, 1, 1), 2, 1) == pytest.approx(1.0)
     assert rescaled_moment(StateVector.delta(5, 1, 1), 7, 0) == pytest.approx(1.0)
@@ -282,9 +322,18 @@ def test_distribution_and_moments_match_loop_reference(rng):
     got = position_distribution(xi).probs
     assert got.keys() == probs.keys()
     assert max(abs(got[s] - p) for s, p in probs.items()) <= 1e-14
-    for m in range(5):
+    assert min(probs) < 0 < max(probs)  # odd powers of negative sites included
+    for m in range(9):
         want = sum((s / 400) ** m * p for s, p in probs.items())
         assert abs(rescaled_moment(xi, 400, m) - want) <= 1e-14
+
+
+def test_rescaled_moment_refuses_negative_order():
+    xi = StateVector.delta(3, 1, 1)
+    assert rescaled_moment(xi, 3, 0) == 1.0
+    for m in (-1, -4):
+        with pytest.raises(DomainError, match="nonnegative"):
+            rescaled_moment(xi, 3, m)
 
 
 @settings(max_examples=40, deadline=None)
