@@ -9,9 +9,9 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
   and orthonormal eigenvectors, as track_bands solves every grid; np_eig:
   LAPACK's general np.linalg.eig on the same stack, for reference;
 - track_bands: the certified, refined system;
-- crossing_search: the exact-crossing search over the windows of
-  uncertified steps that the grid-1024 eigenvalues leave (none where every
-  step certifies);
+- crossing_search: the bisection of the steps that the grid-1024
+  eigenvalues leave uncertified, which finds their exact crossings (nothing
+  to do where every step certifies);
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
 - limit_measure: the first measure on a freshly tracked system;
@@ -55,9 +55,9 @@ first.  The file also records the machine (nproc, BLAS thread cap, numpy
 and, where it imports, scipy versions), what one track_bands ->
 refine_system -> 2 x limit_measure chain solves (the rows of each
 unitary-eigensolver call and how many of them it retried with another
-Cayley pole, each grid tracking tried with its counts of uncertified steps
-and of those outside exact-crossing windows, and the numbers of np.linalg
-eig, eigvals and inv calls), the coined
+Cayley pole, the grids, points, exact-crossing angles and narrowest
+unexplained gap of track_bands' TrackingRecord, and the numbers of
+np.linalg eig, eigvals and inv calls), the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
 error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
 Cayley-Hamilton residual of the 1 x 1 walk z^100000 (exact phases give
@@ -74,8 +74,9 @@ other's under "against", and "ratio", the other's median over this one's
 (above 1: this checkout is faster).  The eig stage calls
 spectral._unitary_eig(stack), which every checkout that has it answers with
 values and vectors; for a checkout without it, eig times np.linalg.eig, the
-solver its tracking runs; crossing_search times nothing on a checkout
-without spectral._window_crossings.  np_eig runs the same code on both
+solver its tracking runs; crossing_search times the window search on a
+checkout from before the bisection, and nothing on one from before that
+search.  np_eig runs the same code on both
 sides, so its ratio shows how far the pairing resolves.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
@@ -226,15 +227,28 @@ def solver(zq):
     return getattr(zq.spectral, "_unitary_eig", np.linalg.eig)
 
 
-def crossing_search(zq, walk, stack):
-    """The exact-crossing search of package `zq` over the windows `stack` leaves."""
-    certify = getattr(zq.spectral, "_certify", None)
-    search = getattr(zq.spectral, "_window_crossings", None)
-    if certify is None or search is None:  # a checkout from before the per-group search
-        return lambda _: None
-    vals = zq.spectral._unitary_eig(stack)[0]
-    bounds, crossings = certify(walk, vals)
-    return lambda _: [search(walk, vals, bounds, *window) for window, _angles in crossings]
+def crossing_search(zq, walk, stack) -> tuple:
+    """(fn, setup) timing package `zq`'s crossing search on the pass `stack`
+    solves: the bisection of its uncertified steps, or, on a checkout from
+    before it, the search over its windows."""
+    sp = zq.spectral
+    if not hasattr(sp, "_descend"):
+        if not hasattr(sp, "_window_crossings"):  # from before the per-group search
+            return lambda _: None, None
+        vals = sp._unitary_eig(stack)[0]
+        bounds, crossings = sp._certify(walk, vals)
+        return lambda _: [sp._window_crossings(walk, vals, bounds, *w) for w, _a in crossings], None
+    vals, floor = sp._unitary_eig(stack)[0], sp._Solved(walk).floor
+    bounds = sp._grid_bounds(walk, vals, floor)
+    steps = np.flatnonzero(bounds[1] <= 2 * bounds[0] + 4 * floor)
+    ends = (vals[steps], vals[(steps + 1) % GRID])
+
+    def solved():
+        points = sp._Solved(walk)
+        points.solve(GRID, np.arange(GRID), stack)
+        return points
+
+    return lambda points: sp._descend(walk, GRID, steps, ends, points), solved
 
 
 def stages(zq, walk, delta, other) -> dict:
@@ -259,7 +273,7 @@ def stages(zq, walk, delta, other) -> dict:
         "eig": (lambda _: eig(stack), None),
         "np_eig": (lambda _: np.linalg.eig(stack), None),
         "track_bands": (lambda w: zq.track_bands(w, GRID), fresh_walk),
-        "crossing_search": (crossing_search(zq, walk, stack), None),
+        "crossing_search": crossing_search(zq, walk, stack),
         "band_projections_first": (lambda s: zq.band_projections(walk, s, xh), tracked),
         "band_projections_repeat": (lambda s: zq.band_projections(walk, s, xh2), projected_once),
         "limit_measure": (lambda s: zq.limit_measure(walk, delta, s), tracked),
@@ -409,17 +423,16 @@ def scipy_version() -> str | None:
 def solve_counts(walk, vectors) -> dict:
     """Eigensolves of track_bands -> refine_system -> limit_measure(s).
 
-    unitary_eig_rows lists the rows of each spectral._unitary_eig call (the
-    crossing search's included) and retried_rows how many of those rows each
-    call solved again with another Cayley pole; grids lists [grid,
-    uncertified steps, steps in windows without an exact crossing] for each
-    grid track_bands tried; eig, eigvals and inv count the np.linalg
-    functions.
+    unitary_eig_rows lists the rows of each spectral._unitary_eig call and
+    retried_rows how many of those rows each call solved again with another
+    Cayley pole; grids, points, crossings and avoided_gap are track_bands'
+    TrackingRecord (the grid of each pass, the points solved, the exact
+    crossings' angles and the narrowest unexplained gap); eig, eigvals and
+    inv count the np.linalg functions.
     """
-    counts = {"unitary_eig_rows": [], "retried_rows": [], "grids": [], "eig": 0, "eigvals": 0,
-              "inv": 0}
+    counts = {"unitary_eig_rows": [], "retried_rows": [], "eig": 0, "eigvals": 0, "inv": 0}
     originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "inv")}
-    unitary_eig, cayley, certify = spectral._unitary_eig, spectral._cayley, spectral._certify
+    unitary_eig, cayley = spectral._unitary_eig, spectral._cayley
     cayley_rows = []
 
     def counting(name):
@@ -440,16 +453,9 @@ def solve_counts(walk, vectors) -> dict:
         cayley_rows.append(len(stack))
         return cayley(stack, center)
 
-    def counting_certify(walk, vals):
-        (delta, gap, _linked, _groups), crossings = out = certify(walk, vals)
-        unexplained = sum(steps for (_start, steps), angles in crossings if None in angles)
-        counts["grids"].append([len(vals), int(np.count_nonzero(gap <= 2 * delta)), unexplained])
-        return out
-
     for name in originals:
         setattr(np.linalg, name, counting(name))
     spectral._unitary_eig, spectral._cayley = counting_unitary_eig, counting_cayley
-    spectral._certify = counting_certify
     try:
         system = refine_system(track_bands(walk, GRID))
         for xi in vectors:
@@ -457,7 +463,10 @@ def solve_counts(walk, vectors) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(np.linalg, name, fn)
-        spectral._unitary_eig, spectral._cayley, spectral._certify = unitary_eig, cayley, certify
+        spectral._unitary_eig, spectral._cayley = unitary_eig, cayley
+    record = system.record
+    counts.update(grids=list(record.grids), points=record.points,
+                  crossings=list(record.crossings), avoided_gap=record.avoided_gap)
     return counts
 
 

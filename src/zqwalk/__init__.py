@@ -37,6 +37,7 @@ from .simulate import (
 from .spectral import (
     Band,
     EigenSystem,
+    TrackingRecord,
     are_conjugate,
     band_projections,
     ct_realizable,

@@ -34,17 +34,26 @@ def alias_free_grid(floor: int, span: int) -> int:
     return max(floor, 1 << span.bit_length())
 
 
-def circle_values(coeffs: np.ndarray, shifts: np.ndarray, grid: int) -> np.ndarray:
-    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), over nonzero rows;
-    its phase table and values pass require_values first."""
+def circle_values(
+    coeffs: np.ndarray, shifts: np.ndarray, grid: int, points: np.ndarray | None = None
+) -> np.ndarray:
+    """sum_s coeffs[s] z_k^shifts[s] at z_k = exp(2 pi i k / grid), over nonzero rows,
+    for k in `points` (all by default; a point's bits do not depend on the
+    others); its phase table and values pass require_values first."""
     live = np.any(coeffs != 0, axis=tuple(range(1, coeffs.ndim)))
     coeffs, shifts = coeffs[live], shifts[live]
-    values = grid * max(len(shifts), int(np.prod(coeffs.shape[1:])))
-    require_values(values, f"circle grid of {grid} points")
-    # z_k^s = roots[k (s mod M) mod M]: exact integer exponents, no overflow
-    roots = np.exp(2j * np.pi * np.arange(grid) / grid)
-    phase = roots[np.outer(np.arange(grid), shifts % grid) % grid]
-    return np.tensordot(phase, coeffs, axes=1)
+    rows = grid if points is None else len(points)
+    values = rows * max(len(shifts), int(np.prod(coeffs.shape[1:])))
+    require_values(values, f"circle grid of {rows} points")
+    if points is None:  # z_k^s = roots[k (s mod M) mod M]: exact integer exponents, no overflow
+        roots = np.exp(2j * np.pi * np.arange(grid) / grid)
+        return np.tensordot(roots[np.outer(np.arange(grid), shifts % grid) % grid], coeffs, axes=1)
+    # the same phases one by one, k s wrapping modulo 2^64 (exact modulo a power-of-two
+    # grid); a first row repeated, as BLAS multiplies a single row by another path
+    points = np.append(points, points[:1]).astype(np.uint64)
+    turns = np.outer(points, (shifts % grid).astype(np.uint64))
+    phase = np.exp(2j * np.pi * (turns % np.uint64(grid)).astype(np.int64) / grid)
+    return np.tensordot(phase, coeffs, axes=1)[:rows]
 
 
 def circle_coefficients(samples: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:

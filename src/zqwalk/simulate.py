@@ -99,12 +99,14 @@ def _settle(sites, channels, values, n: int) -> StateVector:
 
     Sorts stably by (site, channel), sums the values of a repeated key in input
     order starting from zero, drops exact zeros and marks the arrays
-    read-only.  Raises DomainError for a channel outside 1..n, a site beyond
-    MAX_SITE or a non-finite value.
+    read-only.  Raises DomainError for a site or channel that is not an
+    integer, a channel outside 1..n, a site beyond MAX_SITE or a non-finite
+    value.
     """
     sites, channels = np.ravel(sites), np.ravel(channels)
     values = np.ravel(np.asarray(values, dtype=complex))
     _require_sites(sites)
+    _require_integers(channels, "channel")
     stray = (channels < 1) | (channels > n)
     if stray.any():
         raise DomainError(f"channel {channels[stray][0]} outside 1..{n}")
@@ -122,7 +124,13 @@ def _settle(sites, channels, values, n: int) -> StateVector:
     return _sorted_state(sites[live], channels[live], values[live], n)
 
 
+def _require_integers(values: np.ndarray, what: str) -> None:
+    if values.dtype.kind in "fc" and np.any(values != np.round(values)):
+        raise DomainError(f"{what} {values[values != np.round(values)][0]} is not an integer")
+
+
 def _require_sites(sites: np.ndarray) -> None:
+    _require_integers(sites, "site")
     far = (sites < -MAX_SITE) | (sites > MAX_SITE)
     if far.any():
         raise DomainError(f"site {sites[far][0]} outside -2**53..2**53")
@@ -159,8 +167,9 @@ class PositionDistribution:
     time: int
 
     def __init__(self, probs: Mapping[int, float], time: int = 0) -> None:
-        sites = np.array(list(probs), dtype=np.int64)
+        sites = np.array(list(probs))
         _require_sites(sites)
+        sites = sites.astype(np.int64)
         masses = np.array(list(probs.values()), dtype=float)
         order = np.argsort(sites)
         self.__dict__.update(vars(_distribution(sites[order], masses[order], time)))

@@ -18,25 +18,30 @@ in one step of h = 2 pi / M at most the integral of ||dU/dtheta||_2 over it
 (Kato, Perturbation Theory, ch. II): at most delta = h L, L = sum_s |s|
 ||C_s||_F, and, as ||dU/dtheta||_2 changes by at most L2 = sum_s s^2 ||C_s||_2
 per radian, at most h (||U'(z_k)||_2 + ||U'(z_{k+1})||_2) / 2 + h^2 L2 / 2,
-taken on the steps h L leaves uncertified.  A step is certified where the
-DEGENERACY_TOL clusters of its target point lie more than 2 delta_k apart:
-each eigenvalue's branch ends in its nearest cluster, where the step sends it
+taken on the steps h L leaves uncertified.  Values within the floor F
+(_Solved, about 1e-13) are one eigenvalue and cluster.  A step is certified
+where the clusters of its target lie more than 2 delta_k + 4 F apart: each
+eigenvalue's branch ends in its nearest cluster, where the step sends it
 (members in index order: the refined system does not depend on labels
 inside a cluster), all such steps in one batched argmin.  The other steps
-match each group of eigenvalues within 2 delta_k of each other by minimum
-total distance from linearly extrapolated values, in grid order, which
-follows the analytic branch through a transversal collision.
+match each group of eigenvalues within 2 delta_k + 4 F of each other by
+minimum total distance from linearly extrapolated values, in grid order,
+which follows the analytic branch through a transversal collision.
 
-A pass is accepted when every uncertified step lies in a window of exact
-crossings, through which the branches continue analytically (Rellich; Kato
-ch. II section 6).  A window is a maximal run of uncertified steps; a
-certified step between two runs whose target holds a cluster (a crossing on
-a grid point) joins them.  Groups of two clusters or more at consecutive
-targets of uncertified steps join where a value moves between them within
-the step bounds; along each such chain, the gap between clusters, minimized
-from each local minimum by sampling within a grid step among the values near
-the group's, must fall below DEGENERACY_TOL, or the grid doubles, its even
-points reused, up to MAX_GRID.
+Analytic branches that come close cross exactly or avoid each other with a
+gap g0 > 0 (Rellich; Kato ch. II section 6); the bisection tells which.  A
+group of an uncertified step is explained by a solved point in its run of
+open steps, or a step beside it, where the values within L |theta - theta'|
++ F of the group's hold fewer clusters: its branches met there.  Each
+unexplained step is split alone, the new points of a level in one stack,
+until its parts certify or are explained; a part left where 2 delta <= F or
+where halves would be narrower than CROSSING_WIDTH, or a bisection past
+MAX_GRID points, raises ResolutionError.  Down to the step of MAX_GRID a level halves, so its points
+are those of the grid M 2^l; below it a level cuts a step in up to
+MAX_PARTS.  A pass whose open steps are all explained is accepted; else
+tracking moves to the grid of the least level whose open steps are, reusing
+every point, and bisects again.  On MAX_GRID, the points that bisect a step
+still open join the pass.
 
 Eigensolver note: U(z) is unitary on the circle, so every grid stack is
 solved as a Hermitian one (_unitary_eig).  The Cayley transform
@@ -76,12 +81,15 @@ from .symbol import SymbolMatrix, char_poly, verify_unitary_symbol
 # char_poly prunes below PRUNE_TOL = 1e-14, conjugate pairs of generated walks
 # differ by about that much, and distinct band systems by order one.
 CHAR_POLY_TOL = 1e-12
-CROSSING_SAMPLES = 33
-CROSSING_WIDTH = 1e-12
+CROSSING_WIDTH = 4e-15  # the narrowest sub-step: a few ulps of 2 pi
 DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
 DEGENERACY_TOL = 1e-8
+# Tracking's floor, in units of n eps B: exact double eigenvalues come back
+# split by at most 0.65 n eps B (measured, n = 2..8).
+FLOOR = 16
 MAX_GRID = 1 << 16
+MAX_PARTS = 32  # most parts an open step is cut in below the step of MAX_GRID
 # Turn of the first Cayley pole off the trace axis, as a fraction of the retry
 # turn 2 pi / (n + 1): exact flat bands at +-1 and +-i (Grover's lambda = 1)
 # never sit on it, and of the turns measured a quarter retries fewest rows.
@@ -124,20 +132,34 @@ class Band:
         )
 
 
+@dataclass(frozen=True)
+class TrackingRecord:
+    """track_bands' certificate: the grid of each pass, the points solved, the
+    angles of the exact crossings its grid's open steps meet, and the least
+    gap left unexplained (an avoided crossing's g0) and its angle, or None."""
+
+    grids: tuple[int, ...]
+    points: int
+    crossings: tuple[float, ...]
+    avoided_gap: float | None
+    avoided_angle: float | None
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """A complete set of tracked bands for one walk symbol.
 
-    Two private caches ride along and __eq__ ignores them: `_solved` is the
-    (walk, evals, vecs) eigendecomposition on base_grid that track_bands
-    tracked through, and `_frame` the vector-free half of band_projections
-    (_Frame), built on first use.
+    Three read-only attachments ride along and __eq__ ignores them: `record`
+    is track_bands' TrackingRecord, `_solved` the (walk, evals, vecs)
+    eigendecomposition on base_grid that it tracked through, and `_frame`
+    the vector-free half of band_projections (_Frame), built on first use.
     """
 
     bands: tuple[Band, ...]
     n: int
     base_grid: int
     indecomposable: bool
+    record: TrackingRecord | None = field(default=None, init=False, repr=False)
     _solved: tuple | None = field(default=None, init=False, repr=False)
     _frame: _Frame | None = field(default=None, init=False, repr=False)
 
@@ -188,6 +210,11 @@ def _cayley(stack: np.ndarray, center: np.ndarray) -> np.ndarray:
         return out
 
 
+def _cayley_bound(n: int) -> float:
+    """The pole check's bound on ||T||_F (module docstring)."""
+    return 2.0 * math.sqrt(n) / math.tan(math.pi / (2 * (n + 1)))
+
+
 def _unitary_eig(stack: np.ndarray):
     """Eigenvalues and orthonormal eigenvectors of an (M, n, n) unitary stack.
 
@@ -206,7 +233,7 @@ def _unitary_eig(stack: np.ndarray):
         trace += stack[:, i, i]
     size = np.abs(trace)
     first = np.where(size > 0, trace / np.where(size > 0, size, 1.0), -1.0)
-    bound = 2.0 * math.sqrt(n) / math.tan(math.pi / (2 * (n + 1)))
+    bound = _cayley_bound(n)
     todo = np.arange(m)
     smallest = np.full(m, np.inf)  # each row's least ||T||_F, for the refusal
     for attempt in range(n + 1):
@@ -310,116 +337,164 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _step_bounds(walk: SymbolMatrix, vals: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(delta, gap, linked, groups) of an (M, n) pass, row k for the step to
-    point k + 1: the step bound (module docstring), the least distance between
-    the DEGENERACY_TOL clusters of point k + 1, their links, and the links the
-    step matches by: linked where it is certified (gap[k] > 2 delta[k]), the
-    values within 2 delta[k] of each other where it is not."""
-    grid = len(vals)
-    h = 2.0 * np.pi / grid
-    target = np.roll(vals, -1, axis=0)
-    linked = _linked(target, DEGENERACY_TOL)
+def _step_bounds(walk: SymbolMatrix, target: np.ndarray, h, angles: np.ndarray, floor) -> tuple:
+    """(delta, gap, linked, groups) of steps of width h to the (S, n) values
+    `target`, `angles` (2, S) their ends: the step bound, the least distance
+    between the target's clusters, their links, and the links the step
+    matches by, the values within 2 delta + 4 floor where it is uncertified."""
+    linked = _linked(target, floor)
     dist = np.abs(target[:, :, None] - target[:, None, :])
     gap = np.min(np.where(linked, np.inf, dist), axis=(1, 2))
-    delta = np.full(grid, h * _lipschitz(walk))
-    loose = np.flatnonzero(gap <= 2 * delta)
+    h = np.broadcast_to(h, gap.shape)
+    delta = h * _lipschitz(walk)
+    loose = np.flatnonzero(gap <= 2 * delta + 4 * floor)
     if loose.size:
         s, c = walk.shifts, walk.coeffs
-        ends = np.stack([loose, (loose + 1) % grid])
-        slope = evaluate(s, 1j * s[:, None, None] * c, np.exp(1j * h * ends))
+        slope = evaluate(s, 1j * s[:, None, None] * c, np.exp(1j * angles[:, loose]))
         gram = [a.conj().swapaxes(-1, -2) @ a for a in (c, slope)]  # ||A||_2^2 = top eigenvalue
         norms = [np.linalg.eigvalsh(g)[..., -1] ** 0.5 for g in gram]  # no SVD: MBs of peak RSS
-        local = h * norms[1].mean(axis=0) + h * h * float(np.sum(s**2.0 * norms[0])) / 2
+        w = h[loose]
+        local = w * norms[1].mean(axis=0) + w * w * float(np.sum(s**2.0 * norms[0])) / 2
         delta[loose] = np.minimum(delta[loose], local)
+    reach = 2 * delta + 4 * floor
     groups = linked.copy()
-    uncertified = gap <= 2 * delta
-    groups[uncertified] = _linked(target[uncertified], 2 * delta[uncertified, None, None])
+    uncertified = gap <= reach
+    groups[uncertified] = _linked(target[uncertified], reach[uncertified, None, None])
     return delta, gap, linked, groups
 
 
-def _group_gaps(values: np.ndarray, inside: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Per row of an (S, n) value stack, the (rank + 1)-th least distance
-    between the values flagged `inside` (inf if there are fewer pairs)."""
-    i, j = np.triu_indices(values.shape[1], 1)
-    pairs = np.where(inside[:, i] & inside[:, j], np.abs(values[:, i] - values[:, j]), np.inf)
-    return np.take_along_axis(np.sort(pairs, axis=1), rank[:, None], axis=1)[:, 0]
+def _grid_bounds(walk: SymbolMatrix, vals: np.ndarray, floor: float) -> tuple:
+    """_step_bounds of the steps of an (M, n) pass, row k for the step to point k + 1."""
+    k, h = np.arange(len(vals)), 2.0 * np.pi / len(vals)
+    ends = h * np.stack([k, (k + 1) % len(k)])
+    return _step_bounds(walk, np.roll(vals, -1, axis=0), h, ends, floor)
 
 
-def _window_crossings(
-    walk: SymbolMatrix, vals: np.ndarray, bounds: tuple, start: int, steps: int
-) -> tuple:
-    """Exact-crossing angles of the window of `steps` steps from `start`,
-    ending in None at the first search that finds none (module docstring).
+class _Solved:
+    """The points one track_bands call solved, by angle (the same bits on
+    every grid), and the floor: FLOOR n eps B plus twice the walk's unitarity
+    deviation, by which a crossing of the nearest unitary symbol may open."""
 
-    A group's gap is the (r + 1)-th least distance between its values, r
-    their linked pairs: continuous through a crossing that merges two
-    clusters.  A search starts from each group whose gap is below those of
-    the groups joined before it and at most those joined after it, takes
-    the values within its point's step bounds of the group's at the solved
-    grid points beside it, then at CROSSING_SAMPLES angles around the best
-    so far, and stops when the gap is below DEGENERACY_TOL (exact), cannot
-    get there in the bracket (it moves at most 2 L per radian) or the
-    bracket is below CROSSING_WIDTH.
-    """
-    delta, gap, linked, groups = bounds
-    grid, n = vals.shape
-    h, speed = 2.0 * np.pi / grid, 2.0 * _lipschitz(walk)
-    # the window's points u reached by uncertified steps, and their groups g
-    pos = 1 + np.flatnonzero((gap <= 2 * delta)[(start + np.arange(steps)) % grid])
-    points = (start + pos) % grid
-    member = np.argmax(groups[points - 1], axis=2)[:, None, :] == np.arange(n)[:, None]  # [u, g, i]
-    pairs = linked[points - 1, None] & member[:, :, :, None] & member[:, :, None, :]
-    rank = (np.count_nonzero(pairs, axis=(2, 3)) - np.count_nonzero(member, axis=2)) // 2
-    # inf for a group of one cluster (no pair left beyond the linked ones)
-    least = _group_gaps(np.repeat(vals[points], n, axis=0), member.reshape(-1, n), rank.ravel())
-    least = least.reshape(-1, n)
-    moved = np.concatenate([[0.0], np.cumsum(delta[(start + np.arange(steps)) % grid])])
-    reach = (moved[pos[1:]] - moved[pos[:-1]])[:, None, None]
-    near = np.abs(vals[points[:-1], :, None] - vals[points[1:], None, :]) <= reach
-    joined = (member[:-1] * 1.0) @ near @ (member[1:] * 1.0).swapaxes(1, 2) > 0  # [u, g, g']
-    before = np.min(np.where(joined, least[:-1, :, None], np.inf), axis=1, initial=np.inf)
-    after = np.min(np.where(joined, least[1:, None, :], np.inf), axis=2, initial=np.inf)
-    first = np.concatenate([np.full((1, n), True), least[1:] < before])
-    last = np.concatenate([least[:-1] <= after, np.full((1, n), True)])
-    angles = []
-    for u, g in zip(*np.nonzero(first & last & np.isfinite(least))):
-        point, width = points[u], 1.0
-        reach, ref = max(delta[point - 1], delta[point]), vals[point, member[u, g]]
-        origin = float(start + pos[u])  # positions in grid steps; the two beside it come solved
-        at, sampled = origin + np.arange(-1.0, 2.0), vals[(point + np.arange(-1, 2)) % grid]
-        while True:
-            close = np.min(np.abs(sampled[:, :, None] - ref), axis=2) <= reach
-            gaps = _group_gaps(sampled, close, np.full(len(at), rank[u, g]))
-            least_gap, best = np.min(gaps), at[np.argmin(gaps)]
-            if least_gap < DEGENERACY_TOL:
-                break
-            if least_gap - speed * h * width >= DEGENERACY_TOL or h * width <= CROSSING_WIDTH:
-                return (*angles, None)
-            at = best + width * np.linspace(-1.0, 1.0, CROSSING_SAMPLES)
-            at = np.clip(at, origin - 1.0, origin + 1.0)
-            sampled = _unitary_eig(evaluate(walk.shifts, walk.coeffs, np.exp(1j * h * at)))[0]
-            width *= 2.0 / (CROSSING_SAMPLES - 1)
-        angles.append(h * best % (2.0 * np.pi))
-    return tuple(angles)
+    def __init__(self, walk: SymbolMatrix):
+        self.walk, self.chunks, self.cache = walk, [], None
+        self.floor = FLOOR * walk.n * np.finfo(float).eps * _cayley_bound(walk.n)
+        self.floor += 2 * verify_unitary_symbol(walk).max_deviation
+
+    def met(self) -> tuple[np.ndarray, np.ndarray]:
+        """(angle, values) of the points where two values share a cluster."""
+        if self.cache is None:
+            self.cache = tuple(np.concatenate([c[i][c[3]] for c in self.chunks]) for i in (0, 1))
+        return self.cache
+
+    def solve(self, grid: int, index: np.ndarray, stack=None) -> tuple:
+        """(values, vectors) at points `index` of `grid`, solving in one stack
+        (rows of `stack` where given) only those not solved before."""
+        angle = 2.0 * np.pi * index / grid
+        known = [np.isin(angle, chunk[0]) for chunk in self.chunks]
+        new = ~np.any(known, axis=0) if known else np.ones(len(index), bool)
+        if new.any():
+            if stack is None:
+                stack = circle_values(self.walk.coeffs, self.walk.shifts, grid, index)
+            vals, vecs = _unitary_eig(stack[new])
+            close = np.abs(vals[:, :, None] - vals[:, None, :]) + np.eye(vals.shape[1]) < self.floor
+            self.chunks.append((angle[new], vals, vecs, close.any(axis=(1, 2))))
+            self.cache = None
+            if new.all():
+                return vals, vecs
+        out = [np.empty((len(index),) + x.shape[1:], complex) for x in self.chunks[0][1:3]]
+        for (at, vals, vecs, _met), hit in zip(self.chunks, known + [new]):
+            order = np.argsort(at)
+            at = order[np.searchsorted(at, angle[hit], sorter=order)]
+            out[0][hit], out[1][hit] = vals[at], vecs[at]
+        return tuple(out)
 
 
-def _certify(walk: SymbolMatrix, vals: np.ndarray) -> tuple[tuple, list]:
-    """_step_bounds of an (M, n) pass, and ((first step, step count),
-    _window_crossings) for each of its windows (module docstring)."""
-    bounds = _step_bounds(walk, vals)
-    delta, gap, linked, _groups = bounds
-    uncertified = gap <= 2 * delta
-    if not uncertified.any():
-        return bounds, []
-    clustered = np.any(np.count_nonzero(linked, axis=2) > 1, axis=1)
-    inside = uncertified | (clustered & np.roll(uncertified, 1) & np.roll(uncertified, -1))
-    starts = np.flatnonzero(inside & ~np.roll(inside, 1))
-    ends = np.flatnonzero(inside & ~np.roll(inside, -1))
-    ends = ends[np.searchsorted(ends, starts) % max(len(ends), 1)]  # each run's own end
-    windows = [(int(a), int((b - a) % len(vals) + 1)) for a, b in zip(starts, ends)]
-    windows = windows or [(0, len(vals))]  # no start: every step is inside
-    return bounds, [(w, _window_crossings(walk, vals, bounds, *w)) for w in windows]
+def _cluster_count(member: np.ndarray, linked: np.ndarray) -> np.ndarray:
+    """Clusters among the values flagged in `member` (..., n), by links (..., n, n)."""
+    earlier = np.tril(linked, -1) & member[..., None, :]
+    return np.count_nonzero(member & ~np.any(earlier, axis=-1), axis=-1)
+
+
+def _explain(walk, grid, steps, dst, gap, linked, groups, solved) -> tuple:
+    """(angles, gaps) of open steps (`steps` of `grid`, target values `dst`,
+    _step_bounds' gap and links): per [step, group] the angle of a solved
+    point that explains the group, NaN where none does, inf for a group of
+    one cluster (module docstring); per step the least gap of a group left
+    (inf if none)."""
+    n, h = dst.shape[1], 2.0 * np.pi / grid
+    hit = np.full((len(steps), n), np.nan)
+    angle, values = solved.met()
+    if not angle.size or not len(steps):
+        return hit, gap
+    member = np.argmax(groups, axis=2)[:, None, :] == np.arange(n)[:, None]  # [s, group, i]
+    count = _cluster_count(member, linked[:, None])
+    hit[count < 2] = np.inf
+    # runs of consecutive steps (the last joins the first across the seam), one step wider
+    run = np.cumsum(np.concatenate([[True], np.diff(steps) != 1])) - 1
+    first, length = steps[np.flatnonzero(np.diff(run, prepend=-1))], np.bincount(run)
+    if run[-1] and steps[0] == 0 and steps[-1] == grid - 1:
+        first[0], length[0] = first[-1], length[0] + length[-1]
+        run[run == run[-1]] = 0
+    lo, span = h * (first - 1.5), h * (length + 3.0)  # half a step more for roundoff
+    s, g = np.nonzero(count > 1)
+    pair, c = np.nonzero((angle - lo[run[s], None]) % (2.0 * np.pi) <= span[run[s], None])
+    s, g = s[pair], g[pair]
+    reach = _lipschitz(walk) * np.abs(np.angle(np.exp(1j * (angle[c] - h * (steps[s] + 1)))))
+    near = np.abs(values[c, :, None] - dst[s, None]) <= reach[:, None, None] + solved.floor
+    near = np.any(member[s, g, None] & near, axis=2)  # [pair, i]: value i within reach of the group
+    met = (np.count_nonzero(near, axis=1) >= np.count_nonzero(member[s, g], axis=1)) & (
+        _cluster_count(near, _linked(values[c], solved.floor)) < count[s, g]
+    )
+    hit[s[met], g[met]] = angle[c[met]]
+    left = np.isnan(hit)
+    apart = member[..., :, None] & member[..., None, :] & ~linked[:, None] & left[:, :, None, None]
+    dist = np.abs(dst[:, :, None] - dst[:, None, :])
+    return hit, np.min(np.where(apart, dist[:, None], np.inf), axis=(1, 2, 3))
+
+
+def _descend(walk: SymbolMatrix, grid: int, steps: np.ndarray, ends: tuple, solved) -> list:
+    """Split the open `steps` of `grid` (values `ends` at their two ends) level
+    by level while a group of theirs is unexplained; returns [grid, steps,
+    gaps, angles] per level of open steps, _explain's with every point
+    solved, or raises ResolutionError (module docstring)."""
+    levels, spent, floor, (src, dst) = [], 0, solved.floor, ends
+    while steps.size:
+        h = 2.0 * np.pi / grid
+        bounds = _step_bounds(walk, dst, h, h * np.stack([steps, (steps + 1) % grid]), floor)
+        keep = bounds[1] <= 2 * bounds[0] + 4 * floor
+        steps, src, dst = steps[keep], src[keep], dst[keep]
+        delta, gap, linked, groups = (x[keep] for x in bounds)
+        found, least = _explain(walk, grid, steps, dst, gap, linked, groups, solved)
+        levels.append([grid, steps, least, found, (dst, gap, linked, groups)])
+        split = np.isnan(found).any(axis=1)
+        if not split.any():
+            break
+        steps, src, dst, delta, gap = (x[split] for x in (steps, src, dst, delta, gap))
+        stuck = 2 * delta <= floor
+        # halves up to MAX_GRID, then up to MAX_PARTS parts, no more than 2 delta / floor
+        parts = 2 if grid < MAX_GRID or stuck.any() else MAX_PARTS
+        parts = min(parts, 1 << math.ceil(math.log2(max(2 * delta.max() / floor, 2))))
+        over = spent + steps.size * (parts - 1) > MAX_GRID
+        if stuck.any() or np.pi / grid < CROSSING_WIDTH or over:
+            k = np.argmin(np.where(stuck, gap, np.inf) if stuck.any() else gap)
+            at = f"{MAX_GRID} (MAX_GRID)" if grid >= MAX_GRID else f"{grid} (below {MAX_GRID})"
+            raise ResolutionError(
+                f"tracking unresolved at grid {at}, {steps.size} open steps of width "
+                f"{2 * np.pi / grid:.1e} after {spent} points; the narrowest gap between "
+                f"eigenvalue clusters is {gap[k]:.3e}, against its bound 2 delta "
+                f"{2 * delta[k]:.3e}, at theta {2 * np.pi * (steps[k] + 1) / grid:.12f} "
+                f"(floor {floor:.1e})"
+            )
+        spent, grid, n = spent + steps.size * (parts - 1), grid * parts, src.shape[1]
+        new = solved.solve(grid, (steps[:, None] * parts + np.arange(1, parts)).ravel())[0]
+        ends = np.concatenate([src[:, None], new.reshape(len(steps), -1, n), dst[:, None]], 1)
+        src, dst = ends[:, :-1].reshape(-1, n), ends[:, 1:].reshape(-1, n)
+        steps = (steps[:, None] * parts + np.arange(parts)).ravel()
+    for entry in levels:  # with the points solved since
+        left = np.isnan(entry[3]).any(axis=1)
+        ends = (x[left] for x in entry.pop())
+        entry[3][left], entry[2][left] = _explain(walk, entry[0], entry[1][left], *ends, solved)
+    return levels
 
 
 def _step_permutations(
@@ -459,10 +534,11 @@ def _step_permutations(
     return steps
 
 
-def _track_cycles(vals: np.ndarray, *bounds: np.ndarray) -> list:
+def _track_cycles(vals: np.ndarray, keep, *bounds: np.ndarray) -> list:
     """(d, samples, 1) per branch cycle through the (M, n) eigenvalue lists, by
-    _step_permutations(vals, *bounds); the pass starts where the spectrum is
-    best separated, so its history-free first step straddles no collision."""
+    _step_permutations(vals, *bounds), sampled at the points `keep`; the pass
+    starts where the spectrum is best separated, so its history-free first
+    step straddles no collision."""
     grid, n = vals.shape
     kstar = _best_separated_point(vals)
     start = vals[kstar]
@@ -493,8 +569,8 @@ def _track_cycles(vals: np.ndarray, *bounds: np.ndarray) -> list:
             b = int(pi[b])
         d = len(cycle)
         seq = np.concatenate([path_vals[b, :grid] for b in cycle])
-        samples = np.roll(seq, kstar)  # covering index 0 <-> base point z = 1
-        cycles.append((d, _canonical_rotation(samples, grid), 1))
+        samples = np.roll(seq, kstar).reshape(d, grid)[:, keep].ravel()  # index 0 <-> z = 1
+        cycles.append((d, _canonical_rotation(samples, len(samples) // d), 1))
     return cycles
 
 
@@ -574,7 +650,7 @@ def _require_unitary(walk: SymbolMatrix) -> None:
 
 
 def valid_base_grid(grid: int) -> bool:
-    """A power of two in 64..MAX_GRID/2: a base grid that leaves track_bands a doubling."""
+    """A power of two in 64..MAX_GRID/2: a base grid that leaves track_bands a finer grid."""
     return grid >= 64 and not grid & (grid - 1) and 2 * grid <= MAX_GRID
 
 
@@ -582,18 +658,15 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     """Track the eigenvalue branches of a unitary symbol around the circle.
 
     Eigenvalues and orthonormal eigenvectors are solved at `base_grid`
-    uniform points and matched under the certificate of the module
-    docstring; the step permutations compose into one permutation whose
-    cycles give covering degrees.  A pass with a group no exact crossing
-    explains moves to the doubled grid, whose even points are the current
-    ones (phases are reduced exactly in integers), so only its midpoints are
-    solved; one still open at MAX_GRID raises ResolutionError naming the
-    grid, the narrowest open gap and its bound.  The result is refined: each
-    cycle is contracted to its minimal rotation period (to DEFAULT_TOL) and
+    uniform points and matched under the certificate and bisection of the
+    module docstring; the step permutations compose into one permutation
+    whose cycles give covering degrees.  The result is refined: each cycle
+    is contracted to its minimal rotation period (to DEFAULT_TOL) and
     branches coinciding everywhere merge into one band with a multiplicity,
     so refine_system leaves it unchanged.  Each band's winding is validated
     here (ResolutionError where under-resolved).  The system keeps its
-    grid's decomposition for band_projections, tied to this walk.
+    grid's decomposition for band_projections, tied to this walk, and its
+    TrackingRecord.
 
     Parameters
     ----------
@@ -605,25 +678,44 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     if not valid_base_grid(base_grid):
         raise DomainError(f"base_grid {base_grid} is not a power of two in 64..{MAX_GRID // 2}")
     _require_unitary(walk)
-    grid = base_grid
-    vals, vecs = _unitary_eig(walk.grid_eval(grid))
+    solved, grid, grids, avoided = _Solved(walk), base_grid, [], (math.inf, None)
+    vals, vecs = solved.solve(grid, np.arange(grid), walk.grid_eval(grid))
     while True:
-        (delta, gap, _linked, groups), crossings = _certify(walk, vals)
-        unexplained = [window for window, angles in crossings if None in angles]
-        if not unexplained:
+        grids.append(grid)
+        bounds = _grid_bounds(walk, vals, solved.floor)
+        steps = np.flatnonzero(bounds[1] <= 2 * bounds[0] + 4 * solved.floor)
+        levels = _descend(walk, grid, steps, (vals[steps], vals[(steps + 1) % grid]), solved)
+        for level_grid, steps, gap, _found in levels:  # the narrowest unexplained gap
+            if gap.size and gap.min() < avoided[0]:
+                k = np.argmin(gap)
+                theta = 2.0 * np.pi * float((steps[k] + 1) % level_grid) / level_grid
+                avoided = (float(gap[k]), theta)
+        k = next((i for i, level in enumerate(levels) if not np.isnan(level[3]).any()), 0)
+        if k == 0 or grid == MAX_GRID:
             break
-        if 2 * grid > MAX_GRID:
-            k = min(((a + i) % grid for a, m in unexplained for i in range(m)), key=gap.__getitem__)
-            raise ResolutionError(
-                f"tracking unresolved at grid {grid} (MAX_GRID), windows without an exact "
-                f"crossing: {len(unexplained)}; the narrowest gap between eigenvalue clusters "
-                f"is {gap[k]:.3e}, against its bound 2 delta {2 * delta[k]:.3e}"
-            )
-        mid_vals, mid_vecs = _unitary_eig(walk.grid_eval(2 * grid)[1::2])
-        vals = np.stack([vals, mid_vals], axis=1).reshape(2 * grid, walk.n)
-        vecs = np.stack([vecs, mid_vecs], axis=1).reshape(2 * grid, walk.n, walk.n)
-        grid *= 2
-    system = _finish_system(_track_cycles(vals, delta, gap <= 2 * delta, groups), walk.n, grid)
+        grid = min(levels[k][0], MAX_GRID)
+        vals, vecs = solved.solve(grid, np.arange(grid), walk.grid_eval(grid))
+    keep, path, floor = slice(None), vals, solved.floor
+    if k:  # on MAX_GRID, the points inside steps still open join the pass; it keeps the grid's
+        angle, values = (np.concatenate([c[i] for c in solved.chunks]) for i in (0, 1))
+        ticks = 2.0 * np.pi * np.arange(grid) / grid
+        still_open = levels[0][1][np.isnan(levels[0][3]).any(axis=1)]
+        inside = np.isin(np.searchsorted(ticks, angle, side="right") - 1, still_open)
+        inside &= ~np.isin(angle, ticks)
+        at = np.concatenate([ticks, angle[inside]])
+        order = np.argsort(at)
+        keep, at = np.argsort(order)[:grid], at[order]
+        path, end = np.concatenate([vals, values[inside]])[order], np.append(at[1:], 2.0 * np.pi)
+        bounds = _step_bounds(walk, np.roll(path, -1, 0), end - at, np.stack([at, end]), floor)
+    delta, gap, _linked, groups = bounds
+    cycles = _track_cycles(path, keep, delta, gap <= 2 * delta + 4 * floor, groups)
+    system = _finish_system(cycles, walk.n, grid)
+    found = np.sort(levels[0][3][np.isfinite(levels[0][3])]) if levels else np.zeros(0)
+    crossings = tuple(found[np.diff(found, prepend=-1.0) > 1e-9].tolist())  # one angle each
+    avoided = avoided if avoided[1] is not None else (None, None)
+    points = sum(len(chunk[0]) for chunk in solved.chunks)
+    record = TrackingRecord(tuple(grids), points, crossings, *avoided)
+    object.__setattr__(system, "record", record)
     object.__setattr__(system, "_solved", (walk, vals, vecs))
     return system
 

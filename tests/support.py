@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from zqwalk import (
     apply_walk,
     build_model_walk,
     char_poly,
+    coined_lambda,
     coined_walk,
     compare_moments,
     compose,
@@ -679,3 +681,74 @@ def loop_generator_csv(band: Band, stream) -> None:
     stream.write("theta,h\n")
     for theta, h in zip(thetas, np.unwrap(np.angle(band.samples))):
         stream.write(f"{_fmt(theta)},{_fmt(h)}\n")
+
+
+# -- known-answer walks: closed-form bands, conjugated by conditional shifts -----------
+
+
+def conditional_shift_conjugator(rng: np.random.Generator, n: int, layers: int = 2) -> tuple:
+    """(V, V^-1) for V = V0 prod_k (I - P_k + z P_k): a seeded constant unitary
+    V0 and rank-one projections P_k, so V^-1 = prod_k (I - P_k + P_k / z) V0^H
+    in reverse order, both with exact coefficients."""
+    v0 = random_constant_unitary(rng, n)
+    v, inverse = SymbolMatrix.from_constant(v0), SymbolMatrix.from_constant(v0.conj().T)
+    for _ in range(layers):
+        u = random_constant_unitary(rng, n)[:, :1]
+        p = u @ u.conj().T
+        v = compose(v, SymbolMatrix.from_terms([0, 1], [np.eye(n) - p, p]))
+        inverse = compose(SymbolMatrix.from_terms([-1, 0], [p, np.eye(n) - p]), inverse)
+    return v, inverse
+
+
+def phase_roots(f, grid: int = 1 << 12) -> list[float]:
+    """Angles in [0, 2 pi) where the unimodular f(theta) passes 1: the sign
+    changes of arg f on a uniform grid (not its jumps at pi), bisected."""
+    lo = 2 * np.pi * np.arange(grid) / grid
+    a, b = np.angle(f(lo)), np.angle(f(lo + 2 * np.pi / grid))
+    lo = lo[(np.sign(a) != np.sign(b)) & (np.abs(a - b) < np.pi)]
+    hi = lo + 2 * np.pi / grid
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        left = np.sign(np.angle(f(mid))) == np.sign(np.angle(f(lo)))
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return list(lo)
+
+
+def known_answer_walks(seed: int = 19) -> dict:
+    """name -> (walk, answer), each walk also conjugated by a seeded V
+    ("_conj"), which keeps its char poly and so its answer: the sorted (d,
+    multiplicity, winding) bands, the exact-crossing angles and the
+    avoided-crossing widths.  Summands are coins coined_walk(r e^{i phi}, b),
+    two winding-0 bands coined_lambda(theta + phi, r) that avoid each other
+    by 2b, and shifts e^{i alpha} z^k; bands of different summands cross
+    exactly where they meet."""
+    rng = np.random.default_rng(seed)
+
+    def coin(b):
+        phi, r = rng.uniform(0, 2 * np.pi), np.sqrt(1 - b * b)
+        bands = [lambda t, s=s: coined_lambda(t + phi, r, s) for s in (1, -1)]
+        return coined_walk(r * np.exp(1j * phi), b), bands, [0, 0], [2 * b]
+
+    def shift(k):
+        alpha = rng.uniform(0, 2 * np.pi)
+        walk = SymbolMatrix.from_terms([k], [[[np.exp(1j * alpha)]]])
+        return walk, [lambda t: np.exp(1j * (alpha + k * t))], [k], []
+
+    sums = {f"coin_{b:g}": [coin(b)] for b in (1e-1, 1e-3, 1e-5, 1e-7, 3e-9, 1e-10)}
+    sums.update(shifts=[shift(1), shift(-1)], coin_shift=[coin(1e-3), shift(1)])
+    sums["sum_n8"] = [coin(1e-2), coin(0.3), coin(0.5), shift(2), shift(-1)]
+    out = {}
+    for name, parts in sums.items():
+        walk = direct_sum(*(part[0] for part in parts))
+        crossings = np.sort([
+            angle for i, j in itertools.combinations(range(len(parts)), 2)
+            for f in parts[i][1] for g in parts[j][1]
+            for angle in phase_roots(lambda t, f=f, g=g: f(t) / g(t))
+        ])  # two coins meet in both bands at once: one angle
+        answer = {"bands": sorted((1, 1, w) for part in parts for w in part[2]),
+                  "crossings": list(crossings[np.diff(crossings, prepend=-1.0) > 1e-9]),
+                  "avoided": [w for part in parts for w in part[3]]}
+        v, inverse = conditional_shift_conjugator(rng, walk.n)
+        out[name] = (walk, answer)
+        out[f"{name}_conj"] = (compose(v, compose(walk, inverse)), answer)
+    return out

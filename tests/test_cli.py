@@ -371,6 +371,14 @@ def test_cli_refuses_grid_outside_range(spec_dir, tmp_path, capsys, grid):
     assert not out.exists()
 
 
+def test_cli_winding_of_a_narrowly_avoided_crossing(tmp_path, capsys):
+    # the coin's bands avoid each other by 6e-9: two winding-0 bands, exit 0
+    spec = tmp_path / "coin.json"
+    spec.write_text(json.dumps(zio.walk_to_json(coined_walk(np.sqrt(1 - 9e-18), 3e-9))))
+    assert run_cli("winding", spec) == 0
+    assert "windings [0, 0]" in capsys.readouterr().out
+
+
 def test_cli_refuses_unresolved_tracking(tmp_path, capsys):
     # the sum coupled at 1e-7 has avoided crossings narrower than any grid
     # step up to MAX_GRID: exit 4 with the grid, the narrowest gap and its bound
@@ -669,12 +677,13 @@ def test_bench_script_writes_report(tmp_path):
         assert all(0 < s["q25_s"] <= s["median_s"] <= s["q75_s"] for s in stages.values())
         # one eigendecomposition serves tracking and both vectors, with no
         # inverse and no general eigensolver; only grover3's crossing at
-        # z = 1 leaves steps uncertified, two, in one window whose crossing
-        # sits on the grid point, so no grid is doubled and no angle solved
+        # z = 1 leaves steps uncertified, and the grid point it sits on
+        # explains them, so no other point is solved
         counts = dict(report["solve_counts"][name])
         retried = counts.pop("retried_rows")
         assert counts == {
-            "unitary_eig_rows": [1024], "grids": [[1024, 2 if name == "grover3" else 0, 0]],
+            "unitary_eig_rows": [1024], "grids": [1024], "points": 1024,
+            "crossings": [0.0] if name == "grover3" else [], "avoided_gap": None,
             "eig": 0, "eigvals": 0, "inv": 0,
         }, name
         assert len(retried) == 1 and 0 <= retried[0] < 1024, name

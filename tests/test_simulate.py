@@ -389,3 +389,20 @@ def test_evolve_refuses_unallocatable_light_cone():
     # the same two sites one light cone apart still evolve
     near = StateVector({(0, 1): 0.6, (1000, 1): 0.8}, 2)
     assert evolve(coined_walk(), near, 1).norm() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_state_refuses_a_fractional_site():
+    # 0.5 would have been truncated to site 0, beside the entry at site 1
+    with pytest.raises(DomainError, match="site 0.5 is not an integer"):
+        StateVector({(0.5, 1): 0.6, (1, 1): 0.8}, 2)
+
+
+def test_state_refuses_a_fractional_channel():
+    with pytest.raises(DomainError, match="channel 1.5 is not an integer"):
+        StateVector({(0, 1.5): 1.0}, 2)
+
+
+def test_distribution_refuses_a_fractional_site():
+    with pytest.raises(DomainError, match="site 0.5 is not an integer"):
+        PositionDistribution({0.5: 0.5, 2: 0.5})
+    assert PositionDistribution({2.0: 1.0}).sites.tolist() == [2]

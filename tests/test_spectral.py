@@ -12,6 +12,7 @@ from zqwalk import (
     ResolutionError,
     StateVector,
     SymbolMatrix,
+    TrackingRecord,
     UnitarityError,
     are_conjugate,
     band_projections,
@@ -22,6 +23,7 @@ from zqwalk import (
     compose,
     ct_realizable,
     direct_sum,
+    eval_symbol,
     grover_lambda,
     grover_walk_3,
     is_decomposable,
@@ -45,6 +47,7 @@ from support import (
     coupled_coined_sum,
     fft_band_velocities,
     fine_pass_system,
+    known_answer_walks,
     poly_product,
     poly_sum,
     poly_terms,
@@ -58,13 +61,12 @@ from support import (
     tracked_conjugacy,
 )
 from zqwalk.spectral import (
-    CROSSING_SAMPLES,
     _best_separated_point,
     _canonical_rotation,
-    _certify,
+    _Solved,
+    _grid_bounds,
     _lipschitz,
     _min_cost_assignment,
-    _step_bounds,
     _unitary_eig,
 )
 
@@ -164,27 +166,24 @@ def _certificate_corpus():
     return walks
 
 
-def test_skipped_certificate_matches_always_doubling_oracle(monkeypatch):
+def test_certificate_corpus_matches_fine_pass_oracle():
     # every pass track_bands returns agrees with the fine pass: a pass whose
-    # every step certifies costs one solve, one with windows of avoided
-    # crossings doubles, and the sum coupled at 1e-7, whose avoided crossings
-    # stay narrower than any grid step up to MAX_GRID, is refused
-    solves = _record_solves(monkeypatch)
+    # every step certifies or meets an exact crossing keeps its base grid,
+    # one with avoided crossings moves once, to the least grid that
+    # certifies them; the sums coupled at 1e-9 and 1e-7, whose pairs stay
+    # closer than any step up to MAX_GRID resolves, are refused
     grids = {}
     for name, walk in _certificate_corpus().items():
-        solves.clear()
-        if name == "coupled_sum_1e-07":
+        if name in ("coupled_sum_1e-09", "coupled_sum_1e-07"):
             with pytest.raises(ResolutionError, match="grid 65536"):
                 track_bands(walk, 64)
             continue
         system = track_bands(walk, 64)
         grids[name] = system.base_grid
         assert agrees_with_fine_pass(system, walk), name
-        # the base grid, then the midpoints of each doubled grid
-        midpoints = [64 << i for i in range(system.base_grid.bit_length() - 7)]
-        assert [rows for rows in solves if rows != CROSSING_SAMPLES] == [64, *midpoints], name
-    assert grids["split_step_0"] == grids["near_identity_0.5"] == 64
-    assert grids["coupled_sum_0.0"] == grids["coupled_sum_1e-09"] == 64
+        assert system.record.grids == tuple(sorted({64, system.base_grid})), name
+        assert system.record.points >= system.base_grid, name
+    assert grids["split_step_0"] == grids["near_identity_0.5"] == grids["coupled_sum_0.0"] == 64
     assert grids["near_identity_0.001"] > 64 and grids["coupled_sum_0.0001"] == 32768
 
 
@@ -227,16 +226,24 @@ def test_certified_matcher_matches_assignment_oracle():
 
 def test_each_pair_meeting_in_a_window_needs_its_own_crossing():
     # at 1024 the near pair's avoided crossing and the shift pair's exact
-    # crossing share windows; the exact one explains only its own chain of
-    # groups, so the near pair's search fails and the pass is refused
-    walks = _paired_crossing_walks()
-    for name, walk in walks.items():
-        windows = _certify(walk, _unitary_eig(walk.grid_eval(M))[0])[1]
-        assert any(None in angles for _window, angles in windows), name
+    # crossing meet at the same base angles; the exact one explains only its
+    # own pair, so the near pair's steps move the pass to the grid that
+    # certifies them.  i z meets i e^{-2i phi} / z where z^2 = e^{-2i phi};
+    # each shift also crosses each coin band exactly, four crossings more
+    for name, walk in _paired_crossing_walks().items():
         system = track_bands(walk, M)
+        assert system.record.grids == (M, 8192), name
         assert sorted(band_shape(system)) == [(1, 1, -1), (1, 1, 0), (1, 1, 0), (1, 1, 1)], name
-    windows = dict(_certify(walks["paired"], _unitary_eig(walks["paired"].grid_eval(M))[0])[1])
-    assert windows[(M - 2, 3)] == (0.0, None)
+        phi = 0.3 if name.startswith("turned") else 0.0
+        found = np.array(system.record.crossings)
+        assert len(found) == 6, name
+        for angle in np.array([-phi, np.pi - phi]) % (2 * np.pi):
+            assert np.min(np.abs(found - angle)) < 1e-8, name
+        for angle in found:  # each one a meeting of two eigenvalues
+            vals = np.linalg.eigvals(eval_symbol(walk, np.exp(1j * angle)))
+            assert np.sort(np.abs(vals[:, None] - vals[None]).ravel())[len(vals)] < 1e-9, name
+        # the least gap sampled at the near pair's avoided crossing, 2 |b| at its minimum
+        assert 2e-3 * (1 - 1e-9) <= system.record.avoided_gap < 2.5e-3, name
 
 
 def _state_rows():
@@ -270,45 +277,50 @@ def test_state_rows_return_the_fine_pass_answer():
 
 def test_triple_points_certify_at_their_grid():
     # three eigenvalues meet in grover3's square at z = 1 and in its cube at
-    # z = exp(+-2 pi i / 3); each meeting is one window whose exact crossing
-    # the gap search places, so the pass certifies at the grid asked for
+    # z = exp(+-2 pi i / 3); the bisection places each meeting, so the pass
+    # certifies at the grid asked for
     grover = grover_walk_3()
-    for exponent, angles in ((2, [0.0]), (3, [2 * np.pi / 3, 4 * np.pi / 3, 0.0])):
+    for exponent, angles in ((2, [0.0]), (3, [0.0, 2 * np.pi / 3, 4 * np.pi / 3])):
         walk = symbol_power(grover, exponent)
         for grid in (256, 1024):
             system = track_bands(walk, grid)
             assert system.base_grid == grid, (exponent, grid)
             assert sorted(band_shape(system)) == [(1, 1, 0), (2, 1, 0)]
-            found = [a for _window, angles in _certify(walk, system._solved[1])[1] for a in angles]
+            found = system.record.crossings
             assert np.allclose(found, angles, rtol=0, atol=1e-8), (exponent, grid)
 
 
 def test_crossing_window_is_the_whole_run():
-    # a d = 2 model band crossing itself at a slow relative speed: each
-    # window is a run of 7 to 17 uncertified steps, as many steps long on the
-    # doubled grid, around one exact crossing at the same angle
+    # a d = 2 model band crossing itself at a slow relative speed leaves runs
+    # of 7 to 17 uncertified steps, as many on the doubled grid; one exact
+    # crossing in each run explains all its steps, at the same angle on
+    # both grids
     walk = build_model_walk(random_unimodular_spec(np.random.default_rng(6), 2, winding=2))
-    runs, angles = [], []
+    angles = []
     for grid in (1024, 2048):
+        bounds = _grid_bounds(walk, _unitary_eig(walk.grid_eval(grid))[0], _Solved(walk).floor)
+        open_steps = np.count_nonzero(bounds[1] <= 2 * bounds[0] + 4 * _Solved(walk).floor)
+        assert 3 * 7 <= open_steps <= 3 * 17, grid
         system = track_bands(walk, grid)
         assert system.base_grid == grid and band_shape(system) == [(2, 1, 2)]
-        crossings = _certify(walk, system._solved[1])[1]
-        runs.append([steps for (_start, steps), _angles in crossings])
-        angles.append([found for _window, found in crossings])
-    assert runs == [[7, 17, 16], [7, 17, 16]]
+        assert system.record.grids == (grid,) and system.record.avoided_gap is None
+        angles.append(system.record.crossings)
+    assert len(angles[0]) == 3
     assert np.allclose(angles[0], angles[1], rtol=0, atol=1e-9)
 
 
 def test_crossing_on_a_grid_point_joins_its_runs():
     # grover3's band crosses itself on grid point 0, whose two values form
     # one cluster: step M - 1 certifies, and the uncertified steps M - 2 and 0
-    # beside it make one window around the crossing at angle 0
+    # beside it are explained by the meeting at angle 0, no point solved
+    # beyond the grid
     walk = grover_walk_3()
-    vals = _unitary_eig(walk.grid_eval(M))[0]
-    delta, gap, _linked, _groups = _step_bounds(walk, vals)
-    assert list(np.flatnonzero(gap <= 2 * delta)) == [0, M - 2]
-    assert _certify(walk, vals)[1] == [((M - 2, 3), (0.0,))]
-    assert track_bands(walk, M).base_grid == M
+    floor = _Solved(walk).floor
+    delta, gap, _linked, _groups = _grid_bounds(walk, _unitary_eig(walk.grid_eval(M))[0], floor)
+    assert list(np.flatnonzero(gap <= 2 * delta + 4 * floor)) == [0, M - 2]
+    system = track_bands(walk, M)
+    assert system.base_grid == M
+    assert system.record == TrackingRecord((M,), M, (0.0,), None, None)
 
 
 def _n2_walks():
@@ -347,9 +359,7 @@ def test_crossings_match_discriminant_roots_on_n2_walks():
     # an exact crossing of a 2 x 2 walk is a (double) root of the discriminant
     # on the circle; the crossing search must find exactly those angles
     for name, walk in _n2_walks().items():
-        system = track_bands(walk, M)
-        windows = _certify(walk, system._solved[1])[1]
-        found = np.array([a for _window, angles in windows for a in angles])
+        found = np.array(track_bands(walk, M).record.crossings)
         roots = _discriminant_roots(walk)
         on_circle = np.angle(roots[np.abs(np.abs(roots) - 1) < 1e-6])
         for angles, others in ((found, on_circle), (on_circle, found)):
@@ -362,6 +372,33 @@ def test_crossings_match_discriminant_roots_on_n2_walks():
     # the near-avoided crossing's nearest root lies about 1e-3 off the circle
     roots = _discriminant_roots(_n2_walks()["near_crossing"])
     assert 1e-4 < np.min(np.abs(np.abs(roots) - 1)) < 1e-2
+
+
+def test_known_answer_walks_return_their_closed_forms():
+    # coins avoiding by 2b from 2e-1 down to 2e-10 keep two winding-0 bands
+    # (b <= 1e-5 on MAX_GRID, the bisection fixing the steps through the
+    # avoided crossing); exact crossings between summands come back at their
+    # angles; all of it plain and conjugated by V(z)
+    walks = known_answer_walks()
+    narrow = {f"coin_{b:g}{c}" for b in (1e-5, 1e-7, 3e-9, 1e-10) for c in ("", "_conj")}
+    assert narrow <= set(walks)
+    for name, (walk, answer) in walks.items():
+        system = track_bands(walk)
+        assert sorted(band_shape(system)) == answer["bands"], name
+        assert ct_realizable(system) == all(w == 0 for _d, _m, w in answer["bands"]), name
+        found = system.record.crossings
+        assert len(found) == len(answer["crossings"]), name
+        assert np.allclose(found, answer["crossings"], rtol=0, atol=1e-8), name
+        if min(answer["avoided"], default=1.0) <= 2e-5:
+            assert system.base_grid == 65536, name
+            assert system.record.avoided_gap >= min(answer["avoided"]), name
+
+
+def test_avoided_crossing_at_the_floor_is_refused():
+    # an avoided crossing of width 1e-13 is too narrow to tell from an exact
+    # one: neither certified nor met, it is refused, not called exact
+    with pytest.raises(ResolutionError, match=r"gap between eigenvalue clusters is 1\.000e-13"):
+        track_bands(coined_walk(1.0, 5e-14))
 
 
 def test_min_cost_assignment_is_optimal(rng):
@@ -955,15 +992,15 @@ def test_one_eigensolve_per_walk_and_grid(name, corpus, monkeypatch):
 
 
 def test_escalated_system_keeps_its_decomposition(monkeypatch):
-    # base 64 leaves windows without an exact crossing up to grid 256: each
-    # doubling solves only the midpoints (the crossing searches solve their
-    # own few angles), and the measures reuse the grid-512 decomposition
+    # base 64 leaves steps no exact crossing explains: the pass moves once,
+    # to grid 512, solving only points not solved before (every point once),
+    # and the measures reuse the grid-512 decomposition
     walk = random_split_step_walk(np.random.default_rng(5010), 5, 2)
     counts = _count_calls(monkeypatch, "eig", "eigvals", "inv")
     solves = _record_solves(monkeypatch)
     system = refine_system(track_bands(walk, 64))
-    assert system.base_grid == 512
-    assert [rows for rows in solves if rows != CROSSING_SAMPLES] == [64, 64, 128, 256]
+    assert system.base_grid == 512 and system.record.grids == (64, 512)
+    assert solves[0] == 64 and sum(solves) == system.record.points
     tracked = len(solves)
     rng = np.random.default_rng(5011)
     for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
