@@ -16,7 +16,9 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 - band_projections_repeat: a second vector on the same system;
 - limit_measure: the first measure on a freshly tracked system;
 - evolve_t400, evolve_t1600, evolve_t6400: evolution of the delta through
-  the symbol (binary powering on an FFT grid);
+  the symbol (binary powering, each power squared on an FFT grid that grows
+  with it up to a quarter of the light cone's grid, then on that grid; the
+  error inside the cone is of order t times machine epsilon);
 - moments_t6400: rescaled_moment of the delta's state at t = 6400 and
   limit_moments of its limit measure, m = 1..4;
 - position_distribution_t6400: the position distribution of that state;

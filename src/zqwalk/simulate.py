@@ -2,16 +2,20 @@
 
 A state is three read-only arrays (sites, channels, values) sorted by (site,
 channel), each key once, no exact zeros; `_settle` builds that layout for
-every producer but channel interleaving (model.py), whose increasing key map
-keeps it and which wraps its arrays with `_sorted_state`.  Single applications are exact sparse convolutions, the
+every producer but two, which wrap their arrays with `_sorted_state`: channel
+interleaving (model.py), whose increasing key map keeps it, and `evolve`,
+which writes each residue class in order and merges the classes by a stable
+sort on the site.  Single applications are exact sparse convolutions, the
 reference the long evolutions are tested against.  Long evolutions go through
 the symbol: a finite-propagation symbol splits exactly as U(z) = z^m0 V(z^g),
 the shift factor moves every site by m0 t, and V^t, a polynomial of degree
-D t, is applied on each residue class of the support mod g by binary powering
-on a circle grid wider than the class's light cone, so no aliasing occurs.
-Sites outside those light cones (in particular off x + m0 t + gZ) are exactly
-zero; inside, the error is of order t times machine epsilon.  A Fourier-side
-evolution on a power-of-two grid is kept as a cross-check.
+D t, is applied on each residue class of the support mod g by binary
+powering, each power squared on a grid that grows with it up to the grid of
+the class's light cone; every transform is longer than its polynomial's
+degree, so no aliasing occurs.  Sites outside those light cones (in
+particular off x + m0 t + gZ) are exactly zero; inside, the error is of order
+t times machine epsilon.  A Fourier-side evolution on a power-of-two grid is
+kept as a cross-check.
 
 A position distribution is two read-only arrays too: increasing sites, each
 once, and their nonzero probabilities, summed over channels in the state's
@@ -201,14 +205,27 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     a nonzero coefficient, g the gcd of the shift differences, and V a
     polynomial of degree D.  The shift factor moves every site by m0 t.  Each
     residue class r of the support of xi mod g evolves under V on its own
-    sublattice; there V^t has finite propagation D t, so one FFT on a grid
-    wider than the widest class's light cone applies it with no aliasing.  The
-    cone of class r is r + m0 t + g {low, ..., high + D t}, from its least to
-    its largest sublattice site; sites outside the cones are exactly zero (in
-    particular every site off x + m0 t + gZ), and entries inside carry an
-    absolute error of order t times machine epsilon (binary powering of V),
-    including roundoff-level values where the exact amplitude is zero.  A cone
-    needing more than MAX_CONE_VALUES values per array raises DomainError.
+    sublattice; there V^t has finite propagation D t, and the final grid M,
+    the least fast FFT length holding the widest class's light cone, applies
+    it with no aliasing.  The cone of class r is r + m0 t + g {low, ..., high
+    + D t}, from its least to its largest sublattice site; sites outside the
+    cones are exactly zero (in particular every site off x + m0 t + gZ), and
+    entries inside carry an absolute error of order t times machine epsilon
+    (binary powering of V), including roundoff-level values where the exact
+    amplitude is zero.  A cone needing more than MAX_CONE_VALUES values per
+    array raises DomainError before anything is allocated; so does an output
+    site beyond MAX_SITE.
+
+    The powering grows its grid with the power.  Level k squares V^(2^k), of
+    degree D 2^k, and at a set bit of t multiplies the partial vector by it.
+    While both products fit a power-of-two grid L <= M / 4, the factors stay
+    coefficient arrays: each product is one transform to L, the pointwise
+    product and one transform back cut to its exact degree.  From the first
+    level that does not fit, they are values on M, so only the last two or
+    three squarings run on the full grid, not all log2 t of them.  The fixed
+    cut M / 4 weighs a full-grid squaring, n^3 M products, against a round
+    trip of n^2 transforms each way on L points; timed on walks with n = 2 to
+    6, the best cut lies between M / 8 (n = 2) and M / 2 (n = 6).
     """
     if t < 0:
         raise DomainError("time must be nonnegative")
@@ -236,27 +253,63 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     widths = highs - lows + degree * t + 1
     size = _fast_fft_length(int(widths.max()))
     require_values(n * max(n, len(classes)) * size, "light cone")
-    psi = np.zeros((n, len(classes), size), dtype=complex)
-    psi[xi.channels - 1, column, y - lows[column]] = xi.values
-    vec = np.fft.ifft(psi, axis=-1)
-
-    # V(w) = sum_j C_{m0 + g j} w^j at w_m = exp(2 pi i m / M), channel-major
-    base = np.zeros((n, n, size), dtype=complex)
+    # coefficients: vec[k, c, j] at sublattice site lows[c] + j, and V(w) =
+    # sum_j base[:, :, j] w^j, channel-major
+    vec = np.zeros((n, len(classes), int((highs - lows).max()) + 1), dtype=complex)
+    vec[xi.channels - 1, column, y - lows[column]] = xi.values
+    base = np.zeros((n, n, degree + 1), dtype=complex)
     base[:, :, offsets // g] = walk.coeffs.transpose(1, 2, 0)
-    base = np.fft.ifft(base, axis=-1) * size
-    # einsum's own loop forms each product with no (n, n, n, M) temporary
+
+    # Binary powering: base is V^(2^k) at level k, vec V^(t mod 2^k) xi.  The
+    # top bit's product is the whole cone, wider than size / 4, so the last
+    # level always runs on the size grid.
+    on_grid = False
     remaining = t
     while remaining:
-        if remaining & 1:
-            vec = np.einsum("ijm,jkm->ikm", base, vec)
+        odd = remaining & 1
         remaining >>= 1
-        if remaining:
-            base = np.einsum("ijm,jkm->ikm", base, base)
+        squared = 2 * base.shape[-1] - 1 if remaining else 0
+        applied = base.shape[-1] + vec.shape[-1] - 1 if odd else 0
+        if not on_grid:
+            grid = 1 << (max(squared, applied) - 1).bit_length()
+            on_grid = 4 * grid > size
+            if on_grid:
+                base = np.fft.ifft(base, size, norm="forward")
+                vec = np.fft.ifft(vec, size, norm="forward")
+        if on_grid:
+            if odd:
+                vec = _pointwise(base, vec)
+            if remaining:
+                base = _pointwise(base, base)
+            continue
+        spectrum = np.fft.ifft(base, grid, norm="forward")
+        if odd:
+            product = _pointwise(spectrum, np.fft.ifft(vec, grid, norm="forward"))
+            vec = np.fft.fft(product, norm="forward")[..., :applied]
+        base = np.fft.fft(_pointwise(spectrum, spectrum), norm="forward")[..., :squared]
     del base
-    out = np.fft.fft(vec, axis=-1)
-    # the nonzero values inside each class's cone, lows[c] .. lows[c] + widths[c] - 1
-    k, c, j = np.nonzero((out != 0) & (np.arange(size) < widths[:, None]))
-    return _settle(m0 * t + classes[c] + g * (lows[c] + j), k + 1, out[k, c, j], n)
+    out = np.fft.fft(vec, norm="forward").transpose(1, 2, 0)  # [c, j, k]
+    # the nonzero values inside each class's cone, in (class, site, channel)
+    # order; classes hold distinct residues, so a stable sort on the site
+    # merges them into (site, channel) order
+    c, j, k = np.nonzero((out != 0) & (np.arange(size) < widths[:, None])[:, :, None])
+    sites = m0 * t + classes[c] + g * (lows[c] + j)
+    channels, values = k + 1, out[c, j, k]
+    if len(classes) > 1:
+        order = np.argsort(sites, kind="stable")
+        sites, channels, values = sites[order], channels[order], values[order]
+    _require_sites(sites)
+    if not np.isfinite(values).all():
+        raise DomainError("amplitudes must be finite")
+    return _sorted_state(sites, channels, values, n)
+
+
+def _pointwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product at every grid point m: [i, k, m] = sum_j a[i, j, m] b[j, k, m].
+
+    einsum's own loop forms it with no (n, n, n, M) temporary.
+    """
+    return np.einsum("ijm,jkm->ikm", a, b)
 
 
 def _fast_fft_length(target: int) -> int:

@@ -22,6 +22,7 @@ from zqwalk import (
     StateVector,
     SymbolMatrix,
     UnitarityError,
+    apply_walk,
     are_conjugate,
     coined_walk,
     direct_sum,
@@ -185,32 +186,39 @@ def test_far_shift_walk_parses_and_round_trips_in_bounded_memory():
     assert peak < 2**20, peak
 
 
-# sha256 of json.dumps(state_to_json(xi)), recorded when every state was a
-# (site, channel) dictionary: the wire bytes and evolve's values must not move
+# sha256 of json.dumps(state_to_json(xi)).  The five input states were recorded
+# when every state was a (site, channel) dictionary: their wire bytes must not
+# move.  The three evolved states were recorded when evolve squared on a grid
+# that grows with the power; their last bits move with evolve's roundoff, and
+# the test also holds them within 1e-12 of 400 exact steps
 STATE_JSON_SHA256 = {
     "delta0_ch1": "4143afb1c294a16478aad9bf762ce5849081b61f04ed7b7aa984d9514817a677",
     "delta0_ch2_3state": "0c24f4742760a60af40d3e817f9ff18c456f7cc42333a67c77a935f4ca61e980",
     "random_local_n2": "c7f39a17dd149dd3f332e4de98458df89e5bf23d5b6432c5ddcbdd218918f32f",
     "random_local_n3": "bb87bf4dddb52eb2f9919abf9f80492e9bf083fe2b022c2a8e76392baca4d275",
     "random_local_n4": "3ee8262e6bd6e90f9126afb52709b61184e247b9c8cfd7fd84754a622dba603c",
-    "evolve_coined_t400": "4e90efa61d456bf05ae5240a680fe7ac630b645b0045da95dcb69430189233ab",
-    "evolve_modified_t400": "4cc8889a572c94d50ff81e734149a390f96b7743cc85058c69bbb1f13e9017c1",
-    "evolve_grover3_t400": "cd034b7d1fc23df003b924f7fcedd187ba8769686acef3bba2388055e7c19435",
+    "evolve_coined_t400": "53a48d8e5151da69413c66c411c3de53174724472ffaa77e6ba681d9a3ad95dd",
+    "evolve_modified_t400": "f35fce999de8f6c87b2823d5b4a30587f4d10f9528f29998cbe6dae594f39ce6",
+    "evolve_grover3_t400": "020f71aa602b864df0110e2163e35cf1aa5494876d86b3fb5c111fd812722bbb",
 }
 
 
+# (name, walk fixture, initial state) of the evolved pinned states
+EVOLVED_T400 = (("coined", "hadamard", "delta0_ch1"),
+                ("modified", "modified_hadamard", "delta0_ch1"),
+                ("grover3", "grover3", "delta0_ch2_3state"))
+
+
+def _fixture(name: str):
+    return zio.parse_spec((FIXTURES / f"{name}.json").read_text())
+
+
 def _pinned_states() -> dict:
-    states = {
-        name: zio.parse_spec((FIXTURES / f"{name}.json").read_text())
-        for name in ("delta0_ch1", "delta0_ch2_3state")
-    }
+    states = {name: _fixture(name) for name in ("delta0_ch1", "delta0_ch2_3state")}
     for n in range(2, 5):
         states[f"random_local_n{n}"] = random_local_state(np.random.default_rng(500 + n), n)
-    for name, fixture, xi in (("coined", "hadamard", states["delta0_ch1"]),
-                              ("modified", "modified_hadamard", states["delta0_ch1"]),
-                              ("grover3", "grover3", states["delta0_ch2_3state"])):
-        walk = zio.parse_spec((FIXTURES / f"{fixture}.json").read_text())
-        states[f"evolve_{name}_t400"] = evolve(walk, xi, 400)
+    for name, fixture, init in EVOLVED_T400:
+        states[f"evolve_{name}_t400"] = evolve(_fixture(fixture), states[init], 400)
     return states
 
 
@@ -218,11 +226,18 @@ def test_state_json_round_trip():
     xi = StateVector({(0, 1): 0.25 + 0.5j, (-3, 2): -1 / 3}, 2)
     again = zio.state_from_json(json.loads(json.dumps(zio.state_to_json(xi))))
     assert again.distance(xi) == 0.0
-    for name, xi in _pinned_states().items():
+    states = _pinned_states()
+    for name, xi in states.items():
         text = json.dumps(zio.state_to_json(xi))
         assert hashlib.sha256(text.encode()).hexdigest() == STATE_JSON_SHA256[name], name
         again = zio.state_from_json(json.loads(text))
         assert again.amplitudes == xi.amplitudes, name
+    # beside their bits, the evolved pins hold an accuracy bound
+    for name, fixture, init in EVOLVED_T400:
+        walk, stepped = _fixture(fixture), states[init]
+        for _ in range(400):
+            stepped = apply_walk(walk, stepped)
+        assert states[f"evolve_{name}_t400"].distance(stepped) <= 1e-12, name
 
 
 def test_state_from_json_sums_repeated_entries():
@@ -375,7 +390,7 @@ def test_cli_winding_of_a_narrowly_avoided_crossing(tmp_path, capsys):
     # the coin's bands avoid each other by 6e-9: two winding-0 bands, exit 0
     spec = tmp_path / "coin.json"
     spec.write_text(json.dumps(zio.walk_to_json(coined_walk(np.sqrt(1 - 9e-18), 3e-9))))
-    assert run_cli("winding", spec) == 0
+    assert run_cli("winding", spec, "--out", tmp_path / "run") == 0
     assert "windings [0, 0]" in capsys.readouterr().out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,33 @@ def test_evolve_matches_stepping_oracle(case):
             assert sites == oracle, t
         else:
             assert sites >= oracle, t
+
+
+# every low bit of 127 and 255 is set, so vec is multiplied while it is still a
+# coefficient array on a grid that grows with the power
+COEFFICIENT_PHASE_TIMES = (127, 255)
+
+
+def _coefficient_phase_cases():
+    named = {case[0]: case for case in _oracle_cases()}
+    rng = np.random.default_rng(255)
+    split = ("split_n6_r1", random_split_step_walk(rng, 6, 1), random_local_state(rng, 6, 1), True)
+    return [named["coined_radius3"], named["grover3_gapped_support"], split]
+
+
+@pytest.mark.parametrize("case", _coefficient_phase_cases(), ids=lambda case: case[0])
+def test_evolve_matches_stepping_in_the_coefficient_phase(case):
+    _name, walk, xi, _fills_cone = case
+    stepped = xi
+    for t in range(1, max(COEFFICIENT_PHASE_TIMES) + 1):
+        stepped = apply_walk(walk, stepped)
+        if t not in COEFFICIENT_PHASE_TIMES:
+            continue
+        out = evolve(walk, xi, t)
+        assert out.distance(stepped) <= 1e-12, t
+        # (site, channel) keys strictly increasing, the classes merged in order
+        step, turn = np.diff(out.sites), np.diff(out.channels)
+        assert np.all((step > 0) | ((step == 0) & (turn > 0))), t
 
 
 def _model_cases():
@@ -378,6 +406,30 @@ def test_state_accepts_sites_up_to_two_to_the_53():
     assert rescaled_moment(xi, 2**53, 1) == pytest.approx(-0.28, abs=1e-15)
     with pytest.raises(DomainError):
         apply_walk(SymbolMatrix.shift(1), StateVector.delta(2**53, 1, 1))
+
+
+def test_evolve_refuses_a_site_beyond_two_to_the_53():
+    with pytest.raises(DomainError, match="outside -2\\*\\*53..2\\*\\*53"):
+        evolve(SymbolMatrix.shift(1), StateVector.delta(2**53, 1, 1), 1)
+
+
+def test_evolve_keeps_far_apart_classes_apart():
+    # an even and an odd site 10**9 apart are two residue classes of the coined
+    # walk (g = 2): each evolves on its own cone, with no array across the gap
+    far = 10**9 + 1
+    xi = StateVector({(0, 1): 0.6, (far, 2): 0.8j}, 2)
+    tracemalloc.start()
+    try:
+        out = evolve(coined_walk(), xi, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    near = evolve(coined_walk(), StateVector({(0, 1): 0.6}, 2), 400)
+    moved = evolve(coined_walk(), StateVector({(far, 2): 0.8j}, 2), 400)
+    assert out.sites.tolist() == near.sites.tolist() + moved.sites.tolist()
+    assert out.channels.tolist() == near.channels.tolist() + moved.channels.tolist()
+    assert np.abs(out.values - np.concatenate([near.values, moved.values])).max() <= 1e-15
 
 
 def test_evolve_refuses_unallocatable_light_cone():
