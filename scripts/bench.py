@@ -9,9 +9,6 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
   and orthonormal eigenvectors, as track_bands solves every grid; np_eig:
   LAPACK's general np.linalg.eig on the same stack, for reference;
 - track_bands: the certified, refined system;
-- crossing_search: the bisection of the steps that the grid-1024
-  eigenvalues leave uncertified, which finds their exact crossings (nothing
-  to do where every step certifies);
 - band_projections_first: the first call on a freshly tracked system;
 - band_projections_repeat: a second vector on the same system;
 - limit_measure: the first measure on a freshly tracked system;
@@ -36,8 +33,7 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
 A walk keeps its unitarity verdict and char poly, and a model spec its walk,
 so track_bands, the three checks, build_model_walk and rearrangement_check
 each get a fresh copy of the walk or spec, made outside the timed call: every
-stage times the work, not a lookup, on this checkout and on an --against
-checkout without those caches alike.
+stage times the work, not a lookup.
 
 Laurent objects: the tracemalloc peak of parsing the spec of diag(1, z^1000000)
 (two live terms across a span of 10^6 + 1 shifts), and the per-call cost of
@@ -53,19 +49,21 @@ interpreter's start and imports included.
 
 Each stage and writer reports the median and quartiles of --repeats timed
 runs, each subcommand of min(CLI_RUNS, --repeats), one untimed warm-up
-first.  The file also records the machine (nproc, BLAS thread cap, numpy
-and, where it imports, scipy versions), what one track_bands ->
-refine_system -> 2 x limit_measure chain solves (the rows of each
-unitary-eigensolver call and how many of them it retried with another
-Cayley pole, the grids, points, exact-crossing angles and narrowest
-unexplained gap of track_bands' TrackingRecord, and the numbers of
-np.linalg eig, eigvals and inv calls), the coined
+first; the bisection of the steps grid 1024 leaves uncertified reports
+those of track_bands' own TrackingRecord.bisect_s over --repeats trackings.
+The file also records the machine (nproc, BLAS thread cap, numpy and, where
+it imports, scipy versions), what one track_bands -> refine_system -> 2 x
+limit_measure chain solves (from the TrackingRecord: the rows of each stack
+solved and how many of them were retried with another Cayley pole, the
+grids, points, exact-crossing angles and narrowest unexplained gap; and the
+numbers of np.linalg eig, eigvals and inv calls in the chain), the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
-error against 1 - 2/sqrt 6, the largest norm drift of the evolved states, the
-Cayley-Hamilton residual of the 1 x 1 walk z^100000 (exact phases give
-roundoff), and the windings track_bands certifies from grid 1024 for the
-near-avoided crossing coined_walk(sqrt(1 - 1e-6), 1e-3), whose truth is
-[0, 0].
+error against 1 - 2/sqrt 6, the largest norm drift of the evolved states
+(mostly the walk's own distance from unitary), the largest l2 distance
+between evolve at t = 400 and 400 apply_walk steps, the Cayley-Hamilton
+residual of the 1 x 1 walk z^100000 (exact phases give roundoff), and the
+windings track_bands certifies from grid 1024 for the near-avoided crossing
+coined_walk(sqrt(1 - 1e-6), 1e-3), whose truth is [0, 0].
 
 With --against CHECKOUT, the `src/zqwalk` of another checkout is imported
 beside this one under the package name zqwalk_against, and only the stages
@@ -73,12 +71,7 @@ above run: each round times this checkout's call and the other's back to
 back, alternating which goes first, on inputs each package builds for
 itself.  Each stage then reports this checkout's median and quartiles, the
 other's under "against", and "ratio", the other's median over this one's
-(above 1: this checkout is faster).  The eig stage calls
-spectral._unitary_eig(stack), which every checkout that has it answers with
-values and vectors; for a checkout without it, eig times np.linalg.eig, the
-solver its tracking runs; crossing_search times the window search on a
-checkout from before the bisection, and nothing on one from before that
-search.  np_eig runs the same code on both
+(above 1: this checkout is faster).  np_eig runs the same code on both
 sides, so its ratio shows how far the pairing resolves.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
@@ -112,6 +105,7 @@ from zqwalk import (  # noqa: E402
     LaurentPoly,
     StateVector,
     SymbolMatrix,
+    apply_walk,
     coined_walk,
     evolve,
     limit_measure,
@@ -123,7 +117,6 @@ from zqwalk import (  # noqa: E402
     winding_numbers,
 )
 import zqwalk  # noqa: E402
-import zqwalk.spectral as spectral  # noqa: E402
 from zqwalk import io as zio  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -223,41 +216,10 @@ def timed_pair(this, other, repeats: int) -> dict:
     return {**mine, "against": theirs, "ratio": theirs["median_s"] / mine["median_s"]}
 
 
-def solver(zq):
-    """The eigensolver (values and vectors) package `zq` tracks with."""
-    # np.linalg.eig for a checkout from before the unitary eigensolver
-    return getattr(zq.spectral, "_unitary_eig", np.linalg.eig)
-
-
-def crossing_search(zq, walk, stack) -> tuple:
-    """(fn, setup) timing package `zq`'s crossing search on the pass `stack`
-    solves: the bisection of its uncertified steps, or, on a checkout from
-    before it, the search over its windows."""
-    sp = zq.spectral
-    if not hasattr(sp, "_descend"):
-        if not hasattr(sp, "_window_crossings"):  # from before the per-group search
-            return lambda _: None, None
-        vals = sp._unitary_eig(stack)[0]
-        bounds, crossings = sp._certify(walk, vals)
-        return lambda _: [sp._window_crossings(walk, vals, bounds, *w) for w, _a in crossings], None
-    vals, floor = sp._unitary_eig(stack)[0], sp._Solved(walk).floor
-    bounds = sp._grid_bounds(walk, vals, floor)
-    steps = np.flatnonzero(bounds[1] <= 2 * bounds[0] + 4 * floor)
-    ends = (vals[steps], vals[(steps + 1) % GRID])
-
-    def solved():
-        points = sp._Solved(walk)
-        points.solve(GRID, np.arange(GRID), stack)
-        return points
-
-    return lambda points: sp._descend(walk, GRID, steps, ends, points), solved
-
-
 def stages(zq, walk, delta, other) -> dict:
     """Stage name -> (fn, setup) for one walk of package `zq`; timed() runs fn(setup())."""
     xh, xh2 = delta.fourier_samples(GRID), other.fourier_samples(GRID)
     stack = walk.grid_eval(GRID)
-    eig = solver(zq)
 
     def tracked(_=None):
         return zq.refine_system(zq.track_bands(walk, GRID))
@@ -272,10 +234,9 @@ def stages(zq, walk, delta, other) -> dict:
 
     out = {
         "grid_eval": (lambda _: walk.grid_eval(GRID), None),
-        "eig": (lambda _: eig(stack), None),
+        "eig": (lambda _: zq.spectral._unitary_eig(stack), None),
         "np_eig": (lambda _: np.linalg.eig(stack), None),
         "track_bands": (lambda w: zq.track_bands(w, GRID), fresh_walk),
-        "crossing_search": crossing_search(zq, walk, stack),
         "band_projections_first": (lambda s: zq.band_projections(walk, s, xh), tracked),
         "band_projections_repeat": (lambda s: zq.band_projections(walk, s, xh2), projected_once),
         "limit_measure": (lambda s: zq.limit_measure(walk, delta, s), tracked),
@@ -425,17 +386,15 @@ def scipy_version() -> str | None:
 def solve_counts(walk, vectors) -> dict:
     """Eigensolves of track_bands -> refine_system -> limit_measure(s).
 
-    unitary_eig_rows lists the rows of each spectral._unitary_eig call and
-    retried_rows how many of those rows each call solved again with another
-    Cayley pole; grids, points, crossings and avoided_gap are track_bands'
+    unitary_eig_rows lists the rows of each stack track_bands solved and
+    retried_rows how many of those rows it solved again with another Cayley
+    pole; they, grids, points, crossings and avoided_gap are its
     TrackingRecord (the grid of each pass, the points solved, the exact
     crossings' angles and the narrowest unexplained gap); eig, eigvals and
-    inv count the np.linalg functions.
+    inv count the np.linalg functions over the whole chain.
     """
-    counts = {"unitary_eig_rows": [], "retried_rows": [], "eig": 0, "eigvals": 0, "inv": 0}
-    originals = {name: getattr(np.linalg, name) for name in ("eig", "eigvals", "inv")}
-    unitary_eig, cayley = spectral._unitary_eig, spectral._cayley
-    cayley_rows = []
+    counts = dict.fromkeys(("eig", "eigvals", "inv"), 0)
+    originals = {name: getattr(np.linalg, name) for name in counts}
 
     def counting(name):
         def wrapper(*args, **kwargs):
@@ -444,20 +403,8 @@ def solve_counts(walk, vectors) -> dict:
 
         return wrapper
 
-    def counting_unitary_eig(stack):
-        first = len(cayley_rows)
-        counts["unitary_eig_rows"].append(len(stack))
-        out = unitary_eig(stack)
-        counts["retried_rows"].append(sum(cayley_rows[first + 1 :]))
-        return out
-
-    def counting_cayley(stack, center):
-        cayley_rows.append(len(stack))
-        return cayley(stack, center)
-
     for name in originals:
         setattr(np.linalg, name, counting(name))
-    spectral._unitary_eig, spectral._cayley = counting_unitary_eig, counting_cayley
     try:
         system = refine_system(track_bands(walk, GRID))
         for xi in vectors:
@@ -465,11 +412,18 @@ def solve_counts(walk, vectors) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(np.linalg, name, fn)
-        spectral._unitary_eig, spectral._cayley = unitary_eig, cayley
     record = system.record
-    counts.update(grids=list(record.grids), points=record.points,
-                  crossings=list(record.crossings), avoided_gap=record.avoided_gap)
-    return counts
+    return {
+        "unitary_eig_rows": [rows for rows, _retried in record.solves],
+        "retried_rows": [retried for _rows, retried in record.solves],
+        "grids": list(record.grids), "points": record.points,
+        "crossings": list(record.crossings), "avoided_gap": record.avoided_gap, **counts,
+    }
+
+
+def bisection(walk, repeats: int) -> dict:
+    """summary() of TrackingRecord.bisect_s in `repeats` trackings after a warm-up."""
+    return summary([track_bands(walk, GRID).record.bisect_s for _ in range(repeats + 1)][1:])
 
 
 def accuracy(cases) -> dict:
@@ -482,12 +436,19 @@ def accuracy(cases) -> dict:
         for w, xi, _other in cases.values()
         for t in TIMES
     )
+    evolve_l2 = 0.0  # against TIMES[0] exact steps
+    for w, xi, _other in cases.values():
+        stepped = xi
+        for _ in range(TIMES[0]):
+            stepped = apply_walk(w, stepped)
+        evolve_l2 = max(evolve_l2, evolve(w, xi, TIMES[0]).distance(stepped))
     near_crossing = coined_walk(np.sqrt(1 - 1e-6), 1e-3)
     return {
         "coined_m1_err": abs(limit_moments(mu, 1) + (1.0 - R)),
         "coined_m2_err": abs(limit_moments(mu, 2) - (1.0 - R)),
         "grover3_atom_err": abs(nu.atom_mass(0.0) - (1.0 - 2.0 / 6.0**0.5)),
         "norm_drift_max": drift,
+        f"evolve_l2_t{TIMES[0]}_max": evolve_l2,
         "z100000_cayley_hamilton": verify_cayley_hamilton(SymbolMatrix.shift(100000)),
         "near_crossing_windings": winding_numbers(track_bands(near_crossing, GRID)),
     }
@@ -536,40 +497,39 @@ def main() -> None:
                 for stage, s in paired.items()
             )
             print(f"{name} (median ms, this/against): {ratios}")
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.out}")
-        return
-
-    cases = inputs()
-    report = {
-        "environment": environment,
-        "grid": GRID,
-        "stages": {},
-        "laurent": laurent_costs(args.repeats),
-        "writers": writer_timings(*cases["grover3"][:2], args.repeats),
-        "cli": cli_timings(args.repeats),
-        "solve_counts": {},
-        "accuracy": accuracy(cases),
-    }
-    for name, (walk, delta, other) in cases.items():
-        report["solve_counts"][name] = solve_counts(walk, [delta, other])
-        report["stages"][name] = {
-            stage: timed(fn, args.repeats, setup)
-            for stage, (fn, setup) in stages(zqwalk, walk, delta, other).items()
+    else:
+        cases = inputs()
+        report = {
+            "environment": environment,
+            "grid": GRID,
+            "stages": {},
+            "laurent": laurent_costs(args.repeats),
+            "writers": writer_timings(*cases["grover3"][:2], args.repeats),
+            "cli": cli_timings(args.repeats),
+            "solve_counts": {},
+            "bisection": {},
+            "accuracy": accuracy(cases),
         }
-        medians = ", ".join(
-            f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
-        )
-        print(f"{name} (median ms): {medians}")
-    costs = dict(report["laurent"])
-    peak = costs.pop("parse_diag_z1e6_peak_bytes")
-    calls = ", ".join(f"{k} {1e6 * s['median_s']:.2f}" for k, s in costs.items())
-    print(f"laurent: parse peak {peak} B; per call (median us): {calls}")
-    for group in ("writers", "cli"):
-        medians = ", ".join(f"{k} {1e3 * s['median_s']:.2f}" for k, s in report[group].items())
-        print(f"{group} (median ms): {medians}")
+        for name, (walk, delta, other) in cases.items():
+            report["solve_counts"][name] = solve_counts(walk, [delta, other])
+            report["bisection"][name] = bisection(walk, args.repeats)
+            report["stages"][name] = {
+                stage: timed(fn, args.repeats, setup)
+                for stage, (fn, setup) in stages(zqwalk, walk, delta, other).items()
+            }
+            medians = ", ".join(
+                f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
+            )
+            print(f"{name} (median ms): {medians}")
+        costs = dict(report["laurent"])
+        peak = costs.pop("parse_diag_z1e6_peak_bytes")
+        calls = ", ".join(f"{k} {1e6 * s['median_s']:.2f}" for k, s in costs.items())
+        print(f"laurent: parse peak {peak} B; per call (median us): {calls}")
+        for group in ("bisection", "writers", "cli"):
+            medians = ", ".join(f"{k} {1e3 * s['median_s']:.2f}" for k, s in report[group].items())
+            print(f"{group} (median ms): {medians}")
+        print(f"accuracy: {report['accuracy']}")
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"accuracy: {report['accuracy']}")
     print(f"wrote {args.out}")
 
 

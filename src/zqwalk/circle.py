@@ -3,7 +3,7 @@
 Sums sum_s c_s z^s are sampled on grids z_k = exp(2 pi i k / M) with phases
 reduced exactly in integers, through their nonzero coefficients only (so
 z^100000 costs O(M)); one FFT goes back to coefficients; one pass over a
-loop's argument increments gives its winding, residual and largest step.
+loop's argument increments gives its winding and largest step.
 """
 
 from __future__ import annotations
@@ -72,19 +72,17 @@ def circle_coefficients(samples: np.ndarray, tol: float) -> list[tuple[np.ndarra
     return [(signed[keep], row[keep]) for row, keep in zip(coeffs, np.abs(coeffs) >= tol)]
 
 
-def winding_of_samples(samples: np.ndarray) -> tuple[int, float, float]:
+def winding_of_samples(samples: np.ndarray) -> tuple[int, float]:
     """Winding number of a closed loop of nonzero complex samples, in one pass.
 
     Sums principal argument increments around the loop (including the wrap
-    step) and rounds to the nearest integer.  Returns (winding, residual,
-    max_step): the residual is the distance from the integer in turns, and
+    step) and rounds to the nearest integer: a closed loop's increments sum
+    to a multiple of 2*pi up to rounding.  Returns (winding, max_step),
     max_step the largest |increment| in radians.
     """
     samples = np.asarray(samples, dtype=complex)
     steps = np.angle(np.roll(samples, -1) / samples)
-    turns = float(np.sum(steps) / (2.0 * np.pi))
-    w = int(np.rint(turns))
-    return w, abs(turns - w), float(np.max(np.abs(steps)))
+    return int(np.rint(np.sum(steps) / (2.0 * np.pi))), float(np.max(np.abs(steps)))
 
 
 def rotation_distance(a: np.ndarray, b: np.ndarray, block: int) -> float:

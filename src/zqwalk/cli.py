@@ -30,7 +30,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import io as zio
+import numpy as np
+
+from . import __version__, io as zio
 from .errors import (
     DomainError,
     ResolutionError,
@@ -99,14 +101,16 @@ def _load_walk(path: str, require_unitary: bool = True) -> SymbolMatrix:
     return spec
 
 
-def _load_tracked(path: str, args) -> tuple[SymbolMatrix, EigenSystem]:
-    """A walk spec and its bands on the base grid --grid."""
+def _load_tracked(args, run: Run) -> tuple[SymbolMatrix, EigenSystem]:
+    """The walk spec and its bands on the base grid --grid; the run keeps the record."""
     if not valid_base_grid(args.grid):
         raise SpecFormatError(
             f"--grid must be a power of two in 64..{MAX_GRID // 2}, got {args.grid}"
         )
-    walk = _load_walk(path)
-    return walk, track_bands(walk, args.grid)
+    walk = _load_walk(args.spec)
+    system = track_bands(walk, args.grid)
+    run.record = system.record
+    return walk, system
 
 
 def _load_vector(path: str) -> StateVector:
@@ -129,7 +133,7 @@ class Run:
         base = args.out or os.path.join("runs", f"{_walk_id(args.spec)}-{self.command}")
         self.dir = Path(base)
         self.args = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-        self.outputs: list[str] = []
+        self.outputs, self.record = [], None  # record: track_bands' TrackingRecord
 
     def _write(self, name: str, writer, obj, **options) -> None:
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -147,6 +151,9 @@ class Run:
 
     def finish(self) -> None:
         manifest = {"command": self.command, "arguments": self.args, "outputs": self.outputs}
+        if self.record is not None:
+            versions = {"zqwalk": __version__, "numpy": np.__version__, "python": sys.version}
+            manifest.update(record=dataclasses.asdict(self.record), versions=versions)
         self._write("manifest.json", _write_json, manifest)
 
 
@@ -177,7 +184,7 @@ def cmd_check(args, run: Run) -> str:
 
 
 def cmd_bands(args, run: Run) -> str:
-    _walk, system = _load_tracked(args.spec, args)
+    _walk, system = _load_tracked(args, run)
     run.write_json("eigensystem.json", zio.eigensystem_to_json(system))
     run.write_csv("bands.csv", zio.write_bands_csv, system)
     return (
@@ -187,7 +194,7 @@ def cmd_bands(args, run: Run) -> str:
 
 
 def cmd_decompose(args, run: Run) -> str:
-    _walk, system = _load_tracked(args.spec, args)
+    _walk, system = _load_tracked(args, run)
     run.write_json("eigensystem.json", zio.eigensystem_to_json(system))
     report = {
         "walk_id": _walk_id(args.spec),
@@ -206,7 +213,7 @@ def cmd_decompose(args, run: Run) -> str:
 
 
 def cmd_winding(args, run: Run) -> str:
-    _walk, system = _load_tracked(args.spec, args)
+    _walk, system = _load_tracked(args, run)
     windings = winding_numbers(system)
     multiplicities = [b.multiplicity for b in system.bands]
     total = total_winding(system)
@@ -218,7 +225,7 @@ def cmd_winding(args, run: Run) -> str:
 
 
 def cmd_ct_check(args, run: Run) -> str:
-    _walk, system = _load_tracked(args.spec, args)
+    _walk, system = _load_tracked(args, run)
     if not ct_realizable(system):
         reason = f"winding {[b.winding for b in system.bands if b.winding != 0]}"
         run.write_json("ct_check.json", {"ct_realizable": False, "reason": reason})
@@ -255,7 +262,7 @@ def cmd_simulate(args, run: Run) -> str:
 
 def cmd_limit(args, run: Run) -> str:
     xi = _load_vector(args.init)
-    walk, system = _load_tracked(args.spec, args)
+    walk, system = _load_tracked(args, run)
     measure = limit_measure(walk, xi, system)
     run.write_json("measure.json", zio.measure_to_json(measure))
     run.write_csv("measure.csv", zio.write_measure_csv, measure)
@@ -273,7 +280,7 @@ def cmd_compare(args, run: Run) -> str:
     if args.mmax < 1:
         raise SpecFormatError(f"--mmax must be at least 1, got {args.mmax}")
     xi = _load_vector(args.init)
-    walk, system = _load_tracked(args.spec, args)
+    walk, system = _load_tracked(args, run)
     measure = limit_measure(walk, xi, system)
     states = [(t, evolve(walk, xi, t)) for t in times]
     rows = compare_moments(measure, states, args.mmax)

@@ -68,6 +68,7 @@ velocities at self-collisions.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,6 @@ MAX_PARTS = 32  # most parts an open step is cut in below the step of MAX_GRID
 # turn 2 pi / (n + 1): exact flat bands at +-1 and +-i (Grover's lambda = 1)
 # never sit on it, and of the turns measured a quarter retries fewest rows.
 POLE_TURN = 0.25
-WINDING_RESIDUAL = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +136,16 @@ class Band:
 class TrackingRecord:
     """track_bands' certificate: the grid of each pass, the points solved, the
     angles of the exact crossings its grid's open steps meet, and the least
-    gap left unexplained (an avoided crossing's g0) and its angle, or None."""
+    gap left unexplained (an avoided crossing's g0) and its angle, or None;
+    outside ==, each stack's (rows, rows retried) and the bisection's seconds."""
 
     grids: tuple[int, ...]
     points: int
     crossings: tuple[float, ...]
     avoided_gap: float | None
     avoided_angle: float | None
+    solves: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+    bisect_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +228,7 @@ def _unitary_eig(stack: np.ndarray):
     batched eigh of H gives the vectors V, and the Rayleigh quotients
     diag(V^H U V) the eigenvalues (exact on the identity).  Every step works
     row by row, so a row gives the same bits alone or in any stack.  Returns
-    (values, vectors) of shapes (M, n) and (M, n, n).
+    (values, vectors, rows retried at another pole) of shapes (M, n), (M, n, n).
     """
     m, n = stack.shape[:2]
     trace = stack[:, 0, 0].copy()
@@ -234,7 +237,7 @@ def _unitary_eig(stack: np.ndarray):
     size = np.abs(trace)
     first = np.where(size > 0, trace / np.where(size > 0, size, 1.0), -1.0)
     bound = _cayley_bound(n)
-    todo = np.arange(m)
+    todo, retried = np.arange(m), 0
     smallest = np.full(m, np.inf)  # each row's least ||T||_F, for the refusal
     for attempt in range(n + 1):
         rows = todo if attempt else slice(None)  # the first pole takes every row, uncopied
@@ -246,6 +249,7 @@ def _unitary_eig(stack: np.ndarray):
         passed = size <= bound  # False on NaN
         if attempt:
             cayley[todo[passed]] = t[passed]
+            retried += len(t)
         else:
             cayley = t
         smallest[todo] = np.fmin(smallest[todo], size)
@@ -264,7 +268,7 @@ def _unitary_eig(stack: np.ndarray):
     vals = vecs[:, 0].conj() * uv[:, 0]  # diag(V^H U V), one row of V at a time
     for i in range(1, n):
         vals += vecs[:, i].conj() * uv[:, i]
-    return vals, vecs
+    return vals, vecs, retried
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +399,14 @@ class _Solved:
         if new.any():
             if stack is None:
                 stack = circle_values(self.walk.coeffs, self.walk.shifts, grid, index)
-            vals, vecs = _unitary_eig(stack[new])
+            vals, vecs, retried = _unitary_eig(stack[new])
             close = np.abs(vals[:, :, None] - vals[:, None, :]) + np.eye(vals.shape[1]) < self.floor
-            self.chunks.append((angle[new], vals, vecs, close.any(axis=(1, 2))))
+            self.chunks.append((angle[new], vals, vecs, close.any(axis=(1, 2)), retried))
             self.cache = None
             if new.all():
                 return vals, vecs
         out = [np.empty((len(index),) + x.shape[1:], complex) for x in self.chunks[0][1:3]]
-        for (at, vals, vecs, _met), hit in zip(self.chunks, known + [new]):
+        for (at, vals, vecs, *_), hit in zip(self.chunks, known + [new]):
             order = np.argsort(at)
             at = order[np.searchsorted(at, angle[hit], sorter=order)]
             out[0][hit], out[1][hit] = vals[at], vecs[at]
@@ -666,7 +670,7 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     so refine_system leaves it unchanged.  Each band's winding is validated
     here (ResolutionError where under-resolved).  The system keeps its
     grid's decomposition for band_projections, tied to this walk, and its
-    TrackingRecord.
+    TrackingRecord, each stack solved and the bisection's time included.
 
     Parameters
     ----------
@@ -678,13 +682,15 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     if not valid_base_grid(base_grid):
         raise DomainError(f"base_grid {base_grid} is not a power of two in 64..{MAX_GRID // 2}")
     _require_unitary(walk)
-    solved, grid, grids, avoided = _Solved(walk), base_grid, [], (math.inf, None)
+    solved, grid, grids, avoided, bisect_s = _Solved(walk), base_grid, [], (math.inf, None), 0.0
     vals, vecs = solved.solve(grid, np.arange(grid), walk.grid_eval(grid))
     while True:
         grids.append(grid)
         bounds = _grid_bounds(walk, vals, solved.floor)
         steps = np.flatnonzero(bounds[1] <= 2 * bounds[0] + 4 * solved.floor)
+        start = time.perf_counter()
         levels = _descend(walk, grid, steps, (vals[steps], vals[(steps + 1) % grid]), solved)
+        bisect_s += time.perf_counter() - start
         for level_grid, steps, gap, _found in levels:  # the narrowest unexplained gap
             if gap.size and gap.min() < avoided[0]:
                 k = np.argmin(gap)
@@ -714,7 +720,8 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     crossings = tuple(found[np.diff(found, prepend=-1.0) > 1e-9].tolist())  # one angle each
     avoided = avoided if avoided[1] is not None else (None, None)
     points = sum(len(chunk[0]) for chunk in solved.chunks)
-    record = TrackingRecord(tuple(grids), points, crossings, *avoided)
+    solves = tuple((len(at), retried) for at, *_, retried in solved.chunks)
+    record = TrackingRecord(tuple(grids), points, crossings, *avoided, solves, bisect_s)
     object.__setattr__(system, "record", record)
     object.__setattr__(system, "_solved", (walk, vals, vecs))
     return system
@@ -728,17 +735,15 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
 def _validated_winding(samples: np.ndarray) -> int:
     """Winding of a band's sample loop; ResolutionError where it is under-resolved.
 
-    A closed sample loop always sums its principal argument increments to an
-    exact multiple of 2*pi, so the rounding residual alone only sees
-    floating-point noise; a loop stepping by close to a half turn is the real
-    aliasing signal, and both trip the same error.
+    A closed sample loop sums its principal argument increments to a multiple
+    of 2*pi up to rounding, so the sum cannot tell an under-resolved loop;
+    a step of more than a quarter turn is the aliasing signal.
     """
-    w, residual, max_step = winding_of_samples(samples)
-    if residual >= WINDING_RESIDUAL or max_step > np.pi / 2:
+    w, max_step = winding_of_samples(samples)
+    if max_step > np.pi / 2:
         raise ResolutionError(
             "winding not integral: argument increments are under-resolved "
-            f"(residual {residual:.3f} turns, max step "
-            f"{max_step / (2 * np.pi):.3f} turns)"
+            f"(max step {max_step / (2 * np.pi):.3f} turns)"
         )
     return w
 
@@ -925,7 +930,7 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     if system._solved is not None and system._solved[0] is walk:
         evals, vecs = system._solved[1:]
     else:
-        evals, vecs = _unitary_eig(walk.grid_eval(m))
+        evals, vecs, _retried = _unitary_eig(walk.grid_eval(m))
     left = vecs.conj().swapaxes(1, 2)
     linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster

@@ -343,6 +343,16 @@ def test_cli_decompose_grover(spec_dir, tmp_path, capsys):
     assert set(manifest["outputs"]) == {"eigensystem.json", "decompose.json"}
 
 
+def test_cli_manifest_carries_the_tracking_record(tmp_path, capsys):
+    out = tmp_path / "run-bands"
+    assert run_cli("bands", FIXTURES / "hadamard.json", "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    record = manifest["record"]
+    assert record["grids"] == [1024] and record["points"] == 1024
+    assert record["solves"] == [[1024, 0]] and record["bisect_s"] > 0
+    assert set(manifest["versions"]) == {"zqwalk", "numpy", "python"}
+
+
 def test_cli_ct_check_modified(spec_dir, tmp_path, capsys):
     out = tmp_path / "run-ct"
     code = run_cli(
@@ -667,7 +677,7 @@ def test_script_runs(command, artifacts, tmp_path, monkeypatch, capsys):
 
 
 BENCH_STAGES = {
-    "grid_eval", "eig", "np_eig", "track_bands", "crossing_search", "band_projections_first",
+    "grid_eval", "eig", "np_eig", "track_bands", "band_projections_first",
     "band_projections_repeat", "limit_measure",
     "evolve_t400", "evolve_t1600", "evolve_t6400", "moments_t6400",
     "position_distribution_t6400", "cdf_distance_t6400", "verify_unitary_symbol",
@@ -702,10 +712,12 @@ def test_bench_script_writes_report(tmp_path):
             "eig": 0, "eigvals": 0, "inv": 0,
         }, name
         assert len(retried) == 1 and 0 <= retried[0] < 1024, name
+    assert report["bisection"]["grover3"]["median_s"] > 0
     accuracy = report["accuracy"]
     assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
     assert accuracy["grover3_atom_err"] < 1e-12
     assert accuracy["norm_drift_max"] < 1e-9
+    assert accuracy["evolve_l2_t400_max"] < 1e-12
     assert accuracy["z100000_cayley_hamilton"] <= 1e-15
     assert accuracy["near_crossing_windings"] == [0, 0]
     assert report["environment"]["nproc"] >= 1

@@ -738,8 +738,8 @@ def test_index_identity_on_generated_walks(rng):
             refused += 1
             continue
         det = (-1) ** walk.n * char_poly(walk).coeffs[0].circle_samples(4096)
-        index, residual, _ = winding_of_samples(det)
-        assert residual < 1e-6
+        index, max_step = winding_of_samples(det)
+        assert max_step < np.pi / 2  # the oracle's own loop is resolved
         assert sum(b.multiplicity * b.winding for b in system.bands) == index
     assert refused <= len(walks) // 4
 
@@ -883,13 +883,13 @@ def test_unitary_eig_solves_unitary_stacks():
     for name, stack in _solver_stacks().items():
         n = stack.shape[1]
         want = np.linalg.eigvals(stack)
-        vals, vecs = _unitary_eig(stack)
+        vals, vecs, _retried = _unitary_eig(stack)
         assert _matched_error(vals, want) <= 1e-13, name
         assert np.max(np.abs(vecs.conj().swapaxes(1, 2) @ vecs - np.eye(n))) <= n * 1e-14, name
         assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-13, name
         # every step works row by row: a row alone gives the same bits
         for k in (0, 1, len(stack) // 3, len(stack) - 1):
-            alone_vals, alone_vecs = _unitary_eig(stack[k : k + 1])
+            alone_vals, alone_vecs, _retried = _unitary_eig(stack[k : k + 1])
             assert np.array_equal(alone_vals[0], vals[k]), name
             assert np.array_equal(alone_vecs[0], vecs[k]), name
         if name == "identity":
@@ -916,8 +916,8 @@ def test_unitary_eig_retries_only_rows_whose_pole_fails(monkeypatch):
         np.tile(np.diag([1j, -1j]), (5, 1, 1)),
     ])
     slogdet = _count_calls(monkeypatch, "slogdet")
-    vals, vecs = _unitary_eig(stack)
-    assert rows == [8, 3]
+    vals, vecs, retried = _unitary_eig(stack)
+    assert rows == [8, 3] and retried == 3
     assert slogdet == {"slogdet": 1}  # found the singular rows after solve raised
     assert _matched_error(vals, np.linalg.eigvals(stack)) <= 1e-15
     assert np.max(np.abs(stack @ vecs - vecs * vals[:, None, :])) <= 1e-15
@@ -1000,7 +1000,7 @@ def test_escalated_system_keeps_its_decomposition(monkeypatch):
     solves = _record_solves(monkeypatch)
     system = refine_system(track_bands(walk, 64))
     assert system.base_grid == 512 and system.record.grids == (64, 512)
-    assert solves[0] == 64 and sum(solves) == system.record.points
+    assert solves[0] == 64 and solves == [rows for rows, _retried in system.record.solves]
     tracked = len(solves)
     rng = np.random.default_rng(5011)
     for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
@@ -1008,6 +1008,20 @@ def test_escalated_system_keeps_its_decomposition(monkeypatch):
     assert len(solves) == tracked
     assert counts == {"eig": 0, "eigvals": 0, "inv": 0}
     assert agrees_with_fine_pass(system, walk)
+
+
+def test_record_lists_every_stack_solved(corpus):
+    # the record's stacks add up to its points, on the fixtures' one grid and
+    # on a walk that moves from 64 to 512; the pinned n = 6 split step
+    # retries 94 rows of its one stack
+    moving = random_split_step_walk(np.random.default_rng(5010), 5, 2)
+    for walk, grid in [(walk, M) for walk in corpus.values()] + [(moving, 64)]:
+        record = track_bands(walk, grid).record
+        assert sum(rows for rows, _retried in record.solves) == record.points
+        assert record.bisect_s > 0
+    assert record.grids == (64, 512) and len(record.solves) > 1
+    split_n6 = dict(_seeded_split_steps())["split_n6"]
+    assert track_bands(split_n6, M).record.solves == ((M, 94),)
 
 
 def test_projection_cache_is_kept_to_its_walk():
