@@ -52,8 +52,8 @@ runs, each subcommand of min(CLI_RUNS, --repeats), one untimed warm-up
 first; the bisection of the steps grid 1024 leaves uncertified reports
 those of track_bands' own TrackingRecord.bisect_s over --repeats trackings.
 The file also records the machine (nproc, BLAS thread cap, numpy and, where
-it imports, scipy versions), what one track_bands -> refine_system -> 2 x
-limit_measure chain solves (from the TrackingRecord: the rows of each stack
+it imports, scipy versions), what one track_bands -> 2 x limit_measure
+chain solves (from the TrackingRecord: the rows of each stack
 solved and how many of them were retried with another Cayley pole, the
 grids, points, exact-crossing angles and narrowest unexplained gap; and the
 numbers of np.linalg eig, eigvals and inv calls in the chain), the coined
@@ -111,7 +111,6 @@ from zqwalk import (  # noqa: E402
     limit_measure,
     limit_moments,
     position_distribution,
-    refine_system,
     track_bands,
     verify_cayley_hamilton,
     winding_numbers,
@@ -222,7 +221,7 @@ def stages(zq, walk, delta, other) -> dict:
     stack = walk.grid_eval(GRID)
 
     def tracked(_=None):
-        return zq.refine_system(zq.track_bands(walk, GRID))
+        return zq.track_bands(walk, GRID)
 
     def projected_once():
         system = tracked()
@@ -384,7 +383,7 @@ def scipy_version() -> str | None:
 
 
 def solve_counts(walk, vectors) -> dict:
-    """Eigensolves of track_bands -> refine_system -> limit_measure(s).
+    """Eigensolves of track_bands -> limit_measure(s).
 
     unitary_eig_rows lists the rows of each stack track_bands solved and
     retried_rows how many of those rows it solved again with another Cayley
@@ -406,7 +405,7 @@ def solve_counts(walk, vectors) -> dict:
     for name in originals:
         setattr(np.linalg, name, counting(name))
     try:
-        system = refine_system(track_bands(walk, GRID))
+        system = track_bands(walk, GRID)
         for xi in vectors:
             limit_measure(walk, xi, system)
     finally:
@@ -428,9 +427,9 @@ def bisection(walk, repeats: int) -> dict:
 
 def accuracy(cases) -> dict:
     walk, delta, _other = cases["hadamard"]
-    mu = limit_measure(walk, delta, refine_system(track_bands(walk, GRID)))
+    mu = limit_measure(walk, delta, track_bands(walk, GRID))
     g_walk, g_delta, _other = cases["grover3"]
-    nu = limit_measure(g_walk, g_delta, refine_system(track_bands(g_walk, GRID)))
+    nu = limit_measure(g_walk, g_delta, track_bands(g_walk, GRID))
     drift = max(
         abs(evolve(w, xi, t).norm() ** 2 - 1.0)
         for w, xi, _other in cases.values()

@@ -153,7 +153,9 @@ class Run:
         manifest = {"command": self.command, "arguments": self.args, "outputs": self.outputs}
         if self.record is not None:
             versions = {"zqwalk": __version__, "numpy": np.__version__, "python": sys.version}
-            manifest.update(record=dataclasses.asdict(self.record), versions=versions)
+            # the wall time in fixed width: runs that compute the same write as many bytes
+            record = {**dataclasses.asdict(self.record), "bisect_s": f"{self.record.bisect_s:.6e}"}
+            manifest.update(record=record, versions=versions)
         self._write("manifest.json", _write_json, manifest)
 
 

@@ -7,8 +7,7 @@ walk spec        {"n": int, "entries": [{"row": int, "col": int,
 model spec       {"model": {"d": int, "lambda_coeffs": [{"shift", "re", "im"}]}}
 initial vector   {"n": int, "amps": [{"site": int, "channel": int, "re", "im"}]}
 eigen system     {"bands": [{"d", "winding", "multiplicity",
-                  "samples": [{"re", "im"}]}], "indecomposable": bool,
-                  "base_grid": int}
+                  "samples": [{"re", "im"}]}], "base_grid": int}
 limit measure    {"atoms": [{"x", "mass"}], "bins": [{"x", "mass"}]}
 
 Walks, models and initial vectors are read and written.  Eigen systems and
@@ -138,6 +137,8 @@ def state_to_json(xi: StateVector) -> dict:
 
 def state_from_json(data: dict) -> StateVector:
     n = _require(data, "n", int, "vector")
+    if n < 1:
+        raise SpecFormatError("vector.n: must be positive")
     sites, chans, values = [], [], []
     for idx, item in enumerate(_require(data, "amps", list, "vector")):
         where = f"vector.amps[{idx}]"
@@ -184,7 +185,6 @@ def eigensystem_to_json(system: EigenSystem) -> dict:
             }
             for band in system.bands
         ],
-        "indecomposable": system.indecomposable,
         "base_grid": system.base_grid,
     }
 

@@ -90,14 +90,12 @@ def limit_measure(
 ) -> LimitMeasure:
     """Weak limit of the rescaled position distribution of walk^t applied to xi.
 
-    Requires a refined (indecomposable) eigen system on its base grid.  Bands
+    The system is refined, as every EigenSystem is when built.  Bands
     whose velocity spread is below ATOM_VELOCITY_SPREAD become exact atoms at
     winding/d; every other band gives one (velocity, mass) sample per covering
     point, the mass being its weight over the base grid size, so the support
     bound and the spectral accuracy of the grid sums are built in.
     """
-    if not system.indecomposable:
-        raise DomainError("eigen system must be refined first")
     m = system.base_grid
     xi_hat = xi.fourier_samples(m)
     mean_norm = float(np.mean(np.sum(np.abs(xi_hat) ** 2, axis=1)))

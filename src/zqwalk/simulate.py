@@ -103,10 +103,12 @@ def _settle(sites, channels, values, n: int) -> StateVector:
 
     Sorts stably by (site, channel), sums the values of a repeated key in input
     order starting from zero, drops exact zeros and marks the arrays
-    read-only.  Raises DomainError for a site or channel that is not an
-    integer, a channel outside 1..n, a site beyond MAX_SITE or a non-finite
+    read-only.  Raises DomainError for n < 1, a site or channel that is not
+    an integer, a channel outside 1..n, a site beyond MAX_SITE or a non-finite
     value.
     """
+    if n < 1:
+        raise DomainError(f"vector dimension n = {n} must be positive")
     sites, channels = np.ravel(sites), np.ravel(channels)
     values = np.ravel(np.asarray(values, dtype=complex))
     _require_sites(sites)

@@ -4,14 +4,15 @@ The spectrum of a unitary symbol over the circle organizes into closed
 analytic loops: following each eigenvalue continuously around the base circle
 permutes the eigenvalue labels, and each cycle of length d of that permutation
 is one branch living on a d-fold covering circle.  This module recovers those
-cycles numerically (track_bands), contracts rotation-symmetric branches to
-their minimal period and merges coinciding ones (the refined, indecomposable
-system), and derives the invariants that hang off the branch structure:
-winding numbers, continuous-time realizability, spectral-projection weights
-of an initial vector and the group velocities.  Conjugacy of two walks needs
-no tracking: the bands are the analytic branches of the roots of
-det(lambda - U(z)), so two walks share a refined system exactly when their
-characteristic polynomials agree, and are_conjugate compares those.
+cycles numerically (track_bands) and derives the invariants that hang off the
+branch structure: winding numbers, continuous-time realizability,
+spectral-projection weights of an initial vector and the group velocities.
+Every EigenSystem is refined when it is built: it contracts each
+rotation-symmetric branch to its minimal period and merges coinciding ones
+into multiplicities.  Conjugacy of two walks needs no tracking: the bands
+are the analytic branches of the roots of det(lambda - U(z)), so two walks
+share a refined system exactly when their characteristic polynomials agree,
+and are_conjugate compares those.
 
 Branch matching note: U is normal on the circle, so an analytic branch moves
 in one step of h = 2 pi / M at most the integral of ||dU/dtheta||_2 over it
@@ -102,20 +103,25 @@ class Band:
     """One tracked eigenvalue branch on its covering circle.
 
     samples[m] is the branch value at covering point exp(2*pi*i*m/(d*M)); the
-    d covering points sitting over base point k are indices k + i*M.
+    d covering points sitting over base point k are indices k + i*M.  The
+    winding is computed from the samples (_validated_winding), so an
+    under-resolved loop raises ResolutionError where the band is built.
     """
 
     d: int
     samples: np.ndarray
-    winding: int
-    multiplicity: int = 1
+    winding: int = field(init=False)
+    multiplicity: int = field(default=1, kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=complex)
-        )
+        if self.d < 1 or self.multiplicity < 1:
+            raise DomainError(
+                f"covering degree {self.d} and multiplicity {self.multiplicity} must be positive"
+            )
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=complex))
         if len(self.samples) % self.d != 0:
             raise DomainError("sample count must be a multiple of the covering degree")
+        object.__setattr__(self, "winding", _validated_winding(self.samples))
 
     @property
     def base_grid(self) -> int:
@@ -126,7 +132,6 @@ class Band:
             return NotImplemented
         return (
             self.d == other.d
-            and self.winding == other.winding
             and self.multiplicity == other.multiplicity
             and np.array_equal(self.samples, other.samples)
         )
@@ -150,7 +155,14 @@ class TrackingRecord:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """A complete set of tracked bands for one walk symbol.
+    """A complete set of tracked bands for one walk symbol, refined when built.
+
+    __post_init__ contracts each band to its minimal rotation period (to
+    DEFAULT_TOL), merges bands coinciding up to rotation into multiplicities
+    (at DEGENERACY_TOL) and sorts them by degree, multiplicity (the larger
+    first) and _seam_angle of the first sample.  One pass of contraction
+    suffices: a rotation symmetry of a contracted band would be a smaller
+    period of the original one.
 
     Three read-only attachments ride along and __eq__ ignores them: `record`
     is track_bands' TrackingRecord, `_solved` the (walk, evals, vecs)
@@ -161,20 +173,25 @@ class EigenSystem:
     bands: tuple[Band, ...]
     n: int
     base_grid: int
-    indecomposable: bool
     record: TrackingRecord | None = field(default=None, init=False, repr=False)
     _solved: tuple | None = field(default=None, init=False, repr=False)
     _frame: _Frame | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        m, contracted = self.base_grid, []
+        for b in self.bands:
+            if b.base_grid != m:
+                raise DomainError("all bands must share the system base grid")
+            c = _minimal_rotation_period(b, m, DEFAULT_TOL)
+            if c is not None:
+                b = Band(c, b.samples[: c * m].copy(), multiplicity=b.multiplicity * (b.d // c))
+            contracted.append(b)
+        bands = _merge_duplicates(contracted, m)
+        bands.sort(key=lambda b: (b.d, -b.multiplicity, _seam_angle(b.samples[0])))
+        object.__setattr__(self, "bands", tuple(bands))
         total = sum(b.d * b.multiplicity for b in self.bands)
         if total != self.n:
-            raise DomainError(
-                f"band degrees and multiplicities sum to {total}, expected {self.n}"
-            )
-        for b in self.bands:
-            if b.base_grid != self.base_grid:
-                raise DomainError("all bands must share the system base grid")
+            raise DomainError(f"band degrees and multiplicities sum to {total}, expected {self.n}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EigenSystem):
@@ -182,9 +199,7 @@ class EigenSystem:
         return (
             self.n == other.n
             and self.base_grid == other.base_grid
-            and self.indecomposable == other.indecomposable
-            and len(self.bands) == len(other.bands)
-            and all(a == b for a, b in zip(self.bands, other.bands))
+            and self.bands == other.bands
         )
 
     @property
@@ -538,8 +553,8 @@ def _step_permutations(
     return steps
 
 
-def _track_cycles(vals: np.ndarray, keep, *bounds: np.ndarray) -> list:
-    """(d, samples, 1) per branch cycle through the (M, n) eigenvalue lists, by
+def _track_cycles(vals: np.ndarray, keep, *bounds: np.ndarray) -> list[Band]:
+    """One Band per branch cycle through the (M, n) eigenvalue lists, by
     _step_permutations(vals, *bounds), sampled at the points `keep`; the pass
     starts where the spectrum is best separated, so its history-free first
     step straddles no collision."""
@@ -574,7 +589,7 @@ def _track_cycles(vals: np.ndarray, keep, *bounds: np.ndarray) -> list:
         d = len(cycle)
         seq = np.concatenate([path_vals[b, :grid] for b in cycle])
         samples = np.roll(seq, kstar).reshape(d, grid)[:, keep].ravel()  # index 0 <-> z = 1
-        cycles.append((d, _canonical_rotation(samples, len(samples) // d), 1))
+        cycles.append(Band(d, _canonical_rotation(samples, len(samples) // d)))
     return cycles
 
 
@@ -603,46 +618,17 @@ def _canonical_rotation(samples: np.ndarray, base_grid: int) -> np.ndarray:
     return candidates[min(range(d), key=keys.__getitem__)]
 
 
-def _merge_duplicates(
-    raw: list[tuple[int, np.ndarray, int]], base_grid: int
-) -> list[tuple[int, np.ndarray, int]]:
-    """Merge branches coinciding up to rotation (at DEGENERACY_TOL) into multiplicities."""
-    out: list[tuple[int, np.ndarray, int]] = []
-    for d, samples, mult in raw:
-        for idx, (d0, s0, m0) in enumerate(out):
-            if d0 == d and rotation_distance(s0, samples, base_grid) < DEGENERACY_TOL:
-                out[idx] = (d0, s0, m0 + mult)
+def _merge_duplicates(bands: list[Band], base_grid: int) -> list[Band]:
+    """Merge bands coinciding up to rotation (at DEGENERACY_TOL) into multiplicities."""
+    out, tol = [], DEGENERACY_TOL
+    for band in bands:
+        for idx, b in enumerate(out):
+            if b.d == band.d and rotation_distance(b.samples, band.samples, base_grid) < tol:
+                out[idx] = Band(b.d, b.samples, multiplicity=b.multiplicity + band.multiplicity)
                 break
         else:
-            out.append((d, samples, mult))
+            out.append(band)
     return out
-
-
-def _finish_system(
-    raw: list[tuple[int, np.ndarray, int]], n: int, base_grid: int
-) -> EigenSystem:
-    """Build the refined system from (d, samples, multiplicity) branches.
-
-    Each branch is contracted to its minimal rotation period, coinciding
-    branches merge at DEGENERACY_TOL, each band's winding is computed and
-    validated (_validated_winding), and the bands are sorted by degree,
-    multiplicity (the larger first) and _seam_angle of the first sample.  One
-    pass of contraction suffices: a rotation symmetry of a contracted band
-    would be a smaller period of the original one.
-    """
-    contracted = []
-    for d, samples, mult in raw:
-        c = _minimal_rotation_period(Band(d, samples, 0, mult), base_grid, DEFAULT_TOL)
-        if c is None:
-            contracted.append((d, samples, mult))
-        else:
-            contracted.append((c, samples[: c * base_grid].copy(), mult * (d // c)))
-    bands = [
-        Band(d, samples, _validated_winding(samples), mult)
-        for d, samples, mult in _merge_duplicates(contracted, base_grid)
-    ]
-    bands.sort(key=lambda b: (b.d, -b.multiplicity, _seam_angle(b.samples[0])))
-    return EigenSystem(tuple(bands), n, base_grid, indecomposable=True)
 
 
 def _require_unitary(walk: SymbolMatrix) -> None:
@@ -664,13 +650,11 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     Eigenvalues and orthonormal eigenvectors are solved at `base_grid`
     uniform points and matched under the certificate and bisection of the
     module docstring; the step permutations compose into one permutation
-    whose cycles give covering degrees.  The result is refined: each cycle
-    is contracted to its minimal rotation period (to DEFAULT_TOL) and
-    branches coinciding everywhere merge into one band with a multiplicity,
-    so refine_system leaves it unchanged.  Each band's winding is validated
-    here (ResolutionError where under-resolved).  The system keeps its
-    grid's decomposition for band_projections, tied to this walk, and its
-    TrackingRecord, each stack solved and the bisection's time included.
+    whose cycles give covering degrees, one Band each (its winding validated,
+    ResolutionError where under-resolved), refined as every EigenSystem is
+    when it is built.  The system keeps its grid's decomposition for
+    band_projections, tied to this walk, and its TrackingRecord, each stack
+    solved and the bisection's time included.
 
     Parameters
     ----------
@@ -715,7 +699,7 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
         bounds = _step_bounds(walk, np.roll(path, -1, 0), end - at, np.stack([at, end]), floor)
     delta, gap, _linked, groups = bounds
     cycles = _track_cycles(path, keep, delta, gap <= 2 * delta + 4 * floor, groups)
-    system = _finish_system(cycles, walk.n, grid)
+    system = EigenSystem(tuple(cycles), walk.n, grid)
     found = np.sort(levels[0][3][np.isfinite(levels[0][3])]) if levels else np.zeros(0)
     crossings = tuple(found[np.diff(found, prepend=-1.0) > 1e-9].tolist())  # one angle each
     avoided = avoided if avoided[1] is not None else (None, None)
@@ -749,7 +733,7 @@ def _validated_winding(samples: np.ndarray) -> int:
 
 
 def winding_numbers(system: EigenSystem) -> list[int]:
-    """Winding of each band, as validated when the system was built."""
+    """Winding of each band, as computed and validated from its samples when it was built."""
     return [band.winding for band in system.bands]
 
 
@@ -766,18 +750,9 @@ def _minimal_rotation_period(band: Band, base_grid: int, tol: float) -> int | No
 
 
 def refine_system(system: EigenSystem) -> EigenSystem:
-    """Contract rotation-symmetric bands so the system is indecomposable.
-
-    A band of degree d whose function repeats under rotation of the covering
-    argument by 2*pi*c/d (minimal such divisor c) is the (d/c)-fold repeat of
-    a degree-c band; it is replaced by that band with multiplied multiplicity.
-    It is idempotent and returns a fixed point, such as track_bands output, as
-    is (caches included); it is for hand-built systems, whose windings it
-    recomputes and validates.
-    """
-    raw = [(b.d, b.samples, b.multiplicity) for b in system.bands]
-    refined = _finish_system(raw, system.n, system.base_grid)
-    return system if refined == system else refined
+    """`system` itself, as every EigenSystem is refined when built; kept for
+    zqbench's workloads, which call it, until ROADMAP item 10 removes it."""
+    return system
 
 
 def total_winding(system: EigenSystem) -> int:
@@ -792,8 +767,7 @@ def ct_realizable(system: EigenSystem) -> bool:
 
 def is_decomposable(system: EigenSystem) -> bool:
     """True iff the walk splits into more than one irreducible summand."""
-    refined = system if system.indecomposable else refine_system(system)
-    return refined.summand_count > 1
+    return system.summand_count > 1
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +781,7 @@ def are_conjugate(
     tol: float = DEFAULT_TOL,
     base_grid: int = DEFAULT_BASE_GRID,
 ) -> bool:
-    """Whether two walks share an indecomposable eigenvalue-function system.
+    """Whether two walks share a refined eigenvalue-function system.
 
     The bands are the analytic branches of the roots of det(lambda - U(z)),
     so two walks have the same refined system, multiplicities included,

@@ -41,7 +41,6 @@ from zqwalk.spectral import (
     DEGENERACY_TOL,
     _best_separated_point,
     _canonical_rotation,
-    _finish_system,
 )
 
 SAMPLE_GRID = 4096
@@ -381,9 +380,9 @@ def subsample_system(system: EigenSystem, coarse: int) -> EigenSystem:
     if step == 1:
         return system
     bands = tuple(
-        Band(b.d, b.samples[::step], b.winding, b.multiplicity) for b in system.bands
+        Band(b.d, b.samples[::step], multiplicity=b.multiplicity) for b in system.bands
     )
-    return EigenSystem(bands, system.n, coarse, system.indecomposable)
+    return EigenSystem(bands, system.n, coarse)
 
 
 def tracked_conjugacy(w1: SymbolMatrix, w2: SymbolMatrix, base_grid: int = 1024) -> bool:
@@ -464,8 +463,8 @@ def fine_pass_system(walk: SymbolMatrix, grid: int) -> EigenSystem:
     key = (walk.shifts.tobytes(), walk.coeffs.tobytes(), grid)
     if key not in _FINE_PASSES:
         vals = np.linalg.eigvals(walk.grid_eval(grid))
-        cycles = [(d, s, 1) for d, s in assignment_track_cycles(vals)]
-        _FINE_PASSES[key] = _finish_system(cycles, walk.n, grid)
+        cycles = tuple(Band(d, s) for d, s in assignment_track_cycles(vals))
+        _FINE_PASSES[key] = EigenSystem(cycles, walk.n, grid)
     return _FINE_PASSES[key]
 
 

@@ -253,7 +253,6 @@ def test_eigensystem_json_payload():
     system = refine_system(track_bands(grover_walk_3(), 64))
     payload = json.loads(json.dumps(zio.eigensystem_to_json(system)))
     assert payload["base_grid"] == system.base_grid == 64
-    assert payload["indecomposable"] is True
     assert len(payload["bands"]) == len(system.bands)
     for item, band in zip(payload["bands"], system.bands):
         assert (item["d"], item["winding"], item["multiplicity"]) == (
@@ -349,8 +348,21 @@ def test_cli_manifest_carries_the_tracking_record(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     record = manifest["record"]
     assert record["grids"] == [1024] and record["points"] == 1024
-    assert record["solves"] == [[1024, 0]] and record["bisect_s"] > 0
+    assert record["solves"] == [[1024, 0]] and float(record["bisect_s"]) > 0
     assert set(manifest["versions"]) == {"zqwalk", "numpy", "python"}
+
+
+def test_cli_manifests_of_two_runs_have_the_same_bytes(tmp_path, capsys):
+    # the bisection's wall time is written in fixed width, so two runs into one
+    # --out write manifests that differ only in its digits
+    out, written = tmp_path / "run-bands", []
+    for _ in range(2):
+        assert run_cli("bands", FIXTURES / "hadamard.json", "--out", out) == 0
+        written.append((out / "manifest.json").read_text())
+    assert len(written[0].encode()) == len(written[1].encode())
+    timing = r'"bisect_s": "\d\.\d{6}e[-+]\d\d"'
+    masked = [re.sub(timing, '"bisect_s": "x"', text) for text in written]
+    assert masked[0] == masked[1] != written[0]
 
 
 def test_cli_ct_check_modified(spec_dir, tmp_path, capsys):
@@ -614,7 +626,6 @@ def test_cli_bands_writes_refined_system(tmp_path, capsys):
     out = tmp_path / "run-bands"
     assert run_cli("bands", spec, "--grid", 1024, "--out", out) == 0
     payload = json.loads((out / "eigensystem.json").read_text())
-    assert payload["indecomposable"] is True
     assert payload["base_grid"] == 1024
     assert [(b["d"], b["multiplicity"]) for b in payload["bands"]] == [(1, 2), (1, 2)]
     assert "[(1, 2), (1, 2)] on grid 1024" in capsys.readouterr().out
@@ -935,6 +946,19 @@ def test_cli_far_shifts_exit_like_far_sites(tmp_path, capsys):
     # the bound itself is a shift a spec may hold
     edge = {"n": 1, "entries": [{"row": 1, "col": 1, "terms": [{**term, "shift": -(2**53)}]}]}
     assert zio.parse_spec(json.dumps(edge)).shifts.tolist() == [-(2**53)]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cli_refuses_vector_of_no_channels(tmp_path, capsys, n):
+    # a vector spec with n < 1 is malformed: exit 2, no traceback, no run directory
+    init = tmp_path / "vector.json"
+    init.write_text(json.dumps({"n": n, "amps": []}))
+    for command, *rest in (("limit", "--grid", 256), ("simulate", "--t", 1)):
+        out = tmp_path / command
+        assert run_cli(command, FIXTURES / "hadamard.json", "--init", init, *rest, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "vector.n: must be positive" in err and "Traceback" not in err, command
+        assert not out.exists(), command
 
 
 def test_cli_refuses_unallocatable_circle_grid(tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 
 import zqwalk
 from zqwalk import (
+    Band,
     DomainError,
+    EigenSystem,
     StateVector,
     SymbolMatrix,
     band_projections,
@@ -150,12 +152,20 @@ def test_grover_localization_atom_on_fine_grids(grid):
     assert mu.atom_mass(0.0) == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-8)
 
 
-def test_measure_requires_refined_system():
-    walk = coined_walk()
-    system = refined(walk, 256)
-    unrefined = type(system)(system.bands, system.n, system.base_grid, False)
-    with pytest.raises(DomainError):
-        limit_measure(walk, StateVector.delta(0, 1, 2), unrefined)
+def test_hand_built_flat_band_takes_its_winding_from_its_samples():
+    # a band computes its winding, so a hand-built grover3 system cannot put
+    # the localization atom anywhere but at velocity 0
+    walk = grover_walk_3()
+    tracked = refined(walk, 256)
+    flat, loop = tracked.bands
+    with pytest.raises(TypeError):
+        Band(1, flat.samples, 1)
+    system = EigenSystem((loop, Band(1, flat.samples)), 3, 256)
+    assert system == tracked and system.bands[0].winding == 0
+    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    mu = limit_measure(walk, xi, system)
+    assert mu.atoms == limit_measure(walk, xi, tracked).atoms
+    assert [x for x, _mass in mu.atoms] == [0.0]
 
 
 def test_measure_rejects_non_unit_vector(tracked_corpus):

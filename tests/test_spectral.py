@@ -127,10 +127,10 @@ def test_rotation_gauge_ignores_the_sign_of_a_roundoff_seam():
 def test_band_order_ignores_the_sign_of_a_roundoff_seam(imag):
     # a band starting at -1 sorts after one starting at 1, whatever the sign
     # of its roundoff imaginary part
-    seam = Band(1, np.full(64, complex(-1.0, imag)), 0)
-    one = Band(1, np.ones(64, dtype=complex), 0)
-    refined = refine_system(EigenSystem((seam, one), 2, 64, indecomposable=False))
-    assert [b.samples[0].real for b in refined.bands] == [1.0, -1.0]
+    seam = Band(1, np.full(64, complex(-1.0, imag)))
+    one = Band(1, np.ones(64, dtype=complex))
+    system = EigenSystem((seam, one), 2, 64)
+    assert [b.samples[0].real for b in system.bands] == [1.0, -1.0]
 
 
 def test_certificate_reuses_coarse_eigenvalues(corpus):
@@ -476,8 +476,9 @@ def test_winding_examples(tracked_corpus):
 
 def test_winding_monomial_band():
     theta = covering_angles(1, 256)
-    band = Band(1, np.exp(1j * theta), 1, 1)
-    system = EigenSystem((band,), 1, 256, True)
+    band = Band(1, np.exp(1j * theta))
+    system = EigenSystem((band,), 1, 256)
+    assert band.winding == 1
     assert winding_numbers(system) == [1]
 
 
@@ -526,16 +527,37 @@ def test_decomposability(tracked_corpus):
 
 def test_refine_contracts_rotation_symmetric_band():
     # synthetic degree-2 band carrying lambda(zeta) = zeta^2, which repeats
-    # under zeta -> -zeta and must contract to two copies of eta -> eta
+    # under zeta -> -zeta: the system contracts it, when built, to two copies
+    # of eta -> eta
     m = 128
     zeta = np.exp(1j * covering_angles(2, m))
-    band = Band(2, zeta**2, 2, 1)
-    system = EigenSystem((band,), 2, m, False)
-    refined = refine_system(system)
-    assert [(b.d, b.multiplicity, b.winding) for b in refined.bands] == [(1, 2, 1)]
+    band = Band(2, zeta**2)
+    assert band.winding == 2
+    system = EigenSystem((band,), 2, m)
+    assert [(b.d, b.multiplicity, b.winding) for b in system.bands] == [(1, 2, 1)]
     eta = np.exp(1j * covering_angles(1, m))
-    assert np.max(np.abs(refined.bands[0].samples - eta)) < 1e-12
-    assert refined.indecomposable
+    assert np.max(np.abs(system.bands[0].samples - eta)) < 1e-12
+    assert refine_system(system) is system
+
+
+def test_hand_built_system_is_refined_when_built():
+    # coined + coined from its tracked bands, in shuffled order: one band
+    # given twice, the other as one degree-2 band carrying it on both sheets
+    tracked = track_bands(direct_sum(coined_walk(), coined_walk()), 256)
+    a, b = tracked.bands
+    assert [(x.d, x.multiplicity) for x in (a, b)] == [(1, 2), (1, 2)]
+    twice = Band(2, np.concatenate([b.samples, b.samples]))
+    assert EigenSystem((twice, Band(1, a.samples), Band(1, a.samples)), 4, 256) == tracked
+
+
+def test_band_refuses_degree_and_multiplicity_below_one():
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    with pytest.raises(DomainError, match="must be positive"):
+        Band(0, z)
+    with pytest.raises(DomainError, match="must be positive"):
+        Band(1, z, multiplicity=0)
+    with pytest.raises(TypeError):
+        Band(1, z, 0)  # the winding is computed, and the multiplicity keyword-only
 
 
 def test_refine_leaves_irreducible_band(tracked_corpus):
@@ -554,9 +576,8 @@ def test_refine_idempotent(tracked_corpus, corpus):
     cases = [(name, walk, M) for name, walk in corpus.items()]
     cases += [("shift2", SymbolMatrix.shift(2), 64), *_reference_cases()]
     for name, walk, grid in cases:
-        # track_bands returns the refined system, a fixed point of refine_system
+        # every system is refined when built, so refine_system hands it back
         system = track_bands(walk, grid)
-        assert system.indecomposable, name
         assert refine_system(system) is system, name
         systems.append(system)
     for system in systems:
@@ -1036,7 +1057,7 @@ def test_projection_cache_is_kept_to_its_walk():
     conjugate = compose(
         SymbolMatrix.from_constant(v), compose(walk, SymbolMatrix.from_constant(v.conj().T))
     )
-    fresh = EigenSystem(system.bands, system.n, M, True)
+    fresh = EigenSystem(system.bands, system.n, M)
     got, want = band_projections(conjugate, system, xh), band_projections(conjugate, fresh, xh)
     for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
         assert np.array_equal(a, b)
@@ -1047,7 +1068,7 @@ def test_cached_projections_equal_fresh_solve(corpus):
     for name, walk in list(corpus.items()) + _seeded_split_steps():
         cached = refine_system(track_bands(walk, M))
         assert cached._solved is not None, name
-        fresh = EigenSystem(cached.bands, cached.n, cached.base_grid, cached.indecomposable)
+        fresh = EigenSystem(cached.bands, cached.n, cached.base_grid)
         for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
             xh = xi.fourier_samples(M)
             got, want = band_projections(walk, cached, xh), band_projections(walk, fresh, xh)
@@ -1113,10 +1134,9 @@ def test_winding_rejects_open_loop():
 
     theta = 2.0 * np.pi * np.arange(128) / 128
     half_loop = np.exp(0.5j * theta)  # does not close: half a turn
-    system = EigenSystem((Band(1, half_loop, 0, 1),), 1, 128, True)
-    # windings are validated where a system is built, so refining refuses it
+    # a band computes and validates its winding, so it refuses the loop itself
     with pytest.raises(ResolutionError, match="winding not integral"):
-        refine_system(system)
+        Band(1, half_loop)
 
 
 def test_projections_flag_cross_band_collision():
@@ -1148,7 +1168,7 @@ def test_projections_flag_uncovered_cluster():
     ))
     z = np.exp(2j * np.pi * np.arange(64) / 64)
     # claims the branch z twice, so the branch -z has no band
-    system = EigenSystem((Band(1, z, 1, 2),), 2, 64, True)
+    system = EigenSystem((Band(1, z, multiplicity=2),), 2, 64)
     xi = StateVector.delta(0, 1, 2)
     with pytest.raises(ResolutionError, match="not covered by any band"):
         band_projections(walk, system, xi.fourier_samples(64))
