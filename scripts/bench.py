@@ -9,9 +9,9 @@ seeded n = 6 split-step walk, each at base grid 1024.  Stages per walk:
   and orthonormal eigenvectors, as track_bands solves every grid; np_eig:
   LAPACK's general np.linalg.eig on the same stack, for reference;
 - track_bands: the certified, refined system;
-- band_projections_first: the first call on a freshly tracked system;
-- band_projections_repeat: a second vector on the same system;
-- limit_measure: the first measure on a freshly tracked system;
+- limit_measure_first: the first measure on a freshly tracked system, its
+  velocity frame built;
+- limit_measure_repeat: a second vector on the same system, the frame reused;
 - evolve_t400, evolve_t1600, evolve_t6400: evolution of the delta through
   the symbol (binary powering, each power squared on an FFT grid that grows
   with it up to a quarter of the light cone's grid, then on that grid; the
@@ -58,7 +58,9 @@ solved and how many of them were retried with another Cayley pole, the
 grids, points, exact-crossing angles and narrowest unexplained gap; and the
 numbers of np.linalg eig, eigvals and inv calls in the chain), the coined
 moment errors against -(1 - 1/sqrt 2) and 1 - 1/sqrt 2, the grover3 atom
-error against 1 - 2/sqrt 6, the largest norm drift of the evolved states
+error against 1 - 2/sqrt 6, grover3's m1 error from channel 1 against
+-0.183503419072274 (pointwise sums at grids 1024 to 32768 and Richardson
+extrapolation of finite-time moments agree on it), the largest norm drift of the evolved states
 (mostly the walk's own distance from unitary), the largest l2 distance
 between evolve at t = 400 and 400 apply_walk steps, the Cayley-Hamilton
 residual of the 1 x 1 walk z^100000 (exact phases give roundoff), and the
@@ -72,7 +74,8 @@ back, alternating which goes first, on inputs each package builds for
 itself.  Each stage then reports this checkout's median and quartiles, the
 other's under "against", and "ratio", the other's median over this one's
 (above 1: this checkout is faster).  np_eig runs the same code on both
-sides, so its ratio shows how far the pairing resolves.
+sides, so its ratio shows how far the pairing resolves.  The report also
+carries this checkout's accuracy block.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
            [--against ../other-checkout]
@@ -217,15 +220,14 @@ def timed_pair(this, other, repeats: int) -> dict:
 
 def stages(zq, walk, delta, other) -> dict:
     """Stage name -> (fn, setup) for one walk of package `zq`; timed() runs fn(setup())."""
-    xh, xh2 = delta.fourier_samples(GRID), other.fourier_samples(GRID)
     stack = walk.grid_eval(GRID)
 
     def tracked(_=None):
         return zq.track_bands(walk, GRID)
 
-    def projected_once():
+    def measured_once():
         system = tracked()
-        zq.band_projections(walk, system, xh)
+        zq.limit_measure(walk, delta, system)
         return system
 
     def fresh_walk():
@@ -236,9 +238,8 @@ def stages(zq, walk, delta, other) -> dict:
         "eig": (lambda _: zq.spectral._unitary_eig(stack), None),
         "np_eig": (lambda _: np.linalg.eig(stack), None),
         "track_bands": (lambda w: zq.track_bands(w, GRID), fresh_walk),
-        "band_projections_first": (lambda s: zq.band_projections(walk, s, xh), tracked),
-        "band_projections_repeat": (lambda s: zq.band_projections(walk, s, xh2), projected_once),
-        "limit_measure": (lambda s: zq.limit_measure(walk, delta, s), tracked),
+        "limit_measure_first": (lambda s: zq.limit_measure(walk, delta, s), tracked),
+        "limit_measure_repeat": (lambda s: zq.limit_measure(walk, other, s), measured_once),
     }
     for t in TIMES:
         out[f"evolve_t{t}"] = (lambda _, t=t: zq.evolve(walk, delta, t), None)
@@ -429,7 +430,9 @@ def accuracy(cases) -> dict:
     walk, delta, _other = cases["hadamard"]
     mu = limit_measure(walk, delta, track_bands(walk, GRID))
     g_walk, g_delta, _other = cases["grover3"]
-    nu = limit_measure(g_walk, g_delta, track_bands(g_walk, GRID))
+    g_system = track_bands(g_walk, GRID)
+    nu = limit_measure(g_walk, g_delta, g_system)
+    channel_1 = limit_measure(g_walk, StateVector.delta(0, 1, 3), g_system)
     drift = max(
         abs(evolve(w, xi, t).norm() ** 2 - 1.0)
         for w, xi, _other in cases.values()
@@ -446,6 +449,7 @@ def accuracy(cases) -> dict:
         "coined_m1_err": abs(limit_moments(mu, 1) + (1.0 - R)),
         "coined_m2_err": abs(limit_moments(mu, 2) - (1.0 - R)),
         "grover3_atom_err": abs(nu.atom_mass(0.0) - (1.0 - 2.0 / 6.0**0.5)),
+        "grover3_ch1_m1_err": abs(limit_moments(channel_1, 1) + 0.183503419072274),
         "norm_drift_max": drift,
         f"evolve_l2_t{TIMES[0]}_max": evolve_l2,
         "z100000_cayley_hamilton": verify_cayley_hamilton(SymbolMatrix.shift(100000)),
@@ -488,6 +492,7 @@ def main() -> None:
             "grid": GRID,
             "against": {"checkout": str(checkout), "commit": commit(checkout)},
             "stages": against_timings(load_against(checkout), args.repeats),
+            "accuracy": accuracy(inputs()),
         }
         for name, paired in report["stages"].items():
             ratios = ", ".join(
@@ -496,6 +501,7 @@ def main() -> None:
                 for stage, s in paired.items()
             )
             print(f"{name} (median ms, this/against): {ratios}")
+        print(f"accuracy: {report['accuracy']}")
     else:
         cases = inputs()
         report = {

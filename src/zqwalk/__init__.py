@@ -39,7 +39,6 @@ from .spectral import (
     EigenSystem,
     TrackingRecord,
     are_conjugate,
-    band_projections,
     ct_realizable,
     is_decomposable,
     refine_system,

@@ -21,8 +21,7 @@ class ResolutionError(ZqwalkError):
     """A grid-based computation could not be resolved at the allowed sizes.
 
     Raised for unstable branch tracking, non-integral winding sums, tracked
-    values that miss the spectrum, and ambiguous or uncovered eigenvalue
-    clusters.
+    values that miss the spectrum, and uncovered eigenvalue clusters.
     """
 
 

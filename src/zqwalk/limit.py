@@ -1,18 +1,19 @@
 """Weak limit distribution of the rescaled position s/t.
 
-For a single branch the limit measure is the pushforward of the momentum-space
-probability |xi_hat(theta)|^2 dtheta/2pi through the group velocity
-h(theta) = d arg(lambda)/dtheta; for a d-fold covering branch the velocity
-carries an extra 1/d, and the spectral weight of the initial vector splits the
-mass between branches.  Weights and velocities come from the eigensolve
-track_bands already did on the base grid (spectral.band_projections); only
-the weights depend on the initial vector, so the measures of several vectors
-against one system share one decomposition.  Bands of constant velocity
-contribute exact point masses (localization atoms) at w/d, their winding
-over their covering degree; everything else is kept as its (velocity, mass) samples, one per
-covering point, the pushforward of the base grid's trapezoid rule.  Moments,
-CDF distances and the support read those samples; the fixed velocity
-histogram is only a view for the written outputs.
+X_t / t converges weakly to the law of the asymptotic velocity operator D(theta)
+in the state xi_hat (Grimmett, Janson & Scudo, PRE 69, 026119 (2004)).  At each
+base grid point D is diagonal in the eigen-directions of the walk, each carrying
+a group velocity d arg(lambda)/dtheta; inside an eigenvalue cluster the
+directions are those of the cluster's Hermitian velocity block
+(spectral._velocity_frame, built once per system and walk from the
+eigensolve track_bands already did).  The mass of a direction is |<u, xi_hat>|^2
+over the grid size, the base grid's trapezoid rule; only it depends on the
+initial vector, so the measures of several vectors against one system share
+one frame.  Bands of constant velocity contribute exact point masses
+(localization atoms) at w/d, their winding over their covering degree;
+everything else is kept as its (velocity, mass) samples, one per point and
+direction.  Moments, CDF distances and the support read those samples; the
+fixed velocity histogram is only a view for the written outputs.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import numpy as np
 
 from .errors import DomainError
 from .simulate import PositionDistribution, StateVector, _power, rescaled_moment
-from .spectral import EigenSystem, band_projections
+from .spectral import EigenSystem, _velocity_frame
 from .symbol import SymbolMatrix
 
 DEFAULT_BINS = 512
-ATOM_VELOCITY_SPREAD = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +58,6 @@ class LimitMeasure:
             sum(mass for x, mass in self.atoms if abs(x - location) <= tol)
         )
 
-    def max_support(self) -> float:
-        atom_speed = max((abs(x) for x, m in self.atoms if m > 0), default=0.0)
-        speeds = np.abs(self.velocities[self.masses > 0])
-        return float(np.max(speeds, initial=atom_speed))
-
     def histogram(self) -> tuple[np.ndarray, np.ndarray]:
         """(centers, masses) of DEFAULT_BINS cells on [-V, V], V the largest speed.
 
@@ -90,12 +85,16 @@ def limit_measure(
 ) -> LimitMeasure:
     """Weak limit of the rescaled position distribution of walk^t applied to xi.
 
-    The system is refined, as every EigenSystem is when built.  Bands
-    whose velocity spread is below ATOM_VELOCITY_SPREAD become exact atoms at
-    winding/d; every other band gives one (velocity, mass) sample per covering
-    point, the mass being its weight over the base grid size, so the support
-    bound and the spectral accuracy of the grid sums are built in.
+    A band is an atom when each of its covering values has, in its eigenvalue
+    cluster, a direction whose velocity is within ATOM_VELOCITY_SPREAD of
+    winding/d (spectral._velocity_frame); those directions put their mass on
+    one exact atom at winding/d.  Every other direction is one (velocity,
+    mass) sample, in (point, direction) order, its mass |<u, xi_hat>|^2 over
+    the base grid size, so the support bound and the spectral accuracy of
+    the grid sums are built in.
     """
+    if walk.n != xi.n:
+        raise DomainError(f"dimension mismatch: walk n={walk.n}, vector n={xi.n}")
     m = system.base_grid
     xi_hat = xi.fourier_samples(m)
     mean_norm = float(np.mean(np.sum(np.abs(xi_hat) ** 2, axis=1)))
@@ -105,31 +104,13 @@ def limit_measure(
             "(is xi a unit vector with support smaller than the grid?)"
         )
     xi_hat = xi_hat / np.sqrt(mean_norm)
-    weights, velocities = band_projections(walk, system, xi_hat)
-
-    atoms: list[tuple[float, float]] = []
-    cont_x: list[np.ndarray] = []
-    cont_mass: list[np.ndarray] = []
-    for band, w, v in zip(system.bands, weights, velocities):
-        mass_grid = w / m  # each base point carries measure 1/M
-        if np.ptp(v) < ATOM_VELOCITY_SPREAD:
-            atoms.append((band.winding / band.d, float(mass_grid.sum())))
-            continue
-        cont_x.append(v.ravel())
-        cont_mass.append(mass_grid.ravel())
-
-    merged_atoms: list[tuple[float, float]] = []
-    for x, mass in sorted(atoms):
-        if merged_atoms and abs(merged_atoms[-1][0] - x) < 1e-12:
-            merged_atoms[-1] = (merged_atoms[-1][0], merged_atoms[-1][1] + mass)
-        else:
-            merged_atoms.append((x, mass))
-
-    return LimitMeasure(
-        tuple(merged_atoms),
-        np.concatenate(cont_x or [[]]),
-        np.concatenate(cont_mass or [[]]),
-    )
+    frame = _velocity_frame(walk, system)
+    coeffs = (frame.left @ xi_hat[:, :, None])[:, :, 0]
+    mass = (coeffs.real**2 + coeffs.imag**2) / m  # each base point carries measure 1/M
+    sample = np.isnan(frame.atom)
+    locations = sorted(set(frame.atom[~sample].tolist()))
+    atoms = tuple((x, float(mass[frame.atom == x].sum())) for x in locations)
+    return LimitMeasure(atoms, frame.velocity[sample], mass[sample])
 
 
 def limit_moments(measure: LimitMeasure, m: int) -> float:

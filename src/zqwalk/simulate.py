@@ -66,11 +66,6 @@ class StateVector:
     def delta(cls, site: int, channel: int, n: int) -> "StateVector":
         return cls({(site, channel): 1.0}, n)
 
-    @classmethod
-    def from_channel_vector(cls, site: int, vec, n: int | None = None) -> "StateVector":
-        vec = np.asarray(vec, dtype=complex)
-        return _settle([site] * len(vec), np.arange(1, len(vec) + 1), vec, n or len(vec))
-
     @property
     def amplitudes(self) -> Mapping[tuple[int, int], complex]:
         """{(site, channel): amplitude}, rebuilt on each access."""
@@ -85,10 +80,6 @@ class StateVector:
         channels = np.concatenate([self.channels, other.channels])
         values = np.concatenate([self.values, -other.values])
         return _settle(sites, channels, values, max(self.n, other.n)).norm()
-
-    @property
-    def support_radius(self) -> int:
-        return int(np.max(np.abs(self.sites), initial=0))
 
     def fourier_samples(self, grid_size: int) -> np.ndarray:
         """xi_hat on a uniform circle grid, shape (grid_size, n); exact Fourier sums."""
@@ -184,9 +175,6 @@ class PositionDistribution:
     def probs(self) -> dict[int, float]:
         """{site: probability} in increasing site order, built once."""
         return dict(zip(self.sites.tolist(), self.masses.tolist()))
-
-    def mass_outside(self, radius: float) -> float:
-        return float(np.sum(self.masses[np.abs(self.sites) > radius]))
 
 
 def apply_walk(walk: SymbolMatrix, xi: StateVector) -> StateVector:

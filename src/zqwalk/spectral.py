@@ -5,8 +5,8 @@ analytic loops: following each eigenvalue continuously around the base circle
 permutes the eigenvalue labels, and each cycle of length d of that permutation
 is one branch living on a d-fold covering circle.  This module recovers those
 cycles numerically (track_bands) and derives the invariants that hang off the
-branch structure: winding numbers, continuous-time realizability,
-spectral-projection weights of an initial vector and the group velocities.
+branch structure: winding numbers, continuous-time realizability, and the
+velocity frame of the weak limit (_velocity_frame).
 Every EigenSystem is refined when it is built: it contracts each
 rotation-symmetric branch to its minimal period and merges coinciding ones
 into multiplicities.  Conjugacy of two walks needs no tracking: the bands
@@ -59,11 +59,11 @@ passes and a row that never does raises ResolutionError.  The eigenvectors
 come back orthonormal, so V^-1 is V^H and no inverse is taken.
 
 Grid work is batched: one eigendecomposition of the (M, n, n) symbol stack
-serves tracking, and the system keeps it for band_projections, whose
-vector-free half is built once per system and walk.  Matching, composition,
-weights and velocities are array operations over all M points, except the
-uncertified steps (each extrapolates from the one before) and the
-velocities at self-collisions.
+serves tracking, and the system keeps it for the velocity frame of
+limit_measure, built once per system and walk.  Matching, composition and
+velocities are array operations over all M points, except the uncertified
+steps (each extrapolates from the one before); the velocities of eigenvalue
+clusters take one batched eigh per cluster size.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from .symbol import SymbolMatrix, char_poly, verify_unitary_symbol
 # char_poly prunes below PRUNE_TOL = 1e-14, conjugate pairs of generated walks
 # differ by about that much, and distinct band systems by order one.
 CHAR_POLY_TOL = 1e-12
+ATOM_VELOCITY_SPREAD = 1e-9
 CROSSING_WIDTH = 4e-15  # the narrowest sub-step: a few ulps of 2 pi
 DEFAULT_BASE_GRID = 1024
 DEFAULT_TOL = 1e-6
@@ -167,7 +168,7 @@ class EigenSystem:
     Three read-only attachments ride along and __eq__ ignores them: `record`
     is track_bands' TrackingRecord, `_solved` the (walk, evals, vecs)
     eigendecomposition on base_grid that it tracked through, and `_frame`
-    the vector-free half of band_projections (_Frame), built on first use.
+    the velocity frame of limit_measure (_Frame), built on first use.
     """
 
     bands: tuple[Band, ...]
@@ -652,8 +653,8 @@ def track_bands(walk: SymbolMatrix, base_grid: int = DEFAULT_BASE_GRID) -> Eigen
     module docstring; the step permutations compose into one permutation
     whose cycles give covering degrees, one Band each (its winding validated,
     ResolutionError where under-resolved), refined as every EigenSystem is
-    when it is built.  The system keeps its grid's decomposition for
-    band_projections, tied to this walk, and its TrackingRecord, each stack
+    when it is built.  The system keeps its grid's decomposition for the
+    velocity frame, tied to this walk, and its TrackingRecord, each stack
     solved and the bisection's time included.
 
     Parameters
@@ -815,70 +816,26 @@ def are_conjugate(
 
 
 # ---------------------------------------------------------------------------
-# spectral-projection weights and group velocities
+# the velocity frame
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """The vector-free half of band_projections for one walk and band set:
-    W = V^H for the orthonormal eigenvectors V, eigenvalue clusters, each
-    slot's cluster and how many slots share it, the read-only velocities and
-    the band boundaries.
+    """The vector-free half of limit_measure for one walk and band set.
+
+    Row j of `left` at point k is the j-th eigen-direction of the asymptotic
+    velocity operator there; `velocity` and `atom`, both (M, n), hold its
+    velocity and the atom it belongs to, NaN for a sample.
     """
 
     walk: SymbolMatrix
     left: np.ndarray
-    linked: np.ndarray
-    slot_cluster: np.ndarray
-    slot_count: np.ndarray
     velocity: np.ndarray
-    split: np.ndarray
+    atom: np.ndarray
 
 
-def band_projections(
-    walk: SymbolMatrix,
-    system: EigenSystem,
-    xi_hat: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Eigenspace weights of xi_hat and group velocities, per band and covering point.
-
-    Returns (weights, velocities), each one (M, d_j) array per band: entry
-    [k, i] belongs to the tracked value at covering index k + i*M over base
-    point z_k.  The weight is the squared norm of the projection of xi_hat(z_k)
-    onto that value's eigenspace; where several covering points of one band
-    fall into a single degenerate cluster (an isolated self-collision), the
-    cluster weight is split evenly among them, so the weights at each z always
-    resolve the identity.  Clusters mixing distinct bands are an error.  The
-    velocity is d arg(lambda)/dtheta in base-circle units, so a band of
-    winding w and degree d averages w/d and a flat band is constant; the
-    velocity arrays are read-only.
-
-    All grid points are handled at once.  The half that does not depend on
-    xi_hat (the decomposition U = V diag(lambda) V^H with V orthonormal,
-    clusters, slot matching, checks and velocities) is built once per system
-    and walk and cached on the system (_projection_frame).  Per vector,
-    a = V^H xi_hat, and the weight of an eigenvalue cluster c (single linkage
-    at DEGENERACY_TOL) is sum_{i in c} |a_i|^2: the columns of V in c are an
-    orthonormal basis of c's eigenspace, so this is the squared norm of the
-    spectral projector of c applied to xi_hat.  No inverse is taken.
-    """
-    m = system.base_grid
-    xi_hat = np.asarray(xi_hat, dtype=complex)
-    if xi_hat.shape != (m, walk.n):
-        raise DomainError(f"xi_hat must have shape ({m}, {walk.n})")
-    frame = _projection_frame(walk, system)
-    coeffs = (frame.left @ xi_hat[:, :, None])[:, :, 0]
-    power = coeffs.real**2 + coeffs.imag**2
-    cluster_weight = (power[:, None, :] @ frame.linked)[:, 0, :]  # [k, j]: j's cluster
-    share = np.take_along_axis(cluster_weight, frame.slot_cluster, axis=1) / frame.slot_count
-    return (
-        np.split(share, frame.split, axis=1),
-        np.split(frame.velocity, frame.split, axis=1),
-    )
-
-
-def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
+def _velocity_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     """The system's cached frame for `walk`, built (and cached) if there is none.
 
     The eigendecomposition is the one track_bands solved when the system
@@ -887,71 +844,62 @@ def _projection_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     so its spectrum is checked against the bands afresh.  The eigenvectors V
     are orthonormal, so W = V^H.
 
-    Velocities are Hellmann-Feynman slopes Re((W U' V)_ii / (i lambda_i)),
-    with U' exact from the symbol's coefficients.  Where one cluster holds
-    several covering points of a band, the slopes are the eigenvalues of the
-    Hermitian part of the cluster block of W U' V / (i lambda) (degenerate
-    perturbation theory; the block is Hermitian for a unitary U), assigned
-    to the covering points in the order of their velocities at the
-    neighbouring grid point.  Each tracked covering value is matched to its
-    nearest eigenvalue, and through it to that eigenvalue's cluster.
+    A cluster of one eigenvalue (single linkage at DEGENERACY_TOL) has the
+    Hellmann-Feynman velocity Re((W U' V)_ii / (i lambda_i)), with U' exact
+    from the symbol's coefficients.  In a larger cluster the directions of
+    the analytic branches through it are the eigenvectors u of the Hermitian
+    part of its block of W U' V / (i lambda), and their velocities the
+    eigenvalues (Kato, Perturbation Theory, ch. II sections 5-6): one batched
+    eigh per cluster size, whose u^H rotates those clusters' rows of W.  Each
+    tracked covering value is matched to its nearest eigenvalue, and through
+    it to that eigenvalue's cluster; every cluster must be matched.
+
+    A band is an atom when each of its covering values has, in its cluster,
+    a direction whose velocity is within ATOM_VELOCITY_SPREAD of winding/d;
+    those directions belong to the atom at winding/d.
     """
     frame = system._frame
     if frame is not None and frame.walk is walk:
         return frame
     m = system.base_grid
-    n = walk.n
     if system._solved is not None and system._solved[0] is walk:
         evals, vecs = system._solved[1:]
     else:
         evals, vecs, _retried = _unitary_eig(walk.grid_eval(m))
-    left = vecs.conj().swapaxes(1, 2)
     linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
-    shifts = walk.shifts
-    derivative = circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m)
-    slope = np.einsum("kij,kji->ki", left, derivative @ vecs) / (1j * evals)
-
-    degrees = [b.d for b in system.bands]
-    slot_values = np.concatenate(
-        [b.samples.reshape(b.d, m).T for b in system.bands], axis=1
-    )  # (M, slots): slot (j, i) holds band j's value at covering index k + i*M
-    slot_band = np.repeat(np.arange(len(degrees)), degrees)
-    dist = np.abs(slot_values[:, :, None] - evals[:, None, :])
-    nearest = np.argmin(dist, axis=2)
+    samples = np.concatenate([b.samples.reshape(b.d, m).T for b in system.bands], axis=1)
+    dist = np.abs(samples[:, :, None] - evals[:, None, :])  # [k, slot, eigenvalue]
     if np.any(np.min(dist, axis=2) > max(10 * DEGENERACY_TOL, 1e-6)):
         raise ResolutionError(
             "tracked band value does not match the spectrum; "
             "system and walk are out of sync"
         )
-    slot_cluster = np.take_along_axis(label, nearest, axis=1)
-    count = np.sum(slot_cluster[:, :, None] == np.arange(n), axis=1)  # slots per cluster
-    if np.any(np.take_along_axis(count, label, axis=1) == 0):
+    cluster = np.take_along_axis(label, np.argmin(dist, axis=2), axis=1)
+    member = cluster[:, :, None] == label[:, None, :]  # [k, slot, j]
+    if not np.all(np.any(member, axis=1)):
         raise ResolutionError("eigenvalue cluster not covered by any band")
-    same_cluster = slot_cluster[:, :, None] == slot_cluster[:, None, :]
-    if np.any(same_cluster & (slot_band[:, None] != slot_band[None, :])):
-        raise ResolutionError(
-            "eigenvalue cluster ambiguous: distinct bands collide at a "
-            "grid point within the clustering tolerance"
-        )
-    slot_count = np.take_along_axis(count, slot_cluster, axis=1)
-    velocity = np.take_along_axis(slope.real, nearest, axis=1)
-    # self-collisions: a cluster holding several slots holds only one band's
-    collisions = {(k, slot_cluster[k, s]) for k, s in zip(*np.nonzero(slot_count > 1))}
-    for k, c in collisions:
-        members = np.flatnonzero(label[k] == c)
-        block = left[k, members] @ derivative[k] @ vecs[k][:, members]
-        block /= 1j * evals[k, members, None]
-        cluster_slopes = np.linalg.eigh((block + block.conj().T) / 2)[0]  # ascending
-        slots = np.flatnonzero(slot_cluster[k] == c)
-        mult = system.bands[slot_band[slots[0]]].multiplicity
-        # slot (M-1, i) continues as (0, i+1), so the seam looks back instead
-        beside = k + 1 if k < m - 1 else k - 1
-        order = np.argsort(velocity[beside, slots])
-        velocity[k, slots[order]] = cluster_slopes[::mult]
+
+    left = vecs.conj().swapaxes(1, 2)
+    shifts = walk.shifts
+    slope = circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m) @ vecs
+    velocity = (np.einsum("kij,kji->ki", left, slope) / (1j * evals)).real.copy()
+    size = np.count_nonzero(linked, axis=2)
+    for s in set(size[size > 1].tolist()):  # not np.unique, which imports numpy.ma
+        k, head = np.nonzero((size == s) & (label == np.arange(walk.n)))
+        k = k[:, None]
+        members = np.nonzero(label[k[:, 0]] == head[:, None])[1].reshape(-1, s)
+        rows = left[k, members]
+        block = rows @ slope[k, :, members].swapaxes(1, 2) / (1j * evals[k, members, None])
+        velocity[k, members], u = np.linalg.eigh((block + block.conj().swapaxes(1, 2)) / 2)
+        left[k, members] = u.conj().swapaxes(1, 2) @ rows
     velocity.flags.writeable = False
-    frame = _Frame(
-        walk, left, linked, slot_cluster, slot_count, velocity, np.cumsum(degrees)[:-1]
-    )
+    atom = np.full(velocity.shape, np.nan)
+    split = np.cumsum([b.d for b in system.bands])[:-1]
+    for band, hit in zip(system.bands, np.split(member, split, axis=1)):
+        hit = hit & (np.abs(velocity - band.winding / band.d) < ATOM_VELOCITY_SPREAD)[:, None]
+        if hit.any(axis=2).all():
+            atom[hit.any(axis=1)] = band.winding / band.d
+    frame = _Frame(walk, left, velocity, atom)
     object.__setattr__(system, "_frame", frame)
     return frame

@@ -29,7 +29,7 @@ import numpy as np
 
 from .circle import alias_free_grid, circle_coefficients, circle_values, require_values
 from .errors import DomainError
-from .laurent import PRUNE_TOL, LaurentPoly, coefficient_distance, evaluate, settle, stack_terms
+from .laurent import PRUNE_TOL, LaurentPoly, evaluate, settle, stack_terms
 
 UNITARY_GRID = 256  # least circle grid of the unitarity check
 UNITARY_TOL = 1e-8  # bound on |U*U - I|: every command's unitarity verdict
@@ -103,9 +103,6 @@ class SymbolMatrix:
     def coefficient_sequences(self) -> dict[int, np.ndarray]:
         """Map shift -> coefficient matrix, over the live shifts."""
         return dict(zip(self.shifts.tolist(), self.coeffs))
-
-    def allclose(self, other: "SymbolMatrix", tol: float = 1e-12) -> bool:
-        return self.n == other.n and coefficient_distance(self, other) <= tol
 
     def __call__(self, z: complex) -> np.ndarray:
         return eval_symbol(self, z)

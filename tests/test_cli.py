@@ -35,6 +35,7 @@ from zqwalk import (
     track_bands,
 )
 from support import (
+    channel_vector,
     compared_moments,
     conjugated_coined_sum,
     coupled_coined_sum,
@@ -43,10 +44,12 @@ from support import (
     loop_distribution_csv,
     loop_generator_csv,
     loop_measure_csv,
+    max_support,
     pinned_walks,
     poly_terms,
     random_local_state,
     recorded_grid_evals,
+    symbols_close,
 )
 from zqwalk import io as zio
 from zqwalk.cli import main
@@ -62,7 +65,7 @@ def spec_dir(tmp_path):
         "grover3.json": zio.walk_to_json(grover_walk_3()),
         "delta0_ch1.json": zio.state_to_json(StateVector.delta(0, 1, 2)),
         "grover_init.json": zio.state_to_json(
-            StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+            channel_vector(0, [0.0, 1.0, 0.0])
         ),
         "shift_model.json": {
             "model": {"d": 1, "lambda_coeffs": [{"shift": 1, "re": 1.0, "im": 0.0}]}
@@ -80,7 +83,7 @@ def test_parse_walk_fixture(spec_dir):
     walk = zio.parse_spec((spec_dir / "hadamard.json").read_text())
     assert isinstance(walk, SymbolMatrix)
     assert walk.n == 2 and walk.propagation_radius == 1
-    assert walk.allclose(coined_walk())
+    assert symbols_close(walk, coined_walk())
 
 
 def test_parse_model_form(spec_dir):
@@ -108,7 +111,7 @@ def test_repeated_walk_entries_are_summed(tmp_path, capsys):
     first["terms"][0]["re"] = 0.5
     rest = {"row": 1, "col": 1, "terms": [{"shift": -1, "re": 0.20710678118654757, "im": 0.0}]}
     payload["entries"].insert(1, rest)
-    assert zio.walk_from_json(payload).allclose(coined_walk(), 0.0)
+    assert symbols_close(zio.walk_from_json(payload), coined_walk(), 0.0)
     spec = tmp_path / "split.json"
     spec.write_text(json.dumps(payload))
     assert run_cli("check", spec, "--out", tmp_path / "check") == 0
@@ -160,7 +163,7 @@ def test_walk_json_round_trip():
             golden = json.loads((FIXTURES / f"{fixture}.json").read_text())
             assert text == json.dumps(golden), name
         again = zio.walk_from_json(json.loads(text))
-        assert again.allclose(walk, 0.0), name
+        assert symbols_close(again, walk, 0.0), name
         for item in payload["entries"]:
             poly = again.entries[item["row"] - 1][item["col"] - 1]
             want = {t["shift"]: complex(t["re"], t["im"]) for t in item["terms"]}
@@ -264,12 +267,12 @@ def test_eigensystem_json_payload():
 
 def test_measure_json_payload():
     walk = grover_walk_3()
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
     mu = limit_measure(walk, xi, refine_system(track_bands(walk, 256)))
     payload = json.loads(json.dumps(zio.measure_to_json(mu)))
     assert [(a["x"], a["mass"]) for a in payload["atoms"]] == list(mu.atoms)
     assert len(payload["bins"]) == DEFAULT_BINS
-    assert max(abs(b["x"]) for b in payload["bins"]) <= mu.max_support()
+    assert max(abs(b["x"]) for b in payload["bins"]) <= max_support(mu)
     total = sum(item["mass"] for item in payload["atoms"] + payload["bins"])
     assert abs(total - mu.total_mass) <= 1e-12
 
@@ -688,8 +691,8 @@ def test_script_runs(command, artifacts, tmp_path, monkeypatch, capsys):
 
 
 BENCH_STAGES = {
-    "grid_eval", "eig", "np_eig", "track_bands", "band_projections_first",
-    "band_projections_repeat", "limit_measure",
+    "grid_eval", "eig", "np_eig", "track_bands", "limit_measure_first",
+    "limit_measure_repeat",
     "evolve_t400", "evolve_t1600", "evolve_t6400", "moments_t6400",
     "position_distribution_t6400", "cdf_distance_t6400", "verify_unitary_symbol",
     "char_poly", "verify_cayley_hamilton", "symbol_power_t64", "build_model_walk",
@@ -727,6 +730,7 @@ def test_bench_script_writes_report(tmp_path):
     accuracy = report["accuracy"]
     assert max(accuracy["coined_m1_err"], accuracy["coined_m2_err"]) < 1e-12
     assert accuracy["grover3_atom_err"] < 1e-12
+    assert accuracy["grover3_ch1_m1_err"] < 1e-13
     assert accuracy["norm_drift_max"] < 1e-9
     assert accuracy["evolve_l2_t400_max"] < 1e-12
     assert accuracy["z100000_cayley_hamilton"] <= 1e-15
@@ -761,7 +765,8 @@ def test_bench_script_times_stages_against_a_checkout(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert report["against"]["checkout"] == str(root.resolve())
-    assert set(report) == {"environment", "grid", "against", "stages"}
+    assert set(report) == {"environment", "grid", "against", "stages", "accuracy"}
+    assert report["accuracy"]["grover3_ch1_m1_err"] < 1e-13
     assert set(report["stages"]) == {"hadamard", "modified_hadamard", "grover3", "split_n6"}
     for stages in report["stages"].values():
         assert set(stages) == BENCH_STAGES

@@ -12,7 +12,6 @@ from zqwalk import (
     EigenSystem,
     StateVector,
     SymbolMatrix,
-    band_projections,
     build_model_walk,
     coined_walk,
     compose,
@@ -23,9 +22,22 @@ from zqwalk import (
     limit_moments,
     position_distribution,
     refine_system,
+    symbol_power,
     track_bands,
 )
-from support import compared_moments, random_constant_unitary, random_unimodular_spec
+from zqwalk.spectral import _velocity_frame
+from support import (
+    channel_vector,
+    compared_moments,
+    finite_time_moments,
+    known_answer_walks,
+    mass_outside,
+    max_support,
+    random_constant_unitary,
+    random_local_state,
+    random_split_step_walk,
+    random_unimodular_spec,
+)
 
 R = 2**-0.5
 
@@ -38,13 +50,17 @@ def refined(walk, grid=1024):
 
 
 def velocities(walk, system):
-    xi_hat = StateVector.delta(0, 1, walk.n).fourier_samples(system.base_grid)
-    return band_projections(walk, system, xi_hat)[1]
+    """(M, n) velocities of the limit's directions at each base point, each row sorted."""
+    return np.sort(_velocity_frame(walk, system).velocity, axis=1)
 
 
-def covering_velocity(band, v):
-    """d arg/dphi on the covering circle, in covering-index order."""
-    return band.d * v.T.ravel()
+def per_point(system, covering):
+    """The same from each band's covering-circle slopes d arg/dphi, (M, n)."""
+    rows = [
+        np.repeat(covering(band).reshape(band.d, -1).T / band.d, band.multiplicity, axis=1)
+        for band in system.bands
+    ]
+    return np.sort(np.concatenate(rows, axis=1), axis=1)
 
 
 def test_velocity_of_pure_shift():
@@ -64,11 +80,7 @@ def test_velocity_coined_closed_form(tracked_corpus):
     theta = 2.0 * np.pi * np.arange(system.base_grid) / system.base_grid
     want = (R * np.sin(theta) / np.sqrt(1.0 - R * R * np.cos(theta) ** 2))[:, None]
     v = velocities(coined_walk(), system)
-    errs = [
-        min(float(np.max(np.abs(vj - want))), float(np.max(np.abs(vj + want))))
-        for vj in v
-    ]
-    assert max(errs) < 1e-9
+    assert np.max(np.abs(v - np.sort(np.hstack([want, -want]), axis=1))) < 1e-9
 
 
 def test_velocity_matches_central_differences_coined():
@@ -76,32 +88,36 @@ def test_velocity_matches_central_differences_coined():
     # cross-check tolerance needs the finer grid
     walk = coined_walk()
     system = refined(walk, 4096)
-    for band, v in zip(system.bands, velocities(walk, system), strict=True):
+
+    def central(band):
         count = len(band.samples)
         step = 2.0 * np.pi / count
         arg = np.unwrap(np.angle(band.samples))
         periodic = arg - band.winding * 2.0 * np.pi * np.arange(count) / count
-        central = (np.roll(periodic, -1) - np.roll(periodic, 1)) / (2.0 * step)
-        h = covering_velocity(band, v)
-        assert np.max(np.abs(h - central - band.winding)) < 1e-6
+        return (np.roll(periodic, -1) - np.roll(periodic, 1)) / (2.0 * step) + band.winding
+
+    assert np.max(np.abs(velocities(walk, system) - per_point(system, central))) < 1e-6
 
 
 def test_velocity_matches_finite_differences(tracked_corpus):
     # fourth-order stencil on the periodic part of the argument
+    # (including both branches of the d = 2 band where it meets itself at z = 1)
     system = tracked_corpus["grover3"]
-    for band, v in zip(system.bands, velocities(grover_walk_3(), system), strict=True):
+
+    def stencil(band):
         count = len(band.samples)
         step = 2.0 * np.pi / count
         arg = np.unwrap(np.angle(band.samples))
         periodic = arg - band.winding * 2.0 * np.pi * np.arange(count) / count
-        stencil = (
+        return (
             -np.roll(periodic, -2)
             + 8 * np.roll(periodic, -1)
             - 8 * np.roll(periodic, 1)
             + np.roll(periodic, 2)
-        ) / (12.0 * step)
-        h = covering_velocity(band, v)
-        assert np.max(np.abs(h - stencil - band.winding)) < 1e-8
+        ) / (12.0 * step) + band.winding
+
+    v = velocities(grover_walk_3(), system)
+    assert np.max(np.abs(v - per_point(system, stencil))) < 1e-8 / 2
 
 
 # -- limit measures --------------------------------------------------------------
@@ -119,7 +135,7 @@ def test_coined_measure_support_and_mass(tracked_corpus):
     mu = limit_measure(walk, StateVector.delta(0, 1, 2), tracked_corpus["coined"])
     assert mu.atoms == ()
     assert mu.total_mass == pytest.approx(1.0, abs=1e-6)
-    assert mu.max_support() <= R + 1e-9
+    assert max_support(mu) <= R + 1e-9
 
 
 def test_coined_moments_match_closed_form_to_roundoff(tracked_corpus):
@@ -134,7 +150,7 @@ def test_coined_moments_match_closed_form_to_roundoff(tracked_corpus):
 
 def test_grover_localization_atom(tracked_corpus):
     walk = grover_walk_3()
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
     mu = limit_measure(walk, xi, tracked_corpus["grover3"])
     assert len(mu.atoms) == 1
     location, mass = mu.atoms[0]
@@ -143,11 +159,25 @@ def test_grover_localization_atom(tracked_corpus):
     assert mass == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-12)
 
 
+def test_grover_first_moment_from_self_colliding_channels(tracked_corpus):
+    # from channels 1 and 3 the d = 2 band's weight at its self-collision
+    # z = 1 is not split evenly between its branches; the references are
+    # pointwise sums at grids 1024 to 32768 and agree with Richardson
+    # extrapolation of the finite-time moments
+    walk = grover_walk_3()
+    for channel, m1 in ((1, -0.183503419072274), (3, 0.183503419072274)):
+        mu = limit_measure(walk, StateVector.delta(0, channel, 3), tracked_corpus["grover3"])
+        assert abs(limit_moments(mu, 1) - m1) < 1e-13, channel
+    cubed = symbol_power(walk, 3)
+    mu = limit_measure(cubed, StateVector.delta(0, 1, 3), refined(cubed))
+    assert abs(limit_moments(mu, 1) + 0.550510257216822) < 1e-13
+
+
 @pytest.mark.parametrize("grid", [4096, 16384])
 def test_grover_localization_atom_on_fine_grids(grid):
     # the flat band must stay an atom as the grid grows
     walk = grover_walk_3()
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
     mu = limit_measure(walk, xi, refined(walk, grid))
     assert mu.atom_mass(0.0) == pytest.approx(1.0 - 2.0 / np.sqrt(6.0), abs=1e-8)
 
@@ -162,7 +192,7 @@ def test_hand_built_flat_band_takes_its_winding_from_its_samples():
         Band(1, flat.samples, 1)
     system = EigenSystem((loop, Band(1, flat.samples)), 3, 256)
     assert system == tracked and system.bands[0].winding == 0
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
     mu = limit_measure(walk, xi, system)
     assert mu.atoms == limit_measure(walk, xi, tracked).atoms
     assert [x for x, _mass in mu.atoms] == [0.0]
@@ -229,19 +259,72 @@ def test_compare_coined_decreasing(tracked_corpus):
 
 def test_conjugation_leaves_moments(rng, tracked_corpus):
     walk = grover_walk_3()
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
     mu = limit_measure(walk, xi, tracked_corpus["grover3"])
     v = random_constant_unitary(rng, 3)
     conj_walk = compose(
         SymbolMatrix.from_constant(v),
         compose(walk, SymbolMatrix.from_constant(v.conj().T)),
     )
-    conj_xi = StateVector.from_channel_vector(0, v @ np.array([0.0, 1.0, 0.0]))
+    conj_xi = channel_vector(0, v @ np.array([0.0, 1.0, 0.0]))
     conj_mu = limit_measure(conj_walk, conj_xi, refined(conj_walk))
     for m in range(1, 5):
         assert limit_moments(mu, m) == pytest.approx(
             limit_moments(conj_mu, m), abs=1e-6
         )
+
+
+def _finite_time_cases(corpus):
+    """(name, walk, vectors): the fixtures and grover3^3 from every channel,
+    seeded split steps (n <= 4, radius <= 3) and the known-answer walks whose
+    avoided crossings are at least 1e-1 wide, each also from a random local
+    vector; the times reach their limits well within the oracle's reach."""
+    walks = dict(corpus)
+    walks["grover3_cubed"] = symbol_power(grover_walk_3(), 3)
+    for n, radius in ((2, 3), (3, 2), (4, 1)):
+        walks[f"split_n{n}"] = random_split_step_walk(np.random.default_rng(300 + n), n, radius)
+    walks.update(
+        (name, walk) for name, (walk, answer) in known_answer_walks().items()
+        if min(answer["avoided"], default=np.inf) >= 1e-1
+    )
+    rng = np.random.default_rng(2718)
+    for name, walk in walks.items():
+        vectors = [StateVector.delta(0, c, walk.n) for c in range(1, walk.n + 1)]
+        yield name, walk, vectors + [random_local_state(rng, walk.n)]
+
+
+def _rotated(xi, v):
+    """V xi: the constant matrix v applied to the channels at every site."""
+    sites = np.unique(xi.sites)
+    dense = np.zeros((len(sites), xi.n), dtype=complex)
+    dense[np.searchsorted(sites, xi.sites), xi.channels - 1] = xi.values
+    rows = dense @ v.T
+    return StateVector(
+        {(int(x), c + 1): a for x, row in zip(sites, rows) for c, a in enumerate(row)}, xi.n
+    )
+
+
+def test_limit_matches_finite_time_oracle(corpus):
+    # limit m1-m4 against Richardson-extrapolated finite-time moments, which
+    # share no code with limit; the mass is 1, and a constant conjugation of
+    # walk and vector leaves the moments as they are
+    rng = np.random.default_rng(1618)
+    for name, walk, vectors in _finite_time_cases(corpus):
+        system = refined(walk)
+        v = random_constant_unitary(rng, walk.n)
+        conj_walk = compose(
+            SymbolMatrix.from_constant(v), compose(walk, SymbolMatrix.from_constant(v.conj().T))
+        )
+        conj_system = refined(conj_walk)
+        for xi in vectors:
+            mu = limit_measure(walk, xi, system)
+            moments = np.array([limit_moments(mu, k) for k in range(1, 5)])
+            estimate, error = finite_time_moments(walk, xi, 4, (4096, 8192, 16384))
+            assert np.all(np.abs(moments - estimate) <= error + 1e-6), (name, xi.values)
+            assert abs(mu.total_mass - 1.0) <= 1e-12, name
+            nu = limit_measure(conj_walk, _rotated(xi, v), conj_system)
+            conj = np.array([limit_moments(nu, k) for k in range(1, 5)])
+            assert np.max(np.abs(conj - moments)) <= 1e-10, name
 
 
 def test_model_walk_pushforward_consistency(rng):
@@ -260,7 +343,7 @@ def test_empirical_support_concentrates(tracked_corpus):
     walk = coined_walk()
     xi = StateVector.delta(0, 1, 2)
     dist = position_distribution(evolve(walk, xi, 400), time=400)
-    assert dist.mass_outside((R + 0.05) * 400) < 0.02
+    assert mass_outside(dist, (R + 0.05) * 400) < 0.02
 
 
 def test_cdf_distance_diagnostic(tracked_corpus):
@@ -358,18 +441,22 @@ def test_limit_moments_match_loop_reference(corpus, tracked_corpus, name):
 
 
 def test_cdf_distance_loads_no_numpy_ma():
-    # np.union1d imports numpy.ma on its first call, a module load in every fresh process
+    # np.union1d and np.unique import numpy.ma on their first call, a module
+    # load in every fresh process; grover3's limit frame splits a cluster at z = 1
     src = Path(zqwalk.__file__).resolve().parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "from zqwalk import LimitMeasure, PositionDistribution, cdf_distance\n"
+        "from zqwalk import StateVector, grover_walk_3, limit_measure, track_bands\n"
         "mu = LimitMeasure(((0.0, 0.5),), (0.5, 1.0), (0.25, 0.25))\n"
+        "walk = grover_walk_3()\n"
+        "nu = limit_measure(walk, StateVector.delta(0, 1, 3), track_bands(walk, 64))\n"
         "print(cdf_distance(mu, PositionDistribution({-1: 0.25, 0: 0.25, 2: 0.5}), 2),"
-        " 'numpy.ma' in sys.modules)\n"
+        " len(nu.atoms), 'numpy.ma' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split() == ["0.25", "False"]
+    assert done.stdout.split() == ["0.25", "1", "False"]
 
 
 @pytest.mark.parametrize("name", ["coined", "grover3"])
@@ -406,7 +493,7 @@ def test_coined_density_matches_arcsine_type_law(tracked_corpus):
 def test_compare_grover_at_long_horizon(tracked_corpus):
     rows = compared_moments(
         grover_walk_3(),
-        StateVector.from_channel_vector(0, [0.0, 1.0, 0.0]),
+        channel_vector(0, [0.0, 1.0, 0.0]),
         tracked_corpus["grover3"],
         [1600],
         2,

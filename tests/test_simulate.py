@@ -24,11 +24,14 @@ from zqwalk import (
 )
 from zqwalk.simulate import MAX_CONE_VALUES, _fast_fft_length
 from support import (
+    channel_vector,
     dict_apply_walk,
+    mass_outside,
     random_constant_unitary,
     random_local_state,
     random_split_step_walk,
     random_unimodular_spec,
+    support_radius,
 )
 
 R = 2**-0.5
@@ -107,7 +110,7 @@ def test_support_bound_exact():
     walk = coined_walk()
     xi = StateVector.delta(3, 1, 2)
     out = evolve(walk, xi, 17)
-    assert out.support_radius <= 3 + 17 * walk.propagation_radius
+    assert support_radius(out) <= 3 + 17 * walk.propagation_radius
 
 
 # -- evolution through the symbol against the stepping oracle -----------------
@@ -238,7 +241,7 @@ def test_long_evolution_regression(corpus, name):
                random_local_state(np.random.default_rng(6400), walk.n, 3)):
         out = evolve(walk, xi, 6400)
         assert abs(out.norm() - 1.0) <= 1e-9
-        assert out.support_radius <= xi.support_radius + walk.propagation_radius * 6400
+        assert support_radius(out) <= support_radius(xi) + walk.propagation_radius * 6400
         lattice = position_distribution(evolve(walk, xi, 1600)).probs
         fourier = fourier_position_distribution(walk, xi, 1600).probs
         sites = set(lattice) | set(fourier)
@@ -248,7 +251,7 @@ def test_long_evolution_regression(corpus, name):
 
 def test_fourier_consistency():
     walk = grover_walk_3()
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
     t = 50
     lattice = position_distribution(evolve(walk, xi, t), time=t)
     fourier = fourier_position_distribution(walk, xi, t)
@@ -330,7 +333,7 @@ def test_every_distribution_has_increasing_unique_read_only_sites(corpus, name):
                 _assert_distribution_layout(made)
     empty = position_distribution(StateVector({}, walk.n))
     _assert_distribution_layout(empty)
-    assert empty.probs == {} and empty.mass_outside(0.0) == 0.0
+    assert empty.probs == {} and mass_outside(empty, 0.0) == 0.0
 
 
 def test_rescaled_moment_examples():
@@ -402,7 +405,7 @@ def test_state_rejects_nonfinite_far_or_stray_entries(bad):
 
 def test_state_accepts_sites_up_to_two_to_the_53():
     xi = StateVector({(2**53, 1): 0.6, (-(2**53), 2): 0.8}, 2)
-    assert xi.support_radius == 2**53
+    assert support_radius(xi) == 2**53
     assert rescaled_moment(xi, 2**53, 1) == pytest.approx(-0.28, abs=1e-15)
     with pytest.raises(DomainError):
         apply_walk(SymbolMatrix.shift(1), StateVector.delta(2**53, 1, 1))
@@ -452,6 +455,13 @@ def test_state_refuses_a_fractional_site():
 def test_state_refuses_a_fractional_channel():
     with pytest.raises(DomainError, match="channel 1.5 is not an integer"):
         StateVector({(0, 1.5): 1.0}, 2)
+
+
+def test_channel_vector_refuses_n_below_one():
+    # an explicit n = 0 is refused, not read as "not given"
+    with pytest.raises(DomainError, match="must be positive"):
+        channel_vector(0, [1.0, 0.0], 0)
+    assert channel_vector(0, [1.0, 0.0]).n == 2
 
 
 def test_distribution_refuses_a_fractional_site():

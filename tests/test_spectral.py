@@ -15,7 +15,6 @@ from zqwalk import (
     TrackingRecord,
     UnitarityError,
     are_conjugate,
-    band_projections,
     build_model_walk,
     char_poly,
     coined_lambda,
@@ -43,6 +42,7 @@ from support import (
     FINE_GRID,
     agrees_with_fine_pass,
     band_shape,
+    channel_vector,
     conjugated_coined_sum,
     coupled_coined_sum,
     fft_band_velocities,
@@ -56,7 +56,7 @@ from support import (
     random_split_step_walk,
     random_unimodular_spec,
     recorded_grid_evals,
-    schur_band_projections,
+    schur_velocity_law,
     subsample_system,
     tracked_conjugacy,
 )
@@ -68,6 +68,7 @@ from zqwalk.spectral import (
     _lipschitz,
     _min_cost_assignment,
     _unitary_eig,
+    _velocity_frame,
 )
 
 M = 1024
@@ -768,37 +769,45 @@ def test_index_identity_on_generated_walks(rng):
 # -- projections ----------------------------------------------------------------------
 
 
+def frame_weights(walk, system, xi_hat):
+    """(velocities, weights) of the limit frame's directions, each (M, n):
+    |<u, xi_hat>|^2 for each direction u at each base point."""
+    frame = _velocity_frame(walk, system)
+    coeffs = (frame.left @ xi_hat[:, :, None])[:, :, 0]
+    return frame.velocity, np.abs(coeffs) ** 2
+
+
 def test_projection_single_channel():
     walk = SymbolMatrix.shift(1)
     system = track_bands(walk, 64)
     xi = StateVector.delta(0, 1, 1)
-    weights = band_projections(walk, system, xi.fourier_samples(system.base_grid))[0]
-    assert np.allclose(weights[0], 1.0)
+    weights = frame_weights(walk, system, xi.fourier_samples(system.base_grid))[1]
+    assert np.allclose(weights, 1.0)
 
 
 def test_projection_grover_channel_two(tracked_corpus, corpus):
     walk = corpus["grover3"]
     system = tracked_corpus["grover3"]
-    xi = StateVector.from_channel_vector(0, [0.0, 1.0, 0.0])
-    weights = band_projections(walk, system, xi.fourier_samples(system.base_grid))[0]
-    flat_index = next(j for j, b in enumerate(system.bands) if b.d == 1)
+    xi = channel_vector(0, [0.0, 1.0, 0.0])
+    weights = frame_weights(walk, system, xi.fourier_samples(system.base_grid))[1]
+    flat = _velocity_frame(walk, system).atom == 0.0  # the flat band's directions
+    assert np.all(np.count_nonzero(flat, axis=1) == 1)
     # at z = 1 the flat band's eigenvector is (1,1,1)/sqrt(3), weight 1/3;
     # away from z = 1 it is (1, (1+z)/2, z) up to norm, so the weight profile
     # is (1 + cos(theta)) / (5 + cos(theta))
-    assert weights[flat_index][0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert weights[flat][0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     theta = 2.0 * np.pi * np.arange(system.base_grid) / system.base_grid
     profile = (1.0 + np.cos(theta)) / (5.0 + np.cos(theta))
-    assert np.max(np.abs(weights[flat_index][:, 0] - profile)) < 1e-10
+    assert np.max(np.abs(weights[flat] - profile)) < 1e-10
 
 
 def test_projection_resolution_of_identity(tracked_corpus, corpus, rng):
     walk = corpus["grover3"]
     system = tracked_corpus["grover3"]
-    xi = StateVector.from_channel_vector(0, rng.normal(size=3) + 1j * rng.normal(size=3))
+    xi = channel_vector(0, rng.normal(size=3) + 1j * rng.normal(size=3))
     xi = StateVector({k: v / xi.norm() for k, v in xi.amplitudes.items()}, 3)
     xh = xi.fourier_samples(system.base_grid)
-    weights = band_projections(walk, system, xh)[0]
-    per_point = sum(w.sum(axis=1) for w in weights)
+    per_point = frame_weights(walk, system, xh)[1].sum(axis=1)
     norms = np.sum(np.abs(xh) ** 2, axis=1)
     assert np.max(np.abs(per_point - norms)) < 1e-9
 
@@ -818,7 +827,24 @@ def _reference_cases():
     return cases
 
 
+def _velocity_groups(velocity, mass):
+    """Per point, the velocities (sorted) and summed masses of the directions
+    whose velocities lie within 1e-9 of each other: what the law sees of a
+    cluster whose branches share a velocity, whatever basis splits it."""
+    order = np.argsort(velocity, axis=1)
+    velocity, mass = (np.take_along_axis(x, order, axis=1) for x in (velocity, mass))
+    groups = []
+    for v, w in zip(velocity, mass):
+        start = np.flatnonzero(np.diff(v, prepend=-np.inf) > 1e-9)
+        groups.append((v[start], np.add.reduceat(w, start)))
+    return groups
+
+
 def test_band_projections_match_schur_reference(tracked_corpus, corpus):
+    # the law per point and direction against a per-point Schur reference that
+    # splits each eigenvalue cluster by its velocity block, including grover3's
+    # self-collision at z = 1 and the exactly degenerate direct sum; then
+    # limit_measure's atoms and moments against the reference's sums
     systems = [(name, corpus[name], tracked_corpus[name]) for name in tracked_corpus]
     systems += [
         (name, walk, refine_system(track_bands(walk, grid)))
@@ -829,14 +855,22 @@ def test_band_projections_match_schur_reference(tracked_corpus, corpus):
         m = system.base_grid
         for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
             xh = xi.fourier_samples(m)
-            weights = band_projections(walk, system, xh)[0]
-            reference = schur_band_projections(walk, system, xh)
-            for w, ref in zip(weights, reference, strict=True):
-                assert w.shape == ref.shape
-                assert np.max(np.abs(w - ref)) < 1e-12, name
-            per_point = sum(w.sum(axis=1) for w in weights)
+            velocity, weights = frame_weights(walk, system, xh)
+            ref_v, ref_m = schur_velocity_law(walk, xh)
+            got, want = _velocity_groups(velocity, weights / m), _velocity_groups(ref_v, ref_m)
+            for (v, w), (rv, rw) in zip(got, want, strict=True):
+                assert v.shape == rv.shape, name
+                assert np.max(np.abs(v - rv)) < 1e-12, name
+                assert np.max(np.abs(w - rw)) < 1e-12 / m, name
             norms = np.sum(np.abs(xh) ** 2, axis=1)
-            assert np.max(np.abs(per_point - norms)) < 1e-12, name
+            assert np.max(np.abs(weights.sum(axis=1) - norms)) < 1e-12, name
+            measure = limit_measure(walk, xi, system)
+            for k in range(5):
+                assert abs(limit_moments(measure, k) - np.sum(ref_m * ref_v**k)) < 1e-12, name
+            for x, mass in measure.atoms:
+                near = np.abs(measure.velocities - x) < 1e-9
+                atom = np.sum(ref_m[np.abs(ref_v - x) < 1e-9]) - np.sum(measure.masses[near])
+                assert abs(atom - mass) < 1e-12, name
 
 
 def test_band_velocities_match_fft_reference(corpus):
@@ -850,17 +884,28 @@ def test_band_velocities_match_fft_reference(corpus):
         ("conjugated_sum", conjugated_coined_sum(5), 1024),
         ("shift2", SymbolMatrix.shift(2), 64),
     ]
+    # limit_measure keeps a flat band's directions as its atom and every
+    # other direction as a sample, in (point, direction) order
     for name, walk, grid in cases:
         fine = refine_system(track_bands(walk, max(grid, 1024)))
         system = subsample_system(fine, grid)
-        xh = StateVector.delta(0, 1, walk.n).fourier_samples(grid)
-        velocities = band_projections(walk, system, xh)[1]
+        measure = limit_measure(walk, StateVector.delta(0, 1, walk.n), system)
         step = fine.base_grid // grid
-        for v, ref in zip(velocities, fft_band_velocities(fine), strict=True):
-            assert np.max(np.abs(v - ref[::step])) < 1e-10, name
+        samples, atoms = [], set()
+        for band, ref in zip(fine.bands, fft_band_velocities(fine), strict=True):
+            ref = np.repeat(ref[::step], band.multiplicity, axis=1)
+            if np.ptp(ref) < 1e-9:
+                assert np.max(np.abs(ref - band.winding / band.d)) < 1e-10, name
+                atoms.add(band.winding / band.d)
+            else:
+                samples.append(ref)
+        assert sorted(atoms) == [x for x, _mass in measure.atoms], name
+        got = np.sort(measure.velocities.reshape(grid, -1), axis=1)
+        want = np.sort(np.concatenate(samples or [np.zeros((grid, 0))], axis=1), axis=1)
+        assert got.shape == want.shape and np.max(np.abs(got - want), initial=0) < 1e-10, name
         if name == "grover3_grid16384":
-            flat = next(j for j, b in enumerate(system.bands) if b.d == 1)
-            assert np.ptp(velocities[flat]) <= 1e-13
+            frame = _velocity_frame(walk, system)
+            assert np.ptp(frame.velocity[frame.atom == 0.0]) <= 1e-13
 
 
 # -- the unitary eigensolver -----------------------------------------------------------
@@ -1045,22 +1090,28 @@ def test_record_lists_every_stack_solved(corpus):
     assert track_bands(split_n6, M).record.solves == ((M, 94),)
 
 
+def _same_measure(mu, nu) -> bool:
+    return (
+        mu.atoms == nu.atoms
+        and np.array_equal(mu.velocities, nu.velocities)
+        and np.array_equal(mu.masses, nu.masses)
+    )
+
+
 def test_projection_cache_is_kept_to_its_walk():
     walk = coined_walk()
     system = refine_system(track_bands(walk, M))
-    xh = StateVector.delta(0, 1, 2).fourier_samples(M)
-    band_projections(walk, system, xh)
+    xi = StateVector.delta(0, 1, 2)
+    limit_measure(walk, xi, system)
     with pytest.raises(ResolutionError, match="does not match the spectrum"):
-        band_projections(modified_coined_walk(), system, xh)
+        limit_measure(modified_coined_walk(), xi, system)
     # the same bands, other eigenvectors: a fresh solve, not the cached frame
     v = random_constant_unitary(np.random.default_rng(11), 2)
     conjugate = compose(
         SymbolMatrix.from_constant(v), compose(walk, SymbolMatrix.from_constant(v.conj().T))
     )
     fresh = EigenSystem(system.bands, system.n, M)
-    got, want = band_projections(conjugate, system, xh), band_projections(conjugate, fresh, xh)
-    for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
-        assert np.array_equal(a, b)
+    assert _same_measure(limit_measure(conjugate, xi, system), limit_measure(conjugate, xi, fresh))
 
 
 def test_cached_projections_equal_fresh_solve(corpus):
@@ -1070,11 +1121,8 @@ def test_cached_projections_equal_fresh_solve(corpus):
         assert cached._solved is not None, name
         fresh = EigenSystem(cached.bands, cached.n, cached.base_grid)
         for xi in (StateVector.delta(0, 1, walk.n), random_local_state(rng, walk.n)):
-            xh = xi.fourier_samples(M)
-            got, want = band_projections(walk, cached, xh), band_projections(walk, fresh, xh)
-            for a, b in zip(got[0] + got[1], want[0] + want[1], strict=True):
-                assert np.array_equal(a, b), name
             mu, nu = limit_measure(walk, xi, cached), limit_measure(walk, xi, fresh)
+            assert _same_measure(mu, nu), name
             moments = [limit_moments(mu, k) for k in range(5)]
             assert moments == [limit_moments(nu, k) for k in range(5)], name
 
@@ -1147,9 +1195,11 @@ def test_projections_flag_cross_band_collision():
     assert sorted(b.winding for b in system.bands) == [-1, 1]
     xi = StateVector({(0, 1): 2**-0.5, (0, 2): 2**-0.5}, 2)
     # the two branches z and 1/z meet at z = +1 and z = -1, which sit on the
-    # grid, so the projection weights cannot be attributed to either band
-    with pytest.raises(ResolutionError, match="ambiguous"):
-        band_projections(walk, system, xi.fourier_samples(64))
+    # grid; there the velocity block splits the cluster into the two channels
+    measure = limit_measure(walk, xi, system)
+    assert [x for x, _mass in measure.atoms] == [-1.0, 1.0]
+    assert all(abs(mass - 0.5) <= 1e-15 for _x, mass in measure.atoms)
+    assert len(measure.velocities) == 0
 
 
 def test_projections_flag_foreign_system():
@@ -1157,7 +1207,7 @@ def test_projections_flag_foreign_system():
     system = track_bands(coined_walk(), 1024)
     xi = StateVector.delta(0, 1, 2)
     with pytest.raises(ResolutionError, match="does not match the spectrum"):
-        band_projections(walk, system, xi.fourier_samples(system.base_grid))
+        limit_measure(walk, xi, system)
 
 
 def test_projections_flag_uncovered_cluster():
@@ -1171,4 +1221,4 @@ def test_projections_flag_uncovered_cluster():
     system = EigenSystem((Band(1, z, multiplicity=2),), 2, 64)
     xi = StateVector.delta(0, 1, 2)
     with pytest.raises(ResolutionError, match="not covered by any band"):
-        band_projections(walk, system, xi.fourier_samples(64))
+        limit_measure(walk, xi, system)
