@@ -68,14 +68,15 @@ windings track_bands certifies from grid 1024 for the near-avoided crossing
 coined_walk(sqrt(1 - 1e-6), 1e-3), whose truth is [0, 0].
 
 With --against CHECKOUT, the `src/zqwalk` of another checkout is imported
-beside this one under the package name zqwalk_against, and only the stages
-above run: each round times this checkout's call and the other's back to
+beside this one under the package name zqwalk_against, and the stages above
+are paired: each round times this checkout's call and the other's back to
 back, alternating which goes first, on inputs each package builds for
 itself.  Each stage then reports this checkout's median and quartiles, the
 other's under "against", and "ratio", the other's median over this one's
 (above 1: this checkout is faster).  np_eig runs the same code on both
-sides, so its ratio shows how far the pairing resolves.  The report also
-carries this checkout's accuracy block.
+sides, so its ratio shows how far the pairing resolves.  Everything else in
+the report (Laurent objects, writers, CLI, solve counts, bisection and
+accuracy) is this checkout's alone, as without --against.
 
 Usage: PYTHONPATH=src python scripts/bench.py --out BENCH.json [--repeats 7]
            [--against ../other-checkout]
@@ -485,55 +486,46 @@ def main() -> None:
         "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
         "commit": commit(),
     }
+    cases = inputs()
+    report = {"environment": environment, "grid": GRID}
     if args.against is not None:
         checkout = args.against.resolve()
-        report = {
-            "environment": environment,
-            "grid": GRID,
-            "against": {"checkout": str(checkout), "commit": commit(checkout)},
-            "stages": against_timings(load_against(checkout), args.repeats),
-            "accuracy": accuracy(inputs()),
-        }
-        for name, paired in report["stages"].items():
-            ratios = ", ".join(
-                f"{stage} {1e3 * s['median_s']:.2f}/{1e3 * s['against']['median_s']:.2f}"
-                f" ({s['ratio']:.2f}x)"
-                for stage, s in paired.items()
-            )
-            print(f"{name} (median ms, this/against): {ratios}")
-        print(f"accuracy: {report['accuracy']}")
+        report["against"] = {"checkout": str(checkout), "commit": commit(checkout)}
+        report["stages"] = against_timings(load_against(checkout), args.repeats)
     else:
-        cases = inputs()
-        report = {
-            "environment": environment,
-            "grid": GRID,
-            "stages": {},
-            "laurent": laurent_costs(args.repeats),
-            "writers": writer_timings(*cases["grover3"][:2], args.repeats),
-            "cli": cli_timings(args.repeats),
-            "solve_counts": {},
-            "bisection": {},
-            "accuracy": accuracy(cases),
-        }
-        for name, (walk, delta, other) in cases.items():
-            report["solve_counts"][name] = solve_counts(walk, [delta, other])
-            report["bisection"][name] = bisection(walk, args.repeats)
-            report["stages"][name] = {
+        report["stages"] = {
+            name: {
                 stage: timed(fn, args.repeats, setup)
-                for stage, (fn, setup) in stages(zqwalk, walk, delta, other).items()
+                for stage, (fn, setup) in stages(zqwalk, *case).items()
             }
-            medians = ", ".join(
-                f"{stage} {1e3 * s['median_s']:.2f}" for stage, s in report["stages"][name].items()
+            for name, case in cases.items()
+        }
+    report.update(
+        laurent=laurent_costs(args.repeats),
+        writers=writer_timings(*cases["grover3"][:2], args.repeats),
+        cli=cli_timings(args.repeats),
+        solve_counts={name: solve_counts(walk, [delta, other])
+                      for name, (walk, delta, other) in cases.items()},
+        bisection={name: bisection(case[0], args.repeats) for name, case in cases.items()},
+        accuracy=accuracy(cases),
+    )
+    paired = " this/against" if args.against is not None else ""
+    for name, timings in report["stages"].items():
+        medians = ", ".join(
+            f"{stage} {1e3 * s['median_s']:.2f}" + (
+                f"/{1e3 * s['against']['median_s']:.2f} ({s['ratio']:.2f}x)" if paired else ""
             )
-            print(f"{name} (median ms): {medians}")
-        costs = dict(report["laurent"])
-        peak = costs.pop("parse_diag_z1e6_peak_bytes")
-        calls = ", ".join(f"{k} {1e6 * s['median_s']:.2f}" for k, s in costs.items())
-        print(f"laurent: parse peak {peak} B; per call (median us): {calls}")
-        for group in ("bisection", "writers", "cli"):
-            medians = ", ".join(f"{k} {1e3 * s['median_s']:.2f}" for k, s in report[group].items())
-            print(f"{group} (median ms): {medians}")
-        print(f"accuracy: {report['accuracy']}")
+            for stage, s in timings.items()
+        )
+        print(f"{name} (median ms{paired}): {medians}")
+    costs = dict(report["laurent"])
+    peak = costs.pop("parse_diag_z1e6_peak_bytes")
+    calls = ", ".join(f"{k} {1e6 * s['median_s']:.2f}" for k, s in costs.items())
+    print(f"laurent: parse peak {peak} B; per call (median us): {calls}")
+    for group in ("bisection", "writers", "cli"):
+        medians = ", ".join(f"{k} {1e3 * s['median_s']:.2f}" for k, s in report[group].items())
+        print(f"{group} (median ms): {medians}")
+    print(f"accuracy: {report['accuracy']}")
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

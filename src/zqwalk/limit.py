@@ -9,11 +9,11 @@ directions are those of the cluster's Hermitian velocity block
 eigensolve track_bands already did).  The mass of a direction is |<u, xi_hat>|^2
 over the grid size, the base grid's trapezoid rule; only it depends on the
 initial vector, so the measures of several vectors against one system share
-one frame.  Bands of constant velocity contribute exact point masses
-(localization atoms) at w/d, their winding over their covering degree;
-everything else is kept as its (velocity, mass) samples, one per point and
-direction.  Moments, CDF distances and the support read those samples; the
-fixed velocity histogram is only a view for the written outputs.
+one frame.  The walk's flat bands (lambda = c zeta^p on a q-fold cover)
+give exact point masses (localization atoms) at p/q, found without the
+system's bands; every other direction is one (velocity, mass) sample.
+Moments, CDF distances and the support read those samples; the fixed
+velocity histogram is only a view for the written outputs.
 """
 
 from __future__ import annotations
@@ -85,13 +85,14 @@ def limit_measure(
 ) -> LimitMeasure:
     """Weak limit of the rescaled position distribution of walk^t applied to xi.
 
-    A band is an atom when each of its covering values has, in its eigenvalue
-    cluster, a direction whose velocity is within ATOM_VELOCITY_SPREAD of
-    winding/d (spectral._velocity_frame); those directions put their mass on
-    one exact atom at winding/d.  Every other direction is one (velocity,
-    mass) sample, in (point, direction) order, its mass |<u, xi_hat>|^2 over
-    the base grid size, so the support bound and the spectral accuracy of
-    the grid sums are built in.
+    `system` gives the base grid, unchecked against the one track_bands would
+    choose for this walk, and its eigendecomposition when it tracked this
+    very walk; its bands are not read.  The walk's flat bands lambda = c
+    zeta^p on q-fold covers are its atoms (spectral._velocity_frame): each
+    puts its directions' mass on one exact atom at p/q.  Every other
+    direction is one (velocity, mass) sample, in (point, direction) order,
+    its mass |<u, xi_hat>|^2 over the base grid size, so the support bound
+    and the spectral accuracy of the grid sums are built in.
     """
     if walk.n != xi.n:
         raise DomainError(f"dimension mismatch: walk n={walk.n}, vector n={xi.n}")

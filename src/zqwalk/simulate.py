@@ -241,6 +241,7 @@ def evolve(walk: SymbolMatrix, xi: StateVector, t: int) -> StateVector:
     highs = np.full(len(classes), y.min())
     np.maximum.at(highs, column, y)
     widths = highs - lows + degree * t + 1
+    require_values(n * max(n, len(classes)) * int(widths.max()), "light cone")
     size = _fast_fft_length(int(widths.max()))
     require_values(n * max(n, len(classes)) * size, "light cone")
     # coefficients: vec[k, c, j] at sublattice site lows[c] + j, and V(w) =
@@ -306,28 +307,15 @@ def _fast_fft_length(target: int) -> int:
     """Smallest integer >= target (>= 1) with no prime factor above 11.
 
     numpy's pocketfft transforms such lengths fastest; it is pocketfft's own
-    choice of a fast complex transform length.  Each odd part 3^a 5^b 7^c
-    11^d below the best length so far is lifted by the least power of two
-    reaching the target.
+    choice of a fast complex transform length.  The search counts up from
+    the target: such a size divides 2310^b = (2 3 5 7 11)^b, b its bit
+    length, as no prime's exponent in it reaches b.  Its steps grow with the
+    target (about 3600 near 10^6), so callers bound the target first.
     """
-    need = target - 1
-    best = 1 << need.bit_length()  # the power of two
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    lifted = p3 << (need // p3).bit_length()
-                    if lifted < best:
-                        best = lifted
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    size = max(target, 1)
+    while 2310 ** size.bit_length() % size:
+        size += 1
+    return size
 
 
 def fourier_position_distribution(

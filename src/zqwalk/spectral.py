@@ -5,8 +5,8 @@ analytic loops: following each eigenvalue continuously around the base circle
 permutes the eigenvalue labels, and each cycle of length d of that permutation
 is one branch living on a d-fold covering circle.  This module recovers those
 cycles numerically (track_bands) and derives the invariants that hang off the
-branch structure: winding numbers, continuous-time realizability, and the
-velocity frame of the weak limit (_velocity_frame).
+branch structure: winding numbers and continuous-time realizability.  The
+weak limit's velocity frame (_velocity_frame) reads the walk, not its bands.
 Every EigenSystem is refined when it is built: it contracts each
 rotation-symmetric branch to its minimal period and merges coinciding ones
 into multiplicities.  Conjugacy of two walks needs no tracking: the bands
@@ -168,7 +168,7 @@ class EigenSystem:
     Three read-only attachments ride along and __eq__ ignores them: `record`
     is track_bands' TrackingRecord, `_solved` the (walk, evals, vecs)
     eigendecomposition on base_grid that it tracked through, and `_frame`
-    the velocity frame of limit_measure (_Frame), built on first use.
+    limit_measure's velocity frame (_Frame, reading no band), built once.
     """
 
     bands: tuple[Band, ...]
@@ -822,7 +822,7 @@ def are_conjugate(
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """The vector-free half of limit_measure for one walk and band set.
+    """The vector-free half of limit_measure for one walk and grid.
 
     Row j of `left` at point k is the j-th eigen-direction of the asymptotic
     velocity operator there; `velocity` and `atom`, both (M, n), hold its
@@ -838,11 +838,10 @@ class _Frame:
 def _velocity_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     """The system's cached frame for `walk`, built (and cached) if there is none.
 
-    The eigendecomposition is the one track_bands solved when the system
-    carries it for this walk (the very object it tracked), else it is solved
-    here by _unitary_eig; any other walk never reuses another walk's frame,
-    so its spectrum is checked against the bands afresh.  The eigenvectors V
-    are orthonormal, so W = V^H.
+    It reads the walk on the system's base grid (unchecked for this walk),
+    never its bands.  The eigendecomposition is track_bands' own when the
+    system carries it for this walk, else _unitary_eig solves it here; no
+    walk reuses another walk's frame.  V is orthonormal: W = V^H.
 
     A cluster of one eigenvalue (single linkage at DEGENERACY_TOL) has the
     Hellmann-Feynman velocity Re((W U' V)_ii / (i lambda_i)), with U' exact
@@ -850,13 +849,14 @@ def _velocity_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
     the analytic branches through it are the eigenvectors u of the Hermitian
     part of its block of W U' V / (i lambda), and their velocities the
     eigenvalues (Kato, Perturbation Theory, ch. II sections 5-6): one batched
-    eigh per cluster size, whose u^H rotates those clusters' rows of W.  Each
-    tracked covering value is matched to its nearest eigenvalue, and through
-    it to that eigenvalue's cluster; every cluster must be matched.
+    eigh per cluster size, whose u^H rotates those clusters' rows of W.
 
-    A band is an atom when each of its covering values has, in its cluster,
-    a direction whose velocity is within ATOM_VELOCITY_SPREAD of winding/d;
-    those directions belong to the atom at winding/d.
+    The atoms are the walk's flat bands lambda = c zeta^p on a q-fold cover
+    (q <= n): velocity p/q and lambda^q z^-p = c^q at every point.  Each
+    direction at z = 1 within ATOM_VELOCITY_SPREAD of p/q, q least, nominates
+    p/q with C = lambda^q; it is an atom when every point has a direction of
+    that velocity with |lambda^q z^-p - C| < DEGENERACY_TOL (phase at p k mod
+    M), and those directions carry its mass, at exactly p/q.
     """
     frame = system._frame
     if frame is not None and frame.walk is walk:
@@ -868,18 +868,6 @@ def _velocity_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
         evals, vecs, _retried = _unitary_eig(walk.grid_eval(m))
     linked = _linked(evals, DEGENERACY_TOL)  # [k, i, j]: i and j share a cluster
     label = np.argmax(linked, axis=2)  # smallest index in each cluster
-    samples = np.concatenate([b.samples.reshape(b.d, m).T for b in system.bands], axis=1)
-    dist = np.abs(samples[:, :, None] - evals[:, None, :])  # [k, slot, eigenvalue]
-    if np.any(np.min(dist, axis=2) > max(10 * DEGENERACY_TOL, 1e-6)):
-        raise ResolutionError(
-            "tracked band value does not match the spectrum; "
-            "system and walk are out of sync"
-        )
-    cluster = np.take_along_axis(label, np.argmin(dist, axis=2), axis=1)
-    member = cluster[:, :, None] == label[:, None, :]  # [k, slot, j]
-    if not np.all(np.any(member, axis=1)):
-        raise ResolutionError("eigenvalue cluster not covered by any band")
-
     left = vecs.conj().swapaxes(1, 2)
     shifts = walk.shifts
     slope = circle_values(1j * shifts[:, None, None] * walk.coeffs, shifts, m) @ vecs
@@ -895,11 +883,17 @@ def _velocity_frame(walk: SymbolMatrix, system: EigenSystem) -> _Frame:
         left[k, members] = u.conj().swapaxes(1, 2) @ rows
     velocity.flags.writeable = False
     atom = np.full(velocity.shape, np.nan)
-    split = np.cumsum([b.d for b in system.bands])[:-1]
-    for band, hit in zip(system.bands, np.split(member, split, axis=1)):
-        hit = hit & (np.abs(velocity - band.winding / band.d) < ATOM_VELOCITY_SPREAD)[:, None]
-        if hit.any(axis=2).all():
-            atom[hit.any(axis=1)] = band.winding / band.d
+    q = np.arange(1, walk.n + 1)
+    p = np.rint(velocity[0, :, None] * q)  # [direction at z = 1, q]
+    near = np.abs(velocity[0, :, None] - p / q) < ATOM_VELOCITY_SPREAD
+    for j in np.flatnonzero(near.any(axis=1)):
+        d = int(np.argmax(near[j])) + 1
+        w = int(p[j, d - 1])
+        phase = np.exp(-2j * np.pi * (w * np.arange(m) % m) / m)[:, None]
+        hit = np.abs(evals**d * phase - evals[0, j] ** d) < DEGENERACY_TOL
+        hit &= np.abs(velocity - w / d) < ATOM_VELOCITY_SPREAD
+        if hit.any(axis=1).all():
+            atom[hit] = w / d
     frame = _Frame(walk, left, velocity, atom)
     object.__setattr__(system, "_frame", frame)
     return frame

@@ -765,7 +765,15 @@ def test_bench_script_times_stages_against_a_checkout(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert report["against"]["checkout"] == str(root.resolve())
-    assert set(report) == {"environment", "grid", "against", "stages", "accuracy"}
+    assert set(report) == {
+        "environment", "grid", "against", "stages", "laurent", "writers", "cli",
+        "solve_counts", "bisection", "accuracy",
+    }
+    assert set(report["cli"]) == {
+        "check", "bands", "decompose", "winding", "ct-check", "simulate", "limit",
+        "compare", "conjugate",
+    }
+    assert set(report["solve_counts"]) == set(report["bisection"]) == set(report["stages"])
     assert report["accuracy"]["grover3_ch1_m1_err"] < 1e-13
     assert set(report["stages"]) == {"hadamard", "modified_hadamard", "grover3", "split_n6"}
     for stages in report["stages"].values():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import time
 
 import numpy as np
 import pytest
@@ -444,6 +445,12 @@ def test_evolve_refuses_unallocatable_light_cone():
     # the same two sites one light cone apart still evolve
     near = StateVector({(0, 1): 0.6, (1000, 1): 0.8}, 2)
     assert evolve(coined_walk(), near, 1).norm() == pytest.approx(1.0, abs=1e-15)
+    # a cone 2 * 10**15 + 1 sites wide is refused before the FFT length is
+    # searched for, whose steps near that size would take days
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"above {MAX_CONE_VALUES}"):
+        evolve(coined_walk(), StateVector({(0, 1): 1.0}, 2), 10**15)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_state_refuses_a_fractional_site():
